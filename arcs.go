@@ -67,10 +67,13 @@ type CacheStats = core.CacheStats
 type ClusteredRule = rules.ClusteredRule
 
 // Counts is the read API of a System's built count substrate
-// (System.Counts): grid dimensions and the per-cell support/confidence
-// counts of paper §3.2. Implementations include the dense in-memory
-// array and the sharded parallel-ingest backend selected by
-// Config.IngestWorkers; both produce bit-identical counts.
+// (System.Counts): grid dimensions, the per-cell counts of paper §3.2
+// (Count, CellTotal), row-major iteration over occupied cells (Cells)
+// and the backend's footprint (Stats). One package implements it with
+// three backends — dense, sparse and spill-to-disk — chosen by
+// Config.MemBudget and Config.CountsBackend; sequential, fused and
+// sharded (Config.IngestWorkers) builds all return one of them, and
+// every combination produces bit-identical counts.
 type Counts = counts.Backend
 
 // MDLWeights biases the cost function (wc, we of paper §3.6).

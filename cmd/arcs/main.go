@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -283,6 +284,15 @@ func main() {
 			fatalCode(err, exitCanceled)
 		}
 		fatal(err)
+	}
+	// A spill backend deletes its record file on Close; its finalizer
+	// never gets to run before the process exits.
+	if c, ok := sys.Counts().(io.Closer); ok {
+		atExit(func() {
+			if err := c.Close(); err != nil {
+				slog.Warn("closing the count backend", "err", err)
+			}
+		})
 	}
 
 	if *critValue != "" {

@@ -34,8 +34,6 @@ import (
 	"strconv"
 	"syscall"
 
-	"arcs/internal/binarray"
-	"arcs/internal/counts"
 	"arcs/internal/dataset"
 	"arcs/internal/obs"
 	"arcs/internal/segment"
@@ -56,20 +54,10 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "scoring budget; on expiry flush the rows scored so far and exit 3")
 		maxBadRows  = flag.Int("max-bad-rows", 0, "input rows to quarantine before failing; -1 unlimited, 0 strict")
 		retries     = flag.Int("retries", 2, "retries per read for transient input errors")
-		memBudget   = flag.String("mem-budget", "", "memory budget for count structures: bytes with optional K/M/G/T suffix, or 'off' for unlimited (empty keeps the 1 GiB default)")
 		verbose     = flag.Bool("v", false, "debug logging")
 		logFormat   = flag.String("log-format", "text", "log output format: text, json")
 	)
 	flag.Parse()
-	// Scoring never builds a count array today, but the budget flag is
-	// uniform across the arcs commands: set the process-wide default
-	// once, before anything allocates count state.
-	if budget, err := counts.ParseBudget(*memBudget); err != nil {
-		fmt.Fprintln(os.Stderr, "arcsapply:", err)
-		os.Exit(2)
-	} else if budget != 0 {
-		binarray.DefaultMemBudget = budget
-	}
 	if (*modelPath == "") == (*registryDir == "") || *in == "" {
 		fmt.Fprintln(os.Stderr, "arcsapply: need -in plus exactly one of -model or -registry")
 		flag.Usage()

@@ -44,7 +44,7 @@ func BenchmarkIngest(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
 		b.SetBytes(int64(n))
 		for i := 0; i < b.N; i++ {
-			if _, err := counts.Build(context.Background(), tab, spec, counts.Options{Workers: 1}); err != nil {
+			if _, err := counts.Build(context.Background(), tab, spec, counts.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -53,7 +53,7 @@ func BenchmarkIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("sharded-%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
-				if _, err := counts.BuildSharded(context.Background(), tab, spec, counts.Options{Workers: workers}); err != nil {
+				if _, _, err := counts.BuildSharded(context.Background(), tab, workers, spec, counts.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

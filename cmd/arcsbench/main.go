@@ -33,28 +33,32 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"arcs/internal/binarray"
 	"arcs/internal/counts"
 	"arcs/internal/experiments"
 	"arcs/internal/obs"
 )
 
-// Exit codes: 0 success, 1 fatal error, 2 usage, 3 canceled (SIGINT or
-// -timeout) — experiments already printed stand as partial results.
+// Exit codes: 0 success, 1 fatal error, 2 usage (including an unknown
+// -exp name), 3 canceled (SIGINT or -timeout) — experiments already
+// printed stand as partial results.
 const exitCanceled = 3
+
+// experimentNames lists the -exp names in the order -exp all runs them.
+var experimentNames = []string{"rules", "fig11", "fig12", "fig13", "fig14", "fig15", "table2",
+	"bins", "why", "ablation", "feedbackloop", "ingest", "quality", "smoothing"}
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: rules, fig11, fig12, fig13, fig14, fig15, table2, bins, smoothing, ablation, why, feedbackloop, ingest, quality, all")
+		exp       = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", ")+", or all")
 		ingestW   = flag.String("ingest-workers", "2,4,8", "comma-separated worker counts for -exp ingest")
 		ingestN   = flag.String("ingest-tuples", "1000000,2000000,5000000,10000000", "comma-separated workload sizes for -exp ingest (each divided by -scale)")
 		ingestB   = flag.String("ingest-backends", "sparse,spill", "comma-separated count backends swept by -exp ingest alongside dense (sparse, spill; empty skips the backend dimension)")
-		memBudget = flag.String("mem-budget", "", "advisory memory budget for count structures: bytes with optional K/M/G/T suffix, or 'off' for unlimited (empty keeps the 1 GiB default)")
 		scale     = flag.Int("scale", 1, "divide every database size by this factor")
 		c45Cap    = flag.Int("c45cap", 200_000, "largest database C4.5 is attempted on (the paper's C4.5 ran out of memory beyond 100k)")
 		testN     = flag.Int("testn", 10_000, "held-out test table size")
@@ -70,6 +74,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "arcsbench:", err)
 		os.Exit(2)
 	}
+	// A misspelled -exp would otherwise match no experiment and exit 0,
+	// silently skipping whatever gate a CI step meant to run.
+	if *exp != "all" && !slices.Contains(experimentNames, *exp) {
+		fmt.Fprintf(os.Stderr, "arcsbench: unknown experiment %q (valid: %s, or all)\n",
+			*exp, strings.Join(experimentNames, ", "))
+		os.Exit(2)
+	}
 	defer func() {
 		runExitHooks()
 		if exitCode != 0 {
@@ -78,14 +89,6 @@ func main() {
 	}()
 	if *scale < 1 {
 		fatal(fmt.Errorf("scale must be >= 1"))
-	}
-	// The experiments build their core.Configs internally, so the budget
-	// flag lands in the process-wide default (set once, before any
-	// builds start) rather than being plumbed through every experiment.
-	if budget, err := counts.ParseBudget(*memBudget); err != nil {
-		fatal(err)
-	} else if budget != 0 {
-		binarray.DefaultMemBudget = budget
 	}
 
 	// SIGINT/SIGTERM and -timeout cancel the suite between experiments:
@@ -117,6 +120,9 @@ func main() {
 	scaleupSizes := scaled([]int{100_000, 200_000, 500_000, 1_000_000, 2_000_000, 4_000_000, 10_000_000}, *scale)
 
 	run := func(name string, fn func() error) {
+		if !slices.Contains(experimentNames, name) {
+			panic("arcsbench: experiment " + name + " is missing from experimentNames")
+		}
 		if *exp != "all" && *exp != name {
 			return
 		}

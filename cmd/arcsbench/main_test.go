@@ -1,0 +1,61 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestExperimentNames pins the -exp contract: a misspelled name is a
+// usage error that runs nothing, and every experiment -exp all runs is
+// one -exp accepts.
+func TestExperimentNames(t *testing.T) {
+	gotool, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("no go tool to build the command with: %v", err)
+	}
+	bin := filepath.Join(t.TempDir(), "arcsbench")
+	if out, err := exec.Command(gotool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	run := func(args ...string) (code int, stdout, stderr string) {
+		t.Helper()
+		cmd := exec.Command(bin, args...)
+		var o, e bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &o, &e
+		var exit *exec.ExitError
+		if err := cmd.Run(); errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return code, o.String(), e.String()
+	}
+
+	t.Run("unknown-is-usage-error", func(t *testing.T) {
+		code, stdout, stderr := run("-exp", "nosuch")
+		if code != 2 {
+			t.Errorf("exit code %d, want 2", code)
+		}
+		if stdout != "" {
+			t.Errorf("unknown experiment printed %q", stdout)
+		}
+		for _, name := range append(experimentNames, "all") {
+			if !strings.Contains(stderr, name) {
+				t.Errorf("usage error %q does not list %q", stderr, name)
+			}
+		}
+	})
+
+	// Under an expired budget -exp all skips every experiment, and each
+	// one's run first checks that its name is in experimentNames — an
+	// experiment -exp would reject panics here instead of exiting 3.
+	t.Run("all-are-listed", func(t *testing.T) {
+		if code, _, stderr := run("-exp", "all", "-timeout", "1ns"); code != exitCanceled {
+			t.Errorf("exit code %d, want %d (canceled)\n%s", code, exitCanceled, stderr)
+		}
+	})
+}

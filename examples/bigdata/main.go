@@ -92,7 +92,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("extended by %d tuples in %s; combined N = %d\n",
-		*n/4, time.Since(start).Round(time.Millisecond), sys.BinArray().N())
+		*n/4, time.Since(start).Round(time.Millisecond), sys.Counts().N())
 	for _, r := range res2.Rules {
 		fmt.Printf("  %s\n", r)
 	}

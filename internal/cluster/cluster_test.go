@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"arcs/internal/binarray"
 	"arcs/internal/binning"
+	"arcs/internal/counts"
 	"arcs/internal/grid"
 	"arcs/internal/rules"
 )
@@ -15,7 +15,7 @@ func testMeta() Meta {
 }
 
 func TestFromRectsConvertsBinsToValues(t *testing.T) {
-	ba, _ := binarray.New(4, 4, 2)
+	ba, _ := counts.NewDense(4, 4, 2)
 	// Rect cols 1-2, rows 0-1. Fill it with 6 seg-0 tuples and 2 seg-1.
 	for x := 1; x <= 2; x++ {
 		for y := 0; y <= 1; y++ {
@@ -56,7 +56,7 @@ func TestFromRectsConvertsBinsToValues(t *testing.T) {
 }
 
 func TestFromRectsValidation(t *testing.T) {
-	ba, _ := binarray.New(2, 2, 1)
+	ba, _ := counts.NewDense(2, 2, 1)
 	xb, _ := binning.NewEquiWidth(0, 1, 2)
 	yb, _ := binning.NewEquiWidth(0, 1, 2)
 	if _, err := FromRects([]grid.Rect{{R0: 0, C0: 0, R1: 0, C1: 5}}, ba, 0, xb, yb, testMeta()); err == nil {
@@ -68,7 +68,7 @@ func TestFromRectsValidation(t *testing.T) {
 }
 
 func TestFromRectsEmptyArray(t *testing.T) {
-	ba, _ := binarray.New(2, 2, 1)
+	ba, _ := counts.NewDense(2, 2, 1)
 	xb, _ := binning.NewEquiWidth(0, 1, 2)
 	yb, _ := binning.NewEquiWidth(0, 1, 2)
 	rs, err := FromRects([]grid.Rect{{R0: 0, C0: 0, R1: 0, C1: 0}}, ba, 0, xb, yb, testMeta())

@@ -195,8 +195,8 @@ type Config struct {
 	Seed int64
 
 	// IngestWorkers sets the parallelism of the counting pass. 0 or 1
-	// builds the dense count array sequentially; larger values shard the
-	// pass across that many workers when the source supports range
+	// builds the counts sequentially; larger values shard the pass
+	// across that many workers when the source supports range
 	// sharding (in-memory tables, deterministic generators — see
 	// dataset.Sharder), falling back to the sequential build for
 	// streaming sources. Counts and results are bit-identical at any
@@ -204,11 +204,11 @@ type Config struct {
 	IngestWorkers int
 
 	// MemBudget is the advisory memory cap in bytes for the count
-	// substrate. 0 applies the deprecated binarray.DefaultMemBudget
-	// (1 GiB); negative means unlimited. When the dense array would not
-	// fit, the build dispatches to the sparse or spill backend instead
-	// of failing — counts are byte-identical whichever backend serves
-	// them (see counts.Options).
+	// substrate. 0 applies the 1 GiB default; negative means unlimited.
+	// When the dense array would not fit, the build dispatches to the
+	// sparse or spill backend instead of failing — counts are
+	// byte-identical whichever backend serves them (see counts.Options).
+	// In a sharded build each worker selects against its share.
 	MemBudget int64
 
 	// CountsBackend pins a count backend: "auto" (default), "dense",

@@ -164,7 +164,7 @@ func TestGridAccessors(t *testing.T) {
 	if _, err := sys.Grid("bogus", 0.1, 0.1); err == nil {
 		t.Error("unknown criterion label should error")
 	}
-	if sys.BinArray() == nil || sys.Sample() == nil {
+	if sys.Counts() == nil || sys.Sample() == nil {
 		t.Error("accessors returned nil")
 	}
 	xb, yb := sys.Binners()

@@ -33,7 +33,7 @@ func (s *System) Extend(src dataset.Source) error {
 	if err != nil {
 		return err
 	}
-	adder, ok := counts.AsAdder(s.ba)
+	adder, ok := s.ba.(counts.Adder)
 	if !ok {
 		return fmt.Errorf("core: count backend %T does not support incremental extension", s.ba)
 	}

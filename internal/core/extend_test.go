@@ -26,7 +26,7 @@ func extSystem(t *testing.T, n int) *System {
 
 func TestExtendAddsData(t *testing.T) {
 	sys := extSystem(t, 5_000)
-	before := sys.BinArray().N()
+	before := sys.Counts().N()
 
 	// A fresh generator has a structurally identical schema (different
 	// instance): Extend must remap category codes by label.
@@ -37,7 +37,7 @@ func TestExtendAddsData(t *testing.T) {
 	if err := sys.Extend(more); err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.BinArray().N(); got != before+3_000 {
+	if got := sys.Counts().N(); got != before+3_000 {
 		t.Errorf("N = %d, want %d", got, before+3_000)
 	}
 	rs, err := sys.MineAt(0.0001, 0.39)
@@ -134,7 +134,7 @@ func TestExtendDeterministic(t *testing.T) {
 		if err := sys.Extend(more); err != nil {
 			t.Fatal(err)
 		}
-		return sys.BinArray().N()
+		return sys.Counts().N()
 	}
 	if run() != run() {
 		t.Error("Extend is not deterministic")

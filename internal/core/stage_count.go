@@ -30,18 +30,15 @@ type CountsInfo struct {
 
 // countsInfoOf summarizes a built backend.
 func countsInfoOf(b counts.Backend, workers int) CountsInfo {
-	info := CountsInfo{
-		Backend: counts.KindOf(b).String(),
-		Workers: workers,
-		Cells:   int64(b.NX()) * int64(b.NY()),
+	st := b.Stats()
+	return CountsInfo{
+		Backend:       counts.KindOf(b).String(),
+		Workers:       workers,
+		Cells:         int64(b.NX()) * int64(b.NY()),
+		OccupiedCells: int64(st.OccupiedCells),
+		MemBytes:      int64(st.MemBytes),
+		DiskBytes:     st.DiskBytes,
 	}
-	if szr, ok := b.(counts.Sizer); ok {
-		st := szr.Stats()
-		info.OccupiedCells = int64(st.OccupiedCells)
-		info.MemBytes = int64(st.MemBytes)
-		info.DiskBytes = st.DiskBytes
-	}
-	return info
 }
 
 // stageCount is the Count stage: fill the count backend with one pass
@@ -49,7 +46,9 @@ func countsInfoOf(b counts.Backend, workers int) CountsInfo {
 // parallel, sequential) and the backend kind (dense, sparse,
 // spill-to-disk) dispatch independently — Config.CountsBackend pins a
 // kind, Config.MemBudget lets Auto pick one the budget fits — and all
-// combinations produce bit-identical counts.
+// combinations produce bit-identical counts. IngestWorkers > 1 shards
+// the pass when the source supports range sharding (dataset.Sharder)
+// and falls back to the sequential pass when it does not.
 func (s *System) stageCount(ctx context.Context, src dataset.Source, nseg int, fused bool) ([]obs.Attr, error) {
 	spec := counts.Spec{
 		XIdx: s.xIdx, YIdx: s.yIdx, CritIdx: s.critIdx,
@@ -60,34 +59,32 @@ func (s *System) stageCount(ctx context.Context, src dataset.Source, nseg int, f
 		return nil, err // unreachable: Config.validate parses it first
 	}
 	opts := counts.Options{
-		Workers:   s.cfg.IngestWorkers,
 		Kind:      kind,
 		MemBudget: s.cfg.MemBudget,
 		SpillDir:  s.cfg.SpillDir,
 	}
 	mode, workers := "sequential", 1
+	var sm *sampler
+	sharder, shardable := src.(dataset.Sharder)
 	switch {
 	case fused:
-		mode = "fused"
-		sm := s.newSampler()
-		if s.ba, err = counts.BuildFused(ctx, src, spec, sm.observe, opts); err != nil {
-			return nil, err
-		}
-		if s.ba.N() == 0 {
-			return nil, fmt.Errorf("core: source yielded no tuples")
-		}
-		if err = s.buildSample(sm.buf); err != nil {
-			return nil, err
-		}
+		mode, sm = "fused", s.newSampler()
+		s.ba, err = counts.BuildFused(ctx, src, spec, sm.observe, opts)
+	case shardable && s.cfg.IngestWorkers > 1:
+		mode = "sharded"
+		s.ba, workers, err = counts.BuildSharded(ctx, sharder, s.cfg.IngestWorkers, spec, opts)
 	default:
-		if s.ba, err = counts.Build(ctx, src, spec, opts); err != nil {
+		s.ba, err = counts.Build(ctx, src, spec, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if s.ba.N() == 0 {
+		return nil, fmt.Errorf("core: source yielded no tuples")
+	}
+	if sm != nil {
+		if err := s.buildSample(sm.buf); err != nil {
 			return nil, err
-		}
-		if sh, ok := s.ba.(*counts.Sharded); ok {
-			mode, workers = "sharded", sh.Workers()
-		}
-		if s.ba.N() == 0 {
-			return nil, fmt.Errorf("core: source yielded no tuples")
 		}
 	}
 	s.countsInfo = countsInfoOf(s.ba, workers)

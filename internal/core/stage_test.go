@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"arcs/internal/counts"
@@ -83,18 +84,44 @@ func sameSample(t *testing.T, label string, a, b *dataset.Table) {
 	}
 }
 
+// countSpan builds a System over src with a span sink and returns the
+// System and its count span.
+func countSpan(t *testing.T, src dataset.Source, cfg Config) (*System, obs.Event) {
+	t.Helper()
+	sink := &obs.MemSink{}
+	cfg.Observer = obs.New(sink)
+	sys, err := New(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := sink.Spans("count")
+	if len(spans) != 1 {
+		t.Fatalf("%d count spans, want 1", len(spans))
+	}
+	return sys, spans[0]
+}
+
 // TestShardedSystemMatchesDense is the refactor's acceptance test: any
 // IngestWorkers setting yields a byte-identical count backend, the same
-// verification sample, and an identical end-to-end Result.
+// verification sample, and an identical end-to-end Result; a sharded
+// build reports its worker count on the count span and in CountsStats.
 func TestShardedSystemMatchesDense(t *testing.T) {
 	tab := f2Table(t, 20_000)
 	mk := func(workers int) *System {
 		t.Helper()
-		sys, err := New(tab, f2Config(Config{
+		sys, span := countSpan(t, tab, f2Config(Config{
 			NumBins: 20, Walk: walkBudget(), IngestWorkers: workers,
 		}))
-		if err != nil {
-			t.Fatal(err)
+		wantMode, wantWorkers := "sequential", "1"
+		if workers > 1 {
+			wantMode, wantWorkers = "sharded", strconv.Itoa(workers)
+		}
+		if span.Attr("mode") != wantMode || span.Attr("workers") != wantWorkers {
+			t.Errorf("workers=%d: count span mode=%s workers=%s, want %s/%s", workers,
+				span.Attr("mode"), span.Attr("workers"), wantMode, wantWorkers)
+		}
+		if got := sys.CountsStats().Workers; strconv.Itoa(got) != wantWorkers {
+			t.Errorf("workers=%d: CountsStats().Workers = %d", workers, got)
 		}
 		return sys
 	}
@@ -106,11 +133,6 @@ func TestShardedSystemMatchesDense(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		sys := mk(workers)
-		if workers > 1 {
-			if _, ok := sys.Counts().(*counts.Sharded); !ok {
-				t.Fatalf("workers=%d: backend is %T, want *counts.Sharded", workers, sys.Counts())
-			}
-		}
 		if !bytes.Equal(countsBytes(t, sys), refBytes) {
 			t.Errorf("workers=%d: counts differ from the sequential build", workers)
 		}
@@ -120,6 +142,26 @@ func TestShardedSystemMatchesDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameOutcome(t, "sharded", refRes, res)
+	}
+}
+
+// TestBuildFallsBackToDense: IngestWorkers > 1 over a source that
+// cannot shard (a stream wrapper) builds sequentially instead, and says
+// so on the count span and in CountsStats.
+func TestBuildFallsBackToDense(t *testing.T) {
+	tab := f2Table(t, 5_000)
+	sys, span := countSpan(t, dataset.Limit(tab, tab.Len()), f2Config(Config{
+		NumBins: 20, Walk: walkBudget(), IngestWorkers: 4,
+	}))
+	if span.Attr("mode") != "sequential" || span.Attr("workers") != "1" || span.Attr("backend") != "dense" {
+		t.Errorf("count span mode=%s workers=%s backend=%s, want sequential/1/dense",
+			span.Attr("mode"), span.Attr("workers"), span.Attr("backend"))
+	}
+	if st := sys.CountsStats(); st.Workers != 1 || st.Backend != "dense" {
+		t.Errorf("CountsStats() = %+v, want one dense worker", st)
+	}
+	if got := sys.Counts().N(); got != uint64(tab.Len()) {
+		t.Errorf("N() = %d, want %d", got, tab.Len())
 	}
 }
 

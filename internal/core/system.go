@@ -328,10 +328,6 @@ func (s *System) Counts() counts.Backend { return s.ba }
 // costs in memory and disk — the numbers behind the counts_* gauges.
 func (s *System) CountsStats() CountsInfo { return s.countsInfo }
 
-// BinArray is the historical name for Counts, from when the dense array
-// was the only backend.
-func (s *System) BinArray() counts.Backend { return s.ba }
-
 // Sample exposes the verification sample.
 func (s *System) Sample() *dataset.Table { return s.sample }
 
@@ -354,7 +350,7 @@ func (s *System) Grid(label string, minSup, minConf float64) (*grid.Bitmap, erro
 // lift × prior of the criterion value if that exceeds minConf.
 func (s *System) effectiveMinConf(seg int, minConf float64) float64 {
 	if s.cfg.InterestLift > 0 && s.ba.N() > 0 {
-		prior := float64(s.ba.SegmentTotal(seg)) / float64(s.ba.N())
+		prior := float64(counts.SegmentTotal(s.ba, seg)) / float64(s.ba.N())
 		if bar := s.cfg.InterestLift * prior; bar > minConf {
 			return bar
 		}
@@ -372,7 +368,7 @@ func (s *System) buildGrid(seg int, minSup, minConf float64) (*grid.Bitmap, erro
 		if err != nil {
 			return nil, err
 		}
-		s.ba.Occupied(seg, func(x, y int, segCount, cellTotal uint32) {
+		counts.Occupied(s.ba, seg, func(x, y int, segCount, cellTotal uint32) {
 			conf := float64(segCount) / float64(cellTotal)
 			if conf >= minConf {
 				dense.Set(y, x, float64(segCount)/float64(s.ba.N()))

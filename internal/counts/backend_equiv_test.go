@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"arcs/internal/binarray"
 	"arcs/internal/binning"
 )
 
@@ -23,9 +22,6 @@ func snapBytes(t testing.TB, b Backend) []byte {
 }
 
 func closeBackend(b Backend) {
-	if sh, ok := b.(*Sharded); ok {
-		b = sh.Inner()
-	}
 	if c, ok := b.(interface{ Close() error }); ok {
 		_ = c.Close()
 	}
@@ -57,48 +53,47 @@ func randOps(seed uint64, nx, ny, nseg, nops int, saturate bool) []gridOp {
 	return ops
 }
 
-// buildAllBackends applies ops to a fresh dense, sparse and spill
-// backend and returns each snapshot keyed by kind name. The spill
-// builder runs with a 1-byte budget so its accumulator floors at the
-// minimum cell cap — grids with more occupied cells than the cap
-// exercise the multi-run external merge.
-func buildAllBackends(t testing.TB, nx, ny, nseg int, ops []gridOp) map[string][]byte {
+// builtBackends applies ops to a fresh dense, sparse and spill backend
+// and returns them keyed by kind name; the spill backend is closed at
+// test cleanup. The spill builder runs with a 1-byte budget so its
+// accumulator floors at the minimum cell cap — grids with more occupied
+// cells than the cap exercise the multi-run external merge.
+func builtBackends(t testing.TB, nx, ny, nseg int, ops []gridOp) map[string]Backend {
 	t.Helper()
-	out := make(map[string][]byte, 3)
-
-	ba, err := binarray.New(nx, ny, nseg)
+	d, err := NewDense(nx, ny, nseg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range ops {
-		ba.AddN(op.x, op.y, op.seg, op.n)
-	}
-	out["dense"] = snapBytes(t, ba)
-
 	sp, err := NewSparse(nx, ny, nseg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range ops {
-		sp.AddN(op.x, op.y, op.seg, op.n)
-	}
-	out["sparse"] = snapBytes(t, sp)
-
 	sb, err := newSpillBuilder(nx, ny, nseg, Options{SpillDir: t.TempDir(), MemBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range ops {
-		if err := sb.AddN(op.x, op.y, op.seg, op.n); err != nil {
+		d.AddN(op.x, op.y, op.seg, op.n)
+		sp.AddN(op.x, op.y, op.seg, op.n)
+		if err := sb.addN(op.x, op.y, op.seg, op.n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sa, err := sb.finalize()
+	sa, err := sb.finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sa.Close()
-	out["spill"] = snapBytes(t, sa)
+	t.Cleanup(func() { closeBackend(sa) })
+	return map[string]Backend{"dense": d, "sparse": sp, "spill": sa}
+}
+
+// buildAllBackends is builtBackends reduced to each backend's snapshot.
+func buildAllBackends(t testing.TB, nx, ny, nseg int, ops []gridOp) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte, 3)
+	for kind, b := range builtBackends(t, nx, ny, nseg, ops) {
+		out[kind] = snapBytes(t, b)
+	}
 	return out
 }
 
@@ -175,7 +170,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 func TestShardedBackendsByteIdenticalToDense(t *testing.T) {
 	tab := testTable(t, 10_007) // prime, so shards are uneven
 	spec := testSpec(t)
-	ref, err := Build(context.Background(), tab, spec, Options{Workers: 1})
+	ref, err := Build(context.Background(), tab, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +178,15 @@ func TestShardedBackendsByteIdenticalToDense(t *testing.T) {
 	for _, kind := range []Kind{Sparse, Spill} {
 		for _, workers := range []int{1, 2, 3, 4, 8} {
 			t.Run(fmt.Sprintf("%s-w%d", kind, workers), func(t *testing.T) {
-				sh, err := BuildSharded(context.Background(), tab, spec,
-					Options{Workers: workers, Kind: kind, SpillDir: t.TempDir()})
+				sh, used, err := BuildSharded(context.Background(), tab, workers, spec,
+					Options{Kind: kind, SpillDir: t.TempDir()})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer closeBackend(sh)
+				if used != workers {
+					t.Errorf("used %d workers, want %d", used, workers)
+				}
 				if got := KindOf(sh); got != kind {
 					t.Errorf("KindOf = %v, want %v", got, kind)
 				}
@@ -217,7 +215,7 @@ func TestBudgetRefusedByDenseSelectsAlternate(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := Spec{XIdx: 0, YIdx: 1, CritIdx: 2, XBinner: xb, YBinner: yb, NSeg: 3}
-	if _, err := binarray.NewBudget(nbins, nbins, 3, budget); err == nil {
+	if _, err := newDense(nbins, nbins, 3, budget); err == nil {
 		t.Fatal("dense array unexpectedly fits the budget")
 	}
 

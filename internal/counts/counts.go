@@ -1,37 +1,37 @@
-// Package counts abstracts the count substrate behind the ARCS pipeline.
-// The paper's premise (§3.1) is that once the binned counts are built,
-// the feedback loop never touches the source again; everything
-// downstream of the build — the rule engine, grid construction,
-// categorical reorder, threshold enumeration — needs only the small read
-// API captured here as Backend.
+// Package counts is the count substrate behind the ARCS pipeline: the
+// BinArray of paper §3.1. It is filled in one pass over the data, after
+// which the feedback loop only reads it; everything downstream of the
+// build — the rule engine, grid construction, categorical reorder,
+// threshold enumeration — needs only the small read API captured here
+// as Backend.
 //
-// Four implementations fill that API, selected by memory budget and
-// expected occupancy (Options/Kind): the dense in-memory BinArray is
-// the reference and the fast path; SparseArray keeps memory
-// proportional to occupied cells for high-resolution mostly-empty
-// grids; SpillArray external-sorts counts to disk so grid resolution
-// and dataset size are not RAM-bound; and Sharded wraps any of them
-// with a partitioned parallel ingest. Every backend produces counts
-// byte-identical to the dense reference (see Snapshot), at any worker
-// count — saturating addition is associative and commutative, so no
-// partitioning or merge order can change a single bit.
+// Three backends fill that API, selected by memory budget and expected
+// occupancy (Options/Kind): the dense in-memory DenseArray is the
+// reference and the fast path; SparseArray keeps memory proportional to
+// occupied cells for high-resolution mostly-empty grids; SpillArray
+// external-sorts counts to disk so grid resolution and dataset size are
+// not RAM-bound. Every build runs the same tuple-to-cell pass (fill)
+// into a builder of the selected kind, sequentially (Build, BuildFused)
+// or sharded across workers and merged (BuildSharded). Every backend
+// produces counts byte-identical to the dense reference (see Snapshot),
+// at any worker count — saturating addition is associative and
+// commutative, so no partitioning or merge order can change a single
+// bit.
 package counts
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"math"
 
-	"arcs/internal/binarray"
 	"arcs/internal/binning"
-	"arcs/internal/cancelcheck"
 	"arcs/internal/dataset"
 )
 
-// Backend is the read API of a built count substrate — exactly the
-// surface the engine, grid construction and reorder consume. All
-// methods must be safe for concurrent readers once the backend is
-// built; mutation (if any) goes through the optional Adder extension.
+// Backend is the read API of a built count substrate. All methods must
+// be safe for concurrent readers once the backend is built; mutation
+// (if any) goes through the optional Adder extension. Derived measures
+// (Occupied, SegmentTotal) are free functions over Cells.
 type Backend interface {
 	// NX and NY report the grid dimensions in bins.
 	NX() int
@@ -45,71 +45,176 @@ type Backend interface {
 	Count(x, y, seg int) uint32
 	// CellTotal returns |(i, j)|: all tuples in cell (x, y).
 	CellTotal(x, y int) uint32
-	// Support returns Count/N (0 when empty).
-	Support(x, y, seg int) float64
-	// Confidence returns Count/CellTotal (0 for empty cells).
-	Confidence(x, y, seg int) float64
-	// SegmentTotal returns the number of tuples with RHS value seg
-	// across all cells.
-	SegmentTotal(seg int) uint64
-	// Occupied invokes fn for every cell with at least one tuple of RHS
-	// value seg, in deterministic row-major order (x outer, y inner).
-	Occupied(seg int, fn func(x, y int, segCount, cellTotal uint32))
 	// Cells invokes fn for every occupied cell in deterministic
-	// row-major order with the full count slab [seg 0 .. seg nseg-1,
-	// total]. The slice is only valid during the callback. This is the
-	// bulk read path: snapshots, occupancy metrics and backend
-	// conversion iterate occupied cells instead of scanning the grid.
+	// row-major order (x outer, y inner) with the full count slab
+	// [seg 0 .. seg nseg-1, total]. The slice is only valid during the
+	// callback and must not be mutated. This is the bulk read path:
+	// rule mining, snapshots, occupancy metrics, merges and permutes
+	// iterate occupied cells instead of scanning the grid.
 	Cells(fn func(x, y int, cell []uint32))
+	// Stats summarizes the backend's shape and footprint.
+	Stats() Stats
 }
 
 // Adder is the optional mutable extension of Backend, implemented by
 // backends that admit incremental tuples after the build (core.Extend).
+// The spill backend's record file is immutable, so it is not an Adder.
 type Adder interface {
 	Backend
 	// Add records one tuple in cell (x, y) with RHS value seg.
 	Add(x, y, seg int)
 }
 
-// AsAdder reports whether b supports incremental mutation, unwrapping
-// the Sharded decorator (whose Add delegates to its inner backend and
-// is only valid when that backend is itself mutable — a spill-backed
-// Sharded is not).
-func AsAdder(b Backend) (Adder, bool) {
-	if sh, ok := b.(*Sharded); ok {
-		if _, ok := sh.inner.(Adder); !ok {
-			return nil, false
+// Stats summarizes a built backend's shape and footprint for the
+// observability layer.
+type Stats struct {
+	// Cells is nx*ny, the grid size.
+	Cells int
+	// OccupiedCells counts cells holding at least one tuple.
+	OccupiedCells int
+	// MemBytes is the resident size of the backing structures.
+	MemBytes int
+	// DiskBytes is the bytes a backend keeps on disk (the spill
+	// backend's record file); zero for in-memory backends.
+	DiskBytes int64
+}
+
+// Occupied invokes fn for every cell with at least one tuple of RHS
+// value seg, passing the segment count and the cell total, in Cells'
+// row-major order.
+func Occupied(b Backend, seg int, fn func(x, y int, segCount, cellTotal uint32)) {
+	nseg := b.NSeg()
+	b.Cells(func(x, y int, cell []uint32) {
+		if c := cell[seg]; c > 0 {
+			fn(x, y, c, cell[nseg])
 		}
-		return sh, true
+	})
+}
+
+// SegmentTotal returns the number of tuples with RHS value seg across
+// all cells.
+func SegmentTotal(b Backend, seg int) uint64 {
+	var total uint64
+	b.Cells(func(_, _ int, cell []uint32) { total += uint64(cell[seg]) })
+	return total
+}
+
+// shape is the geometry and tuple total every backend and builder
+// carries: an nx × ny grid over an RHS attribute of cardinality nseg,
+// and the number of tuples counted.
+type shape struct {
+	nx, ny, nseg int
+	n            uint64
+}
+
+func newShape(nx, ny, nseg int) (shape, error) {
+	if nx <= 0 || ny <= 0 || nseg <= 0 {
+		return shape{}, fmt.Errorf("counts: invalid dimensions %d×%d×%d", nx, ny, nseg)
 	}
-	a, ok := b.(Adder)
-	return a, ok
+	// The cell index must fit int64 even when nx*ny overflows int.
+	if uint64(nx) > math.MaxInt64/uint64(ny) {
+		return shape{}, fmt.Errorf("counts: %d×%d cell index overflows", nx, ny)
+	}
+	return shape{nx: nx, ny: ny, nseg: nseg}, nil
 }
 
-// Sizer is the optional introspection extension: backends that can
-// summarize their shape, memory footprint and disk footprint for
-// observability.
-type Sizer interface {
-	Stats() binarray.Stats
+// NX implements Backend.
+func (s *shape) NX() int { return s.nx }
+
+// NY implements Backend.
+func (s *shape) NY() int { return s.ny }
+
+// NSeg implements Backend.
+func (s *shape) NSeg() int { return s.nseg }
+
+// N implements Backend.
+func (s *shape) N() uint64 { return s.n }
+
+// index is the row-major cell index of (x, y); ascending index is
+// row-major (x outer, y inner) order. xy inverts it.
+func (s *shape) index(x, y int) int64 { return int64(x)*int64(s.ny) + int64(y) }
+
+func (s *shape) xy(idx int64) (x, y int) { return int(idx / int64(s.ny)), int(idx % int64(s.ny)) }
+
+// inRange reports whether (x, y, seg) addresses a cell and segment of
+// the grid; negative indices wrap to huge unsigned values. A miss
+// always indicates a binner bug, never bad data, so callers panic
+// through outOfRange.
+func (s *shape) inRange(x, y, seg int) bool {
+	return uint(x) < uint(s.nx) && uint(y) < uint(s.ny) && uint(seg) < uint(s.nseg)
 }
 
-// Permuter is the optional extension for the categorical
-// densest-cluster reorder: backends that can rebuild themselves with
-// bins reordered. Backends without it fall back to a dense copy in
-// PermuteX/PermuteY, subject to the deprecated default budget.
-type Permuter interface {
-	// PermuteX returns a backend with old x bin i at position order[i];
-	// order must be a permutation of 0..NX-1.
-	PermuteX(order []int) (Backend, error)
-	// PermuteY is PermuteX for the y axis.
-	PermuteY(order []int) (Backend, error)
+func (s *shape) outOfRange(x, y, seg int) {
+	panic(fmt.Sprintf("counts: cell (%d, %d, %d) out of range %d×%d×%d", x, y, seg, s.nx, s.ny, s.nseg))
 }
 
-// The dense array is the reference Backend (and is mutable and sized).
-var (
-	_ Adder = (*binarray.BinArray)(nil)
-	_ Sizer = (*binarray.BinArray)(nil)
-)
+// addTuples advances the tuple total by n. A merge or permute moves
+// whole count slabs with addCell and the exact total with addTuples:
+// saturated cell totals cannot reconstruct it.
+func (s *shape) addTuples(n uint64) { s.n += n }
+
+// satAdd is the saturating accumulation every count goes through:
+// counters pin at MaxUint32 rather than wrapping, so a cell that
+// overflows its uint32 reads as "at least 4 billion" instead of a small
+// garbage count. Saturating addition of non-negative values is
+// associative and commutative, so sharded merges remain byte-identical
+// to a sequential pass even at the saturation point.
+func satAdd(c, n uint32) uint32 {
+	if c > math.MaxUint32-n {
+		return math.MaxUint32
+	}
+	return c + n
+}
+
+// accumulate adds count slab src into dst element-wise with saturation:
+// the per-cell step of sharded merges, permutes and the spill merge.
+// Copying the stored total instead of re-deriving it keeps saturated
+// cells byte-identical.
+func accumulate(dst, src []uint32) {
+	for i, v := range src {
+		if v != 0 {
+			dst[i] = satAdd(dst[i], v)
+		}
+	}
+}
+
+// builder is the write side of one build. The fill pass feeds it tuples
+// through add; merges and permutes feed it whole count slabs through
+// addCell and addTuples. finish seals it into a Backend; abort discards
+// it (and any files it wrote) after a failed pass.
+type builder interface {
+	add(x, y, seg int) error
+	addCell(x, y int, cell []uint32) error
+	addTuples(n uint64)
+	finish() (Backend, error)
+	abort()
+}
+
+// newBuilder is the one backend-kind dispatch: every build, merge and
+// permute starts from it. Auto (never passed by a resolved build) and
+// unknown kinds get the dense reference.
+func newBuilder(kind Kind, nx, ny, nseg int, opts Options) (builder, error) {
+	switch kind {
+	case Sparse:
+		s, err := NewSparse(nx, ny, nseg)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
+	case Spill:
+		b, err := newSpillBuilder(nx, ny, nseg, opts)
+		if err != nil {
+			return nil, err
+		}
+		return b, nil
+	default:
+		d, err := newDense(nx, ny, nseg, opts.budget())
+		if err != nil {
+			return nil, err
+		}
+		return d, nil
+	}
+}
 
 // Spec carries everything a build pass needs to map a tuple to a cell:
 // the schema positions of the two LHS attributes and the criterion, the
@@ -120,114 +225,50 @@ type Spec struct {
 	NSeg                int
 }
 
-// resolveKind pins or auto-selects the backend for a build over src.
-// For sharded builds each worker holds private count state, so the
-// budget each one selects against is the plumbed budget divided by the
-// worker count.
-func resolveKind(spec Spec, src dataset.Source, opts Options, workers int) Kind {
-	if opts.Kind != Auto {
-		return opts.Kind
-	}
-	srcLen := int64(-1)
-	if ss, ok := src.(dataset.SizedSource); ok {
-		srcLen = int64(ss.Len())
-	}
-	budget := opts.budget()
-	if budget > 0 && workers > 1 {
-		budget /= int64(workers)
-		if budget < 1 {
-			budget = 1
-		}
-	}
-	return selectKind(spec, srcLen, budget)
-}
-
-// Build fills a count backend from one pass over src. Options.Workers
-// > 1 shards the pass across a worker pool when the source supports
-// range sharding (dataset.Sharder) and falls back to the sequential
-// build when it does not; Options.Kind/MemBudget pick the backend —
-// Auto selects dense when the full grid fits the budget, sparse when
-// the expected occupied cells fit, and spill-to-disk otherwise, so a
-// grid the dense array refuses under the budget still builds. The
-// resulting counts are bit-identical across every backend and worker
-// count.
+// Build fills a count backend from one sequential pass over src.
+// Options.Kind and MemBudget pick the backend — Auto selects dense when
+// the full grid fits the budget, sparse when the expected occupied
+// cells fit, and spill-to-disk otherwise, so a grid the dense array
+// refuses under the budget still builds. The resulting counts are
+// bit-identical across every backend.
 func Build(ctx context.Context, src dataset.Source, spec Spec, opts Options) (Backend, error) {
-	if opts.Workers > 1 {
-		if sh, ok := src.(dataset.Sharder); ok {
-			return BuildSharded(ctx, sh, spec, opts)
-		}
+	return BuildFused(ctx, src, spec, nil, opts)
+}
+
+// BuildFused is Build with an observer: the single-pass fast path
+// fusing Ingest and Count, used when the binners need no fitting pass
+// (fixed-range equi-width or categorical axes). observe sees every
+// counted tuple in stream order (for reservoir sampling); the tuple
+// buffer may be reused, so observers that retain tuples must Clone.
+func BuildFused(ctx context.Context, src dataset.Source, spec Spec, observe func(dataset.Tuple), opts Options) (Backend, error) {
+	b, err := newFilled(ctx, src, spec, resolveKind(spec, src, opts, 1), opts, observe)
+	if err != nil {
+		return nil, err
 	}
-	return buildOne(ctx, src, spec, resolveKind(spec, src, opts, 1), opts)
+	return b.finish()
 }
 
-// buildOne builds a single (unsharded) backend of the given kind.
-func buildOne(ctx context.Context, src dataset.Source, spec Spec, kind Kind, opts Options) (Backend, error) {
-	switch kind {
-	case Sparse:
-		s, err := NewSparse(spec.XBinner.NumBins(), spec.YBinner.NumBins(), spec.NSeg)
-		if err != nil {
-			return nil, err
-		}
-		err = fillFrom(ctx, src, spec, nil, func(x, y, seg int) error {
-			s.Add(x, y, seg)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	case Spill:
-		b, err := newSpillBuilder(spec.XBinner.NumBins(), spec.YBinner.NumBins(), spec.NSeg, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := fillFrom(ctx, src, spec, nil, b.Add); err != nil {
-			b.abort()
-			return nil, err
-		}
-		sa, err := b.finalize()
-		if err != nil {
-			return nil, err
-		}
-		return sa, nil
-	default:
-		return buildDense(ctx, src, spec, opts.budget())
+// newFilled runs the fill pass into a fresh builder of the given kind.
+func newFilled(ctx context.Context, src dataset.Source, spec Spec, kind Kind, opts Options, observe func(dataset.Tuple)) (builder, error) {
+	b, err := newBuilder(kind, spec.XBinner.NumBins(), spec.YBinner.NumBins(), spec.NSeg, opts)
+	if err != nil {
+		return nil, err
 	}
+	if err := fill(ctx, src, spec, observe, b); err != nil {
+		b.abort()
+		return nil, err
+	}
+	return b, nil
 }
 
-func buildDense(ctx context.Context, src dataset.Source, spec Spec, budget int64) (*binarray.BinArray, error) {
-	return binarray.BuildBudgetContext(ctx, src, spec.XIdx, spec.YIdx, spec.CritIdx,
-		spec.XBinner, spec.YBinner, spec.NSeg, budget)
-}
-
-// fillCheckEvery matches the dense build's cooperative-cancellation
-// granularity on the in-memory table fast path.
-const fillCheckEvery = 1024
-
-// fillFrom is the generic build pass feeding the sparse and spill
-// builders (the dense backend keeps its own allocation-free pass in
-// binarray): compiled binners, the Table row-index fast path, the same
-// criterion validation and cancellation contract as the dense build.
-func fillFrom(ctx context.Context, src dataset.Source, spec Spec, observe func(dataset.Tuple), add func(x, y, seg int) error) error {
+// fill is the one tuple-to-cell pass of Figure 2's binner component: it
+// streams src once through dataset.ForEachContext (which polls the
+// context at checkpoint granularity), maps the two LHS attributes
+// through compiled binners and the criterion through its category code,
+// and adds each tuple to b. The pass allocates nothing per tuple
+// (guarded by TestIngestZeroAllocPerTuple and TestFusedZeroAllocPerTuple).
+func fill(ctx context.Context, src dataset.Source, spec Spec, observe func(dataset.Tuple), b builder) error {
 	cx, cy := binning.Compile(spec.XBinner), binning.Compile(spec.YBinner)
-	if tb, ok := src.(*dataset.Table); ok && observe == nil {
-		point := cancelcheck.New(ctx).Point(fillCheckEvery)
-		n := tb.Len()
-		for i := 0; i < n; i++ {
-			if err := point.Check(); err != nil {
-				return err
-			}
-			t := tb.Row(i)
-			seg := int(t[spec.CritIdx])
-			if seg < 0 || seg >= spec.NSeg {
-				return fmt.Errorf("counts: criterion value %d out of range 0..%d", seg, spec.NSeg-1)
-			}
-			if err := add(cx.Bin(t[spec.XIdx]), cy.Bin(t[spec.YIdx]), seg); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	width := src.Schema().Len()
 	return dataset.ForEachContext(ctx, src, func(t dataset.Tuple) error {
 		if len(t) != width {
@@ -235,9 +276,9 @@ func fillFrom(ctx context.Context, src dataset.Source, spec Spec, observe func(d
 		}
 		seg := int(t[spec.CritIdx])
 		if seg < 0 || seg >= spec.NSeg {
-			return fmt.Errorf("counts: criterion value %d out of range 0..%d", seg, spec.NSeg-1)
+			return criterionError(src.Schema().At(spec.CritIdx), seg, spec.NSeg)
 		}
-		if err := add(cx.Bin(t[spec.XIdx]), cy.Bin(t[spec.YIdx]), seg); err != nil {
+		if err := b.add(cx.Bin(t[spec.XIdx]), cy.Bin(t[spec.YIdx]), seg); err != nil {
 			return err
 		}
 		if observe != nil {
@@ -247,76 +288,51 @@ func fillFrom(ctx context.Context, src dataset.Source, spec Spec, observe func(d
 	})
 }
 
-// BuildFused is the single-pass fast path fusing Ingest and Count: it
-// streams src once, counting every tuple and invoking observe on it
-// (for reservoir sampling) along the way. Used when the binners need
-// no fitting pass — fixed-range equi-width or categorical axes. observe
-// sees tuples in stream order; the tuple buffer may be reused, so
-// observers that retain tuples must Clone. Backend selection follows
-// the same Options policy as Build (the fused pass is sequential, so
-// Workers is ignored).
-func BuildFused(ctx context.Context, src dataset.Source, spec Spec, observe func(dataset.Tuple), opts Options) (Backend, error) {
-	kind := resolveKind(spec, src, opts, 1)
-	switch kind {
-	case Sparse:
-		s, err := NewSparse(spec.XBinner.NumBins(), spec.YBinner.NumBins(), spec.NSeg)
-		if err != nil {
-			return nil, err
-		}
-		err = fillFrom(ctx, src, spec, observe, func(x, y, seg int) error {
-			s.Add(x, y, seg)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	case Spill:
-		b, err := newSpillBuilder(spec.XBinner.NumBins(), spec.YBinner.NumBins(), spec.NSeg, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := fillFrom(ctx, src, spec, observe, b.Add); err != nil {
-			b.abort()
-			return nil, err
-		}
-		sa, err := b.finalize()
-		if err != nil {
-			return nil, err
-		}
-		return sa, nil
+// criterionError reports a criterion code outside the build's 0..nseg-1,
+// naming the label when the schema knows it: a streaming source
+// registers labels as it meets them, so a label first seen after the
+// build was sized arrives here with a code but no slot.
+func criterionError(a *dataset.Attribute, seg, nseg int) error {
+	if seg >= 0 && seg < a.NumCategories() {
+		return fmt.Errorf("counts: criterion %q value %q (code %d) out of range 0..%d: the label was not known when the count was sized",
+			a.Name, a.Category(seg), seg, nseg-1)
 	}
-	// Dense keeps the direct, allocation-free loop (guarded by
-	// TestFusedZeroAllocPerTuple): no per-tuple closure indirection.
-	ba, err := binarray.NewBudget(spec.XBinner.NumBins(), spec.YBinner.NumBins(), spec.NSeg, opts.budget())
-	if err != nil {
-		return nil, err
-	}
-	width := src.Schema().Len()
-	cx, cy := binning.Compile(spec.XBinner), binning.Compile(spec.YBinner)
-	err = dataset.ForEachContext(ctx, src, func(t dataset.Tuple) error {
-		if len(t) != width {
-			return dataset.ErrSchemaMismatch
-		}
-		seg := int(t[spec.CritIdx])
-		if seg < 0 || seg >= spec.NSeg {
-			return fmt.Errorf("counts: criterion value %d out of range 0..%d", seg, spec.NSeg-1)
-		}
-		ba.Add(cx.Bin(t[spec.XIdx]), cy.Bin(t[spec.YIdx]), seg)
-		if observe != nil {
-			observe(t)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ba, nil
+	return fmt.Errorf("counts: criterion value %d out of range 0..%d", seg, nseg-1)
 }
 
-// permutePositions validates a bin permutation, mirroring the dense
-// array's contract: order[i] is the new position of old bin i.
-func permutePositions(order []int, n int, axis string) ([]int, error) {
+// transfer accumulates every occupied cell of src into dst, at the
+// coordinates at maps it to (nil keeps them), and advances dst's tuple
+// total by src's: the one per-cell step behind sharded merges and
+// permutes.
+func transfer(dst builder, src Backend, at func(x, y int) (int, int)) error {
+	var err error
+	src.Cells(func(x, y int, cell []uint32) {
+		if err != nil {
+			return
+		}
+		if at != nil {
+			x, y = at(x, y)
+		}
+		err = dst.addCell(x, y, cell)
+	})
+	dst.addTuples(src.N())
+	return err
+}
+
+// PermuteX returns a backend of the same kind with old x bin i at
+// position order[i] — the categorical densest-cluster reorder: after a
+// better category ordering is computed, the counts are permuted instead
+// of re-reading the source. order must be a permutation of 0..NX-1.
+func PermuteX(b Backend, order []int) (Backend, error) {
+	return permute(b, order, "x", b.NX(), func(x, y int) (int, int) { return order[x], y })
+}
+
+// PermuteY is PermuteX for the y axis.
+func PermuteY(b Backend, order []int) (Backend, error) {
+	return permute(b, order, "y", b.NY(), func(x, y int) (int, int) { return x, order[y] })
+}
+
+func permute(b Backend, order []int, axis string, n int, at func(x, y int) (int, int)) (Backend, error) {
 	if len(order) != n {
 		return nil, fmt.Errorf("counts: order has %d entries for %d %s bins", len(order), n, axis)
 	}
@@ -327,50 +343,17 @@ func permutePositions(order []int, n int, axis string) ([]int, error) {
 		}
 		seen[p] = true
 	}
-	return order, nil
-}
-
-// PermuteX returns a backend with the x bins reordered by order (the
-// categorical densest-cluster reorder). Backends implementing Permuter
-// rebuild natively; anything else is densified through a snapshot
-// round-trip (subject to the deprecated default budget) and permuted as
-// a dense array.
-func PermuteX(b Backend, order []int) (Backend, error) {
-	switch v := b.(type) {
-	case *binarray.BinArray:
-		return binarray.PermuteX(v, order)
-	case Permuter:
-		return v.PermuteX(order)
+	var opts Options
+	if s, ok := b.(*SpillArray); ok {
+		opts = Options{SpillDir: s.dir, FS: s.fs} // rebuild beside the original
 	}
-	d, err := densify(b)
+	out, err := newBuilder(KindOf(b), b.NX(), b.NY(), b.NSeg(), opts)
 	if err != nil {
-		return nil, fmt.Errorf("counts: backend %T does not support x permutation: %w", b, err)
-	}
-	return binarray.PermuteX(d, order)
-}
-
-// PermuteY is PermuteX for the y axis.
-func PermuteY(b Backend, order []int) (Backend, error) {
-	switch v := b.(type) {
-	case *binarray.BinArray:
-		return binarray.PermuteY(v, order)
-	case Permuter:
-		return v.PermuteY(order)
-	}
-	d, err := densify(b)
-	if err != nil {
-		return nil, fmt.Errorf("counts: backend %T does not support y permutation: %w", b, err)
-	}
-	return binarray.PermuteY(d, order)
-}
-
-// densify copies any backend into a dense array by round-tripping the
-// snapshot serialization — exact for any backend the dense format can
-// represent under the deprecated default budget.
-func densify(b Backend) (*binarray.BinArray, error) {
-	var buf bytes.Buffer
-	if err := Snapshot(b, &buf); err != nil {
 		return nil, err
 	}
-	return binarray.Read(&buf)
+	if err := transfer(out, b, at); err != nil {
+		out.abort()
+		return nil, err
+	}
+	return out.finish()
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"arcs/internal/binarray"
 	"arcs/internal/binning"
 	"arcs/internal/dataset"
 )
@@ -56,57 +55,30 @@ func testSpec(t *testing.T) Spec {
 	return Spec{XIdx: 0, YIdx: 1, CritIdx: 2, XBinner: xb, YBinner: yb, NSeg: 3}
 }
 
-// baBytes snapshots a dense array through its serialization, the
-// strictest equality the package offers.
-func baBytes(t *testing.T, ba *binarray.BinArray) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := ba.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func denseOf(t *testing.T, b Backend) *binarray.BinArray {
-	t.Helper()
-	switch v := b.(type) {
-	case *binarray.BinArray:
-		return v
-	case *Sharded:
-		return denseOf(t, v.Inner())
-	default:
-		t.Fatalf("backend %T has no dense form", b)
-		return nil
-	}
-}
-
 // TestShardedMatchesDenseByteIdentical is the core equivalence claim:
-// any worker count produces the same bytes as the sequential build.
+// any worker count produces the same bytes as the sequential build, and
+// the strategy hands back a plain backend of the kind it filled.
 func TestShardedMatchesDenseByteIdentical(t *testing.T) {
 	tab := testTable(t, 10_007) // prime, so shards are uneven
 	spec := testSpec(t)
-	ref, err := Build(context.Background(), tab, spec, Options{Workers: 1})
+	ref, err := Build(context.Background(), tab, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := baBytes(t, denseOf(t, ref))
+	want := snapBytes(t, ref)
 	for _, workers := range []int{1, 2, 3, 4, 8} {
-		sh, err := BuildSharded(context.Background(), tab, spec, Options{Workers: workers})
+		sh, used, err := BuildSharded(context.Background(), tab, workers, spec, Options{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := baBytes(t, denseOf(t, sh)); !bytes.Equal(got, want) {
+		if got := snapBytes(t, sh); !bytes.Equal(got, want) {
 			t.Errorf("workers=%d: sharded build differs from sequential build", workers)
 		}
-		if sh.Workers() != workers {
-			t.Errorf("workers=%d: Workers() = %d", workers, sh.Workers())
+		if used != workers {
+			t.Errorf("workers=%d: used %d workers", workers, used)
 		}
-		var sum uint64
-		for _, n := range sh.ShardTuples() {
-			sum += n
-		}
-		if sum != sh.N() {
-			t.Errorf("workers=%d: shard tuples sum to %d, N() = %d", workers, sum, sh.N())
+		if _, ok := sh.(*DenseArray); !ok {
+			t.Errorf("workers=%d: sharded build returned %T, want the merged *DenseArray", workers, sh)
 		}
 	}
 }
@@ -116,55 +88,37 @@ func TestShardedMatchesDenseByteIdentical(t *testing.T) {
 func TestShardedClampsWorkersToRows(t *testing.T) {
 	tab := testTable(t, 3)
 	spec := testSpec(t)
-	sh, err := BuildSharded(context.Background(), tab, spec, Options{Workers: 8})
+	sh, used, err := BuildSharded(context.Background(), tab, 8, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Workers() != 3 {
-		t.Errorf("Workers() = %d, want clamped to 3 rows", sh.Workers())
+	if used != 3 {
+		t.Errorf("used %d workers, want clamped to 3 rows", used)
 	}
 	if sh.N() != 3 {
 		t.Errorf("N() = %d, want 3", sh.N())
 	}
-	ref, err := Build(context.Background(), tab, spec, Options{Workers: 1})
+	ref, err := Build(context.Background(), tab, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(baBytes(t, denseOf(t, sh)), baBytes(t, denseOf(t, ref))) {
+	if !bytes.Equal(snapBytes(t, sh), snapBytes(t, ref)) {
 		t.Error("clamped sharded build differs from sequential build")
 	}
 }
 
-// TestBuildFallsBackToDense: workers > 1 over a source that cannot shard
-// (a stream wrapper) silently builds the dense array instead.
-func TestBuildFallsBackToDense(t *testing.T) {
-	tab := testTable(t, 100)
-	stream := dataset.Limit(tab, 100) // limitSource implements no Shard
-	b, err := Build(context.Background(), stream, testSpec(t), Options{Workers: 4})
+// TestBuildShardedUsesShards: a shardable source split four ways is
+// counted by four workers, and every tuple lands in the merged backend.
+func TestBuildShardedUsesShards(t *testing.T) {
+	b, used, err := BuildSharded(context.Background(), testTable(t, 100), 4, testSpec(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.(*binarray.BinArray); !ok {
-		t.Errorf("non-shardable source built a %T, want the dense fallback", b)
+	if used != 4 {
+		t.Errorf("used %d workers, want 4", used)
 	}
 	if b.N() != 100 {
 		t.Errorf("N() = %d, want 100", b.N())
-	}
-}
-
-// TestBuildShardedUsesShards: a shardable source with workers > 1 gets
-// the sharded backend through the Build front door.
-func TestBuildShardedUsesShards(t *testing.T) {
-	b, err := Build(context.Background(), testTable(t, 100), testSpec(t), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, ok := b.(*Sharded)
-	if !ok {
-		t.Fatalf("shardable source built a %T, want *Sharded", b)
-	}
-	if sh.Workers() != 4 {
-		t.Errorf("Workers() = %d, want 4", sh.Workers())
 	}
 }
 
@@ -173,7 +127,7 @@ func TestBuildShardedUsesShards(t *testing.T) {
 func TestBuildFusedMatchesTwoPass(t *testing.T) {
 	tab := testTable(t, 1_000)
 	spec := testSpec(t)
-	ref, err := Build(context.Background(), tab, spec, Options{Workers: 1})
+	ref, err := Build(context.Background(), tab, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +138,7 @@ func TestBuildFusedMatchesTwoPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(baBytes(t, denseOf(t, fused)), baBytes(t, denseOf(t, ref))) {
+	if !bytes.Equal(snapBytes(t, fused), snapBytes(t, ref)) {
 		t.Error("fused build differs from two-pass build")
 	}
 	if len(seen) != tab.Len() {
@@ -213,63 +167,84 @@ func TestBuildFusedRejectsBadCriterion(t *testing.T) {
 func TestBuildShardedCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildSharded(ctx, testTable(t, 50_000), testSpec(t), Options{Workers: 4}); err == nil {
+	if _, _, err := BuildSharded(ctx, testTable(t, 50_000), 4, testSpec(t), Options{}); err == nil {
 		t.Fatal("canceled sharded build returned nil error")
 	}
 }
 
-// TestPermuteSharded: permuting a sharded backend matches permuting the
-// dense array, and the result is still a *Sharded with its provenance.
+// TestPermuteSharded: permuting the backend a sharded build returns
+// matches permuting the sequential dense array, on every backend kind.
 func TestPermuteSharded(t *testing.T) {
 	tab := testTable(t, 500)
 	spec := testSpec(t)
-	sh, err := BuildSharded(context.Background(), tab, spec, Options{Workers: 3})
+	seq, err := Build(context.Background(), tab, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := make([]int, sh.NX())
+	order := make([]int, seq.NX())
 	for i := range order {
-		order[i] = sh.NX() - 1 - i
+		order[i] = seq.NX() - 1 - i
 	}
-	got, err := PermuteX(sh, order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	psh, ok := got.(*Sharded)
-	if !ok {
-		t.Fatalf("PermuteX(*Sharded) = %T, want *Sharded", got)
-	}
-	if psh.Workers() != sh.Workers() {
-		t.Errorf("permuted Workers() = %d, want %d", psh.Workers(), sh.Workers())
-	}
-	want, err := binarray.PermuteX(denseOf(t, sh), order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(baBytes(t, denseOf(t, psh)), baBytes(t, want)) {
-		t.Error("permuted sharded counts differ from permuted dense counts")
-	}
-	yOrder := make([]int, sh.NY())
+	yOrder := make([]int, seq.NY())
 	for i := range yOrder {
-		yOrder[i] = (i + 1) % sh.NY()
+		yOrder[i] = (i + 1) % seq.NY()
 	}
-	if _, err := PermuteY(sh, yOrder); err != nil {
-		t.Fatalf("PermuteY: %v", err)
+	wantX, err := PermuteX(seq, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantY, err := PermuteY(seq, yOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []Kind{Dense, Sparse, Spill} {
+		sh, _, err := BuildSharded(context.Background(), tab, 3, spec, Options{Kind: kind, SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeBackend(sh)
+		gotX, err := PermuteX(sh, order)
+		if err != nil {
+			t.Fatalf("%v PermuteX: %v", kind, err)
+		}
+		defer closeBackend(gotX)
+		if !bytes.Equal(snapBytes(t, gotX), snapBytes(t, wantX)) {
+			t.Errorf("%v: permuted sharded counts differ from permuted dense counts", kind)
+		}
+		gotY, err := PermuteY(sh, yOrder)
+		if err != nil {
+			t.Fatalf("%v PermuteY: %v", kind, err)
+		}
+		defer closeBackend(gotY)
+		if !bytes.Equal(snapBytes(t, gotY), snapBytes(t, wantY)) {
+			t.Errorf("%v: y-permuted sharded counts differ from y-permuted dense counts", kind)
+		}
 	}
 }
 
-// TestShardedAddDelegates: the Adder extension lands in the merged array.
+// TestShardedAddDelegates: the backend a sharded in-memory build returns
+// is mutable, and an Add lands in the merged counts; a spill-backed
+// build is immutable.
 func TestShardedAddDelegates(t *testing.T) {
-	sh, err := BuildSharded(context.Background(), testTable(t, 10), testSpec(t), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := sh.Count(0, 0, 0)
-	sh.Add(0, 0, 0)
-	if got := sh.Count(0, 0, 0); got != before+1 {
-		t.Errorf("Count after Add = %d, want %d", got, before+1)
-	}
-	if sh.Stats().MemBytes <= 0 {
-		t.Error("Stats().MemBytes <= 0")
+	for _, kind := range []Kind{Dense, Sparse, Spill} {
+		sh, _, err := BuildSharded(context.Background(), testTable(t, 10), 2, testSpec(t), Options{Kind: kind, SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeBackend(sh)
+		a, ok := sh.(Adder)
+		if ok != (kind != Spill) {
+			t.Fatalf("%v: sharded backend %T is Adder = %v", kind, sh, ok)
+		}
+		if ok {
+			before := a.Count(0, 0, 0)
+			a.Add(0, 0, 0)
+			if got := a.Count(0, 0, 0); got != before+1 {
+				t.Errorf("%v: Count after Add = %d, want %d", kind, got, before+1)
+			}
+		}
+		if sh.Stats().MemBytes <= 0 {
+			t.Errorf("%v: Stats().MemBytes <= 0", kind)
+		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"strconv"
 	"strings"
 
-	"arcs/internal/binarray"
+	"arcs/internal/dataset"
 	"arcs/internal/vfs"
 )
 
@@ -47,14 +47,11 @@ func (k Kind) String() string {
 	}
 }
 
-// KindOf reports the kind of a built backend, unwrapping Sharded to
-// the inner backend the shards merged into. Unknown (out-of-tree)
+// KindOf reports the kind of a built backend. Unknown (out-of-tree)
 // backends report Auto.
 func KindOf(b Backend) Kind {
-	switch v := b.(type) {
-	case *Sharded:
-		return v.kind
-	case *binarray.BinArray:
+	switch b.(type) {
+	case *DenseArray:
 		return Dense
 	case *SparseArray:
 		return Sparse
@@ -84,7 +81,7 @@ func ParseKind(s string) (Kind, error) {
 
 // ParseBudget parses a -mem-budget flag value: a byte count with an
 // optional K/M/G/T suffix (binary multiples), "off"/"unlimited" for no
-// cap, or empty for the deprecated package default.
+// cap, or empty for the 1 GiB default.
 func ParseBudget(s string) (int64, error) {
 	s = strings.TrimSpace(strings.ToLower(s))
 	switch s {
@@ -123,19 +120,15 @@ func ParseBudget(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// Options configures a count build: parallelism, backend choice and the
-// resources the choice is made against. The zero value reproduces the
-// historical behavior — sequential dense build under the deprecated
-// binarray.DefaultMemBudget.
+// Options configures a count build: the backend choice and the
+// resources the choice is made against. The zero value selects Auto
+// under the 1 GiB default budget, which is dense for any grid that
+// fits.
 type Options struct {
-	// Workers shards the pass when > 1 and the source supports range
-	// sharding; counts are byte-identical at any worker count.
-	Workers int
 	// Kind pins a backend; Auto dispatches on MemBudget and occupancy.
 	Kind Kind
 	// MemBudget is the advisory cap in bytes for in-memory count state.
-	// 0 applies binarray.DefaultMemBudget (the deprecated global);
-	// negative means unlimited.
+	// 0 applies the 1 GiB default; negative means unlimited.
 	MemBudget int64
 	// SpillDir is where the spill backend keeps run and record files;
 	// empty uses the OS temp directory.
@@ -145,11 +138,11 @@ type Options struct {
 	FS vfs.FS
 }
 
-// budget resolves the effective budget: the deprecated global for 0,
-// otherwise the plumbed value (negative = unlimited, normalized to -1).
+// budget resolves the effective budget: the default for 0, otherwise
+// the plumbed value (negative = unlimited, normalized to -1).
 func (o Options) budget() int64 {
 	if o.MemBudget == 0 {
-		return binarray.DefaultMemBudget
+		return defaultMemBudget
 	}
 	if o.MemBudget < 0 {
 		return -1
@@ -173,17 +166,24 @@ func sparseBytesPerCell(nseg int) int64 {
 	return int64(nseg+1)*4 + 48 + 8
 }
 
-// selectKind is the Auto dispatch policy: dense while the full grid
-// fits the budget (it is the fastest and the reference), sparse while
-// the expected occupied cells fit, spill otherwise. srcLen is the
-// source size when known (occupancy can never exceed the tuple count)
-// and -1 for unbounded streams; an unlimited budget always picks dense.
-func selectKind(spec Spec, srcLen int64, budget int64) Kind {
-	if budget <= 0 {
+// resolveKind pins or auto-selects the backend for a build over src.
+// The Auto policy: dense while the full grid fits the budget (it is the
+// fastest and the reference), sparse while the expected occupied cells
+// fit, spill otherwise; an unlimited budget always picks dense. Each
+// worker of a sharded build holds private count state, so the budget
+// it selects against is the plumbed budget divided by the worker count.
+func resolveKind(spec Spec, src dataset.Source, opts Options, workers int) Kind {
+	budget := opts.budget()
+	switch {
+	case opts.Kind != Auto:
+		return opts.Kind
+	case budget <= 0:
 		return Dense
+	case workers > 1:
+		budget = max(budget/int64(workers), 1)
 	}
 	nx, ny := spec.XBinner.NumBins(), spec.YBinner.NumBins()
-	denseBytes, err := binarray.MemNeeded(nx, ny, spec.NSeg)
+	denseBytes, err := memNeeded(nx, ny, spec.NSeg)
 	if err == nil && denseBytes <= budget {
 		return Dense
 	}
@@ -194,14 +194,11 @@ func selectKind(spec Spec, srcLen int64, budget int64) Kind {
 	if cells <= uint64(1<<62) {
 		occ = int64(cells)
 	}
-	if srcLen >= 0 && (occ < 0 || srcLen < occ) {
-		occ = srcLen
+	if ss, ok := src.(dataset.SizedSource); ok && (occ < 0 || int64(ss.Len()) < occ) {
+		occ = int64(ss.Len())
 	}
-	if occ >= 0 {
-		perCell := sparseBytesPerCell(spec.NSeg)
-		if occ <= budget/perCell {
-			return Sparse
-		}
+	if occ >= 0 && occ <= budget/sparseBytesPerCell(spec.NSeg) {
+		return Sparse
 	}
 	return Spill
 }

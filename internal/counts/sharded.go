@@ -2,45 +2,74 @@ package counts
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
-	"arcs/internal/binarray"
 	"arcs/internal/dataset"
 )
 
-// Sharded is a count backend built by a partitioned parallel ingest:
-// the source is split into disjoint range shards (dataset.Sharder),
-// each worker fills private count state with no shared mutation, and
-// the shards are merged deterministically in shard order. Because count
+// BuildSharded is the parallel build strategy: it cuts src into up to
+// workers disjoint range shards, fills a private builder per shard
+// concurrently with no shared mutation, merges the shards in shard
+// order and returns the merged plain backend together with the worker
+// count it used (workers clamped to the source size). Because count
 // merging is saturating addition — associative and commutative — the
-// merged counts are byte-identical to a sequential single-pass build
-// regardless of worker count or scheduling, whichever backend kind the
-// workers filled. Reads delegate to the merged inner backend, so the
-// probe path pays nothing for having been built in parallel.
-type Sharded struct {
-	inner   Backend
-	kind    Kind
-	workers int
-	// shardN records the tuples each worker ingested — build provenance
-	// for observability; not updated by later Adds.
-	shardN []uint64
+// result is byte-identical to a sequential Build whichever backend
+// kind the workers filled. The kind follows the same Options policy as
+// Build, except that Auto selects against each worker's share of the
+// budget. A canceled context aborts every worker and returns the
+// cancellation error.
+func BuildSharded(ctx context.Context, src dataset.Sharder, workers int, spec Spec, opts Options) (Backend, int, error) {
+	shards, workers, err := makeShards(src, workers)
+	if err != nil {
+		return nil, 0, err
+	}
+	kind := resolveKind(spec, src, opts, workers)
+	parts := make([]builder, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := range shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			parts[i], errs[i] = newFilled(ctx, shards[i], spec, kind, opts, nil)
+		}(i)
+	}
+	wg.Wait()
+	abortAll := func() {
+		for _, p := range parts {
+			if p != nil {
+				p.abort()
+			}
+		}
+	}
+	// First error by shard index, so the reported failure is
+	// deterministic when several shards hit the same bad data.
+	for _, err := range errs {
+		if err != nil {
+			abortAll()
+			return nil, 0, err
+		}
+	}
+	for _, p := range parts[1:] {
+		if err := merge(parts[0], p); err != nil {
+			abortAll()
+			return nil, 0, err
+		}
+	}
+	b, err := parts[0].finish()
+	if err != nil {
+		return nil, 0, err
+	}
+	return b, workers, nil
 }
 
 // makeShards clamps the worker count to the source size and cuts src
 // into that many range shards.
 func makeShards(src dataset.Sharder, workers int) ([]dataset.Source, int, error) {
-	if workers < 1 {
-		workers = 1
-	}
 	if ss, ok := src.(dataset.SizedSource); ok {
-		if n := ss.Len(); n < workers {
-			workers = n
-		}
-		if workers < 1 {
-			workers = 1
-		}
+		workers = min(workers, ss.Len())
 	}
+	workers = max(workers, 1)
 	shards := make([]dataset.Source, workers)
 	for i := range shards {
 		sh, err := src.Shard(i, workers)
@@ -52,228 +81,13 @@ func makeShards(src dataset.Sharder, workers int) ([]dataset.Source, int, error)
 	return shards, workers, nil
 }
 
-// BuildSharded partitions src into Options.Workers range shards and
-// fills private count state per shard concurrently, then merges in
-// shard order. The backend kind follows the same Options policy as
-// Build (each worker holds its own state, so Auto selects against the
-// per-worker budget share). A canceled context aborts every worker and
-// returns the cancellation error.
-func BuildSharded(ctx context.Context, src dataset.Sharder, spec Spec, opts Options) (*Sharded, error) {
-	shards, workers, err := makeShards(src, opts.Workers)
-	if err != nil {
-		return nil, err
+// merge folds shard src into dst (both of one kind). Spill builders
+// adopt each other's sorted runs and leave the combining to the final
+// external merge; in-memory builders are backends already and transfer
+// cell by cell.
+func merge(dst, src builder) error {
+	if d, ok := dst.(*spillBuilder); ok {
+		return d.adopt(src.(*spillBuilder))
 	}
-	kind := resolveKind(spec, src, opts, workers)
-	if kind == Spill {
-		return buildShardedSpill(ctx, shards, spec, opts, workers)
-	}
-
-	parts := make([]Backend, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			parts[i], errs[i] = buildOne(ctx, shards[i], spec, kind, opts)
-		}(i)
-	}
-	wg.Wait()
-	// First error by shard index, so the reported failure is
-	// deterministic when several shards hit the same bad data.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	shardN := make([]uint64, workers)
-	for i, p := range parts {
-		shardN[i] = p.N()
-	}
-	merged := parts[0]
-	for i := 1; i < workers; i++ {
-		if err := mergeInto(merged, parts[i]); err != nil {
-			return nil, err
-		}
-	}
-	return &Sharded{inner: merged, kind: kind, workers: workers, shardN: shardN}, nil
+	return transfer(dst, src.(Backend), nil)
 }
-
-// mergeInto folds src's counts into dst in place (dst and src must be
-// the same kind — BuildSharded guarantees it).
-func mergeInto(dst, src Backend) error {
-	switch d := dst.(type) {
-	case *binarray.BinArray:
-		s, ok := src.(*binarray.BinArray)
-		if !ok {
-			return fmt.Errorf("counts: cannot merge %T into dense array", src)
-		}
-		return d.Merge(s)
-	case *SparseArray:
-		s, ok := src.(*SparseArray)
-		if !ok {
-			return fmt.Errorf("counts: cannot merge %T into sparse array", src)
-		}
-		s.Cells(func(x, y int, cell []uint32) { d.addCell(x, y, cell) })
-		d.n += s.n
-		return nil
-	default:
-		return fmt.Errorf("counts: backend %T does not support merging", dst)
-	}
-}
-
-// buildShardedSpill runs the spill build per shard — each worker
-// accumulates and flushes its own sorted runs — then adopts every
-// worker's runs into one builder and merges them in a single external
-// pass. Run order cannot change the counts (saturating addition is
-// associative and commutative), so the result is byte-identical to a
-// sequential spill build, which is byte-identical to dense.
-func buildShardedSpill(ctx context.Context, shards []dataset.Source, spec Spec, opts Options, workers int) (*Sharded, error) {
-	builders := make([]*spillBuilder, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b, err := newSpillBuilder(spec.XBinner.NumBins(), spec.YBinner.NumBins(), spec.NSeg, opts)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			builders[i] = b
-			errs[i] = fillFrom(ctx, shards[i], spec, nil, b.Add)
-		}(i)
-	}
-	wg.Wait()
-	abortAll := func() {
-		for _, b := range builders {
-			if b != nil {
-				b.abort()
-			}
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-	shardN := make([]uint64, workers)
-	for i, b := range builders {
-		shardN[i] = b.n
-	}
-	root := builders[0]
-	for i := 1; i < workers; i++ {
-		if err := root.mergeFrom(builders[i]); err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-	merged, err := root.finalize()
-	if err != nil {
-		return nil, err
-	}
-	return &Sharded{inner: merged, kind: Spill, workers: workers, shardN: shardN}, nil
-}
-
-// withInner is the permute helper: same build provenance, new counts.
-func (s *Sharded) withInner(b Backend) *Sharded {
-	return &Sharded{inner: b, kind: s.kind, workers: s.workers, shardN: s.shardN}
-}
-
-// Inner exposes the merged backend (read-only by convention) — the
-// seam equivalence tests use to compare byte-for-byte against a
-// sequential build, and what snapshot serialization writes.
-func (s *Sharded) Inner() Backend { return s.inner }
-
-// Kind reports the backend kind the workers filled.
-func (s *Sharded) Kind() Kind { return s.kind }
-
-// Workers reports how many shards the build used after clamping.
-func (s *Sharded) Workers() int { return s.workers }
-
-// ShardTuples reports the per-shard tuple counts of the build pass.
-func (s *Sharded) ShardTuples() []uint64 { return s.shardN }
-
-// Backend delegation to the merged inner backend.
-
-// NX implements Backend.
-func (s *Sharded) NX() int { return s.inner.NX() }
-
-// NY implements Backend.
-func (s *Sharded) NY() int { return s.inner.NY() }
-
-// NSeg implements Backend.
-func (s *Sharded) NSeg() int { return s.inner.NSeg() }
-
-// N implements Backend.
-func (s *Sharded) N() uint64 { return s.inner.N() }
-
-// Count implements Backend.
-func (s *Sharded) Count(x, y, seg int) uint32 { return s.inner.Count(x, y, seg) }
-
-// CellTotal implements Backend.
-func (s *Sharded) CellTotal(x, y int) uint32 { return s.inner.CellTotal(x, y) }
-
-// Support implements Backend.
-func (s *Sharded) Support(x, y, seg int) float64 { return s.inner.Support(x, y, seg) }
-
-// Confidence implements Backend.
-func (s *Sharded) Confidence(x, y, seg int) float64 { return s.inner.Confidence(x, y, seg) }
-
-// SegmentTotal implements Backend.
-func (s *Sharded) SegmentTotal(seg int) uint64 { return s.inner.SegmentTotal(seg) }
-
-// Occupied implements Backend.
-func (s *Sharded) Occupied(seg int, fn func(x, y int, segCount, cellTotal uint32)) {
-	s.inner.Occupied(seg, fn)
-}
-
-// Cells implements Backend.
-func (s *Sharded) Cells(fn func(x, y int, cell []uint32)) { s.inner.Cells(fn) }
-
-// Add implements Adder when the inner backend is mutable: incremental
-// tuples (core.Extend) land in the merged counts directly. Callers
-// must gate on AsAdder — a spill-backed Sharded has no mutable inner
-// and Add panics.
-func (s *Sharded) Add(x, y, seg int) {
-	a, ok := s.inner.(Adder)
-	if !ok {
-		panic(fmt.Sprintf("counts: sharded %s backend is immutable; gate Add on counts.AsAdder", s.kind))
-	}
-	a.Add(x, y, seg)
-}
-
-// Stats implements Sizer.
-func (s *Sharded) Stats() binarray.Stats {
-	if szr, ok := s.inner.(Sizer); ok {
-		return szr.Stats()
-	}
-	return binarray.Stats{Cells: s.inner.NX() * s.inner.NY()}
-}
-
-// PermuteX implements Permuter by permuting the inner backend and
-// keeping the build provenance.
-func (s *Sharded) PermuteX(order []int) (Backend, error) {
-	m, err := PermuteX(s.inner, order)
-	if err != nil {
-		return nil, err
-	}
-	return s.withInner(m), nil
-}
-
-// PermuteY implements Permuter for the y axis.
-func (s *Sharded) PermuteY(order []int) (Backend, error) {
-	m, err := PermuteY(s.inner, order)
-	if err != nil {
-		return nil, err
-	}
-	return s.withInner(m), nil
-}
-
-var (
-	_ Adder    = (*Sharded)(nil)
-	_ Sizer    = (*Sharded)(nil)
-	_ Permuter = (*Sharded)(nil)
-)

@@ -4,30 +4,21 @@ import (
 	"bufio"
 	"encoding/binary"
 	"io"
-
-	"arcs/internal/binarray"
 )
 
-// snapMagic mirrors the dense serialization header (binarray/io.go):
-// Snapshot promises byte-for-byte the stream binarray.Write would
-// produce for equal counts, whatever backend built them. That promise
-// is what makes cross-backend equivalence cheap to prove — the test
-// harness compares snapshots, not cells.
+// snapMagic opens the ARCSBA1 wire format: the magic, then nx, ny, nseg
+// and n as little-endian uint64, then the full row-major count array —
+// the dense array's memory layout.
 var snapMagic = []byte("ARCSBA1\n")
 
-// Snapshot serializes any backend in the dense BinArray wire format:
-// magic, nx/ny/nseg/n header, then the full row-major count array with
-// empty cells as zeros. For a dense (or dense-sharded) backend this is
-// exactly Write; other backends stream their occupied cells into the
-// gaps, so even a spill-backed grid snapshots without materializing
+// Snapshot serializes any backend in the ARCSBA1 wire format, with
+// empty cells as zeros. Equal counts give equal bytes whatever backend
+// built them, which is what makes cross-backend equivalence cheap to
+// prove: the tests compare snapshots, not cells. The dense array writes
+// its memory as is; the other backends stream their occupied cells into
+// the gaps, so even a spill-backed grid snapshots without materializing
 // densely in memory.
 func Snapshot(b Backend, w io.Writer) error {
-	if sh, ok := b.(*Sharded); ok {
-		b = sh.inner
-	}
-	if d, ok := b.(*binarray.BinArray); ok {
-		return d.Write(w)
-	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(snapMagic); err != nil {
 		return err
@@ -36,6 +27,12 @@ func Snapshot(b Backend, w io.Writer) error {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return err
 		}
+	}
+	if d, ok := b.(*DenseArray); ok {
+		if err := binary.Write(bw, binary.LittleEndian, d.counts); err != nil {
+			return err
+		}
+		return bw.Flush()
 	}
 	stride := b.NSeg() + 1
 	zeros := make([]byte, stride*4)

@@ -1,12 +1,8 @@
 package counts
 
 import (
-	"fmt"
-	"math"
 	"sort"
 	"sync"
-
-	"arcs/internal/binarray"
 )
 
 // SparseArray is the hash-indexed count backend for high-resolution
@@ -14,14 +10,13 @@ import (
 // cells. Each occupied cell owns a (nseg+1)-wide slice of one shared
 // slab — per-segment counts first, cell total last, exactly the dense
 // layout — and a map from row-major cell index to slab offset finds it.
-// A lazily built sorted key cache makes Occupied/Cells iteration
-// row-major deterministic, so snapshots are byte-identical to the dense
+// A lazily built sorted key cache makes Cells iteration row-major
+// deterministic, so snapshots are byte-identical to the dense
 // reference.
 type SparseArray struct {
-	nx, ny, nseg int
-	cells        map[int64]int // row-major cell index → slab offset
-	slab         []uint32
-	n            uint64
+	shape
+	cells map[int64]int // row-major cell index → slab offset
+	slab  []uint32
 
 	// keyMu guards the sorted-key cache: concurrent readers may race to
 	// build it after a mutation invalidated it. The cache holds every
@@ -33,22 +28,17 @@ type SparseArray struct {
 // NewSparse returns an empty sparse backend for an nx × ny grid with an
 // RHS attribute of cardinality nseg.
 func NewSparse(nx, ny, nseg int) (*SparseArray, error) {
-	if nx <= 0 || ny <= 0 || nseg <= 0 {
-		return nil, fmt.Errorf("counts: invalid sparse dimensions %d×%d×%d", nx, ny, nseg)
+	sh, err := newShape(nx, ny, nseg)
+	if err != nil {
+		return nil, err
 	}
-	// The cell index must fit int64 even when nx*ny overflows int.
-	if uint64(nx) > math.MaxInt64/uint64(ny) {
-		return nil, fmt.Errorf("counts: %d×%d cell index overflows", nx, ny)
-	}
-	return &SparseArray{nx: nx, ny: ny, nseg: nseg, cells: make(map[int64]int)}, nil
+	return &SparseArray{shape: sh, cells: make(map[int64]int)}, nil
 }
 
-func (s *SparseArray) cellIdx(x, y int) int64 { return int64(x)*int64(s.ny) + int64(y) }
-
-// slot returns the slab offset of cell (x, y), creating it zeroed when
+// slot returns cell (x, y)'s count slab, creating it zeroed when
 // absent.
-func (s *SparseArray) slot(x, y int) int {
-	idx := s.cellIdx(x, y)
+func (s *SparseArray) slot(x, y int) []uint32 {
+	idx := s.index(x, y)
 	off, ok := s.cells[idx]
 	if !ok {
 		off = len(s.slab)
@@ -58,54 +48,27 @@ func (s *SparseArray) slot(x, y int) int {
 		s.keys = nil // new cell invalidates the sorted iteration cache
 		s.keyMu.Unlock()
 	}
-	return off
+	return s.slab[off : off+s.nseg+1 : off+s.nseg+1]
 }
 
 // Add records one tuple in cell (x, y) with RHS value seg, saturating
-// at MaxUint32 like the dense array. Out-of-range indices panic — they
-// always indicate a binner bug.
+// at MaxUint32 like the dense array. Out-of-range indices panic.
 func (s *SparseArray) Add(x, y, seg int) { s.AddN(x, y, seg, 1) }
 
 // AddN is the bulk form of Add: per-cell counters saturate, the 64-bit
 // total always advances by n.
 func (s *SparseArray) AddN(x, y, seg int, n uint32) {
-	if x < 0 || x >= s.nx || y < 0 || y >= s.ny || seg < 0 || seg >= s.nseg {
-		panic(fmt.Sprintf("counts: sparse AddN(%d, %d, %d) out of range %d×%d×%d", x, y, seg, s.nx, s.ny, s.nseg))
+	if !s.inRange(x, y, seg) {
+		s.outOfRange(x, y, seg)
 	}
-	off := s.slot(x, y)
-	s.slab[off+seg] = satAdd(s.slab[off+seg], n)
-	s.slab[off+s.nseg] = satAdd(s.slab[off+s.nseg], n)
+	c := s.slot(x, y)
+	c[seg] = satAdd(c[seg], n)
+	c[s.nseg] = satAdd(c[s.nseg], n)
 	s.n += uint64(n)
 }
 
-// addCell accumulates a full count slab (per-segment counts and the
-// stored total) into cell (x, y) element-wise — the merge and permute
-// primitive. Copying the stored total instead of re-deriving it keeps
-// saturated cells byte-identical across rebuilds. n is not advanced.
-func (s *SparseArray) addCell(x, y int, cell []uint32) {
-	off := s.slot(x, y)
-	dst := s.slab[off : off+s.nseg+1]
-	for i, v := range cell {
-		if v != 0 {
-			dst[i] = satAdd(dst[i], v)
-		}
-	}
-}
-
-// satAdd mirrors the dense array's saturating accumulation: counters
-// pin at MaxUint32 rather than wrapping. Saturating addition of
-// non-negative values stays associative and commutative, which is what
-// keeps sharded merges byte-identical to a sequential pass.
-func satAdd(c, n uint32) uint32 {
-	if c > math.MaxUint32-n {
-		return math.MaxUint32
-	}
-	return c + n
-}
-
 // sortedKeys returns every occupied cell index ascending, building the
-// cache under the lock when a mutation invalidated it. Ascending cell
-// index is exactly row-major (x outer, y inner) order.
+// cache under the lock when a mutation invalidated it.
 func (s *SparseArray) sortedKeys() []int64 {
 	s.keyMu.Lock()
 	defer s.keyMu.Unlock()
@@ -120,21 +83,9 @@ func (s *SparseArray) sortedKeys() []int64 {
 	return s.keys
 }
 
-// NX implements Backend.
-func (s *SparseArray) NX() int { return s.nx }
-
-// NY implements Backend.
-func (s *SparseArray) NY() int { return s.ny }
-
-// NSeg implements Backend.
-func (s *SparseArray) NSeg() int { return s.nseg }
-
-// N implements Backend.
-func (s *SparseArray) N() uint64 { return s.n }
-
 // Count implements Backend.
 func (s *SparseArray) Count(x, y, seg int) uint32 {
-	off, ok := s.cells[s.cellIdx(x, y)]
+	off, ok := s.cells[s.index(x, y)]
 	if !ok {
 		return 0
 	}
@@ -144,105 +95,38 @@ func (s *SparseArray) Count(x, y, seg int) uint32 {
 // CellTotal implements Backend.
 func (s *SparseArray) CellTotal(x, y int) uint32 { return s.Count(x, y, s.nseg) }
 
-// Support implements Backend.
-func (s *SparseArray) Support(x, y, seg int) float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return float64(s.Count(x, y, seg)) / float64(s.n)
-}
-
-// Confidence implements Backend.
-func (s *SparseArray) Confidence(x, y, seg int) float64 {
-	total := s.CellTotal(x, y)
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Count(x, y, seg)) / float64(total)
-}
-
-// SegmentTotal implements Backend.
-func (s *SparseArray) SegmentTotal(seg int) uint64 {
-	var total uint64
-	stride := s.nseg + 1
-	for off := seg; off < len(s.slab); off += stride {
-		total += uint64(s.slab[off])
-	}
-	return total
-}
-
-// Occupied implements Backend: row-major deterministic iteration over
-// cells with tuples of RHS value seg.
-func (s *SparseArray) Occupied(seg int, fn func(x, y int, segCount, cellTotal uint32)) {
-	for _, idx := range s.sortedKeys() {
-		off := s.cells[idx]
-		if c := s.slab[off+seg]; c > 0 {
-			fn(int(idx/int64(s.ny)), int(idx%int64(s.ny)), c, s.slab[off+s.nseg])
-		}
-	}
-}
-
 // Cells implements Backend: row-major deterministic iteration over
 // occupied cells with their full count slab.
 func (s *SparseArray) Cells(fn func(x, y int, cell []uint32)) {
 	stride := s.nseg + 1
 	for _, idx := range s.sortedKeys() {
 		off := s.cells[idx]
-		fn(int(idx/int64(s.ny)), int(idx%int64(s.ny)), s.slab[off:off+stride:off+stride])
+		x, y := s.xy(idx)
+		fn(x, y, s.slab[off:off+stride:off+stride])
 	}
 }
 
-// Stats implements Sizer.
-func (s *SparseArray) Stats() binarray.Stats {
-	cells := s.nx * s.ny
-	return binarray.Stats{
-		Cells:         cells,
+// Stats implements Backend.
+func (s *SparseArray) Stats() Stats {
+	return Stats{
+		Cells:         s.nx * s.ny,
 		OccupiedCells: len(s.cells),
 		MemBytes:      len(s.slab)*4 + len(s.cells)*56 + len(s.sortedKeys())*8,
 	}
 }
 
-// permute rebuilds the sparse array with cell coordinates remapped
-// through pos (old bin → new bin) on the chosen axis, copying raw cell
-// slabs so saturated counts survive byte-identically.
-func (s *SparseArray) permute(pos []int, onX bool) (*SparseArray, error) {
-	out, err := NewSparse(s.nx, s.ny, s.nseg)
-	if err != nil {
-		return nil, err
-	}
-	s.Cells(func(x, y int, cell []uint32) {
-		if onX {
-			x = pos[x]
-		} else {
-			y = pos[y]
-		}
-		out.addCell(x, y, cell)
-	})
-	out.n = s.n
-	return out, nil
+func (s *SparseArray) add(x, y, seg int) error { s.AddN(x, y, seg, 1); return nil }
+
+func (s *SparseArray) addCell(x, y int, cell []uint32) error {
+	accumulate(s.slot(x, y), cell)
+	return nil
 }
 
-// PermuteX implements Permuter: order lists old x-bin indices in their
-// new arrangement, exactly like binarray.PermuteX.
-func (s *SparseArray) PermuteX(order []int) (Backend, error) {
-	pos, err := permutePositions(order, s.nx, "x")
-	if err != nil {
-		return nil, err
-	}
-	return s.permute(pos, true)
-}
+func (s *SparseArray) finish() (Backend, error) { return s, nil }
 
-// PermuteY implements Permuter for the y axis.
-func (s *SparseArray) PermuteY(order []int) (Backend, error) {
-	pos, err := permutePositions(order, s.ny, "y")
-	if err != nil {
-		return nil, err
-	}
-	return s.permute(pos, false)
-}
+func (s *SparseArray) abort() {}
 
 var (
-	_ Adder    = (*SparseArray)(nil)
-	_ Sizer    = (*SparseArray)(nil)
-	_ Permuter = (*SparseArray)(nil)
+	_ Adder   = (*SparseArray)(nil)
+	_ builder = (*SparseArray)(nil)
 )

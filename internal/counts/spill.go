@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"arcs/internal/binarray"
 	"arcs/internal/vfs"
 )
 
@@ -47,8 +46,8 @@ var (
 // disambiguates across processes sharing a spill directory.
 var spillSeq atomic.Uint64
 
-// spillReadBatch is how many records the sequential iteration paths
-// (Occupied, Cells, SegmentTotal) pull per positioned read.
+// spillReadBatch is how many records sequential iteration (Cells and
+// the run cursors) pulls per positioned read.
 const spillReadBatch = 1024
 
 // minAccumulatorCells floors the spill accumulator so a tiny budget
@@ -61,13 +60,12 @@ const minAccumulatorCells = 1024
 // positioned read; iteration streams the file in batches. All reads
 // are safe for concurrent use — positioned reads share no cursor.
 type SpillArray struct {
-	nx, ny, nseg int
-	n            uint64
-	idx          []int64 // sorted row-major indices of occupied cells
-	fs           vfs.FS
-	path         string
-	r            vfs.ReaderAtFile
-	dir          string // spill directory, for permute rebuilds
+	shape
+	idx  []int64 // sorted row-major indices of occupied cells
+	fs   vfs.FS
+	path string
+	r    vfs.ReaderAtFile
+	dir  string // spill directory, for permute rebuilds
 
 	closeOnce sync.Once
 }
@@ -92,18 +90,6 @@ func (s *SpillArray) Close() error {
 	return err
 }
 
-// NX implements Backend.
-func (s *SpillArray) NX() int { return s.nx }
-
-// NY implements Backend.
-func (s *SpillArray) NY() int { return s.ny }
-
-// NSeg implements Backend.
-func (s *SpillArray) NSeg() int { return s.nseg }
-
-// N implements Backend.
-func (s *SpillArray) N() uint64 { return s.n }
-
 // readAt reads exactly len(p) bytes at off. Any failure — an I/O
 // error or a silent short read — panics: a spill file that stops
 // answering cannot be allowed to masquerade as empty cells.
@@ -122,7 +108,7 @@ func (s *SpillArray) recOffset(i int) int64 {
 
 // find binary-searches the cell index; ok reports presence.
 func (s *SpillArray) find(x, y int) (i int, ok bool) {
-	idx := int64(x)*int64(s.ny) + int64(y)
+	idx := s.index(x, y)
 	i = sort.Search(len(s.idx), func(i int) bool { return s.idx[i] >= idx })
 	return i, i < len(s.idx) && s.idx[i] == idx
 }
@@ -143,42 +129,9 @@ func (s *SpillArray) Count(x, y, seg int) uint32 { return s.readSlot(x, y, seg) 
 // CellTotal implements Backend.
 func (s *SpillArray) CellTotal(x, y int) uint32 { return s.readSlot(x, y, s.nseg) }
 
-// Support implements Backend.
-func (s *SpillArray) Support(x, y, seg int) float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return float64(s.Count(x, y, seg)) / float64(s.n)
-}
-
-// Confidence implements Backend, reading the cell's slab once so the
-// count and total come from the same record.
-func (s *SpillArray) Confidence(x, y, seg int) float64 {
-	i, ok := s.find(x, y)
-	if !ok {
-		return 0
-	}
-	buf := make([]byte, s.stride()*4)
-	s.readAt(buf, s.recOffset(i))
-	total := binary.LittleEndian.Uint32(buf[s.nseg*4:])
-	if total == 0 {
-		return 0
-	}
-	return float64(binary.LittleEndian.Uint32(buf[seg*4:])) / float64(total)
-}
-
-// SegmentTotal implements Backend.
-func (s *SpillArray) SegmentTotal(seg int) uint64 {
-	var total uint64
-	s.eachRecord(func(_ int64, cell []uint32) {
-		total += uint64(cell[seg])
-	})
-	return total
-}
-
-// eachRecord streams every record in file (= row-major) order, decoding
-// the count slab into a reused buffer that is only valid during fn.
-func (s *SpillArray) eachRecord(fn func(idx int64, cell []uint32)) {
+// Cells implements Backend: it streams the record file (= row-major
+// order) in batches, decoding each count slab into a reused buffer.
+func (s *SpillArray) Cells(fn func(x, y int, cell []uint32)) {
 	recSize := s.recSize()
 	stride := s.stride()
 	buf := make([]byte, spillReadBatch*recSize)
@@ -197,34 +150,24 @@ func (s *SpillArray) eachRecord(fn func(idx int64, cell []uint32)) {
 				panic(fmt.Sprintf("counts: spill backend %s: record %d holds cell %d, index says %d (refusing to serve corrupt counts)",
 					s.path, start+r, idx, s.idx[start+r]))
 			}
-			for k := 0; k < stride; k++ {
-				cell[k] = binary.LittleEndian.Uint32(rec[8+k*4:])
-			}
-			fn(idx, cell)
+			decodeCell(cell, rec[8:])
+			x, y := s.xy(idx)
+			fn(x, y, cell)
 		}
 	}
 }
 
-// Occupied implements Backend: row-major deterministic iteration.
-func (s *SpillArray) Occupied(seg int, fn func(x, y int, segCount, cellTotal uint32)) {
-	s.eachRecord(func(idx int64, cell []uint32) {
-		if c := cell[seg]; c > 0 {
-			fn(int(idx/int64(s.ny)), int(idx%int64(s.ny)), c, cell[s.nseg])
-		}
-	})
+// decodeCell decodes a little-endian count slab.
+func decodeCell(cell []uint32, b []byte) {
+	for k := range cell {
+		cell[k] = binary.LittleEndian.Uint32(b[k*4:])
+	}
 }
 
-// Cells implements Backend: row-major iteration with the full slab.
-func (s *SpillArray) Cells(fn func(x, y int, cell []uint32)) {
-	s.eachRecord(func(idx int64, cell []uint32) {
-		fn(int(idx/int64(s.ny)), int(idx%int64(s.ny)), cell)
-	})
-}
-
-// Stats implements Sizer: resident memory is the cell index; the
+// Stats implements Backend: resident memory is the cell index; the
 // record file is accounted as disk bytes.
-func (s *SpillArray) Stats() binarray.Stats {
-	return binarray.Stats{
+func (s *SpillArray) Stats() Stats {
+	return Stats{
 		Cells:         s.nx * s.ny,
 		OccupiedCells: len(s.idx),
 		MemBytes:      len(s.idx) * 8,
@@ -232,75 +175,19 @@ func (s *SpillArray) Stats() binarray.Stats {
 	}
 }
 
-// permute rebuilds the spill file with cell coordinates remapped
-// through pos on the chosen axis, reusing the external-sort machinery
-// (the remapped cells arrive unsorted, so they take the same
-// accumulate-flush-merge path as ingest).
-func (s *SpillArray) permute(pos []int, onX bool) (Backend, error) {
-	b, err := newSpillBuilder(s.nx, s.ny, s.nseg, Options{SpillDir: s.dir, FS: s.fs})
-	if err != nil {
-		return nil, err
-	}
-	var ferr error
-	s.Cells(func(x, y int, cell []uint32) {
-		if ferr != nil {
-			return
-		}
-		if onX {
-			x = pos[x]
-		} else {
-			y = pos[y]
-		}
-		ferr = b.addCell(x, y, cell)
-	})
-	if ferr != nil {
-		b.abort()
-		return nil, ferr
-	}
-	b.n = s.n
-	sa, err := b.finalize()
-	if err != nil {
-		return nil, err
-	}
-	return sa, nil
-}
-
-// PermuteX implements Permuter, matching binarray.PermuteX semantics.
-func (s *SpillArray) PermuteX(order []int) (Backend, error) {
-	pos, err := permutePositions(order, s.nx, "x")
-	if err != nil {
-		return nil, err
-	}
-	return s.permute(pos, true)
-}
-
-// PermuteY implements Permuter for the y axis.
-func (s *SpillArray) PermuteY(order []int) (Backend, error) {
-	pos, err := permutePositions(order, s.ny, "y")
-	if err != nil {
-		return nil, err
-	}
-	return s.permute(pos, false)
-}
-
-var (
-	_ Backend  = (*SpillArray)(nil)
-	_ Sizer    = (*SpillArray)(nil)
-	_ Permuter = (*SpillArray)(nil)
-)
+var _ Backend = (*SpillArray)(nil)
 
 // spillBuilder accumulates tuples in a bounded sparse array, flushing
 // sorted run files whenever the accumulator reaches its cell cap.
 type spillBuilder struct {
-	nx, ny, nseg int
-	fs           vfs.FS
-	dir          string
-	prefix       string
-	maxCells     int
-	acc          *SparseArray
-	runs         []spillRun
-	n            uint64
-	runSeq       int
+	shape
+	fs       vfs.FS
+	dir      string
+	prefix   string
+	maxCells int
+	acc      *SparseArray
+	runs     []spillRun
+	runSeq   int
 }
 
 type spillRun struct {
@@ -331,20 +218,20 @@ func newSpillBuilder(nx, ny, nseg int, opts Options) (*spillBuilder, error) {
 		return nil, err
 	}
 	return &spillBuilder{
-		nx: nx, ny: ny, nseg: nseg,
-		fs: fsys, dir: dir,
+		shape:    acc.shape,
+		fs:       fsys,
+		dir:      dir,
 		prefix:   fmt.Sprintf("arcs-spill-%d-%d", os.Getpid(), spillSeq.Add(1)),
 		maxCells: maxCells,
 		acc:      acc,
 	}, nil
 }
 
-// Add records one tuple; the accumulator flushes to a run file when it
-// hits its budgeted cell cap.
-func (b *spillBuilder) Add(x, y, seg int) error { return b.AddN(x, y, seg, 1) }
+func (b *spillBuilder) add(x, y, seg int) error { return b.addN(x, y, seg, 1) }
 
-// AddN is the bulk form of Add.
-func (b *spillBuilder) AddN(x, y, seg int, n uint32) error {
+// addN records n tuples in one cell; the accumulator flushes to a run
+// file when it hits its budgeted cell cap.
+func (b *spillBuilder) addN(x, y, seg int, n uint32) error {
 	b.acc.AddN(x, y, seg, n)
 	b.n += uint64(n)
 	if len(b.acc.cells) >= b.maxCells {
@@ -353,10 +240,10 @@ func (b *spillBuilder) AddN(x, y, seg int, n uint32) error {
 	return nil
 }
 
-// addCell accumulates a raw count slab (merge/permute primitive; does
-// not advance n).
+// addCell accumulates a raw count slab (the permute step; does not
+// advance n).
 func (b *spillBuilder) addCell(x, y int, cell []uint32) error {
-	b.acc.addCell(x, y, cell)
+	accumulate(b.acc.slot(x, y), cell)
 	if len(b.acc.cells) >= b.maxCells {
 		return b.flushRun()
 	}
@@ -389,7 +276,7 @@ func (b *spillBuilder) flushRun() error {
 			if ferr != nil {
 				return
 			}
-			binary.LittleEndian.PutUint64(rec[:8], uint64(int64(x)*int64(b.ny)+int64(y)))
+			binary.LittleEndian.PutUint64(rec[:8], uint64(b.index(x, y)))
 			for k, v := range cell {
 				binary.LittleEndian.PutUint32(rec[8+k*4:], v)
 			}
@@ -428,11 +315,12 @@ func (b *spillBuilder) abort() {
 	b.runs = nil
 }
 
-// mergeFrom folds another builder's state into b for the sharded merge:
+// adopt folds another builder's state into b for the sharded merge:
 // the other builder's residual accumulator is flushed and its runs are
-// adopted. Saturating addition is associative and commutative, so run
-// order cannot change the merged counts.
-func (b *spillBuilder) mergeFrom(other *spillBuilder) error {
+// adopted, leaving the combining to the final external merge.
+// Saturating addition is associative and commutative, so run order
+// cannot change the merged counts.
+func (b *spillBuilder) adopt(other *spillBuilder) error {
 	if err := other.flushRun(); err != nil {
 		return err
 	}
@@ -484,13 +372,13 @@ func (c *runCursor) next() error {
 	return nil
 }
 
-// finalize flushes the residual accumulator, k-way merges every run
+// finish flushes the residual accumulator, k-way merges every run
 // into the final sorted segment file (combining equal cells with
 // saturating addition), fsyncs it, deletes the runs and opens the
 // backend. Any fault along the way fails the build with an error; no
 // partially merged backend ever escapes.
-func (b *spillBuilder) finalize() (*SpillArray, error) {
-	back, err := b.finalizeInner()
+func (b *spillBuilder) finish() (Backend, error) {
+	back, err := b.mergeRuns()
 	if err != nil {
 		b.abort()
 		return nil, err
@@ -498,7 +386,7 @@ func (b *spillBuilder) finalize() (*SpillArray, error) {
 	return back, nil
 }
 
-func (b *spillBuilder) finalizeInner() (*SpillArray, error) {
+func (b *spillBuilder) mergeRuns() (*SpillArray, error) {
 	if err := b.flushRun(); err != nil {
 		return nil, err
 	}
@@ -550,6 +438,7 @@ func (b *spillBuilder) finalizeInner() (*SpillArray, error) {
 		}
 		out := make([]byte, recSize)
 		slab := make([]uint32, stride)
+		rec := make([]uint32, stride)
 		for {
 			// Find the smallest live cell index across the run heads.
 			min := int64(-1)
@@ -571,11 +460,8 @@ func (b *spillBuilder) finalizeInner() (*SpillArray, error) {
 				if c.head == nil || int64(binary.LittleEndian.Uint64(c.head[:8])) != min {
 					continue
 				}
-				for k := 0; k < stride; k++ {
-					if v := binary.LittleEndian.Uint32(c.head[8+k*4:]); v != 0 {
-						slab[k] = satAdd(slab[k], v)
-					}
-				}
+				decodeCell(rec, c.head[8:])
+				accumulate(slab, rec)
 				if err := c.next(); err != nil {
 					return err
 				}
@@ -612,10 +498,7 @@ func (b *spillBuilder) finalizeInner() (*SpillArray, error) {
 		_ = b.fs.Remove(path)
 		return nil, fmt.Errorf("counts: opening spill segment: %w", err)
 	}
-	s := &SpillArray{
-		nx: b.nx, ny: b.ny, nseg: b.nseg, n: b.n,
-		idx: idx, fs: b.fs, path: path, r: r, dir: b.dir,
-	}
+	s := &SpillArray{shape: b.shape, idx: idx, fs: b.fs, path: path, r: r, dir: b.dir}
 	runtime.SetFinalizer(s, func(sp *SpillArray) { _ = sp.Close() })
 	return s, nil
 }

@@ -60,7 +60,7 @@ func TestIngestZeroAllocPerTuple(t *testing.T) {
 	for _, src := range sources {
 		build := func(s dataset.Source) func() {
 			return func() {
-				if _, err := Build(ctx, s, spec, Options{Workers: 1}); err != nil {
+				if _, err := Build(ctx, s, spec, Options{}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -45,7 +45,10 @@ func OpenCSVStream(path string, schema *Schema) (*CSVStream, error) {
 
 // InferCSVSchema reads up to sampleRows data rows from the file and
 // infers a schema the same way ReadCSV does (numeric columns become
-// quantitative). Pass the result to OpenCSVStream.
+// quantitative). The categorical labels the prefix shows are registered
+// in first-appearance order — the codes a full read assigns them — so a
+// criterion's values are known before a streaming pass starts. Pass the
+// result to OpenCSVStream.
 func InferCSVSchema(path string, sampleRows int) (*Schema, error) {
 	if sampleRows <= 0 {
 		sampleRows = 1000
@@ -80,7 +83,18 @@ func InferCSVSchema(path string, sampleRows int) (*Schema, error) {
 		}
 		records = append(records, append([]string(nil), rec...))
 	}
-	return inferSchema(headerCopy, records), nil
+	schema := inferSchema(headerCopy, records)
+	for col, a := range schema.attrs {
+		if a.Kind != Categorical {
+			continue
+		}
+		for _, rec := range records {
+			if col < len(rec) {
+				_, _ = a.CategoryCode(rec[col]) // cannot fail: a is categorical
+			}
+		}
+	}
+	return schema, nil
 }
 
 // Schema implements Source.

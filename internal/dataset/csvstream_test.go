@@ -3,6 +3,7 @@ package dataset
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -116,6 +117,51 @@ func TestCSVStreamNewCategoriesOnTheFly(t *testing.T) {
 	}
 	if schema.Attr("g").NumCategories() != 3 {
 		t.Errorf("categories = %d, want 3", schema.Attr("g").NumCategories())
+	}
+}
+
+// TestInferCSVSchemaRegistersLabels: inference registers the prefix's
+// categorical labels in first-appearance order, so a criterion has its
+// values before a streaming pass; labels past the prefix are left for
+// the stream to register.
+func TestInferCSVSchemaRegistersLabels(t *testing.T) {
+	path := writeTempCSV(t, "x,g,h\n1,b,u\n2,a,u\n3,b,v\n4,c,w\n")
+	schema, err := InferCSVSchema(path, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := schema.Attr("g").Categories(); !reflect.DeepEqual(got, []string{"b", "a"}) {
+		t.Errorf("g categories = %v, want [b a]", got)
+	}
+	if got := schema.Attr("h").Categories(); !reflect.DeepEqual(got, []string{"u", "v"}) {
+		t.Errorf("h categories = %v, want [u v]", got)
+	}
+	if got := schema.Attr("x").NumCategories(); got != 0 {
+		t.Errorf("quantitative x has %d categories", got)
+	}
+	// The codes match a full in-memory read of the same file.
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tb, err := ReadCSV(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Schema().Attr("g").Categories(); !reflect.DeepEqual(got[:2], []string{"b", "a"}) {
+		t.Errorf("ReadCSV g categories = %v, want b and a first", got)
+	}
+	stream, err := OpenCSVStream(path, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	if _, err := Count(stream); err != nil {
+		t.Fatal(err)
+	}
+	if got := schema.Attr("g").Categories(); !reflect.DeepEqual(got, []string{"b", "a", "c"}) {
+		t.Errorf("g categories after streaming = %v, want [b a c]", got)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"arcs/internal/apriori"
-	"arcs/internal/binarray"
+	"arcs/internal/counts"
 	"arcs/internal/dataset"
 	"arcs/internal/rules"
 )
@@ -32,7 +32,7 @@ func TestEngineMatchesApriori(t *testing.T) {
 			dataset.Attribute{Name: "g", Kind: dataset.Quantitative},
 		)
 		tb := dataset.NewTable(schema)
-		ba, err := binarray.New(nx, ny, nseg)
+		ba, err := counts.NewDense(nx, ny, nseg)
 		if err != nil {
 			t.Fatal(err)
 		}

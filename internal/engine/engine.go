@@ -36,7 +36,7 @@ func GenAssociationRules(ba counts.Backend, seg int, minSupport, minConfidence f
 	// once, so the inner loop is integer-only.
 	minCount := minSupport * float64(ba.N())
 	var out []rules.CellRule
-	ba.Occupied(seg, func(x, y int, segCount, cellTotal uint32) {
+	counts.Occupied(ba, seg, func(x, y int, segCount, cellTotal uint32) {
 		if float64(segCount) < minCount {
 			return
 		}
@@ -74,7 +74,7 @@ func GenInterestingRules(ba counts.Backend, seg int, minSupport, minLift float64
 	if ba.N() == 0 {
 		return nil, nil
 	}
-	prior := float64(ba.SegmentTotal(seg)) / float64(ba.N())
+	prior := float64(counts.SegmentTotal(ba, seg)) / float64(ba.N())
 	minConf := minLift * prior
 	if minConf > 1 {
 		return nil, nil // unreachable bar: no cell can qualify
@@ -110,7 +110,7 @@ func NewThresholds(ba counts.Backend, seg int) (*Thresholds, error) {
 	if n == 0 {
 		return t, nil
 	}
-	ba.Occupied(seg, func(x, y int, segCount, cellTotal uint32) {
+	counts.Occupied(ba, seg, func(x, y int, segCount, cellTotal uint32) {
 		t.cells = append(t.cells, supConf{
 			sup:  float64(segCount) / n,
 			conf: float64(segCount) / float64(cellTotal),

@@ -4,21 +4,21 @@ import (
 	"math"
 	"testing"
 
-	"arcs/internal/binarray"
+	"arcs/internal/counts"
 )
 
 // buildBA constructs a 3x3 BinArray with 2 segments from explicit counts.
-// counts[seg][x][y].
-func buildBA(t *testing.T, counts [2][3][3]int) *binarray.BinArray {
+// cells[seg][x][y].
+func buildBA(t *testing.T, cells [2][3][3]int) *counts.DenseArray {
 	t.Helper()
-	ba, err := binarray.New(3, 3, 2)
+	ba, err := counts.NewDense(3, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seg := 0; seg < 2; seg++ {
 		for x := 0; x < 3; x++ {
 			for y := 0; y < 3; y++ {
-				for n := 0; n < counts[seg][x][y]; n++ {
+				for n := 0; n < cells[seg][x][y]; n++ {
 					ba.Add(x, y, seg)
 				}
 			}
@@ -155,7 +155,7 @@ func TestThresholdsAtOrAbove(t *testing.T) {
 }
 
 func TestThresholdsEmptyAndInvalid(t *testing.T) {
-	ba, _ := binarray.New(2, 2, 2)
+	ba, _ := counts.NewDense(2, 2, 2)
 	th, err := NewThresholds(ba, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestGenInterestingRulesValidation(t *testing.T) {
 		t.Error("zero lift should error")
 	}
 	// Empty BinArray yields nothing without error.
-	empty, _ := binarray.New(2, 2, 2)
+	empty, _ := counts.NewDense(2, 2, 2)
 	got, err := GenInterestingRules(empty, 0, 0, 1)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty: %v, %v", got, err)

@@ -234,7 +234,7 @@ func IngestBench(ctx context.Context, sizes []int, bins int, workerCounts []int,
 				return finishPartial(err)
 			}
 			start := time.Now()
-			sh, err := counts.BuildSharded(ctx, src, spec, counts.Options{Workers: w, Kind: counts.Dense, MemBudget: -1})
+			sh, _, err := counts.BuildSharded(ctx, src, w, spec, counts.Options{Kind: counts.Dense, MemBudget: -1})
 			if err != nil {
 				if ctx.Err() != nil {
 					return finishPartial(ctx.Err())

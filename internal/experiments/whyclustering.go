@@ -50,7 +50,7 @@ func WhyClustering(n, bins int) (WhyClusteringResult, error) {
 	// Raw cell rules at the thresholds ARCS settled on.
 	schema := sys.Sample().Schema()
 	segCode, _ := schema.Attr(synth.AttrGroup).LookupCategory(synth.GroupA)
-	cellRules, err := engine.GenAssociationRules(sys.BinArray(), segCode, res.MinSupport, res.MinConfidence)
+	cellRules, err := engine.GenAssociationRules(sys.Counts(), segCode, res.MinSupport, res.MinConfidence)
 	if err != nil {
 		return out, err
 	}
