@@ -168,10 +168,18 @@ func main() {
 	// (parse failures, non-finite values) are quarantined with row
 	// numbers within the -max-bad-rows budget. Without -stream the
 	// cleaned rows are then materialized into memory, so the quarantine
-	// policy applies identically in both modes.
+	// policy applies identically in both modes. With -stream the file is
+	// parsed inside core's passes, so only the in-memory load has a
+	// dataset.load span.
+	sp := observer.Root("dataset.infer")
 	schema, err := dataset.InferCSVSchema(*in, 10_000)
+	sp.End()
 	if err != nil {
 		fatal(err)
+	}
+	var load obs.Span
+	if !*stream {
+		load = observer.Root("dataset.load")
 	}
 	cs, err := dataset.OpenCSVStream(*in, schema)
 	if err != nil {
@@ -195,6 +203,7 @@ func main() {
 	})
 
 	var src dataset.Source
+	var tb *dataset.Table // the loaded rows; nil with -stream
 	if *stream {
 		defer cs.Close()
 		src = resilient
@@ -202,20 +211,29 @@ func main() {
 			slog.Warn("-ingest-workers needs an in-memory source; streaming ingest stays sequential")
 		}
 	} else {
-		tb, err := dataset.Materialize(resilient)
+		tb, err = dataset.Materialize(resilient)
 		if cerr := cs.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
 		if err != nil {
 			fatal(err)
 		}
+		if load.Enabled() {
+			var size int64
+			if fi, err := os.Stat(*in); err == nil {
+				size = fi.Size()
+			}
+			load.End(obs.Int("rows", tb.Len()), obs.Int("quarantined", int(resilient.Stats().Total())),
+				obs.Int("bytes", int(size)))
+		}
 		src = tb
 	}
 
 	if *describe {
-		tb, err := dataset.Materialize(src)
-		if err != nil {
-			fatal(err)
+		if tb == nil {
+			if tb, err = dataset.Materialize(src); err != nil {
+				fatal(err)
+			}
 		}
 		fmt.Print(dataset.RenderSummary(dataset.Summarize(tb), 8))
 		return

@@ -3,9 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -53,21 +56,52 @@ func writeF2CSV(t *testing.T) string {
 	return path
 }
 
+// runArcs runs the command and returns its standard output, failing the
+// test on a non-zero exit.
+func runArcs(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("arcs %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return stdout.String()
+}
+
+// rewriteCSV writes the file at path with every line passed through fn
+// (without its newline) and ending in eol.
+func rewriteCSV(t *testing.T, path, eol string, fn func(line string, header bool) string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for i, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		b.WriteString(fn(line, i == 0) + eol)
+	}
+	out := filepath.Join(t.TempDir(), "rewritten.csv")
+	if err := os.WriteFile(out, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestModesPrintIdenticalRules is the command-level differential test:
 // every count backend, ingest parallelism and the streaming input mode
-// segment the same CSV into byte-identical output.
+// segment the same CSV into byte-identical output, and so do rewrites of
+// the file (about three parse chunks) with CRLF line endings and with
+// every group value quoted — the second sends the whole file through
+// encoding/csv instead of the byte-level splitter.
 func TestModesPrintIdenticalRules(t *testing.T) {
 	bin, csv := buildArcs(t), writeF2CSV(t)
-	base := []string{"-in", csv, "-x", "age", "-y", "salary", "-crit", "group", "-bins", "20"}
+	args := func(in string) []string {
+		return []string{"-in", in, "-x", "age", "-y", "salary", "-crit", "group", "-bins", "20"}
+	}
 	run := func(extra ...string) string {
 		t.Helper()
-		cmd := exec.Command(bin, append(base, extra...)...)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("arcs %s: %v\n%s", strings.Join(extra, " "), err, stderr.String())
-		}
-		return stdout.String()
+		return runArcs(t, bin, append(args(csv), extra...)...)
 	}
 	want := run()
 	for _, seg := range []string{"== segmentation for A ==", "== segmentation for other =="} {
@@ -91,5 +125,92 @@ func TestModesPrintIdenticalRules(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(spillDir); err != nil || len(entries) != 0 {
 		t.Errorf("spill runs left %d files behind (err %v)", len(entries), err)
+	}
+
+	crlf := rewriteCSV(t, csv, "\r\n", func(line string, _ bool) string { return line })
+	quoted := rewriteCSV(t, csv, "\n", func(line string, header bool) string {
+		if header {
+			return line
+		}
+		i := strings.LastIndexByte(line, ',')
+		return line[:i+1] + `"` + line[i+1:] + `"`
+	})
+	for _, in := range []struct{ name, path string }{{"crlf", crlf}, {"quoted", quoted}} {
+		for _, mode := range [][]string{nil, {"-stream"}} {
+			if got := runArcs(t, bin, append(args(in.path), mode...)...); got != want {
+				t.Errorf("arcs on the %s file %s printed\n%s\nwant\n%s", in.name, strings.Join(mode, " "), got, want)
+			}
+		}
+	}
+
+	// -describe summarizes the loaded table, or the stream, identically.
+	describe := run("-describe")
+	if !strings.Contains(describe, "salary") {
+		t.Fatalf("-describe printed no salary summary:\n%s", describe)
+	}
+	if got := run("-describe", "-stream"); got != describe {
+		t.Errorf("arcs -describe -stream printed\n%s\nwant (in-memory)\n%s", got, describe)
+	}
+}
+
+// TestSpansAttributeTheLoad: a -spans trace of an in-memory run has the
+// dataset.infer and dataset.load root spans, the load carrying its row,
+// quarantine and byte counts.
+func TestSpansAttributeTheLoad(t *testing.T) {
+	bin, csv := buildArcs(t), writeF2CSV(t)
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	runArcs(t, bin, "-in", csv, "-x", "age", "-y", "salary", "-crit", "group", "-value", "A",
+		"-bins", "20", "-spans", trace)
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var ev struct {
+			Type, Name string
+			Parent     uint64
+			Attrs      map[string]string
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if ev.Type == "span" && ev.Parent == 0 && strings.HasPrefix(ev.Name, "dataset.") {
+			seen[ev.Name] = ev.Attrs
+		}
+	}
+	if _, ok := seen["dataset.infer"]; !ok {
+		t.Errorf("trace has no dataset.infer root span")
+	}
+	want := map[string]string{"rows": "20000", "quarantined": "0", "bytes": strconv.FormatInt(st.Size(), 10)}
+	if got := seen["dataset.load"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("dataset.load root span attrs = %v, want %v", got, want)
+	}
+}
+
+// TestQuarantinedRowAddsNoGroup: a row quarantined for a bad number adds
+// no criterion value, even with the label left of the bad field, so
+// segmenting every value prints no group for it. The row lies past the
+// 10,000-row inference prefix, which would otherwise make age
+// categorical.
+func TestQuarantinedRowAddsNoGroup(t *testing.T) {
+	bin, csv := buildArcs(t), writeF2CSV(t)
+	row := 0
+	dirty := rewriteCSV(t, csv, "\n", func(line string, _ bool) string {
+		f := strings.Split(line, ",") // salary,commission,age,...,group
+		line = f[9] + "," + f[2] + "," + f[0]
+		if row++; row == 15_000 {
+			line += "\ntypo,notanumber,50000"
+		}
+		return line
+	})
+	out := runArcs(t, bin, "-in", dirty, "-x", "age", "-y", "salary", "-crit", "group", "-bins", "20",
+		"-max-bad-rows", "1")
+	if !strings.Contains(out, "== segmentation for A ==") || strings.Contains(out, "typo") {
+		t.Errorf("arcs on a file with one quarantined typo row printed\n%s\nwant group A and no group typo", out)
 	}
 }

@@ -1,10 +1,15 @@
 package dataset
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 func writeTempCSV(t *testing.T, content string) string {
@@ -186,4 +191,238 @@ func TestCSVStreamCloseThenReset(t *testing.T) {
 		t.Errorf("Next after Reset: %v", err)
 	}
 	stream.Close()
+}
+
+// TestCSVStreamParseErrorReportsFileLine: a parse error names the
+// physical line of the row, like a field-count error, on the byte-level
+// path and on the encoding/csv path alike.
+func TestCSVStreamParseErrorReportsFileLine(t *testing.T) {
+	for _, content := range []string{
+		"\n\nx,g\n\n1,A\nnot,B\n",
+		"\n\nx,g\n\n1,\"A\"\nnot,B\n",
+	} {
+		path := writeTempCSV(t, content)
+		schema, err := InferCSVSchema(path, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := OpenCSVStream(path, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs, err := drainCSV(stream)
+		stream.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%s:6: attribute \"x\"", path)
+		if len(evs) != 2 || evs[1].reason != "parse" || evs[1].row != 6 || !strings.Contains(evs[1].msg, want) {
+			t.Errorf("%q: events %v, want a parse error at %s", content, evs, want)
+		}
+	}
+}
+
+// TestCSVStreamQuarantinedRowRegistersNoLabel: a row whose number fails
+// to parse is quarantined without registering its categorical labels,
+// wherever the bad field sits, so a typo cannot become a criterion value
+// with no tuples. Both parsing paths.
+func TestCSVStreamQuarantinedRowRegistersNoLabel(t *testing.T) {
+	for _, content := range []string{
+		"g,x,y\nA,1,2\ntypo,notanumber,3\nB,4,5\n",
+		"g,x,y\nA,1,2\ntypo,4,notanumber\nB,4,5\n",
+		"g,x,y\n\"A\",1,2\ntypo,notanumber,3\nB,4,5\n",
+	} {
+		path := writeTempCSV(t, content)
+		schema, err := InferCSVSchema(path, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := OpenCSVStream(path, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewResilient(stream, Retry{}, Quarantine{MaxBadRows: 1})
+		tb, err := Materialize(r)
+		stream.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := schema.Attr("g").Categories(); tb.Len() != 2 || !reflect.DeepEqual(got, []string{"A", "B"}) {
+			t.Errorf("%q: %d rows, categories %q; want 2 rows, [A B]", content, tb.Len(), got)
+		}
+	}
+}
+
+// writeRowsCSV writes a clean x,g,y file of n rows.
+func writeRowsCSV(t *testing.T, n int) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("x,g,y\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%d.125,group%d,%d\n", i, i%3, -i)
+	}
+	return writeTempCSV(t, b.String())
+}
+
+// TestCSVStreamZeroAllocPerRow: a whole pass allocates a constant per
+// chunk (the pass's open and header, the chunk's workers), never per
+// row: passes over files 16x apart in rows differ by at most that.
+func TestCSVStreamZeroAllocPerRow(t *testing.T) {
+	pass := func(path string) (allocs float64, chunks int) {
+		schema, err := InferCSVSchema(path, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := OpenCSVStream(path, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stream.Close()
+		allocs = testing.AllocsPerRun(5, func() {
+			if err := ForEach(stream, func(Tuple) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allocs, int(st.Size()/csvChunkSize) + 1
+	}
+	small, _ := pass(writeRowsCSV(t, 10_000))
+	big, chunks := pass(writeRowsCSV(t, 160_000))
+	if chunks < 3 {
+		t.Fatalf("big file spans %d chunks, want at least 3", chunks)
+	}
+	perChunk := 4 * float64(runtime.GOMAXPROCS(0))
+	if big-small > perChunk*float64(chunks) {
+		t.Errorf("a pass over 160k rows allocates %.1f objects vs %.1f over 10k, more than %.0f per chunk over %d chunks — parsing allocates per row",
+			big, small, perChunk, chunks)
+	}
+	t.Logf("allocations per pass: %.1f over 10k rows, %.1f over 160k rows (%d chunks)", small, big, chunks)
+}
+
+// unsizedSource hides a source's Len, as a CSVStream has none.
+type unsizedSource struct{ Source }
+
+// TestMaterializeAllocsPerSlab: Materialize makes one allocation per
+// slab of rows, plus the growth of its rows slice and a constant three
+// (the table, the pass's closure and the slab it captures), and its rows
+// are independent: full-capacity slices, so appending to one cannot
+// overwrite the next.
+func TestMaterializeAllocsPerSlab(t *testing.T) {
+	schema := NewSchema(
+		Attribute{Name: "x", Kind: Quantitative},
+		Attribute{Name: "y", Kind: Quantitative},
+	)
+	const n = 5*materializeSlabRows + 7
+	src := NewFuncSource(schema, n, func(i int, out Tuple) { out[0], out[1] = float64(i), -float64(i) })
+	slabs, room := 0, 0
+	for rows := 0; rows < n; rows++ {
+		if room == 0 {
+			slabs++
+			room = min(max(rows, 64), materializeSlabRows)
+		}
+		room--
+	}
+	growths := 0
+	var rows []Tuple
+	for i := 0; i < n; i++ {
+		if len(rows) == cap(rows) {
+			growths++
+		}
+		rows = append(rows, nil)
+	}
+	for _, c := range []struct {
+		name string
+		src  Source
+		want int // allocations beyond the slabs
+	}{
+		{"sized", src, 3 + 1},
+		{"unsized", unsizedSource{src}, 3 + growths},
+	} {
+		var tb *Table
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			if tb, err = Materialize(c.src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := float64(slabs + c.want); allocs > want {
+			t.Errorf("%s: Materialize of %d rows made %.0f allocations, want at most %.0f (%d slabs)", c.name, n, allocs, want, slabs)
+		}
+		if tb.Len() != n {
+			t.Fatalf("%s: %d rows, want %d", c.name, tb.Len(), n)
+		}
+		for i := 0; i < n; i++ {
+			if r := tb.Row(i); r[0] != float64(i) || r[1] != -float64(i) || cap(r) != len(r) {
+				t.Fatalf("%s: row %d is %v (cap %d)", c.name, i, r, cap(r))
+			}
+		}
+	}
+}
+
+// TestCSVStreamAbandonedLeavesNoGoroutines: parsing is fork-join inside
+// Next, so a pass abandoned mid-chunk and closed leaves no goroutine
+// behind.
+func TestCSVStreamAbandonedLeavesNoGoroutines(t *testing.T) {
+	path := writeRowsCSV(t, 80_000)
+	schema, err := InferCSVSchema(path, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	baseline := runtime.NumGoroutine()
+	stream, err := OpenCSVStream(path, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40_000; i++ {
+		if _, err := stream.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := stream.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A worker that has signalled completion may still be exiting.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines: baseline %d, now %d; stacks:\n%s", baseline, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCSVStreamIOErrorIsFatal: a read that fails mid-pass ends the pass
+// with an error naming the file and line, not with a RowError a
+// quarantine could skip.
+func TestCSVStreamIOErrorIsFatal(t *testing.T) {
+	path := writeRowsCSV(t, 160_000)
+	schema, err := InferCSVSchema(path, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := OpenCSVStream(path, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	if _, err := stream.Next(); err != nil {
+		t.Fatal(err)
+	}
+	stream.file.Close() // the next chunk's read fails
+	r := NewResilient(stream, Retry{}, Quarantine{MaxBadRows: -1})
+	for {
+		_, err = r.Next()
+		if err != nil {
+			break
+		}
+	}
+	if AsRowError(err) != nil || !errors.Is(err, os.ErrClosed) || !strings.HasPrefix(err.Error(), "dataset: "+path+":") {
+		t.Errorf("read failure mid-pass = %v, want a fatal dataset: %s:<line>: error wrapping os.ErrClosed", err, path)
+	}
 }
