@@ -70,10 +70,11 @@ type ClusteredRule = rules.ClusteredRule
 // (System.Counts): grid dimensions, the per-cell counts of paper §3.2
 // (Count, CellTotal), row-major iteration over occupied cells (Cells)
 // and the backend's footprint (Stats). One package implements it with
-// three backends — dense, sparse and spill-to-disk — chosen by
-// Config.MemBudget and Config.CountsBackend; sequential, fused and
-// sharded (Config.IngestWorkers) builds all return one of them, and
-// every combination produces bit-identical counts.
+// two in-memory backends — dense, and sparse when the dense grid would
+// not fit Config.MemBudget — chosen by Config.MemBudget and
+// Config.CountsBackend; sequential, fused and sharded
+// (Config.IngestWorkers) builds all return one of them, and every
+// combination produces bit-identical counts.
 type Counts = counts.Backend
 
 // MDLWeights biases the cost function (wc, we of paper §3.6).

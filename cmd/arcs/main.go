@@ -14,7 +14,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -63,9 +62,8 @@ func main() {
 		maxBadRows = flag.Int("max-bad-rows", 0, "input rows to quarantine per pass before failing; -1 unlimited, 0 strict")
 		retries    = flag.Int("retries", 2, "retries per read for transient input errors")
 		ingestW    = flag.Int("ingest-workers", 0, "workers for the parallel counting pass (0/1 sequential; needs an in-memory source, so not with -stream)")
-		memBudget  = flag.String("mem-budget", "", "memory budget for the count substrate: bytes with optional K/M/G/T suffix, or 'off' for unlimited (empty keeps the 1 GiB default; grids over budget use the sparse or spill backend)")
-		backend    = flag.String("counts-backend", "auto", "count backend: auto, dense, sparse, spill")
-		spillDir   = flag.String("spill-dir", "", "directory for spill-backend files (default: OS temp dir)")
+		memBudget  = flag.String("mem-budget", "", "memory budget for the count substrate: bytes with optional K/M/G/T suffix, or 'off' for unlimited (empty keeps the 1 GiB default; grids over budget use the sparse backend)")
+		backend    = flag.String("counts-backend", "auto", "count backend: auto, dense, sparse")
 		prof       obs.Profiler
 	)
 	prof.RegisterFlags(flag.CommandLine)
@@ -255,7 +253,6 @@ func main() {
 		IngestWorkers:      *ingestW,
 		MemBudget:          budget,
 		CountsBackend:      *backend,
-		SpillDir:           *spillDir,
 		Walk:               optimizer.ThresholdWalk{},
 		Observer:           observer,
 	}
@@ -303,16 +300,6 @@ func main() {
 		}
 		fatal(err)
 	}
-	// A spill backend deletes its record file on Close; its finalizer
-	// never gets to run before the process exits.
-	if c, ok := sys.Counts().(io.Closer); ok {
-		atExit(func() {
-			if err := c.Close(); err != nil {
-				slog.Warn("closing the count backend", "err", err)
-			}
-		})
-	}
-
 	if *critValue != "" {
 		res, err := sys.RunContext(ctx)
 		if err != nil {

@@ -109,22 +109,20 @@ func TestModesPrintIdenticalRules(t *testing.T) {
 			t.Fatalf("reference output lacks %q:\n%s", seg, want)
 		}
 	}
-	spillDir := t.TempDir()
+	// A 1 KiB budget is under the 20×20 grid's 4,800 dense bytes, so
+	// Auto leaves dense for sparse.
 	for _, mode := range [][]string{
 		{"-counts-backend", "dense", "-mem-budget", "64K"},
 		{"-counts-backend", "sparse", "-mem-budget", "64K"},
-		{"-counts-backend", "spill", "-mem-budget", "64K", "-spill-dir", spillDir},
+		{"-mem-budget", "1K"},
 		{"-ingest-workers", "1"},
 		{"-ingest-workers", "4"},
 		{"-stream"},
-		{"-stream", "-counts-backend", "spill", "-mem-budget", "64K", "-spill-dir", spillDir},
+		{"-stream", "-mem-budget", "1K"},
 	} {
 		if got := run(mode...); got != want {
 			t.Errorf("arcs %s printed\n%s\nwant (in-memory, defaults)\n%s", strings.Join(mode, " "), got, want)
 		}
-	}
-	if entries, err := os.ReadDir(spillDir); err != nil || len(entries) != 0 {
-		t.Errorf("spill runs left %d files behind (err %v)", len(entries), err)
 	}
 
 	crlf := rewriteCSV(t, csv, "\r\n", func(line string, _ bool) string { return line })
@@ -150,6 +148,38 @@ func TestModesPrintIdenticalRules(t *testing.T) {
 	}
 	if got := run("-describe", "-stream"); got != describe {
 		t.Errorf("arcs -describe -stream printed\n%s\nwant (in-memory)\n%s", got, describe)
+	}
+}
+
+// TestCountsBackendChoice: a budget under the dense grid's footprint
+// reports the sparse backend in the JSON counts block, and the retired
+// spill backend is refused by name.
+func TestCountsBackendChoice(t *testing.T) {
+	bin, csv := buildArcs(t), writeF2CSV(t)
+	args := []string{"-in", csv, "-x", "age", "-y", "salary", "-crit", "group", "-value", "A", "-bins", "20"}
+	var doc struct {
+		Counts struct{ Backend string }
+	}
+	out := runArcs(t, bin, append(args, "-mem-budget", "1K", "-format", "json")...)
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("-format json output: %v\n%s", err, out)
+	}
+	if doc.Counts.Backend != "sparse" {
+		t.Errorf("-mem-budget 1K ran on the %q backend, want sparse", doc.Counts.Backend)
+	}
+
+	cmd := exec.Command(bin, append(args, "-counts-backend", "spill", "-log-format", "json")...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("arcs -counts-backend spill exited 0")
+	}
+	var logged struct{ Msg string }
+	if err := json.Unmarshal(stderr.Bytes(), &logged); err != nil {
+		t.Fatalf("stderr is not one JSON log line: %v\n%s", err, stderr.String())
+	}
+	if want := `unknown backend "spill" (want auto, dense or sparse)`; !strings.Contains(logged.Msg, want) {
+		t.Errorf("arcs -counts-backend spill logged %q, want it to name %s", logged.Msg, want)
 	}
 }
 

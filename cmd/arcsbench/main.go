@@ -39,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"arcs/internal/counts"
 	"arcs/internal/experiments"
 	"arcs/internal/obs"
 )
@@ -58,7 +57,6 @@ func main() {
 		exp       = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", ")+", or all")
 		ingestW   = flag.String("ingest-workers", "2,4,8", "comma-separated worker counts for -exp ingest")
 		ingestN   = flag.String("ingest-tuples", "1000000,2000000,5000000,10000000", "comma-separated workload sizes for -exp ingest (each divided by -scale)")
-		ingestB   = flag.String("ingest-backends", "sparse,spill", "comma-separated count backends swept by -exp ingest alongside dense (sparse, spill; empty skips the backend dimension)")
 		scale     = flag.Int("scale", 1, "divide every database size by this factor")
 		c45Cap    = flag.Int("c45cap", 200_000, "largest database C4.5 is attempted on (the paper's C4.5 ran out of memory beyond 100k)")
 		testN     = flag.Int("testn", 10_000, "held-out test table size")
@@ -296,7 +294,7 @@ func main() {
 	})
 
 	run("ingest", func() error {
-		fmt.Println("counting pass: dense vs sparse/spill backends, sequential vs sharded ingest (byte-identity re-checked)")
+		fmt.Println("counting pass: dense vs sparse backend, sequential vs sharded ingest (byte-identity re-checked)")
 		workers, err := parseWorkers(*ingestW)
 		if err != nil {
 			return err
@@ -305,11 +303,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		backends, err := parseBackends(*ingestB)
-		if err != nil {
-			return err
-		}
-		report, benchErr := experiments.IngestBench(ctx, sizes, 50, workers, backends)
+		report, benchErr := experiments.IngestBench(ctx, sizes, 50, workers)
 		if benchErr != nil && report == nil {
 			return benchErr
 		}
@@ -382,22 +376,6 @@ func parseWorkers(s string) ([]int, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("-ingest-workers is empty")
-	}
-	return out, nil
-}
-
-// parseBackends parses the -ingest-backends list ("sparse,spill").
-func parseBackends(s string) ([]counts.Kind, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []counts.Kind
-	for _, part := range strings.Split(s, ",") {
-		k, err := counts.ParseKind(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad -ingest-backends entry %q: %w", part, err)
-		}
-		out = append(out, k)
 	}
 	return out, nil
 }

@@ -73,8 +73,7 @@ func main() {
 		drain          = flag.Duration("drain", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
 		lameDuck       = flag.Duration("lame-duck", 0, "hold /readyz at 503 this long before canceling runs, so load balancers stop routing first")
 		memBudget      = flag.String("mem-budget", "", "default count-substrate memory budget for runs: bytes with optional K/M/G/T suffix, or 'off' for unlimited (specs override per run via mem_budget)")
-		countsBackend  = flag.String("counts-backend", "auto", "default count backend for runs: auto, dense, sparse, spill (specs override per run via counts_backend)")
-		spillDir       = flag.String("spill-dir", "", "directory for spill-backend files (default: OS temp dir)")
+		countsBackend  = flag.String("counts-backend", "auto", "default count backend for runs: auto, dense, sparse (specs override per run via counts_backend)")
 		verbose        = flag.Bool("v", false, "debug logging")
 		logFormat      = flag.String("log-format", "text", "log output format: text, json")
 	)
@@ -155,7 +154,6 @@ func main() {
 		QualityTestN:     *qualityN,
 		MemBudget:        budget,
 		CountsBackend:    *countsBackend,
-		SpillDir:         *spillDir,
 
 		Models:                models,
 		ApplyMaxInFlight:      *applyInFlight,

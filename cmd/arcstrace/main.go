@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -112,9 +113,11 @@ func summarize(args []string) error {
 
 func diff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	tolerance := fs.String("tolerance", "20%", "allowed growth before a phase or counter regresses (e.g. 20% or 0.2)")
-	minPhase := fs.Duration("min-phase", 5*time.Millisecond, "ignore phases faster than this in both traces")
-	minCount := fs.Float64("min-count", 16, "ignore counters below this in both traces")
+	def := obs.DefaultDiffOptions
+	tolerance := fs.String("tolerance", strconv.FormatFloat(100*def.Tolerance, 'g', -1, 64)+"%",
+		"allowed growth before a phase or counter regresses (e.g. 20% or 0.2)")
+	minPhase := fs.Duration("min-phase", def.MinPhase, "ignore phases faster than this in both traces")
+	minCount := fs.Float64("min-count", def.MinCount, "ignore counters below this in both traces")
 	fs.Parse(args)
 	tol, err := parseTolerance(*tolerance)
 	if err != nil {
@@ -191,7 +194,8 @@ func isBenchFile(path string) bool {
 	return strings.HasSuffix(path, ".json")
 }
 
-// parseTolerance accepts "20%" or a bare fraction like "0.2".
+// parseTolerance accepts "20%" or a bare fraction like "0.2": a
+// finite, non-negative growth.
 func parseTolerance(s string) (float64, error) {
 	pct := strings.HasSuffix(s, "%")
 	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
@@ -201,8 +205,8 @@ func parseTolerance(s string) (float64, error) {
 	if pct {
 		v /= 100
 	}
-	if v < 0 {
-		return 0, fmt.Errorf("tolerance must be non-negative, got %q", s)
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("tolerance must be finite and non-negative, got %q", s)
 	}
 	return v, nil
 }

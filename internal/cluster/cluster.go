@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"sort"
 
-	"arcs/internal/counts"
 	"arcs/internal/binning"
+	"arcs/internal/counts"
 	"arcs/internal/grid"
 	"arcs/internal/rules"
 )

@@ -203,23 +203,19 @@ type Config struct {
 	// setting; only wall-clock time changes.
 	IngestWorkers int
 
-	// MemBudget is the advisory memory cap in bytes for the count
-	// substrate. 0 applies the 1 GiB default; negative means unlimited.
+	// MemBudget is the advisory memory cap in bytes for the dense count
+	// array. 0 applies the 1 GiB default; negative means unlimited.
 	// When the dense array would not fit, the build dispatches to the
-	// sparse or spill backend instead of failing — counts are
-	// byte-identical whichever backend serves them (see counts.Options).
-	// In a sharded build each worker selects against its share.
+	// sparse backend instead of failing — counts are byte-identical
+	// whichever backend serves them (see counts.Options). The budget
+	// never refuses sparse. In a sharded build each worker selects
+	// against its share.
 	MemBudget int64
 
-	// CountsBackend pins a count backend: "auto" (default), "dense",
-	// "sparse" or "spill". Auto selects dense when the full grid fits
-	// MemBudget, sparse when the expected occupied cells fit, spill
-	// otherwise.
+	// CountsBackend pins a count backend: "auto" (default), "dense" or
+	// "sparse". Auto selects dense when the full grid fits MemBudget
+	// and sparse otherwise.
 	CountsBackend string
-
-	// SpillDir is where the spill backend keeps its run and record
-	// files; empty uses the OS temp directory.
-	SpillDir string
 
 	// SerialSearch forces the optimizer's probe batches to evaluate one
 	// at a time instead of fanning out across the worker pool. Results

@@ -14,7 +14,7 @@ import (
 // and as gauges on /metrics, so operators can see which substrate a
 // run landed on and what it cost.
 type CountsInfo struct {
-	// Backend is the backend kind: dense, sparse or spill.
+	// Backend is the backend kind: dense or sparse.
 	Backend string `json:"backend"`
 	// Workers is the ingest parallelism of the build (1 = sequential).
 	Workers int `json:"workers,omitempty"`
@@ -22,10 +22,8 @@ type CountsInfo struct {
 	// at least one tuple.
 	Cells         int64 `json:"cells"`
 	OccupiedCells int64 `json:"occupied_cells"`
-	// MemBytes is resident memory; DiskBytes is on-disk state (spill
-	// backend only).
-	MemBytes  int64 `json:"mem_bytes"`
-	DiskBytes int64 `json:"disk_bytes,omitempty"`
+	// MemBytes is resident memory.
+	MemBytes int64 `json:"mem_bytes"`
 }
 
 // countsInfoOf summarizes a built backend.
@@ -37,18 +35,17 @@ func countsInfoOf(b counts.Backend, workers int) CountsInfo {
 		Cells:         int64(b.NX()) * int64(b.NY()),
 		OccupiedCells: int64(st.OccupiedCells),
 		MemBytes:      int64(st.MemBytes),
-		DiskBytes:     st.DiskBytes,
 	}
 }
 
 // stageCount is the Count stage: fill the count backend with one pass
 // over the source. The pass shape (fused single-pass, sharded
-// parallel, sequential) and the backend kind (dense, sparse,
-// spill-to-disk) dispatch independently — Config.CountsBackend pins a
-// kind, Config.MemBudget lets Auto pick one the budget fits — and all
-// combinations produce bit-identical counts. IngestWorkers > 1 shards
-// the pass when the source supports range sharding (dataset.Sharder)
-// and falls back to the sequential pass when it does not.
+// parallel, sequential) and the backend kind (dense, sparse) dispatch
+// independently — Config.CountsBackend pins a kind, Config.MemBudget
+// lets Auto pick one the budget fits — and all combinations produce
+// bit-identical counts. IngestWorkers > 1 shards the pass when the
+// source supports range sharding (dataset.Sharder) and falls back to
+// the sequential pass when it does not.
 func (s *System) stageCount(ctx context.Context, src dataset.Source, nseg int, fused bool) ([]obs.Attr, error) {
 	spec := counts.Spec{
 		XIdx: s.xIdx, YIdx: s.yIdx, CritIdx: s.critIdx,
@@ -58,11 +55,7 @@ func (s *System) stageCount(ctx context.Context, src dataset.Source, nseg int, f
 	if err != nil {
 		return nil, err // unreachable: Config.validate parses it first
 	}
-	opts := counts.Options{
-		Kind:      kind,
-		MemBudget: s.cfg.MemBudget,
-		SpillDir:  s.cfg.SpillDir,
-	}
+	opts := counts.Options{Kind: kind, MemBudget: s.cfg.MemBudget}
 	mode, workers := "sequential", 1
 	var sm *sampler
 	sharder, shardable := src.(dataset.Sharder)
@@ -103,10 +96,9 @@ func (s *System) stageCount(ctx context.Context, src dataset.Source, nseg int, f
 
 // countMetrics walks the built backend's occupied cells once for
 // occupancy metrics and reports the occupancy span attributes. The
-// walk is occupied-cells-only (counts.Backend.Cells), so a sparse or
-// spilled high-resolution grid pays for its tuples, not its
-// resolution; it runs once per New with observability on, never on the
-// probe path.
+// walk is occupied-cells-only (counts.Backend.Cells), so a sparse
+// high-resolution grid pays for its tuples, not its resolution; it
+// runs once per New with observability on, never on the probe path.
 func (s *System) countMetrics() []obs.Attr {
 	reg := s.obs.Registry()
 	occ := reg.HistogramBuckets("bin_cell_occupancy", obs.SizeBuckets)
@@ -121,15 +113,14 @@ func (s *System) countMetrics() []obs.Attr {
 	info := s.countsInfo
 	cells := info.Cells
 	reg.Gauge("binarray_mem_bytes").Set(info.MemBytes)
-	reg.Gauge("counts_disk_bytes").Set(info.DiskBytes)
 	reg.Gauge("counts_occupied_cells").Set(occupied)
 	reg.Gauge("bin_cells_total").Set(cells)
 	reg.Gauge("bin_cells_empty").Set(cells - occupied)
 	// The backend identity as a one-hot gauge family: no label support
 	// in the registry, so the kind is encoded in the metric name
-	// (counts_backend_dense|sparse|spill), with the losers zeroed so a
-	// scrape after a backend switch does not show two ones.
-	for _, k := range []counts.Kind{counts.Dense, counts.Sparse, counts.Spill} {
+	// (counts_backend_dense|sparse), with the loser zeroed so a scrape
+	// after a backend switch does not show two ones.
+	for _, k := range []counts.Kind{counts.Dense, counts.Sparse} {
 		v := int64(0)
 		if k.String() == info.Backend {
 			v = 1
@@ -144,6 +135,5 @@ func (s *System) countMetrics() []obs.Attr {
 		obs.Int("occupied_cells", int(occupied)),
 		obs.Float("empty_fraction", emptyFrac),
 		obs.Int("mem_bytes", int(info.MemBytes)),
-		obs.Int("disk_bytes", int(info.DiskBytes)),
 	}
 }

@@ -21,12 +21,6 @@ func snapBytes(t testing.TB, b Backend) []byte {
 	return buf.Bytes()
 }
 
-func closeBackend(b Backend) {
-	if c, ok := b.(interface{ Close() error }); ok {
-		_ = c.Close()
-	}
-}
-
 // gridOp is one AddN applied identically to every backend under test.
 type gridOp struct {
 	x, y, seg int
@@ -53,11 +47,8 @@ func randOps(seed uint64, nx, ny, nseg, nops int, saturate bool) []gridOp {
 	return ops
 }
 
-// builtBackends applies ops to a fresh dense, sparse and spill backend
-// and returns them keyed by kind name; the spill backend is closed at
-// test cleanup. The spill builder runs with a 1-byte budget so its
-// accumulator floors at the minimum cell cap — grids with more occupied
-// cells than the cap exercise the multi-run external merge.
+// builtBackends applies ops to a fresh dense and sparse backend and
+// returns them keyed by kind name.
 func builtBackends(t testing.TB, nx, ny, nseg int, ops []gridOp) map[string]Backend {
 	t.Helper()
 	d, err := NewDense(nx, ny, nseg)
@@ -68,29 +59,17 @@ func builtBackends(t testing.TB, nx, ny, nseg int, ops []gridOp) map[string]Back
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := newSpillBuilder(nx, ny, nseg, Options{SpillDir: t.TempDir(), MemBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, op := range ops {
 		d.AddN(op.x, op.y, op.seg, op.n)
 		sp.AddN(op.x, op.y, op.seg, op.n)
-		if err := sb.addN(op.x, op.y, op.seg, op.n); err != nil {
-			t.Fatal(err)
-		}
 	}
-	sa, err := sb.finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { closeBackend(sa) })
-	return map[string]Backend{"dense": d, "sparse": sp, "spill": sa}
+	return map[string]Backend{"dense": d, "sparse": sp}
 }
 
 // buildAllBackends is builtBackends reduced to each backend's snapshot.
 func buildAllBackends(t testing.TB, nx, ny, nseg int, ops []gridOp) map[string][]byte {
 	t.Helper()
-	out := make(map[string][]byte, 3)
+	out := make(map[string][]byte, 2)
 	for kind, b := range builtBackends(t, nx, ny, nseg, ops) {
 		out[kind] = snapBytes(t, b)
 	}
@@ -99,8 +78,7 @@ func buildAllBackends(t testing.TB, nx, ny, nseg int, ops []gridOp) map[string][
 
 // TestBackendsByteIdenticalRandomGrids is the cross-backend property
 // check: random grids — including saturating bulk adds — snapshot to
-// the same bytes whether counted densely, sparsely or through the
-// spill path's external sort.
+// the same bytes whether counted densely or sparsely.
 func TestBackendsByteIdenticalRandomGrids(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -110,8 +88,8 @@ func TestBackendsByteIdenticalRandomGrids(t *testing.T) {
 		saturate     bool
 	}{
 		{name: "small-mostly-full", nx: 8, ny: 6, nseg: 3, nops: 2000, seed: 1},
-		// 4000 cells with ~3000 occupied exceeds the spill accumulator's
-		// minimum cap, forcing multiple run files and a real k-way merge.
+		// 4000 cells with ~3000 occupied: many sparse slab growths and a
+		// long sorted-key walk.
 		{name: "wide-multi-run", nx: 80, ny: 50, nseg: 4, nops: 5000, seed: 2},
 		{name: "tall-sparse", nx: 200, ny: 3, nseg: 2, nops: 37, seed: 3},
 		{name: "saturating", nx: 5, ny: 5, nseg: 3, nops: 400, seed: 4, saturate: true},
@@ -121,17 +99,15 @@ func TestBackendsByteIdenticalRandomGrids(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ops := randOps(tc.seed, tc.nx, tc.ny, tc.nseg, tc.nops, tc.saturate)
 			got := buildAllBackends(t, tc.nx, tc.ny, tc.nseg, ops)
-			for _, kind := range []string{"sparse", "spill"} {
-				if !bytes.Equal(got[kind], got["dense"]) {
-					t.Errorf("%s snapshot differs from dense (%d vs %d bytes)",
-						kind, len(got[kind]), len(got["dense"]))
-				}
+			if !bytes.Equal(got["sparse"], got["dense"]) {
+				t.Errorf("sparse snapshot differs from dense (%d vs %d bytes)",
+					len(got["sparse"]), len(got["dense"]))
 			}
 		})
 	}
 }
 
-// FuzzBackendEquivalence drives all three backends with op streams
+// FuzzBackendEquivalence drives both backends with op streams
 // decoded from fuzz input and requires byte-identical snapshots. Each
 // 4-byte chunk is one op; an odd flag byte makes the op a near-MaxUint32
 // bulk add so the fuzzer reaches the saturation plateau.
@@ -156,15 +132,13 @@ func FuzzBackendEquivalence(f *testing.F) {
 			})
 		}
 		got := buildAllBackends(t, nx, ny, nseg, ops)
-		for _, kind := range []string{"sparse", "spill"} {
-			if !bytes.Equal(got[kind], got["dense"]) {
-				t.Errorf("%s snapshot differs from dense for %d ops", kind, len(ops))
-			}
+		if !bytes.Equal(got["sparse"], got["dense"]) {
+			t.Errorf("sparse snapshot differs from dense for %d ops", len(ops))
 		}
 	})
 }
 
-// TestShardedBackendsByteIdenticalToDense pins each alternate backend
+// TestShardedBackendsByteIdenticalToDense pins the sparse backend
 // through the sharded build at several worker counts and requires the
 // merged result to snapshot identically to the sequential dense build.
 func TestShardedBackendsByteIdenticalToDense(t *testing.T) {
@@ -175,15 +149,13 @@ func TestShardedBackendsByteIdenticalToDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := snapBytes(t, ref)
-	for _, kind := range []Kind{Sparse, Spill} {
+	for _, kind := range []Kind{Sparse} {
 		for _, workers := range []int{1, 2, 3, 4, 8} {
 			t.Run(fmt.Sprintf("%s-w%d", kind, workers), func(t *testing.T) {
-				sh, used, err := BuildSharded(context.Background(), tab, workers, spec,
-					Options{Kind: kind, SpillDir: t.TempDir()})
+				sh, used, err := BuildSharded(context.Background(), tab, workers, spec, Options{Kind: kind})
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer closeBackend(sh)
 				if used != workers {
 					t.Errorf("used %d workers, want %d", used, workers)
 				}
@@ -198,10 +170,10 @@ func TestShardedBackendsByteIdenticalToDense(t *testing.T) {
 	}
 }
 
-// TestBudgetRefusedByDenseSelectsAlternate is the acceptance claim from
-// the backend refactor: a grid the dense array refuses under a budget
-// still builds — on sparse when the expected occupancy fits, on spill
-// otherwise — and produces byte-identical counts either way.
+// TestBudgetRefusedByDenseSelectsAlternate is the acceptance claim of
+// the Auto policy: a grid the dense array refuses under a budget still
+// builds on sparse — whatever its occupancy, since the budget never
+// refuses sparse — and produces byte-identical counts.
 func TestBudgetRefusedByDenseSelectsAlternate(t *testing.T) {
 	// A 200×200 grid with 3 segments needs 640,000 bytes densely;
 	// refuse it with a 64 KiB budget.
@@ -226,8 +198,9 @@ func TestBudgetRefusedByDenseSelectsAlternate(t *testing.T) {
 	}{
 		// 500 occupied cells of sparse state fit 64 KiB.
 		{name: "low-occupancy-selects-sparse", rows: 500, want: Sparse},
-		// ~10k expected cells of sparse state do not; spill it is.
-		{name: "high-occupancy-selects-spill", rows: 10_007, want: Spill},
+		// ~10k occupied cells of sparse state do not, and sparse still
+		// builds them.
+		{name: "high-occupancy-selects-sparse", rows: 10_007, want: Sparse},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -237,12 +210,10 @@ func TestBudgetRefusedByDenseSelectsAlternate(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := snapBytes(t, ref)
-			b, err := Build(context.Background(), tab, spec,
-				Options{MemBudget: budget, SpillDir: t.TempDir()})
+			b, err := Build(context.Background(), tab, spec, Options{MemBudget: budget})
 			if err != nil {
 				t.Fatalf("budgeted build failed where dense refused: %v", err)
 			}
-			defer closeBackend(b)
 			if got := KindOf(b); got != tc.want {
 				t.Errorf("auto-selected %v, want %v", got, tc.want)
 			}

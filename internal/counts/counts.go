@@ -5,18 +5,16 @@
 // threshold enumeration — needs only the small read API captured here
 // as Backend.
 //
-// Three backends fill that API, selected by memory budget and expected
-// occupancy (Options/Kind): the dense in-memory DenseArray is the
-// reference and the fast path; SparseArray keeps memory proportional to
-// occupied cells for high-resolution mostly-empty grids; SpillArray
-// external-sorts counts to disk so grid resolution and dataset size are
-// not RAM-bound. Every build runs the same tuple-to-cell pass (fill)
-// into a builder of the selected kind, sequentially (Build, BuildFused)
-// or sharded across workers and merged (BuildSharded). Every backend
-// produces counts byte-identical to the dense reference (see Snapshot),
-// at any worker count — saturating addition is associative and
-// commutative, so no partitioning or merge order can change a single
-// bit.
+// Two in-memory backends fill that API, selected by memory budget
+// (Options/Kind): the dense DenseArray is the reference and the fast
+// path; SparseArray keeps memory proportional to occupied cells for
+// high-resolution mostly-empty grids. Every build runs the same
+// tuple-to-cell pass (fill) into a backend of the selected kind,
+// sequentially (Build, BuildFused) or sharded across workers and merged
+// (BuildSharded). Both backends produce counts byte-identical to the
+// dense reference (see Snapshot), at any worker count — saturating
+// addition is associative and commutative, so no partitioning or merge
+// order can change a single bit.
 package counts
 
 import (
@@ -56,9 +54,9 @@ type Backend interface {
 	Stats() Stats
 }
 
-// Adder is the optional mutable extension of Backend, implemented by
-// backends that admit incremental tuples after the build (core.Extend).
-// The spill backend's record file is immutable, so it is not an Adder.
+// Adder is the mutable extension of Backend, through which incremental
+// tuples reach a built backend (core.Extend). Both in-tree backends
+// implement it.
 type Adder interface {
 	Backend
 	// Add records one tuple in cell (x, y) with RHS value seg.
@@ -74,9 +72,6 @@ type Stats struct {
 	OccupiedCells int
 	// MemBytes is the resident size of the backing structures.
 	MemBytes int
-	// DiskBytes is the bytes a backend keeps on disk (the spill
-	// backend's record file); zero for in-memory backends.
-	DiskBytes int64
 }
 
 // Occupied invokes fn for every cell with at least one tuple of RHS
@@ -167,7 +162,7 @@ func satAdd(c, n uint32) uint32 {
 }
 
 // accumulate adds count slab src into dst element-wise with saturation:
-// the per-cell step of sharded merges, permutes and the spill merge.
+// the per-cell step of sharded merges and permutes.
 // Copying the stored total instead of re-deriving it keeps saturated
 // cells byte-identical.
 func accumulate(dst, src []uint32) {
@@ -178,42 +173,33 @@ func accumulate(dst, src []uint32) {
 	}
 }
 
-// builder is the write side of one build. The fill pass feeds it tuples
-// through add; merges and permutes feed it whole count slabs through
-// addCell and addTuples. finish seals it into a Backend; abort discards
-// it (and any files it wrote) after a failed pass.
+// builder is the write side of one build. Both backends are their own
+// mutable builders: the fill pass feeds them tuples through AddN;
+// merges and permutes feed them whole count slabs through addCell and
+// the exact tuple total through addTuples.
 type builder interface {
-	add(x, y, seg int) error
-	addCell(x, y int, cell []uint32) error
+	Backend
+	AddN(x, y, seg int, n uint32)
+	addCell(x, y int, cell []uint32)
 	addTuples(n uint64)
-	finish() (Backend, error)
-	abort()
 }
 
-// newBuilder is the one backend-kind dispatch: every build, merge and
+// newBuilder is the one backend-kind dispatch: every build, shard and
 // permute starts from it. Auto (never passed by a resolved build) and
 // unknown kinds get the dense reference.
 func newBuilder(kind Kind, nx, ny, nseg int, opts Options) (builder, error) {
-	switch kind {
-	case Sparse:
+	if kind == Sparse {
 		s, err := NewSparse(nx, ny, nseg)
 		if err != nil {
 			return nil, err
 		}
 		return s, nil
-	case Spill:
-		b, err := newSpillBuilder(nx, ny, nseg, opts)
-		if err != nil {
-			return nil, err
-		}
-		return b, nil
-	default:
-		d, err := newDense(nx, ny, nseg, opts.budget())
-		if err != nil {
-			return nil, err
-		}
-		return d, nil
 	}
+	d, err := newDense(nx, ny, nseg, opts.budget())
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // Spec carries everything a build pass needs to map a tuple to a cell:
@@ -227,10 +213,9 @@ type Spec struct {
 
 // Build fills a count backend from one sequential pass over src.
 // Options.Kind and MemBudget pick the backend — Auto selects dense when
-// the full grid fits the budget, sparse when the expected occupied
-// cells fit, and spill-to-disk otherwise, so a grid the dense array
-// refuses under the budget still builds. The resulting counts are
-// bit-identical across every backend.
+// the full grid fits the budget and sparse otherwise, so a grid the
+// dense array refuses under the budget still builds. The resulting
+// counts are bit-identical across both backends.
 func Build(ctx context.Context, src dataset.Source, spec Spec, opts Options) (Backend, error) {
 	return BuildFused(ctx, src, spec, nil, opts)
 }
@@ -241,11 +226,7 @@ func Build(ctx context.Context, src dataset.Source, spec Spec, opts Options) (Ba
 // counted tuple in stream order (for reservoir sampling); the tuple
 // buffer may be reused, so observers that retain tuples must Clone.
 func BuildFused(ctx context.Context, src dataset.Source, spec Spec, observe func(dataset.Tuple), opts Options) (Backend, error) {
-	b, err := newFilled(ctx, src, spec, resolveKind(spec, src, opts, 1), opts, observe)
-	if err != nil {
-		return nil, err
-	}
-	return b.finish()
+	return newFilled(ctx, src, spec, resolveKind(spec, opts, 1), opts, observe)
 }
 
 // newFilled runs the fill pass into a fresh builder of the given kind.
@@ -255,7 +236,6 @@ func newFilled(ctx context.Context, src dataset.Source, spec Spec, kind Kind, op
 		return nil, err
 	}
 	if err := fill(ctx, src, spec, observe, b); err != nil {
-		b.abort()
 		return nil, err
 	}
 	return b, nil
@@ -278,9 +258,7 @@ func fill(ctx context.Context, src dataset.Source, spec Spec, observe func(datas
 		if seg < 0 || seg >= spec.NSeg {
 			return criterionError(src.Schema().At(spec.CritIdx), seg, spec.NSeg)
 		}
-		if err := b.add(cx.Bin(t[spec.XIdx]), cy.Bin(t[spec.YIdx]), seg); err != nil {
-			return err
-		}
+		b.AddN(cx.Bin(t[spec.XIdx]), cy.Bin(t[spec.YIdx]), seg, 1)
 		if observe != nil {
 			observe(t)
 		}
@@ -304,19 +282,14 @@ func criterionError(a *dataset.Attribute, seg, nseg int) error {
 // coordinates at maps it to (nil keeps them), and advances dst's tuple
 // total by src's: the one per-cell step behind sharded merges and
 // permutes.
-func transfer(dst builder, src Backend, at func(x, y int) (int, int)) error {
-	var err error
+func transfer(dst builder, src Backend, at func(x, y int) (int, int)) {
 	src.Cells(func(x, y int, cell []uint32) {
-		if err != nil {
-			return
-		}
 		if at != nil {
 			x, y = at(x, y)
 		}
-		err = dst.addCell(x, y, cell)
+		dst.addCell(x, y, cell)
 	})
 	dst.addTuples(src.N())
-	return err
 }
 
 // PermuteX returns a backend of the same kind with old x bin i at
@@ -343,17 +316,10 @@ func permute(b Backend, order []int, axis string, n int, at func(x, y int) (int,
 		}
 		seen[p] = true
 	}
-	var opts Options
-	if s, ok := b.(*SpillArray); ok {
-		opts = Options{SpillDir: s.dir, FS: s.fs} // rebuild beside the original
-	}
-	out, err := newBuilder(KindOf(b), b.NX(), b.NY(), b.NSeg(), opts)
+	out, err := newBuilder(KindOf(b), b.NX(), b.NY(), b.NSeg(), Options{})
 	if err != nil {
 		return nil, err
 	}
-	if err := transfer(out, b, at); err != nil {
-		out.abort()
-		return nil, err
-	}
-	return out.finish()
+	transfer(out, b, at)
+	return out, nil
 }

@@ -7,7 +7,7 @@ import "fmt"
 // is a grid that comfortably fits main memory (50×50×3 ≈ 30 KB; even
 // 1000×1000×16 is 68 MB), so 1 GiB only turns away grids that would
 // otherwise OOM-kill the process — and Auto answers that refusal with
-// the sparse or spill backend rather than a failure.
+// the sparse backend rather than a failure.
 const defaultMemBudget = 1 << 30
 
 // DenseArray is the paper's BinArray: a contiguous nx × ny × (nseg+1)
@@ -122,16 +122,7 @@ func (d *DenseArray) Stats() Stats {
 	return s
 }
 
-func (d *DenseArray) add(x, y, seg int) error { d.AddN(x, y, seg, 1); return nil }
-
-func (d *DenseArray) addCell(x, y int, cell []uint32) error {
-	accumulate(d.slab(x, y), cell)
-	return nil
-}
-
-func (d *DenseArray) finish() (Backend, error) { return d, nil }
-
-func (d *DenseArray) abort() {}
+func (d *DenseArray) addCell(x, y int, cell []uint32) { accumulate(d.slab(x, y), cell) }
 
 var (
 	_ Adder   = (*DenseArray)(nil)

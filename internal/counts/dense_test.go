@@ -295,9 +295,7 @@ func TestAddNSaturation(t *testing.T) {
 	s1, s2 := newDenseT(t, 2, 2, 2), newDenseT(t, 2, 2, 2)
 	s1.AddN(1, 0, 1, math.MaxUint32/2+7)
 	s2.AddN(1, 0, 1, math.MaxUint32/2+9)
-	if err := merge(s1, s2); err != nil {
-		t.Fatal(err)
-	}
+	transfer(s1, s2, nil)
 	if got := s1.Count(1, 0, 1); got != math.MaxUint32 {
 		t.Errorf("merged saturated Count = %d, want MaxUint32", got)
 	}
@@ -323,9 +321,7 @@ func TestMergeAddsCounts(t *testing.T) {
 	a.Add(2, 1, 1)
 	b.Add(0, 0, 0)
 	b.Add(0, 0, 1)
-	if err := merge(a, b); err != nil {
-		t.Fatal(err)
-	}
+	transfer(a, b, nil)
 	if got := a.Count(0, 0, 0); got != 2 {
 		t.Errorf("Count(0,0,0) = %d, want 2", got)
 	}
@@ -359,7 +355,6 @@ func TestPermuteX(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer closeBackend(out)
 		if KindOf(out) != KindOf(b) {
 			t.Errorf("%s: permuted to a %v backend", kind, KindOf(out))
 		}
@@ -388,7 +383,6 @@ func TestPermuteY(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer closeBackend(out)
 		if got := out.Count(0, 1, 0); got != 1 {
 			t.Errorf("%s: Count(0,1,0) = %d (y=0 should move to 1)", kind, got)
 		}

@@ -4,18 +4,15 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"arcs/internal/dataset"
-	"arcs/internal/vfs"
 )
 
 // Kind names a count-backend implementation. The zero value is Auto:
-// pick from the memory budget and the expected occupancy.
+// pick from the memory budget.
 type Kind int
 
 const (
-	// Auto selects dense when the full grid fits the budget, sparse when
-	// the expected occupied cells fit, and spill otherwise.
+	// Auto selects dense when the full grid fits the budget and sparse
+	// otherwise.
 	Auto Kind = iota
 	// Dense is the contiguous in-memory array — the paper's BinArray and
 	// the byte-identity reference. Fastest per tuple; memory is
@@ -24,11 +21,6 @@ const (
 	// Sparse is the hash-indexed slab for high-resolution mostly-empty
 	// grids: memory scales with occupied cells, not grid cells.
 	Sparse
-	// Spill is the external-sort on-disk backend: a bounded in-memory
-	// accumulator flushes sorted runs to disk and a final merge leaves a
-	// sorted record file served by binary search, so neither grid
-	// resolution nor dataset size is RAM-bound.
-	Spill
 )
 
 // String implements fmt.Stringer with the names ParseKind accepts.
@@ -40,8 +32,6 @@ func (k Kind) String() string {
 		return "dense"
 	case Sparse:
 		return "sparse"
-	case Spill:
-		return "spill"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -55,8 +45,6 @@ func KindOf(b Backend) Kind {
 		return Dense
 	case *SparseArray:
 		return Sparse
-	case *SpillArray:
-		return Spill
 	default:
 		return Auto
 	}
@@ -72,10 +60,8 @@ func ParseKind(s string) (Kind, error) {
 		return Dense, nil
 	case "sparse":
 		return Sparse, nil
-	case "spill", "disk":
-		return Spill, nil
 	default:
-		return Auto, fmt.Errorf("counts: unknown backend %q (want auto, dense, sparse or spill)", s)
+		return Auto, fmt.Errorf("counts: unknown backend %q (want auto, dense or sparse)", s)
 	}
 }
 
@@ -120,22 +106,15 @@ func ParseBudget(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// Options configures a count build: the backend choice and the
-// resources the choice is made against. The zero value selects Auto
-// under the 1 GiB default budget, which is dense for any grid that
-// fits.
+// Options configures a count build: the backend choice and the budget
+// the choice is made against. The zero value selects Auto under the
+// 1 GiB default budget, which is dense for any grid that fits.
 type Options struct {
-	// Kind pins a backend; Auto dispatches on MemBudget and occupancy.
+	// Kind pins a backend; Auto dispatches on MemBudget.
 	Kind Kind
 	// MemBudget is the advisory cap in bytes for in-memory count state.
 	// 0 applies the 1 GiB default; negative means unlimited.
 	MemBudget int64
-	// SpillDir is where the spill backend keeps run and record files;
-	// empty uses the OS temp directory.
-	SpillDir string
-	// FS is the filesystem the spill backend writes through; nil uses
-	// the real one. The chaos suite injects faults here.
-	FS vfs.FS
 }
 
 // budget resolves the effective budget: the default for 0, otherwise
@@ -150,29 +129,14 @@ func (o Options) budget() int64 {
 	return o.MemBudget
 }
 
-func (o Options) fs() vfs.FS {
-	if o.FS == nil {
-		return vfs.OSFS{}
-	}
-	return o.FS
-}
-
-// sparseBytesPerCell estimates the resident cost of one occupied cell
-// in the sparse backend: the count slab entry plus the hash-map entry
-// and the sorted-key cache. The map constant is deliberately generous —
-// Go map internals cost ~48 bytes per int64→int entry once load factor
-// and tophash overhead are amortized.
-func sparseBytesPerCell(nseg int) int64 {
-	return int64(nseg+1)*4 + 48 + 8
-}
-
-// resolveKind pins or auto-selects the backend for a build over src.
-// The Auto policy: dense while the full grid fits the budget (it is the
-// fastest and the reference), sparse while the expected occupied cells
-// fit, spill otherwise; an unlimited budget always picks dense. Each
-// worker of a sharded build holds private count state, so the budget
-// it selects against is the plumbed budget divided by the worker count.
-func resolveKind(spec Spec, src dataset.Source, opts Options, workers int) Kind {
+// resolveKind pins or auto-selects the backend for a build. The Auto
+// policy: dense while the full grid fits the budget (it is the fastest
+// and the reference), sparse otherwise; an unlimited budget always
+// picks dense. The budget never refuses sparse, whose memory follows
+// the occupied cells, so every grid builds. Each worker of a sharded
+// build holds private count state, so the budget it selects against is
+// the plumbed budget divided by the worker count.
+func resolveKind(spec Spec, opts Options, workers int) Kind {
 	budget := opts.budget()
 	switch {
 	case opts.Kind != Auto:
@@ -182,23 +146,9 @@ func resolveKind(spec Spec, src dataset.Source, opts Options, workers int) Kind 
 	case workers > 1:
 		budget = max(budget/int64(workers), 1)
 	}
-	nx, ny := spec.XBinner.NumBins(), spec.YBinner.NumBins()
-	denseBytes, err := memNeeded(nx, ny, spec.NSeg)
-	if err == nil && denseBytes <= budget {
+	need, err := memNeeded(spec.XBinner.NumBins(), spec.YBinner.NumBins(), spec.NSeg)
+	if err == nil && need <= budget {
 		return Dense
 	}
-	// Expected occupancy: every tuple could land in its own cell, but
-	// never more cells than the grid has or tuples exist.
-	cells := uint64(nx) * uint64(ny)
-	occ := int64(-1)
-	if cells <= uint64(1<<62) {
-		occ = int64(cells)
-	}
-	if ss, ok := src.(dataset.SizedSource); ok && (occ < 0 || int64(ss.Len()) < occ) {
-		occ = int64(ss.Len())
-	}
-	if occ >= 0 && occ <= budget/sparseBytesPerCell(spec.NSeg) {
-		return Sparse
-	}
-	return Spill
+	return Sparse
 }

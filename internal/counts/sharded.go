@@ -8,22 +8,22 @@ import (
 )
 
 // BuildSharded is the parallel build strategy: it cuts src into up to
-// workers disjoint range shards, fills a private builder per shard
+// workers disjoint range shards, fills a private backend per shard
 // concurrently with no shared mutation, merges the shards in shard
-// order and returns the merged plain backend together with the worker
-// count it used (workers clamped to the source size). Because count
-// merging is saturating addition — associative and commutative — the
-// result is byte-identical to a sequential Build whichever backend
-// kind the workers filled. The kind follows the same Options policy as
-// Build, except that Auto selects against each worker's share of the
-// budget. A canceled context aborts every worker and returns the
-// cancellation error.
+// order and returns the merged backend together with the worker count
+// it used (workers clamped to the source size). Because count merging
+// is saturating addition — associative and commutative — the result is
+// byte-identical to a sequential Build whichever backend kind the
+// workers filled. The kind follows the same Options policy as Build,
+// except that Auto selects against each worker's share of the budget.
+// A canceled context stops every worker and returns the cancellation
+// error.
 func BuildSharded(ctx context.Context, src dataset.Sharder, workers int, spec Spec, opts Options) (Backend, int, error) {
 	shards, workers, err := makeShards(src, workers)
 	if err != nil {
 		return nil, 0, err
 	}
-	kind := resolveKind(spec, src, opts, workers)
+	kind := resolveKind(spec, opts, workers)
 	parts := make([]builder, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -35,32 +35,17 @@ func BuildSharded(ctx context.Context, src dataset.Sharder, workers int, spec Sp
 		}(i)
 	}
 	wg.Wait()
-	abortAll := func() {
-		for _, p := range parts {
-			if p != nil {
-				p.abort()
-			}
-		}
-	}
 	// First error by shard index, so the reported failure is
 	// deterministic when several shards hit the same bad data.
 	for _, err := range errs {
 		if err != nil {
-			abortAll()
 			return nil, 0, err
 		}
 	}
 	for _, p := range parts[1:] {
-		if err := merge(parts[0], p); err != nil {
-			abortAll()
-			return nil, 0, err
-		}
+		transfer(parts[0], p, nil)
 	}
-	b, err := parts[0].finish()
-	if err != nil {
-		return nil, 0, err
-	}
-	return b, workers, nil
+	return parts[0], workers, nil
 }
 
 // makeShards clamps the worker count to the source size and cuts src
@@ -79,15 +64,4 @@ func makeShards(src dataset.Sharder, workers int) ([]dataset.Source, int, error)
 		shards[i] = sh
 	}
 	return shards, workers, nil
-}
-
-// merge folds shard src into dst (both of one kind). Spill builders
-// adopt each other's sorted runs and leave the combining to the final
-// external merge; in-memory builders are backends already and transfer
-// cell by cell.
-func merge(dst, src builder) error {
-	if d, ok := dst.(*spillBuilder); ok {
-		return d.adopt(src.(*spillBuilder))
-	}
-	return transfer(dst, src.(Backend), nil)
 }

@@ -15,9 +15,9 @@ var snapMagic = []byte("ARCSBA1\n")
 // empty cells as zeros. Equal counts give equal bytes whatever backend
 // built them, which is what makes cross-backend equivalence cheap to
 // prove: the tests compare snapshots, not cells. The dense array writes
-// its memory as is; the other backends stream their occupied cells into
-// the gaps, so even a spill-backed grid snapshots without materializing
-// densely in memory.
+// its memory as is; the sparse backend streams its occupied cells into
+// the gaps, so even a high-resolution grid snapshots without
+// materializing densely in memory.
 func Snapshot(b Backend, w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(snapMagic); err != nil {

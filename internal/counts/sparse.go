@@ -115,16 +115,7 @@ func (s *SparseArray) Stats() Stats {
 	}
 }
 
-func (s *SparseArray) add(x, y, seg int) error { s.AddN(x, y, seg, 1); return nil }
-
-func (s *SparseArray) addCell(x, y int, cell []uint32) error {
-	accumulate(s.slot(x, y), cell)
-	return nil
-}
-
-func (s *SparseArray) finish() (Backend, error) { return s, nil }
-
-func (s *SparseArray) abort() {}
+func (s *SparseArray) addCell(x, y int, cell []uint32) { accumulate(s.slot(x, y), cell) }
 
 var (
 	_ Adder   = (*SparseArray)(nil)

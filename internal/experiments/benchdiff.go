@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"arcs/internal/obs"
 )
@@ -37,14 +36,7 @@ const (
 // reported Growth is the fractional drop (old−new)/old, so positive
 // growth always means worse, matching the other kinds.
 func DiffBenchRecords(oldRec, newRec BenchRecord, opts obs.DiffOptions) []obs.Regression {
-	tol := opts.Tolerance
-	if tol == 0 {
-		tol = 0.2
-	}
-	minPhase := opts.MinPhase
-	if minPhase == 0 {
-		minPhase = 5 * time.Millisecond
-	}
+	tol, minPhase := opts.Tolerance, opts.MinPhase.Seconds()
 	var out []obs.Regression
 
 	oldPhases := make(map[string]float64, len(oldRec.Phases))
@@ -56,7 +48,7 @@ func DiffBenchRecords(oldRec, newRec BenchRecord, opts obs.DiffOptions) []obs.Re
 		if !ok {
 			continue
 		}
-		if old < minPhase.Seconds() && p.Seconds < minPhase.Seconds() {
+		if old < minPhase && p.Seconds < minPhase {
 			continue
 		}
 		if old <= 0 {

@@ -27,7 +27,7 @@ func TestDiffBenchRecordsPhases(t *testing.T) {
 		core.PhaseTiming{Name: "tiny", Seconds: 0.004},                   // below noise floor both sides
 		core.PhaseTiming{Name: "new-only", Seconds: 5.0},                 // unmatched — skipped
 	)
-	regs := DiffBenchRecords(oldRec, newRec, obs.DiffOptions{})
+	regs := DiffBenchRecords(oldRec, newRec, obs.DefaultDiffOptions)
 	if len(regs) != 1 {
 		t.Fatalf("regressions = %+v, want exactly the dense phase", regs)
 	}
@@ -45,7 +45,7 @@ func TestDiffBenchRecordsPhases(t *testing.T) {
 func TestDiffBenchRecordsCrossoverLost(t *testing.T) {
 	oldRec := phaseRec(2_000_000)
 	newRec := phaseRec(0)
-	regs := DiffBenchRecords(oldRec, newRec, obs.DiffOptions{})
+	regs := DiffBenchRecords(oldRec, newRec, obs.DefaultDiffOptions)
 	if len(regs) != 1 || regs[0].Kind != "xover" {
 		t.Fatalf("regressions = %+v, want one xover", regs)
 	}
@@ -55,14 +55,14 @@ func TestDiffBenchRecordsCrossoverLost(t *testing.T) {
 // larger size beyond tolerance regresses; within tolerance it does not.
 func TestDiffBenchRecordsCrossoverMoved(t *testing.T) {
 	oldRec := phaseRec(2_000_000)
-	if regs := DiffBenchRecords(oldRec, phaseRec(5_000_000), obs.DiffOptions{}); len(regs) != 1 || regs[0].Kind != "xover" {
+	if regs := DiffBenchRecords(oldRec, phaseRec(5_000_000), obs.DefaultDiffOptions); len(regs) != 1 || regs[0].Kind != "xover" {
 		t.Fatalf("2M→5M regressions = %+v, want one xover", regs)
 	}
-	if regs := DiffBenchRecords(oldRec, phaseRec(2_000_000), obs.DiffOptions{}); len(regs) != 0 {
+	if regs := DiffBenchRecords(oldRec, phaseRec(2_000_000), obs.DefaultDiffOptions); len(regs) != 0 {
 		t.Fatalf("2M→2M regressions = %+v, want none", regs)
 	}
 	// A run that gains a crossover the old record lacked never regresses.
-	if regs := DiffBenchRecords(phaseRec(0), phaseRec(2_000_000), obs.DiffOptions{}); len(regs) != 0 {
+	if regs := DiffBenchRecords(phaseRec(0), phaseRec(2_000_000), obs.DefaultDiffOptions); len(regs) != 0 {
 		t.Fatalf("0→2M regressions = %+v, want none", regs)
 	}
 }
@@ -87,7 +87,7 @@ func TestDiffBenchRecordsQualityError(t *testing.T) {
 		QualityRow{Function: 9, ErrorPct: 64.0}, // +4pts but only +6.7% — within tolerance
 		QualityRow{Function: 5, ErrorPct: 50.0}, // unmatched — skipped
 	)
-	regs := DiffBenchRecords(oldRec, newRec, obs.DiffOptions{})
+	regs := DiffBenchRecords(oldRec, newRec, obs.DefaultDiffOptions)
 	if len(regs) != 1 {
 		t.Fatalf("regressions = %+v, want exactly f1", regs)
 	}
@@ -113,7 +113,7 @@ func TestDiffBenchRecordsQualityIoU(t *testing.T) {
 		QualityRow{Function: 2, HasRecovery: true, RecoveryIoU: 0.88}, // −0.02 — noise
 		QualityRow{Function: 4, HasRecovery: true, RecoveryIoU: 0.50}, // old had none — skipped
 	)
-	regs := DiffBenchRecords(oldRec, newRec, obs.DiffOptions{})
+	regs := DiffBenchRecords(oldRec, newRec, obs.DefaultDiffOptions)
 	if len(regs) != 1 {
 		t.Fatalf("regressions = %+v, want exactly f1", regs)
 	}

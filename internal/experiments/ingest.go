@@ -143,16 +143,15 @@ func IngestStreamSpec(n, bins int) (*dataset.FuncSource, counts.Spec, error) {
 }
 
 // IngestBench measures the counting pass at each workload size: the
-// sequential dense build, then each alternative backend (sparse,
-// spill) sequentially, then the sharded dense build at each worker
-// count — verifying byte-identity of every variant's snapshot against
-// the dense baseline and locating the dense-vs-sharded crossover
-// across sizes. Tuples are streamed (IngestStreamSpec), so memory
-// stays constant no matter the size. A canceled context stops between
+// sequential dense build, then the sequential sparse build, then the
+// sharded dense build at each worker count — verifying byte-identity
+// of every variant's snapshot against the dense baseline and locating
+// the dense-vs-sharded crossover across sizes. Tuples are streamed
+// (IngestStreamSpec), so memory stays constant no matter the size. A canceled context stops between
 // measurements and returns the completed rows as a partial report
 // alongside the cancellation error, so long runs degrade to a usable
 // partial trajectory append.
-func IngestBench(ctx context.Context, sizes []int, bins int, workerCounts []int, backends []counts.Kind) (*IngestReport, error) {
+func IngestBench(ctx context.Context, sizes []int, bins int, workerCounts []int) (*IngestReport, error) {
 	report := &IngestReport{Experiment: "ingest", Identical: true}
 	snapshot := func(b counts.Backend) ([]byte, error) {
 		var buf bytes.Buffer
@@ -193,42 +192,34 @@ func IngestBench(ctx context.Context, sizes []int, bins int, workerCounts []int,
 				TuplesPerS: float64(n) / denseSecs, SpeedupVsDense: 1,
 			}},
 		}
-		// The backend dimension: the same pass through each alternative
+		// The backend dimension: the same pass through the sparse
 		// substrate, sequential so the comparison isolates the backend's
 		// per-tuple cost from sharding effects.
-		for _, kind := range backends {
-			if kind == counts.Dense || kind == counts.Auto {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return finishPartial(err)
-			}
-			start := time.Now()
-			alt, err := counts.Build(ctx, src, spec, counts.Options{Kind: kind, MemBudget: -1})
-			if err != nil {
-				if ctx.Err() != nil {
-					return finishPartial(ctx.Err())
-				}
-				return nil, err
-			}
-			secs := time.Since(start).Seconds()
-			got, err := snapshot(alt)
-			if err != nil {
-				return nil, err
-			}
-			if c, ok := alt.(interface{ Close() error }); ok {
-				_ = c.Close() // spill backend: release fd + disk promptly
-			}
-			if !bytes.Equal(got, ref) {
-				row.Identical = false
-				report.Identical = false
-			}
-			row.Variants = append(row.Variants, IngestVariant{
-				Name: kind.String(), Workers: 1, Seconds: secs,
-				TuplesPerS:     float64(n) / secs,
-				SpeedupVsDense: denseSecs / secs,
-			})
+		if err := ctx.Err(); err != nil {
+			return finishPartial(err)
 		}
+		start = time.Now()
+		sparse, err := counts.Build(ctx, src, spec, counts.Options{Kind: counts.Sparse})
+		if err != nil {
+			if ctx.Err() != nil {
+				return finishPartial(ctx.Err())
+			}
+			return nil, err
+		}
+		secs := time.Since(start).Seconds()
+		got, err := snapshot(sparse)
+		if err != nil {
+			return nil, err
+		}
+		if !bytes.Equal(got, ref) {
+			row.Identical = false
+			report.Identical = false
+		}
+		row.Variants = append(row.Variants, IngestVariant{
+			Name: "sparse", Workers: 1, Seconds: secs,
+			TuplesPerS:     float64(n) / secs,
+			SpeedupVsDense: denseSecs / secs,
+		})
 		for _, w := range workerCounts {
 			if err := ctx.Err(); err != nil {
 				return finishPartial(err)

@@ -5,16 +5,13 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"arcs/internal/counts"
 )
 
 // TestIngestBenchSmall: a small multi-size run produces one row per
-// size with the dense baseline, one variant per swept backend, and one
-// variant per worker count — all byte-identical, with sane throughputs.
+// size with the dense baseline, the sparse variant, and one variant per
+// worker count — all byte-identical, with sane throughputs.
 func TestIngestBenchSmall(t *testing.T) {
-	r, err := IngestBench(context.Background(), []int{10_000, 20_000}, 30, []int{2, 4},
-		[]counts.Kind{counts.Sparse, counts.Spill})
+	r, err := IngestBench(context.Background(), []int{10_000, 20_000}, 30, []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,10 +24,10 @@ func TestIngestBenchSmall(t *testing.T) {
 	if len(r.Sizes) != 2 {
 		t.Fatalf("%d size rows, want 2", len(r.Sizes))
 	}
-	want := []string{"dense", "sparse", "spill", "sharded-2", "sharded-4"}
+	want := []string{"dense", "sparse", "sharded-2", "sharded-4"}
 	for _, row := range r.Sizes {
 		if len(row.Variants) != len(want) {
-			t.Fatalf("size %d: %d variants, want %d (dense + 2 backends + 2 sharded)",
+			t.Fatalf("size %d: %d variants, want %d (dense + sparse + 2 sharded)",
 				row.Tuples, len(row.Variants), len(want))
 		}
 		for i, v := range row.Variants {
@@ -57,7 +54,7 @@ func TestIngestBenchSmall(t *testing.T) {
 func TestIngestBenchCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := IngestBench(ctx, []int{10_000}, 30, []int{2}, nil)
+	r, err := IngestBench(ctx, []int{10_000}, 30, []int{2})
 	if err == nil {
 		t.Fatal("canceled bench returned nil error")
 	}

@@ -27,11 +27,10 @@ type FSSchedule struct {
 	// FailRenameAt makes the nth Rename call fail with ENOSPC, leaving
 	// the temp file in place like a crash between write and commit.
 	FailRenameAt int
-	// FailReadAt makes the nth read call (ReadFile or ReaderAt.ReadAt —
-	// the counter is shared) fail with EIO.
+	// FailReadAt makes the nth ReadFile call fail with EIO.
 	FailReadAt int
-	// ShortReadAt makes the nth read call return only the first half of
-	// the requested bytes — a truncated read with no error, the hardest
+	// ShortReadAt makes the nth ReadFile call return only the first half
+	// of the file — a truncated read with no error, the hardest
 	// corruption to catch without length validation.
 	ShortReadAt int
 }
@@ -77,24 +76,6 @@ func (f *FaultFS) Stats() FSStats {
 	return f.stats
 }
 
-// nextRead advances the shared read counter and reports whether this
-// read should fail or come back short.
-func (f *FaultFS) nextRead() (fail, short bool) {
-	f.mu.Lock()
-	f.reads++
-	n := f.reads
-	fail = f.sch.FailReadAt > 0 && n == f.sch.FailReadAt
-	short = f.sch.ShortReadAt > 0 && n == f.sch.ShortReadAt
-	if fail {
-		f.stats.ReadFails++
-	}
-	if short {
-		f.stats.ShortReads++
-	}
-	f.mu.Unlock()
-	return fail, short
-}
-
 // MkdirAll implements vfs.FS.
 func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error {
 	return f.inner.MkdirAll(path, perm)
@@ -105,7 +86,17 @@ func (f *FaultFS) ReadDir(dir string) ([]fs.DirEntry, error) { return f.inner.Re
 
 // ReadFile implements vfs.FS with read faults applied.
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
-	fail, short := f.nextRead()
+	f.mu.Lock()
+	f.reads++
+	fail := f.sch.FailReadAt > 0 && f.reads == f.sch.FailReadAt
+	short := f.sch.ShortReadAt > 0 && f.reads == f.sch.ShortReadAt
+	if fail {
+		f.stats.ReadFails++
+	}
+	if short {
+		f.stats.ShortReads++
+	}
+	f.mu.Unlock()
 	if fail {
 		return nil, fmt.Errorf("faultinject: read %s: %w", name, syscall.EIO)
 	}
@@ -137,21 +128,6 @@ func (f *FaultFS) Open(name string) (vfs.File, error) {
 		return nil, err
 	}
 	return &faultFile{fs: f, inner: file}, nil
-}
-
-// OpenReaderAt implements vfs.ReaderAtOpener: positioned reads share
-// the ReadFile fault counter, so one schedule addresses the whole read
-// side. An inner FS without the extension reports a plain error.
-func (f *FaultFS) OpenReaderAt(name string) (vfs.ReaderAtFile, error) {
-	op, ok := f.inner.(vfs.ReaderAtOpener)
-	if !ok {
-		return nil, fmt.Errorf("faultinject: inner FS %T does not support positioned reads", f.inner)
-	}
-	r, err := op.OpenReaderAt(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultReaderAt{fs: f, inner: r}, nil
 }
 
 // Rename implements vfs.FS with rename faults applied.
@@ -219,32 +195,3 @@ func (f *faultFile) Sync() error {
 
 // Close implements vfs.File.
 func (f *faultFile) Close() error { return f.inner.Close() }
-
-// faultReaderAt applies the read schedule to one positioned reader.
-type faultReaderAt struct {
-	fs    *FaultFS
-	inner vfs.ReaderAtFile
-}
-
-// ReadAt implements io.ReaderAt with EIO and silent-short-read faults.
-func (r *faultReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	fail, short := r.fs.nextRead()
-	if fail {
-		return 0, fmt.Errorf("faultinject: read at %d: %w", off, syscall.EIO)
-	}
-	if short {
-		n, err := r.inner.ReadAt(p[:len(p)/2], off)
-		if err != nil {
-			return n, err
-		}
-		// A short positioned read must surface as io.EOF-style truncation
-		// from the caller's perspective — report success for fewer bytes.
-		return n, nil
-	}
-	return r.inner.ReadAt(p, off)
-}
-
-// Close implements io.Closer.
-func (r *faultReaderAt) Close() error { return r.inner.Close() }
-
-var _ vfs.ReaderAtOpener = (*FaultFS)(nil)

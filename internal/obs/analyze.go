@@ -230,32 +230,24 @@ func formatDur(d time.Duration) string {
 	}
 }
 
-// DiffOptions configures a trace comparison.
+// DiffOptions configures a trace comparison. Every field is used as
+// given, so a zero tolerance or floor gates on any growth; start from
+// DefaultDiffOptions to change one knob.
 type DiffOptions struct {
 	// Tolerance is the fractional growth allowed before a phase time or
-	// counter counts as regressed (0.2 = 20%). Zero means 0.2.
+	// counter counts as regressed (0.2 = 20%).
 	Tolerance float64
 	// MinPhase is the noise floor for phase-time comparisons: phases
-	// whose total stayed under it in both traces are skipped. Zero
-	// means 5ms.
+	// whose total stayed under it in both traces are skipped.
 	MinPhase time.Duration
 	// MinCount is the noise floor for counter comparisons: counters
-	// under it in both traces are skipped. Zero means 16.
+	// under it in both traces are skipped.
 	MinCount float64
 }
 
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.Tolerance == 0 {
-		o.Tolerance = 0.2
-	}
-	if o.MinPhase == 0 {
-		o.MinPhase = 5 * time.Millisecond
-	}
-	if o.MinCount == 0 {
-		o.MinCount = 16
-	}
-	return o
-}
+// DefaultDiffOptions is the perf gate's default comparison: 20% growth
+// allowed, phases under 5ms and counters under 16 skipped as noise.
+var DefaultDiffOptions = DiffOptions{Tolerance: 0.2, MinPhase: 5 * time.Millisecond, MinCount: 16}
 
 // Regression is one metric that grew beyond the tolerance between two
 // traces.
@@ -290,7 +282,6 @@ func (r Regression) String() string {
 // are ignored: the gate compares like with like, and structural changes
 // surface through review, not the perf smoke.
 func DiffTraces(oldT, newT *Trace, opts DiffOptions) []Regression {
-	opts = opts.withDefaults()
 	var out []Regression
 
 	oldPhases := flattenPhases(oldT.PhaseTree())

@@ -121,7 +121,7 @@ func synthTrace(runDur time.Duration, counters map[string]float64) *Trace {
 func TestObsDiffTracesFlagsRegressions(t *testing.T) {
 	oldT := synthTrace(100*time.Millisecond, map[string]float64{"and_ops": 1000})
 	newT := synthTrace(150*time.Millisecond, map[string]float64{"and_ops": 1300})
-	regs := DiffTraces(oldT, newT, DiffOptions{Tolerance: 0.2})
+	regs := DiffTraces(oldT, newT, DefaultDiffOptions)
 	if len(regs) != 2 {
 		t.Fatalf("want 2 regressions (phase + counter), got %+v", regs)
 	}
@@ -140,11 +140,15 @@ func TestObsDiffTracesFlagsRegressions(t *testing.T) {
 func TestObsDiffTracesRespectsTolerance(t *testing.T) {
 	oldT := synthTrace(100*time.Millisecond, map[string]float64{"and_ops": 1000})
 	newT := synthTrace(115*time.Millisecond, map[string]float64{"and_ops": 1100})
-	if regs := DiffTraces(oldT, newT, DiffOptions{Tolerance: 0.2}); len(regs) != 0 {
+	if regs := DiffTraces(oldT, newT, DefaultDiffOptions); len(regs) != 0 {
 		t.Fatalf("15%% and 10%% growth within 20%% tolerance, got %+v", regs)
 	}
-	if regs := DiffTraces(oldT, newT, DiffOptions{Tolerance: 0.05}); len(regs) != 2 {
-		t.Fatalf("both should regress at 5%% tolerance, got %+v", regs)
+	for _, tol := range []float64{0.05, 0} {
+		opts := DefaultDiffOptions
+		opts.Tolerance = tol
+		if regs := DiffTraces(oldT, newT, opts); len(regs) != 2 {
+			t.Fatalf("both should regress at %g tolerance, got %+v", tol, regs)
+		}
 	}
 }
 
@@ -153,12 +157,12 @@ func TestObsDiffTracesNoiseFloors(t *testing.T) {
 	// even at 3x growth. Same for counters under MinCount.
 	oldT := synthTrace(1*time.Millisecond, map[string]float64{"rare": 2})
 	newT := synthTrace(3*time.Millisecond, map[string]float64{"rare": 6})
-	if regs := DiffTraces(oldT, newT, DiffOptions{}); len(regs) != 0 {
+	if regs := DiffTraces(oldT, newT, DefaultDiffOptions); len(regs) != 0 {
 		t.Fatalf("sub-floor values should be ignored, got %+v", regs)
 	}
 	// A phase only in the new trace is structural, not a regression.
 	newT.Events = append(newT.Events, Event{Type: EventSpan, Name: "extra", ID: 9, Duration: time.Second})
-	if regs := DiffTraces(oldT, newT, DiffOptions{}); len(regs) != 0 {
+	if regs := DiffTraces(oldT, newT, DefaultDiffOptions); len(regs) != 0 {
 		t.Fatalf("new-only phases should be ignored, got %+v", regs)
 	}
 }

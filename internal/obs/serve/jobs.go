@@ -71,8 +71,8 @@ type JobSpec struct {
 	// bytes with an optional K/M/G/T suffix, or "off" for unlimited.
 	// Empty inherits the daemon default (-mem-budget flag).
 	MemBudget string `json:"mem_budget,omitempty"`
-	// CountsBackend pins a count backend for this run: auto, dense,
-	// sparse or spill. Empty inherits the daemon default
+	// CountsBackend pins a count backend for this run: auto, dense or
+	// sparse. Empty inherits the daemon default
 	// (-counts-backend flag). The selected backend and its footprint
 	// come back in each result's "counts" block.
 	CountsBackend string `json:"counts_backend,omitempty"`
@@ -172,7 +172,6 @@ func (j *JobSpec) validate(csvRoot string) error {
 type countsDefaults struct {
 	memBudget int64
 	backend   string
-	spillDir  string
 }
 
 // coreConfig maps the spec onto a core.Config for the given run ID and
@@ -198,7 +197,6 @@ func (j *JobSpec) coreConfig(runID string, observer *obs.Observer, def countsDef
 		IngestWorkers:      j.IngestWorkers,
 		MemBudget:          memBudget,
 		CountsBackend:      backend,
-		SpillDir:           def.spillDir,
 		Walk:               optimizer.ThresholdWalk{},
 		RunID:              runID,
 		Observer:           observer,
@@ -421,7 +419,7 @@ func (s *Server) execute(ctx context.Context, r *Run, observer *obs.Observer) {
 			defer cleanup()
 		}
 		sys, err := core.NewContext(ctx, src, spec.coreConfig(r.ID, observer,
-			countsDefaults{memBudget: s.defMemBudget, backend: s.defBackend, spillDir: s.spillDir}))
+			countsDefaults{memBudget: s.defMemBudget, backend: s.defBackend}))
 		if err != nil {
 			runErr = err
 			return

@@ -72,13 +72,9 @@ type Options struct {
 	// package default, negative means unlimited; see core.Config).
 	MemBudget int64
 	// CountsBackend is the daemon-wide default count backend ("auto",
-	// "dense", "sparse", "spill") for runs whose spec does not set
+	// "dense", "sparse") for runs whose spec does not set
 	// counts_backend.
 	CountsBackend string
-	// SpillDir is where spill-backend runs keep their on-disk state;
-	// empty uses the OS temp directory. Deliberately not exposed per
-	// job: the spec would otherwise name arbitrary server paths.
-	SpillDir string
 }
 
 // Server is the arcsd HTTP surface. Construct with New, mount
@@ -98,7 +94,6 @@ type Server struct {
 	// not choose their own (see JobSpec.coreConfig).
 	defMemBudget int64
 	defBackend   string
-	spillDir     string
 
 	ready atomic.Bool
 
@@ -187,7 +182,6 @@ func New(opts Options) *Server {
 
 		defMemBudget: opts.MemBudget,
 		defBackend:   opts.CountsBackend,
-		spillDir:     opts.SpillDir,
 
 		mRunsStarted:  opts.Registry.Counter("serve_runs_started_total"),
 		mRunsDegraded: opts.Registry.Counter("serve_runs_degraded_total"),

@@ -322,24 +322,32 @@ func TestObsServeBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{CSVRoot: t.TempDir()})
 	cases := []struct {
 		name, body string
+		cause      string // when set, the response must name it
 	}{
-		{"no source", `{"x":"age","y":"salary","crit":"group"}`},
-		{"both sources", `{"csv":{"path":"a.csv"},"synth":{"function":1,"n":10},"x":"a","y":"b","crit":"c"}`},
-		{"missing attrs", `{"synth":{"function":1,"n":10}}`},
-		{"bad function", `{"synth":{"function":11,"n":10},"x":"a","y":"b","crit":"c"}`},
-		{"bad search", `{"synth":{"function":1,"n":10},"x":"a","y":"b","crit":"c","search":"magic"}`},
-		{"unknown field", `{"synth":{"function":1,"n":10},"x":"a","y":"b","crit":"c","bogus":1}`},
-		{"csv escape", `{"csv":{"path":"../../etc/passwd"},"x":"a","y":"b","crit":"c"}`},
-		{"not json", `hello`},
+		{"no source", `{"x":"age","y":"salary","crit":"group"}`, ""},
+		{"both sources", `{"csv":{"path":"a.csv"},"synth":{"function":1,"n":10},"x":"a","y":"b","crit":"c"}`, ""},
+		{"missing attrs", `{"synth":{"function":1,"n":10}}`, ""},
+		{"bad function", `{"synth":{"function":11,"n":10},"x":"a","y":"b","crit":"c"}`, ""},
+		{"bad search", `{"synth":{"function":1,"n":10},"x":"a","y":"b","crit":"c","search":"magic"}`, ""},
+		{"unknown field", `{"synth":{"function":1,"n":10},"x":"a","y":"b","crit":"c","bogus":1}`, ""},
+		{"csv escape", `{"csv":{"path":"../../etc/passwd"},"x":"a","y":"b","crit":"c"}`, ""},
+		{"not json", `hello`, ""},
+		{"spill backend", `{"synth":{"function":1,"n":10},"x":"a","y":"b","crit":"c","counts_backend":"spill"}`,
+			`counts_backend: counts: unknown backend "spill" (want auto, dense or sparse)`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		if !strings.Contains(body.String(), tc.cause) {
+			t.Errorf("%s: response %q does not name %s", tc.name, body.String(), tc.cause)
 		}
 	}
 }

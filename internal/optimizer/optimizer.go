@@ -154,8 +154,14 @@ type Best struct {
 	Trace    []Step
 }
 
-// ErrNoThresholds is returned when the data admits no rules at all.
-var ErrNoThresholds = errors.New("optimizer: no candidate thresholds (no occupied cells)")
+// ErrNoThresholds is returned when a search finds no threshold pair
+// that yields rules: the data admits no support or confidence levels,
+// or every probed pair clustered to zero rules.
+var ErrNoThresholds = errors.New("optimizer: no candidate thresholds")
+
+// errNoLevels is ErrNoThresholds for data that admits no support or
+// confidence levels at all: an empty grid.
+var errNoLevels = fmt.Errorf("%w (no occupied cells)", ErrNoThresholds)
 
 // Strategy is a search procedure over the objective.
 type Strategy interface {
@@ -176,12 +182,19 @@ type ContextStrategy interface {
 // when every recorded probe failed, the error says so (wrapping
 // ErrProbeFailed) instead of claiming the data admits no rules —
 // otherwise callers that tolerate ErrNoThresholds (SegmentAll's
-// empty-group handling) would silently swallow a crashed search.
+// empty-group handling) would silently swallow a crashed search. A
+// search that measured nothing found no level to probe; one that did
+// saw every pair cluster to zero rules, and the error counts them
+// rather than blaming the grid.
 func noBest(best Best) error {
-	if best.Failures > 0 && best.Failures == best.Evaluations {
+	measured := best.Evaluations - best.Failures
+	switch {
+	case best.Failures > 0 && measured == 0:
 		return fmt.Errorf("optimizer: all %d probes failed: %w", best.Failures, ErrProbeFailed)
+	case measured == 0:
+		return errNoLevels
 	}
-	return ErrNoThresholds
+	return fmt.Errorf("%w: all %d probed threshold pairs yielded zero rules", ErrNoThresholds, measured)
 }
 
 // probeErr handles one failed probe. Isolated failures (ErrProbeFailed)
@@ -276,7 +289,7 @@ func (w ThresholdWalk) OptimizeContext(ctx context.Context, obj Objective) (Best
 	}
 	supports := subsample(allSupports, w.MaxSupportLevels)
 	if len(supports) == 0 {
-		return Best{}, ErrNoThresholds
+		return Best{}, errNoLevels
 	}
 	var deadline time.Time
 	if w.TimeBudget > 0 {
@@ -425,7 +438,7 @@ func (a Anneal) OptimizeContext(ctx context.Context, obj Objective) (Best, error
 		return Best{}, fmt.Errorf("optimizer: support levels: %w", err)
 	}
 	if len(supports) == 0 {
-		return Best{}, ErrNoThresholds
+		return Best{}, errNoLevels
 	}
 	rng := rand.New(rand.NewSource(a.Seed))
 	best := Best{Cost: math.Inf(1)}
@@ -464,7 +477,7 @@ func (a Anneal) OptimizeContext(ctx context.Context, obj Objective) (Best, error
 		return Best{}, fmt.Errorf("optimizer: confidence levels at %g: %w", supports[si], err)
 	}
 	if len(confs) == 0 {
-		return Best{}, ErrNoThresholds
+		return Best{}, errNoLevels
 	}
 	conf := confs[len(confs)/2]
 	cur, ok, err := eval(si, conf)
@@ -548,14 +561,14 @@ func (f Factorial) OptimizeContext(ctx context.Context, obj Objective) (Best, er
 		return Best{}, fmt.Errorf("optimizer: support levels: %w", err)
 	}
 	if len(supports) == 0 {
-		return Best{}, ErrNoThresholds
+		return Best{}, errNoLevels
 	}
 	confsAll, err := obj.ConfidenceLevels(supports[0])
 	if err != nil {
 		return Best{}, fmt.Errorf("optimizer: confidence levels at %g: %w", supports[0], err)
 	}
 	if len(confsAll) == 0 {
-		return Best{}, ErrNoThresholds
+		return Best{}, errNoLevels
 	}
 	supLo, supHi := supports[0], supports[len(supports)-1]
 	confLo, confHi := confsAll[0], confsAll[len(confsAll)-1]

@@ -2,7 +2,9 @@ package optimizer
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -160,6 +162,47 @@ func TestFactorialConverges(t *testing.T) {
 func TestFactorialEmpty(t *testing.T) {
 	if _, err := (Factorial{}).Optimize(&quadObjective{}); !errors.Is(err, ErrNoThresholds) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// noRulesObjective has support and confidence levels, but every
+// threshold pair clusters to zero rules.
+type noRulesObjective struct{ quadObjective }
+
+func (z *noRulesObjective) Evaluate(sup, conf float64) (float64, int, error) {
+	z.evals++
+	return 10, 0, nil
+}
+
+// TestNoBestZeroRules: a search whose every probe yields zero rules
+// reports ErrNoThresholds with the probe count, not an empty grid.
+func TestNoBestZeroRules(t *testing.T) {
+	for _, s := range []Strategy{ThresholdWalk{}, Anneal{Seed: 1}, Factorial{}} {
+		z := &noRulesObjective{*newQuad()}
+		_, err := s.Optimize(z)
+		if !errors.Is(err, ErrNoThresholds) {
+			t.Fatalf("%T: err = %v, want ErrNoThresholds", s, err)
+		}
+		want := fmt.Sprintf("all %d probed threshold pairs yielded zero rules", z.evals)
+		if msg := err.Error(); !strings.Contains(msg, want) || strings.Contains(msg, "no occupied cells") {
+			t.Errorf("%T: err = %q, want it to say %q and not blame the grid", s, msg, want)
+		}
+	}
+}
+
+// TestNoBestNoLevels: with no support or confidence levels at all, the
+// error names the empty grid.
+func TestNoBestNoLevels(t *testing.T) {
+	noConfs := newQuad()
+	noConfs.confs = nil
+	for _, s := range []Strategy{ThresholdWalk{}, Anneal{Seed: 1}, Factorial{}} {
+		for _, obj := range []*quadObjective{{}, noConfs} {
+			_, err := s.Optimize(obj)
+			if !errors.Is(err, ErrNoThresholds) || !strings.Contains(err.Error(), "no occupied cells") {
+				t.Errorf("%T with %d support and %d confidence levels: err = %v, want ErrNoThresholds naming no occupied cells",
+					s, len(obj.supports), len(obj.confs), err)
+			}
+		}
 	}
 }
 

@@ -67,9 +67,9 @@ type jsonResult struct {
 	FalseNegatives int        `json:"false_negatives"`
 	SampleSize     int        `json:"sample_size"`
 	ErrorRatePct   float64    `json:"error_rate_pct"`
-	// Counts identifies the count backend the run read from (dense,
-	// sparse or spill) and its memory/disk footprint. Omitted on
-	// results predating the backend refactor (empty backend name).
+	// Counts identifies the count backend the run read from (dense or
+	// sparse) and its memory footprint. Omitted on results predating
+	// the backend refactor (empty backend name).
 	Counts *core.CountsInfo `json:"counts,omitempty"`
 }
 

@@ -2,10 +2,10 @@ package registry
 
 import "arcs/internal/vfs"
 
-// The registry's filesystem seam moved to internal/vfs when the
-// spill-to-disk count backend started sharing it; these aliases keep the
-// registry's public surface (and every chaos test written against it)
-// unchanged. See vfs for the interface contract.
+// The registry's filesystem seam lives in internal/vfs, which
+// internal/faultinject shares; these aliases keep the registry's public
+// surface (and every chaos test written against it) unchanged. See vfs
+// for the interface contract.
 
 // FS is the filesystem surface the registry publishes through.
 type FS = vfs.FS

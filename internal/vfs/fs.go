@@ -1,10 +1,9 @@
-// Package vfs is the filesystem seam shared by every subsystem that
-// touches disk — the segmentation-model registry and the spill-to-disk
-// count backend. It is an interface for the same reason dataset.Source
-// is: the chaos suite wraps the real implementation with
-// internal/faultinject to script torn writes, ENOSPC, fsync faults and
-// silent short reads at exact call positions. Production code always
-// uses OSFS.
+// Package vfs is the filesystem seam of the segmentation-model
+// registry, shared with internal/faultinject. It is an interface for
+// the same reason dataset.Source is: the chaos suite wraps the real
+// implementation with internal/faultinject to script torn writes,
+// ENOSPC, fsync faults and silent short reads at exact call positions.
+// Production code always uses OSFS.
 package vfs
 
 import (
@@ -36,22 +35,6 @@ type File interface {
 	Close() error
 }
 
-// ReaderAtFile is the random-access read surface the spill backend
-// serves counts from: positioned reads are stateless, so concurrent
-// probe workers share one open file with no seek coordination.
-type ReaderAtFile interface {
-	io.ReaderAt
-	io.Closer
-}
-
-// ReaderAtOpener is the optional FS extension for random-access reads.
-// Implementations that omit it (legacy fakes) force callers onto
-// ReadFile; OSFS and the faultinject wrapper both provide it.
-type ReaderAtOpener interface {
-	// OpenReaderAt opens name for positioned reads.
-	OpenReaderAt(name string) (ReaderAtFile, error)
-}
-
 // OSFS is the real filesystem.
 type OSFS struct{}
 
@@ -72,13 +55,8 @@ func (OSFS) Create(name string) (File, error) {
 // Open implements FS.
 func (OSFS) Open(name string) (File, error) { return os.Open(name) }
 
-// OpenReaderAt implements ReaderAtOpener.
-func (OSFS) OpenReaderAt(name string) (ReaderAtFile, error) { return os.Open(name) }
-
 // Rename implements FS.
 func (OSFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 
 // Remove implements FS.
 func (OSFS) Remove(name string) error { return os.Remove(name) }
-
-var _ ReaderAtOpener = OSFS{}
