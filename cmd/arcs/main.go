@@ -67,7 +67,7 @@ func main() {
 		prof       obs.Profiler
 	)
 	prof.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	obs.ParseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a stray argument
 	if *in == "" || (!*describe && (*xAttr == "" || *yAttr == "" || *critAttr == "")) {
 		flag.Usage()
 		os.Exit(2)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -242,5 +243,22 @@ func TestQuarantinedRowAddsNoGroup(t *testing.T) {
 		"-max-bad-rows", "1")
 	if !strings.Contains(out, "== segmentation for A ==") || strings.Contains(out, "typo") {
 		t.Errorf("arcs on a file with one quarantined typo row printed\n%s\nwant group A and no group typo", out)
+	}
+}
+
+// TestStrayArgumentIsUsageError: flag parsing stops at the first
+// non-flag argument, so `arcs ... stray -bins 5` would mine at the
+// default 50 bins; the command refuses it instead, naming it.
+func TestStrayArgumentIsUsageError(t *testing.T) {
+	bin, csv := buildArcs(t), writeF2CSV(t)
+	cmd := exec.Command(bin, "-in", csv, "-x", "age", "-y", "salary", "-crit", "group", "-value", "A", "stray", "-bins", "5")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("arcs with a stray argument: %v, want exit 2\n%s", err, stdout.String())
+	}
+	if stdout.Len() != 0 || !strings.Contains(stderr.String(), `unexpected argument "stray"`) {
+		t.Errorf("arcs with a stray argument printed %q and logged %q", stdout.String(), stderr.String())
 	}
 }

@@ -57,7 +57,7 @@ func main() {
 		verbose     = flag.Bool("v", false, "debug logging")
 		logFormat   = flag.String("log-format", "text", "log output format: text, json")
 	)
-	flag.Parse()
+	obs.ParseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a stray argument
 	if (*modelPath == "") == (*registryDir == "") || *in == "" {
 		fmt.Fprintln(os.Stderr, "arcsapply: need -in plus exactly one of -model or -registry")
 		flag.Usage()

@@ -232,3 +232,22 @@ func TestSavedModelScoresLikeApply(t *testing.T) {
 		t.Errorf("arcsapply -model with -registry exited %d, want 2 (usage)", code)
 	}
 }
+
+// TestStrayArgumentIsUsageError: flag parsing stops at the first
+// non-flag argument, so a stray one would drop every flag after it; the
+// command refuses it instead, naming it.
+func TestStrayArgumentIsUsageError(t *testing.T) {
+	apply := buildCmd(t, ".", "arcsapply")
+	dir := t.TempDir()
+	out := filepath.Join(dir, "scored.csv")
+	cmd := exec.Command(apply, "-model", filepath.Join(dir, "model.json"), "-in", writeF2CSV(t), "stray", "-out", out)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("arcsapply with a stray argument: %v, want exit 2\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `unexpected argument "stray"`) {
+		t.Errorf("usage error %q does not name the stray argument", stderr.String())
+	}
+}

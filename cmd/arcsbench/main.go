@@ -67,7 +67,7 @@ func main() {
 		prof      obs.Profiler
 	)
 	prof.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	obs.ParseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a stray argument
 	if _, err := obs.SetupSlog(os.Stderr, *logFormat, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "arcsbench:", err)
 		os.Exit(2)

@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// TestExperimentNames pins the -exp contract: a misspelled name is a
-// usage error that runs nothing, and every experiment -exp all runs is
-// one -exp accepts.
-func TestExperimentNames(t *testing.T) {
+// buildBench compiles this command into a temporary directory and
+// returns a function that runs it.
+func buildBench(t *testing.T) func(args ...string) (code int, stdout, stderr string) {
+	t.Helper()
 	gotool, err := exec.LookPath("go")
 	if err != nil {
 		t.Fatalf("no go tool to build the command with: %v", err)
@@ -21,7 +21,7 @@ func TestExperimentNames(t *testing.T) {
 	if out, err := exec.Command(gotool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	run := func(args ...string) (code int, stdout, stderr string) {
+	return func(args ...string) (code int, stdout, stderr string) {
 		t.Helper()
 		cmd := exec.Command(bin, args...)
 		var o, e bytes.Buffer
@@ -34,6 +34,13 @@ func TestExperimentNames(t *testing.T) {
 		}
 		return code, o.String(), e.String()
 	}
+}
+
+// TestExperimentNames pins the -exp contract: a misspelled name is a
+// usage error that runs nothing, and every experiment -exp all runs is
+// one -exp accepts.
+func TestExperimentNames(t *testing.T) {
+	run := buildBench(t)
 
 	t.Run("unknown-is-usage-error", func(t *testing.T) {
 		code, stdout, stderr := run("-exp", "nosuch")
@@ -58,4 +65,18 @@ func TestExperimentNames(t *testing.T) {
 			t.Errorf("exit code %d, want %d (canceled)\n%s", code, exitCanceled, stderr)
 		}
 	})
+}
+
+// TestStrayArgumentIsUsageError: flag parsing stops at the first
+// non-flag argument, so `-exp rules stray -scale 5` would run at full
+// scale; the command refuses it instead, naming it, and runs nothing.
+func TestStrayArgumentIsUsageError(t *testing.T) {
+	run := buildBench(t)
+	code, stdout, stderr := run("-exp", "rules", "stray", "-scale", "5")
+	if code != 2 || stdout != "" {
+		t.Errorf("exit code %d with output %q, want 2 and none", code, stdout)
+	}
+	if !strings.Contains(stderr, `unexpected argument "stray"`) {
+		t.Errorf("usage error %q does not name the stray argument", stderr)
+	}
 }

@@ -77,11 +77,7 @@ func main() {
 		verbose        = flag.Bool("v", false, "debug logging")
 		logFormat      = flag.String("log-format", "text", "log output format: text, json")
 	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
+	obs.ParseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a stray argument
 	budget, err := counts.ParseBudget(*memBudget)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arcsd:", err)

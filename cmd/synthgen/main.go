@@ -51,7 +51,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "debug logging")
 		logFormat  = flag.String("log-format", "text", "log output format: text, json")
 	)
-	flag.Parse()
+	obs.ParseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a stray argument
 	if _, err := obs.SetupSlog(os.Stderr, *logFormat, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "synthgen:", err)
 		os.Exit(2)

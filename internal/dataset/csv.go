@@ -24,16 +24,21 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 	}
 	headerCopy := append([]string(nil), header...)
 
+	// encoding/csv skips blank lines, so a record's ordinal is not its
+	// line: keep each record's physical line for the errors below.
 	var records [][]string
+	var lines []int
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV row %d: %w", len(records)+2, err)
+			return nil, fmt.Errorf("dataset: reading CSV: %w", err) // a *csv.ParseError names its line
 		}
+		line, _ := cr.FieldPos(0)
 		records = append(records, append([]string(nil), rec...))
+		lines = append(lines, line)
 	}
 
 	if schema == nil {
@@ -55,16 +60,16 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 	tb.rows = make([]Tuple, 0, len(records))
 	for rowNo, rec := range records {
 		if len(rec) != schema.Len() {
-			return nil, fmt.Errorf("dataset: CSV row %d has %d fields, want %d", rowNo+2, len(rec), schema.Len())
+			return nil, fmt.Errorf("dataset: CSV line %d has %d fields, want %d", lines[rowNo], len(rec), schema.Len())
 		}
 		tp := make(Tuple, schema.Len())
 		for i, field := range rec {
 			a := schema.At(i)
 			switch a.Kind {
 			case Quantitative:
-				v, err := strconv.ParseFloat(field, 64)
+				v, err := parseFloat(field)
 				if err != nil {
-					return nil, fmt.Errorf("dataset: CSV row %d, attribute %q: %w", rowNo+2, a.Name, err)
+					return nil, fmt.Errorf("dataset: CSV line %d, attribute %q: %w", lines[rowNo], a.Name, err)
 				}
 				tp[i] = v
 			case Categorical:
@@ -90,7 +95,7 @@ func inferSchema(header []string, records [][]string) *Schema {
 				continue
 			}
 			seen = true
-			if _, err := strconv.ParseFloat(rec[col], 64); err != nil {
+			if _, err := parseFloat(rec[col]); err != nil {
 				kind = Categorical
 				break
 			}

@@ -67,6 +67,35 @@ func TestReadCSVBadNumber(t *testing.T) {
 	}
 }
 
+// TestReadCSVNamesPhysicalLines: encoding/csv skips blank lines, so a
+// record's ordinal is not its line. ReadCSV's errors name the line, as
+// CSVStream's do, and name it once.
+func TestReadCSVNamesPhysicalLines(t *testing.T) {
+	xg := func() *Schema {
+		return NewSchema(Attribute{Name: "x", Kind: Quantitative}, Attribute{Name: "g", Kind: Categorical})
+	}
+	for _, c := range []struct {
+		content string
+		schema  *Schema
+		want    string // the error, or "" for a table of two rows
+	}{
+		{"x,g\n\n1,A\nnot,B\n", xg(), `dataset: CSV line 4, attribute "x": strconv.ParseFloat: parsing "not": invalid syntax`},
+		{"x,g\n\n1,A\nnot,B\n", nil, ""}, // x is inferred categorical
+		{"x,g\n1,A\n\n\n2\n", xg(), "dataset: reading CSV: record on line 5: wrong number of fields"},
+		{"x,g\n1,A\n\n\n2\n", nil, "dataset: reading CSV: record on line 5: wrong number of fields"},
+	} {
+		tb, err := ReadCSV(strings.NewReader(c.content), c.schema)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%q (schema %v): %v", c.content, c.schema != nil, err)
+		case c.want == "" && tb.Len() != 2:
+			t.Errorf("%q (schema %v): %d rows, want 2", c.content, c.schema != nil, tb.Len())
+		case c.want != "" && (err == nil || err.Error() != c.want):
+			t.Errorf("%q (schema %v): error %v, want %s", c.content, c.schema != nil, err, c.want)
+		}
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	tb, err := ReadCSV(strings.NewReader(sampleCSV), nil)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -399,7 +398,7 @@ func (p *csvPart) parse(kinds []Kind) {
 				switch kinds[col] {
 				case Quantitative:
 					if bad.err == nil {
-						v, err := strconv.ParseFloat(string(f), 64)
+						v, err := parseFloat(f)
 						if err != nil {
 							bad.col, bad.err = col, err
 						}
@@ -485,7 +484,7 @@ func (s *CSVStream) nextCSV() (Tuple, error) {
 		if s.kinds[i] != Quantitative {
 			continue
 		}
-		v, err := strconv.ParseFloat(field, 64)
+		v, err := parseFloat(field)
 		if err != nil {
 			line, _ := s.cr.FieldPos(i)
 			return nil, &RowError{Path: s.path, Row: s.lineBase + line, Reason: "parse",
