@@ -77,14 +77,11 @@ func TestMineAtFixedThresholdsFindsThreeClusters(t *testing.T) {
 	// The union of the clusters must coincide with the generating
 	// regions geometrically: false-positive and false-negative area
 	// fractions over the attribute domain must both be small.
-	truth := func(x, y float64) bool {
-		for _, reg := range synth.Function2Regions() {
-			if reg.Contains(x, y) {
-				return true
-			}
-		}
-		return false
+	tr, err := synth.GroundTruth(2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	truth := tr.Regions
 	fp, fn, err := verify.RegionErrors(rs, truth,
 		synth.AgeMin, synth.AgeMax, synth.SalaryMin, synth.SalaryMax, 200)
 	if err != nil {

@@ -226,13 +226,9 @@ func BinGranularity(n int, binCounts []int, testN int) ([]BinRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	truth := func(x, y float64) bool {
-		for _, reg := range synth.Function2Regions() {
-			if reg.Contains(x, y) {
-				return true
-			}
-		}
-		return false
+	tr, err := synth.GroundTruth(2)
+	if err != nil {
+		return nil, err
 	}
 	var rows []BinRow
 	for _, bins := range binCounts {
@@ -240,8 +236,7 @@ func BinGranularity(n int, binCounts []int, testN int) ([]BinRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		fp, fn, err := verify.RegionErrors(res.Rules, truth,
-			synth.AgeMin, synth.AgeMax, synth.SalaryMin, synth.SalaryMax, 200)
+		fp, fn, err := verify.RegionErrors(res.Rules, tr.Regions, tr.XLo, tr.XHi, tr.YLo, tr.YHi, 200)
 		if err != nil {
 			return nil, err
 		}

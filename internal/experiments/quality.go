@@ -32,7 +32,8 @@ type QualityRow struct {
 	// MeanLift is the average lift across the mined rules (0 when the
 	// segmentation is empty).
 	MeanLift float64 `json:"mean_lift,omitempty"`
-	// Seconds is the wall-clock cost of mining + evaluating the function.
+	// Seconds is the wall-clock cost of generating the tables, mining
+	// and evaluating the function.
 	Seconds float64 `json:"seconds"`
 }
 
@@ -46,6 +47,10 @@ type QualityReport struct {
 	// measures included), in Rows order. Not persisted in the bench
 	// trajectory — rows carry the diffable summary.
 	Reports []*quality.Report `json:"-"`
+	// Phases are the sweep's timings, per function in Rows order:
+	// quality-f<N>, the function's total, then its quality-f<N>-generate,
+	// -mine and -evaluate stages.
+	Phases []core.PhaseTiming `json:"-"`
 }
 
 // TruthOptions converts exported synth ground truth into quality
@@ -53,16 +58,13 @@ type QualityReport struct {
 // domain and (when the function is rectangular in the pair) the
 // generating disjuncts.
 func TruthOptions(tr synth.Truth) quality.Options {
-	opts := quality.Options{
+	return quality.Options{
 		XAttr: tr.XAttr, YAttr: tr.YAttr,
 		CritAttr: synth.AttrGroup, CritValue: synth.GroupA,
 		XLo: tr.XLo, XHi: tr.XHi,
 		YLo: tr.YLo, YHi: tr.YHi,
+		Truth: tr.Regions,
 	}
-	for _, r := range tr.Regions {
-		opts.Truth = append(opts.Truth, quality.Rect{XLo: r.XLo, XHi: r.XHi, YLo: r.YLo, YHi: r.YHi})
-	}
-	return opts
 }
 
 // qualityDataConfig is the per-function generator setup: the paper's
@@ -78,45 +80,72 @@ func qualityDataConfig(fn, n int, seed int64) synth.Config {
 	}
 }
 
+// qualityTable materializes one function's synthetic table, paying the
+// generator's rejection sampling once.
+func qualityTable(fn, n int, seed int64) (*dataset.Table, error) {
+	gen, err := synth.New(qualityDataConfig(fn, n, seed))
+	if err != nil {
+		return nil, err
+	}
+	return dataset.Materialize(gen)
+}
+
 // QualityEval mines one classification function with the standard ARCS
 // configuration and evaluates the segmentation against a held-out test
 // table. Functions whose recommended pair has a categorical axis are
 // mined with categorical reordering disabled, so the mined value ranges
 // live in the same unpermuted code space as the ground-truth regions.
-func QualityEval(fn, trainN, testN int) (*quality.Report, error) {
+// The training table is materialized once, so core.New's two passes
+// over it do not generate it twice. Alongside the report it returns the
+// wall-clock time of each stage as the phases quality-f<N>-generate
+// (training and test tables), -mine and -evaluate.
+func QualityEval(fn, trainN, testN int) (*quality.Report, []core.PhaseTiming, error) {
 	tr, err := synth.GroundTruth(fn)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	gen, err := synth.New(qualityDataConfig(fn, trainN, DefaultSeed))
+	var phases []core.PhaseTiming
+	start := time.Now()
+	lap := func(stage string) {
+		now := time.Now()
+		phases = append(phases, core.PhaseTiming{
+			Name: fmt.Sprintf("quality-f%d-%s", fn, stage), Seconds: now.Sub(start).Seconds(),
+		})
+		start = now
+	}
+
+	train, err := qualityTable(fn, trainN, DefaultSeed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	test, err := qualityTable(fn, testN, DefaultSeed+7919)
+	if err != nil {
+		return nil, nil, err
+	}
+	lap("generate")
+
 	cfg := arcsConfig(50, DefaultSeed)
 	cfg.XAttr, cfg.YAttr = tr.XAttr, tr.YAttr
 	if tr.CategoricalY {
 		f := false
 		cfg.ReorderCategorical = &f
 	}
-	sys, err := core.New(gen, cfg)
+	sys, err := core.New(train, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res, err := sys.Run()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	testGen, err := synth.New(qualityDataConfig(fn, testN, DefaultSeed+7919))
+	lap("mine")
+
+	rep, err := quality.Evaluate(res, test, TruthOptions(tr))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	test, err := dataset.Materialize(testGen)
-	if err != nil {
-		return nil, err
-	}
-	opts := TruthOptions(tr)
-	opts.LatticeSteps = 200
-	return quality.Evaluate(res, test, opts)
+	lap("evaluate")
+	return rep, phases, nil
 }
 
 // Quality sweeps all ten Agrawal classification functions, mining each
@@ -131,7 +160,7 @@ func Quality(trainN, testN int) (*QualityReport, error) {
 			return nil, err
 		}
 		start := time.Now()
-		rep, err := QualityEval(fn, trainN, testN)
+		rep, stages, err := QualityEval(fn, trainN, testN)
 		if err != nil {
 			return nil, fmt.Errorf("quality on function %d: %w", fn, err)
 		}
@@ -158,6 +187,10 @@ func Quality(trainN, testN int) (*QualityReport, error) {
 		}
 		report.Rows = append(report.Rows, row)
 		report.Reports = append(report.Reports, rep)
+		report.Phases = append(report.Phases, core.PhaseTiming{
+			Name: fmt.Sprintf("quality-f%d", fn), Seconds: row.Seconds,
+		})
+		report.Phases = append(report.Phases, stages...)
 	}
 	return report, nil
 }
@@ -182,19 +215,15 @@ func RenderQuality(r *QualityReport) string {
 
 // QualityBenchRecord converts a quality sweep into the BENCH_*.json
 // history schema: the per-function rows the diff gate compares, plus
-// one quality-f<N> phase timing per function so the sweep's wall-clock
-// cost is trended alongside its quality.
+// the sweep's phase timings (each function's total and its generate,
+// mine and evaluate stages) so its wall-clock cost is trended alongside
+// its quality and charged to the stage that incurred it.
 func QualityBenchRecord(r *QualityReport, gitSHA string, now time.Time) BenchRecord {
-	rec := BenchRecord{
+	return BenchRecord{
 		GitSHA:    gitSHA,
 		Timestamp: now.UTC().Format(time.RFC3339),
 		Tuples:    r.TrainN,
+		Phases:    r.Phases,
 		Quality:   r.Rows,
 	}
-	for _, row := range r.Rows {
-		rec.Phases = append(rec.Phases, core.PhaseTiming{
-			Name: fmt.Sprintf("quality-f%d", row.Function), Seconds: row.Seconds,
-		})
-	}
-	return rec
 }

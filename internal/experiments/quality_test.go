@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -53,11 +54,26 @@ func TestQualitySweep(t *testing.T) {
 	if rec.GitSHA != "abc1234" || rec.Tuples != 3_000 {
 		t.Fatalf("record header = %+v", rec)
 	}
-	if len(rec.Quality) != 10 || len(rec.Phases) != 10 {
-		t.Fatalf("record has %d quality rows / %d phases, want 10 each", len(rec.Quality), len(rec.Phases))
+	if len(rec.Quality) != 10 || len(rec.Phases) != 40 {
+		t.Fatalf("record has %d quality rows / %d phases, want 10 and 40", len(rec.Quality), len(rec.Phases))
 	}
-	if rec.Phases[0].Name != "quality-f1" || rec.Phases[9].Name != "quality-f10" {
-		t.Fatalf("phase names = %v", rec.Phases)
+	// Each function books its total, then its generate, mine and
+	// evaluate stages, which sum to no more than the total.
+	for i, row := range rec.Quality {
+		fn := fmt.Sprintf("quality-f%d", row.Function)
+		ph := rec.Phases[4*i : 4*i+4]
+		stages := 0.0
+		for k, suffix := range []string{"", "-generate", "-mine", "-evaluate"} {
+			if ph[k].Name != fn+suffix {
+				t.Fatalf("phase %d = %q, want %q", 4*i+k, ph[k].Name, fn+suffix)
+			}
+			if k > 0 {
+				stages += ph[k].Seconds
+			}
+		}
+		if ph[0].Seconds != row.Seconds || stages > row.Seconds {
+			t.Errorf("%s: total %g, row %g, stages sum %g", fn, ph[0].Seconds, row.Seconds, stages)
+		}
 	}
 }
 

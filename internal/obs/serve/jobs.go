@@ -511,14 +511,9 @@ func (s *Server) evaluateQuality(runID string, spec JobSpec, results map[string]
 			tr.HasRegions() && !tr.CategoricalY &&
 			tr.XAttr == spec.X && tr.YAttr == spec.Y &&
 			spec.Crit == synth.AttrGroup && label == synth.GroupA {
+			opts.Truth = tr.Regions
 			opts.XLo, opts.XHi = tr.XLo, tr.XHi
 			opts.YLo, opts.YHi = tr.YLo, tr.YHi
-			opts.LatticeSteps = 200
-			for _, reg := range tr.Regions {
-				opts.Truth = append(opts.Truth, quality.Rect{
-					XLo: reg.XLo, XHi: reg.XHi, YLo: reg.YLo, YHi: reg.YHi,
-				})
-			}
 		}
 		rep, err := quality.Evaluate(res, test, opts)
 		if err != nil {

@@ -14,11 +14,14 @@
 //     literature: support, confidence, lift, conviction and interest
 //     (Piatetsky-Shapiro leverage), all measured on the held-out table.
 //
-// The package is deliberately free of mining logic and of the synth
-// generator: ground-truth rectangles arrive as plain Rects so any
-// workload with known geometry can use it. experiments.Quality runs it
-// across all ten Agrawal functions into BENCH_quality.json, arcsd runs
-// it after synthetic jobs, and arcstrace diff gates its trajectory.
+// The package is deliberately free of mining logic, of the synth
+// generator and of coverage loops: ground-truth rectangles arrive as
+// plain rules.Rects so any workload with known geometry can use it, and
+// every count comes from internal/verify's one table pass
+// (verify.SegmentStats) and one lattice walk (verify.MeasureLattice);
+// this package only does arithmetic over them. experiments.Quality runs
+// it across all ten Agrawal functions into BENCH_quality.json, arcsd
+// runs it after synthetic jobs, and arcstrace diff gates its trajectory.
 package quality
 
 import (
@@ -29,19 +32,12 @@ import (
 	"arcs/internal/dataset"
 	"arcs/internal/obs"
 	"arcs/internal/rules"
+	"arcs/internal/verify"
 )
 
-// Rect is an axis-aligned ground-truth rectangle in the mined (X, Y)
-// value plane, half-open on both axes like the binners' value ranges.
-type Rect struct {
-	XLo, XHi float64
-	YLo, YHi float64
-}
-
-// contains reports whether the half-open rectangle covers (x, y).
-func (r Rect) contains(x, y float64) bool {
-	return r.XLo <= x && x < r.XHi && r.YLo <= y && y < r.YHi
-}
+// latticeSteps is the per-axis resolution of the recovery lattice:
+// 200×200 = 40k area samples.
+const latticeSteps = 200
 
 // Options parameterizes Evaluate. XAttr/YAttr/CritAttr/CritValue are
 // required and must resolve in the test table's schema.
@@ -54,14 +50,11 @@ type Options struct {
 	// Truth, when non-nil, are the generating disjuncts in the (XAttr,
 	// YAttr) plane; rectangle-recovery metrics are computed against
 	// them over the [XLo,XHi)×[YLo,YHi) domain. Nil skips recovery.
-	Truth []Rect
+	Truth []rules.Rect
 	// XLo/XHi/YLo/YHi bound the recovery lattice. Required when Truth
 	// is set.
 	XLo, XHi float64
 	YLo, YHi float64
-	// LatticeSteps is the per-axis resolution of the recovery lattice
-	// (default 400, i.e. 160k area samples).
-	LatticeSteps int
 }
 
 // RuleMeasures are the standard interestingness measures of one
@@ -166,16 +159,22 @@ func Evaluate(res *core.Result, test *dataset.Table, opts Options) (*Report, err
 		return nil, fmt.Errorf("quality: criterion value %q not a category of %q", opts.CritValue, opts.CritAttr)
 	}
 
-	rep := &Report{
-		CritValue:     res.CritValue,
-		Rules:         len(res.Rules),
-		MDLCost:       res.Cost,
-		MinSupport:    res.MinSupport,
-		MinConfidence: res.MinConfidence,
-		TestN:         test.Len(),
+	e, labeled, stats, err := verify.SegmentStats(res.Rules, test, xIdx, yIdx, critIdx, segCode)
+	if err != nil {
+		return nil, fmt.Errorf("quality: %w", err)
 	}
-	measureError(rep, res.Rules, test, xIdx, yIdx, critIdx, segCode)
-	rep.RuleMeasures = measureRules(res.Rules, test, xIdx, yIdx, critIdx, segCode)
+	rep := &Report{
+		CritValue:      res.CritValue,
+		Rules:          len(res.Rules),
+		MDLCost:        res.Cost,
+		MinSupport:     res.MinSupport,
+		MinConfidence:  res.MinConfidence,
+		TestN:          e.Total,
+		FalsePositives: e.FalsePositives,
+		FalseNegatives: e.FalseNegatives,
+		ErrorPct:       100 * float64(e.Errors()) / float64(e.Total),
+		RuleMeasures:   ruleMeasures(stats, labeled, e.Total),
+	}
 	if len(opts.Truth) > 0 {
 		rec, err := measureRecovery(res.Rules, opts)
 		if err != nil {
@@ -186,66 +185,18 @@ func Evaluate(res *core.Result, test *dataset.Table, opts Options) (*Report, err
 	return rep, nil
 }
 
-// measureError fills the held-out classification error counts.
-func measureError(rep *Report, rs []rules.ClusteredRule, tb *dataset.Table, xIdx, yIdx, critIdx, segCode int) {
-	var fp, fn int
-	for i := 0; i < tb.Len(); i++ {
-		row := tb.Row(i)
-		isSeg := int(row[critIdx]) == segCode
-		covered := false
-		for _, r := range rs {
-			if r.Covers(row[xIdx], row[yIdx]) {
-				covered = true
-				break
-			}
-		}
-		switch {
-		case covered && !isSeg:
-			fp++
-		case !covered && isSeg:
-			fn++
-		}
-	}
-	rep.FalsePositives = fp
-	rep.FalseNegatives = fn
-	rep.ErrorPct = 100 * float64(fp+fn) / float64(tb.Len())
-}
-
-// measureRules computes the per-rule interestingness measures in one
-// pass over the table (O(rows × rules); rule sets are small by design).
-func measureRules(rs []rules.ClusteredRule, tb *dataset.Table, xIdx, yIdx, critIdx, segCode int) []RuleMeasures {
-	if len(rs) == 0 {
+// ruleMeasures derives the per-rule interestingness measures from the
+// table pass's counts: labeled of the n tuples carry the criterion
+// value.
+func ruleMeasures(stats []verify.RuleStats, labeled, n int) []RuleMeasures {
+	if len(stats) == 0 {
 		return nil
 	}
-	n := tb.Len()
-	covered := make([]int, len(rs))    // |X|
-	coveredSeg := make([]int, len(rs)) // |X ∧ value|
-	var seg int                        // |value|
-	for i := 0; i < n; i++ {
-		row := tb.Row(i)
-		isSeg := int(row[critIdx]) == segCode
-		if isSeg {
-			seg++
-		}
-		x, y := row[xIdx], row[yIdx]
-		for j, r := range rs {
-			if r.Covers(x, y) {
-				covered[j]++
-				if isSeg {
-					coveredSeg[j]++
-				}
-			}
-		}
-	}
-	prior := float64(seg) / float64(n)
-	out := make([]RuleMeasures, len(rs))
-	for j, r := range rs {
-		m := RuleMeasures{Rule: r.String()}
-		supX := float64(covered[j]) / float64(n)
-		m.Support = float64(coveredSeg[j]) / float64(n)
-		if covered[j] > 0 {
-			m.Confidence = float64(coveredSeg[j]) / float64(covered[j])
-		}
+	prior := float64(labeled) / float64(n)
+	out := make([]RuleMeasures, len(stats))
+	for j, st := range stats {
+		m := RuleMeasures{Rule: st.Rule.String(), Support: st.Support, Confidence: st.Confidence}
+		supX := float64(st.Covered) / float64(n)
 		if prior > 0 {
 			m.Lift = m.Confidence / prior
 		}
@@ -263,83 +214,30 @@ func measureRules(rs []rules.ClusteredRule, tb *dataset.Table, xIdx, yIdx, critI
 
 // measureRecovery computes the area precision/recall/IoU of the mined
 // union against the ground-truth disjuncts, plus the best single-rule
-// IoU per disjunct, over a uniform lattice of the domain (the same
-// approach as verify.RegionErrors — exact interval arithmetic over
-// unions buys nothing at the gate's noise floors).
+// IoU per disjunct, from one lattice walk over the domain (exact
+// interval arithmetic over unions buys nothing at the gate's noise
+// floors).
 func measureRecovery(rs []rules.ClusteredRule, opts Options) (*Recovery, error) {
-	steps := opts.LatticeSteps
-	if steps == 0 {
-		steps = 400
+	lc, err := verify.MeasureLattice(rs, opts.Truth, opts.XLo, opts.XHi, opts.YLo, opts.YHi, latticeSteps)
+	if err != nil {
+		return nil, fmt.Errorf("quality: recovery: %w", err)
 	}
-	if steps < 2 {
-		return nil, fmt.Errorf("quality: lattice steps must be >= 2, got %d", steps)
-	}
-	if !(opts.XLo < opts.XHi) || !(opts.YLo < opts.YHi) {
-		return nil, fmt.Errorf("quality: invalid recovery domain [%g,%g]×[%g,%g]",
-			opts.XLo, opts.XHi, opts.YLo, opts.YHi)
-	}
-
-	// Per-rule and per-region tallies for the per-disjunct matching;
-	// union tallies for the headline numbers.
-	var interU, minedU, truthU int
-	ruleArea := make([]int, len(rs))
-	regionArea := make([]int, len(opts.Truth))
-	// ruleRegionInter[j][k] = |rule j ∩ region k|.
-	ruleRegionInter := make([][]int, len(rs))
-	for j := range ruleRegionInter {
-		ruleRegionInter[j] = make([]int, len(opts.Truth))
-	}
-
-	for i := 0; i < steps; i++ {
-		x := opts.XLo + (opts.XHi-opts.XLo)*(float64(i)+0.5)/float64(steps)
-		for j := 0; j < steps; j++ {
-			y := opts.YLo + (opts.YHi-opts.YLo)*(float64(j)+0.5)/float64(steps)
-			inTruth := -1
-			for k, reg := range opts.Truth {
-				if reg.contains(x, y) {
-					inTruth = k
-					break
-				}
-			}
-			mined := false
-			for r, rule := range rs {
-				if rule.Covers(x, y) {
-					mined = true
-					ruleArea[r]++
-					if inTruth >= 0 {
-						ruleRegionInter[r][inTruth]++
-					}
-				}
-			}
-			if mined {
-				minedU++
-			}
-			if inTruth >= 0 {
-				truthU++
-				regionArea[inTruth]++
-				if mined {
-					interU++
-				}
-			}
-		}
-	}
-
 	rec := &Recovery{Precision: 1}
-	if minedU > 0 {
-		rec.Precision = float64(interU) / float64(minedU)
+	if lc.Mined > 0 {
+		rec.Precision = float64(lc.Both) / float64(lc.Mined)
 	}
-	if truthU > 0 {
-		rec.Recall = float64(interU) / float64(truthU)
+	if lc.Truth > 0 {
+		rec.Recall = float64(lc.Both) / float64(lc.Truth)
 	}
-	if union := minedU + truthU - interU; union > 0 {
-		rec.IoU = float64(interU) / float64(union)
+	if union := lc.Mined + lc.Truth - lc.Both; union > 0 {
+		rec.IoU = float64(lc.Both) / float64(union)
 	}
 	rec.PerRegionIoU = make([]float64, len(opts.Truth))
 	for k := range opts.Truth {
 		best := 0.0
 		for r := range rs {
-			inter := ruleRegionInter[r][k]
-			union := ruleArea[r] + regionArea[k] - inter
+			inter := lc.Inter[r][k]
+			union := lc.RuleArea[r] + lc.RegionArea[k] - inter
 			if union > 0 {
 				if iou := float64(inter) / float64(union); iou > best {
 					best = iou

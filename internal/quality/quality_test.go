@@ -54,12 +54,11 @@ func exactRule() rules.ClusteredRule {
 func defaultOptions() Options {
 	return Options{
 		XAttr: "x", YAttr: "y", CritAttr: "group", CritValue: "A",
-		Truth:        []Rect{{XLo: 0, XHi: 5, YLo: 0, YHi: 5}},
-		XLo:          0,
-		XHi:          10,
-		YLo:          0,
-		YHi:          10,
-		LatticeSteps: 100,
+		Truth: []rules.Rect{{XLo: 0, XHi: 5, YLo: 0, YHi: 5}},
+		XLo:   0,
+		XHi:   10,
+		YLo:   0,
+		YHi:   10,
 	}
 }
 
@@ -217,7 +216,6 @@ func TestEvaluateValidation(t *testing.T) {
 		{"unknown y attr", res, tb, Options{XAttr: "x", YAttr: "nope", CritAttr: "group", CritValue: "A"}},
 		{"unknown crit attr", res, tb, Options{XAttr: "x", YAttr: "y", CritAttr: "nope", CritValue: "A"}},
 		{"unknown crit value", res, tb, Options{XAttr: "x", YAttr: "y", CritAttr: "group", CritValue: "Z"}},
-		{"bad lattice", res, tb, func() Options { o := defaultOptions(); o.LatticeSteps = 1; return o }()},
 		{"bad domain", res, tb, func() Options { o := defaultOptions(); o.XHi = o.XLo; return o }()},
 	}
 	for _, tc := range cases {

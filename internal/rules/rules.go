@@ -78,6 +78,22 @@ func (r ClusteredRule) Area() int {
 	return (r.XHiBin - r.XLoBin + 1) * (r.YHiBin - r.YLoBin + 1)
 }
 
+// Rect is an axis-aligned rectangle in a two-attribute value plane,
+// half-open [lo, hi) on both axes like the binners' value ranges, so
+// adjacent rectangles never both contain a shared edge. Ground-truth
+// regions are Rects.
+type Rect struct {
+	XLo float64 `json:"x_lo"`
+	XHi float64 `json:"x_hi"`
+	YLo float64 `json:"y_lo"`
+	YHi float64 `json:"y_hi"`
+}
+
+// Contains reports whether an (x, y) point falls in the rectangle.
+func (r Rect) Contains(x, y float64) bool {
+	return r.XLo <= x && x < r.XHi && r.YLo <= y && y < r.YHi
+}
+
 // Item is one attribute=value term of a generic association rule, used by
 // the Apriori substrate. Attr is the schema position; Val is the encoded
 // value (bin number or category code).

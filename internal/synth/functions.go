@@ -119,29 +119,3 @@ func IsGroupA(fn int, t dataset.Tuple) bool {
 		panic("synth: unknown function")
 	}
 }
-
-// Region is an axis-aligned rectangle in (age, salary) space, the shape
-// of one disjunct of Function 2. The bounds are inclusive.
-type Region struct {
-	AgeLo, AgeHi       float64
-	SalaryLo, SalaryHi float64
-}
-
-// Contains reports whether an (age, salary) point falls in the region.
-func (r Region) Contains(age, salary float64) bool {
-	return r.AgeLo <= age && age <= r.AgeHi && r.SalaryLo <= salary && salary <= r.SalaryHi
-}
-
-// Function2Regions returns the ground-truth rectangles of the three
-// disjuncts of Function 2 in (age, salary) space. The upper age bounds
-// are represented as the next disjunct's threshold (exclusive boundaries
-// 40 and 60 become inclusive hi bounds just below the threshold via the
-// closed-interval convention used here; the exact boundary has measure
-// zero for continuous attributes).
-func Function2Regions() []Region {
-	return []Region{
-		{AgeLo: AgeMin, AgeHi: 40, SalaryLo: 50_000, SalaryHi: 100_000},
-		{AgeLo: 40, AgeHi: 60, SalaryLo: 75_000, SalaryHi: 125_000},
-		{AgeLo: 60, AgeHi: AgeMax, SalaryLo: 25_000, SalaryHi: 75_000},
-	}
-}

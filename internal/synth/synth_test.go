@@ -193,7 +193,11 @@ func TestAllFunctionsProduceBothGroups(t *testing.T) {
 }
 
 func TestFunction2MatchesRegions(t *testing.T) {
-	regions := Function2Regions()
+	tr, err := GroundTruth(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := tr.Regions
 	probe := func(age, salary float64) bool {
 		tp := make(dataset.Tuple, numCols)
 		tp[ColAge] = age
@@ -224,16 +228,6 @@ func TestFunction2MatchesRegions(t *testing.T) {
 		if inRegion != c.want {
 			t.Errorf("regions disagree with function at (%v, %v)", c.age, c.salary)
 		}
-	}
-}
-
-func TestRegionContains(t *testing.T) {
-	r := Region{AgeLo: 20, AgeHi: 40, SalaryLo: 50_000, SalaryHi: 100_000}
-	if !r.Contains(20, 50_000) || !r.Contains(40, 100_000) {
-		t.Error("inclusive bounds should contain their corners")
-	}
-	if r.Contains(41, 75_000) || r.Contains(30, 101_000) {
-		t.Error("points outside the rectangle must not be contained")
 	}
 }
 

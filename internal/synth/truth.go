@@ -4,24 +4,8 @@ import (
 	"fmt"
 
 	"arcs/internal/dataset"
+	"arcs/internal/rules"
 )
-
-// TruthRegion is one generating disjunct of a classification function,
-// expressed as an axis-aligned rectangle in the (XAttr, YAttr) plane of
-// its Truth. Bounds are half-open [lo, hi) to match the binners' value
-// ranges; for categorical axes the bounds are category codes (code c
-// occupies [c, c+1)).
-type TruthRegion struct {
-	XLo float64 `json:"x_lo"`
-	XHi float64 `json:"x_hi"`
-	YLo float64 `json:"y_lo"`
-	YHi float64 `json:"y_hi"`
-}
-
-// Contains reports whether an (x, y) point falls in the region.
-func (r TruthRegion) Contains(x, y float64) bool {
-	return r.XLo <= x && x < r.XHi && r.YLo <= y && y < r.YHi
-}
 
 // Truth is the exported ground truth of one Agrawal classification
 // function: the attribute pair a 2D miner should segment over, that
@@ -48,10 +32,10 @@ type Truth struct {
 	YHi float64 `json:"y_domain_hi"`
 	// Regions are the generating disjuncts in the (XAttr, YAttr) plane,
 	// nil when the function is not a union of axis-aligned rectangles
-	// there. Categorical-axis regions (Function 3) are in unpermuted
-	// code space: evaluate against rules mined with categorical
-	// reordering disabled.
-	Regions []TruthRegion `json:"regions,omitempty"`
+	// there. For a categorical axis the bounds are category codes (code
+	// c occupies [c, c+1)) in unpermuted code space (Function 3):
+	// evaluate against rules mined with categorical reordering disabled.
+	Regions []rules.Rect `json:"regions,omitempty"`
 	// CategoricalY marks YAttr as categorical (code-space axis).
 	CategoricalY bool `json:"categorical_y,omitempty"`
 }
@@ -102,13 +86,13 @@ func GroundTruth(fn int) (Truth, error) {
 	}
 	switch fn {
 	case 1:
-		ageSalary.Regions = []TruthRegion{
+		ageSalary.Regions = []rules.Rect{
 			{XLo: AgeMin, XHi: 40, YLo: SalaryMin, YHi: SalaryMax},
 			{XLo: 60, XHi: AgeMax, YLo: SalaryMin, YHi: SalaryMax},
 		}
 		return ageSalary, nil
 	case 2:
-		ageSalary.Regions = []TruthRegion{
+		ageSalary.Regions = []rules.Rect{
 			{XLo: AgeMin, XHi: 40, YLo: 50_000, YHi: 100_000},
 			{XLo: 40, XHi: 60, YLo: 75_000, YHi: 125_000},
 			{XLo: 60, XHi: AgeMax, YLo: 25_000, YHi: 75_000},
@@ -121,7 +105,7 @@ func GroundTruth(fn int) (Truth, error) {
 			XLo: AgeMin, XHi: AgeMax,
 			YLo: 0, YHi: NumELevels,
 			CategoricalY: true,
-			Regions: []TruthRegion{
+			Regions: []rules.Rect{
 				{XLo: AgeMin, XHi: 40, YLo: 0, YHi: 2},
 				{XLo: 40, XHi: 60, YLo: 1, YHi: 4},
 				{XLo: 60, XHi: AgeMax, YLo: 2, YHi: 5},

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"arcs/internal/dataset"
+	"arcs/internal/rules"
 )
 
 // TestGroundTruthRegionsMatchLabel: for every function that exports
@@ -54,25 +55,6 @@ func TestGroundTruthRegionsMatchLabel(t *testing.T) {
 	}
 }
 
-// TestGroundTruthFunction2MatchesLegacyRegions: the general helper and
-// the original Function2Regions describe the same three rectangles.
-func TestGroundTruthFunction2MatchesLegacyRegions(t *testing.T) {
-	tr, err := GroundTruth(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := Function2Regions()
-	if len(tr.Regions) != len(legacy) {
-		t.Fatalf("GroundTruth(2) has %d regions, Function2Regions has %d", len(tr.Regions), len(legacy))
-	}
-	for i, r := range tr.Regions {
-		l := legacy[i]
-		if r.XLo != l.AgeLo || r.XHi != l.AgeHi || r.YLo != l.SalaryLo || r.YHi != l.SalaryHi {
-			t.Errorf("region %d: %+v != legacy %+v", i, r, l)
-		}
-	}
-}
-
 // TestGroundTruthValidation: out-of-range function numbers error
 // instead of panicking.
 func TestGroundTruthValidation(t *testing.T) {
@@ -86,7 +68,7 @@ func TestGroundTruthValidation(t *testing.T) {
 // TestGroundTruthRegionHalfOpen: region containment is half-open so
 // adjacent disjuncts never double-claim a boundary point.
 func TestGroundTruthRegionHalfOpen(t *testing.T) {
-	r := TruthRegion{XLo: 20, XHi: 40, YLo: 0, YHi: 2}
+	r := rules.Rect{XLo: 20, XHi: 40, YLo: 0, YHi: 2}
 	if r.Contains(40, 1) {
 		t.Error("XHi boundary should be exclusive")
 	}

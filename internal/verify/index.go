@@ -149,14 +149,13 @@ type Coverage struct {
 	ix       *Index
 	bm       *grid.Bitmap
 	fallback []rules.ClusteredRule
-	reasons  []string // parallel to fallback: why each rule degraded
 }
 
 // NewCoverage rasterizes the rule set onto a pooled slot-grid bitmap.
-// Rules whose edges are not boundary values are recorded (with the
-// offending edges), counted on the index's fallback counter, and
-// reported through the OnFallback hook — the degradation to O(rules)
-// scanning is never silent.
+// Rules whose edges are not boundary values are kept for the rect scan,
+// counted on the index's fallback counter, and reported with the
+// offending edges through the OnFallback hook — the degradation to
+// O(rules) scanning is never silent.
 func (ix *Index) NewCoverage(rs []rules.ClusteredRule) *Coverage {
 	bm := ix.pool.Get().(*grid.Bitmap)
 	bm.Reset()
@@ -167,12 +166,10 @@ func (ix *Index) NewCoverage(rs []rules.ClusteredRule) *Coverage {
 		ylo, ok3 := boundaryIndex(ix.yB, r.YLo)
 		yhi, ok4 := boundaryIndex(ix.yB, r.YHi)
 		if !ok1 || !ok2 || !ok3 || !ok4 {
-			reason := fallbackReason(r, ok1, ok2, ok3, ok4)
 			cv.fallback = append(cv.fallback, r)
-			cv.reasons = append(cv.reasons, reason)
 			ix.fallC.Inc()
 			if ix.onFallback != nil {
-				ix.onFallback(Fallback{Rule: r, Reason: reason})
+				ix.onFallback(Fallback{Rule: r, Reason: fallbackReason(r, ok1, ok2, ok3, ok4)})
 			}
 			continue
 		}
@@ -208,17 +205,6 @@ func fallbackReason(r rules.ClusteredRule, xlo, xhi, ylo, yhi bool) string {
 	return "not a binner boundary: " + strings.Join(bad, ", ")
 }
 
-// Fallbacks returns the rules of this coverage that degraded to the
-// rect-scan fallback, each with the reason. Empty for purely mined rule
-// sets.
-func (cv *Coverage) Fallbacks() []Fallback {
-	out := make([]Fallback, len(cv.fallback))
-	for i, r := range cv.fallback {
-		out[i] = Fallback{Rule: r, Reason: cv.reasons[i]}
-	}
-	return out
-}
-
 // Release returns the coverage bitmap to the index's pool. The Coverage
 // must not be used afterwards.
 func (cv *Coverage) Release() {
@@ -243,15 +229,7 @@ func (cv *Coverage) Covered(i int) bool {
 }
 
 func (e *ErrorCounts) addIndexed(cv *Coverage, i, segCode int) {
-	e.Total++
-	isSeg := int(cv.ix.crit[i]) == segCode
-	covered := cv.Covered(i)
-	switch {
-	case covered && !isSeg:
-		e.FalsePositives++
-	case !covered && isSeg:
-		e.FalseNegatives++
-	}
+	e.add(cv.Covered(i), int(cv.ix.crit[i]) == segCode)
 }
 
 // Measure counts errors of the segmentation over every indexed tuple;

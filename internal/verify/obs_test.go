@@ -38,19 +38,16 @@ func TestObsIndexFallbackCountersAndReasons(t *testing.T) {
 	if got := fall.Value(); got != 2 {
 		t.Errorf("fallback counter = %d, want 2", got)
 	}
-	fbs := cv.Fallbacks()
-	if len(fbs) != 2 || len(reported) != 2 {
-		t.Fatalf("Fallbacks() = %d, callback saw %d, want 2 and 2", len(fbs), len(reported))
+	if len(reported) != 2 {
+		t.Fatalf("callback saw %d fallback rules, want 2", len(reported))
 	}
-	for i := range fbs {
-		if fbs[i].Rule != reported[i].Rule || fbs[i].Reason != reported[i].Reason {
-			t.Errorf("Fallbacks()[%d] = %+v, callback saw %+v", i, fbs[i], reported[i])
-		}
+	if reported[0].Rule != offX || reported[1].Rule != offBoth {
+		t.Errorf("callback saw rules %+v and %+v, want offX then offBoth", reported[0].Rule, reported[1].Rule)
 	}
-	if r := fbs[0].Reason; !strings.Contains(r, "x_lo=3.7") {
+	if r := reported[0].Reason; !strings.Contains(r, "x_lo=3.7") {
 		t.Errorf("offX reason %q does not name the misaligned edge x_lo=3.7", r)
 	}
-	if r := fbs[1].Reason; !strings.Contains(r, "x_hi=47.1") || !strings.Contains(r, "y_lo=0.5") {
+	if r := reported[1].Reason; !strings.Contains(r, "x_hi=47.1") || !strings.Contains(r, "y_lo=0.5") {
 		t.Errorf("offBoth reason %q does not name both misaligned edges", r)
 	}
 
@@ -70,12 +67,11 @@ func TestObsIndexNilHooksAreSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv := ix.NewCoverage([]rules.ClusteredRule{
+	rs := []rules.ClusteredRule{
 		{XLo: xB[0], XHi: xB[1], YLo: yB[0], YHi: yB[1]},
 		{XLo: 1.23, XHi: xB[1], YLo: yB[0], YHi: yB[1]},
-	})
-	defer cv.Release()
-	if got := len(cv.Fallbacks()); got != 1 {
-		t.Errorf("Fallbacks() = %d, want 1", got)
+	}
+	if got, want := ix.Measure(rs, 1), Measure(rs, tb, 0, 1, 2, 1); got != want {
+		t.Errorf("indexed measure without hooks = %+v, scan measure = %+v", got, want)
 	}
 }

@@ -22,42 +22,50 @@ type RuleStats struct {
 	UniqueCovered int
 }
 
-// SegmentStats verifies every rule of a segmentation against a table,
-// in order. xIdx, yIdx and critIdx are schema positions; segCode is the
-// criterion value's category code.
-func SegmentStats(rs []rules.ClusteredRule, tb *dataset.Table, xIdx, yIdx, critIdx, segCode int) ([]RuleStats, error) {
+// SegmentStats is the one row × rule pass over a table: it returns the
+// segmentation's error counts, the number of tuples carrying the
+// criterion value, and every rule's measures, in order. A row is
+// credited to the UniqueCovered of the first rule covering it, and the
+// same "covered by an earlier rule" flag is, after the last rule, the
+// row's coverage verdict. xIdx, yIdx and critIdx are schema positions;
+// segCode is the criterion value's category code.
+func SegmentStats(rs []rules.ClusteredRule, tb *dataset.Table, xIdx, yIdx, critIdx, segCode int) (e ErrorCounts, labeled int, stats []RuleStats, err error) {
 	if tb.Len() == 0 {
-		return nil, fmt.Errorf("verify: empty table")
+		return ErrorCounts{}, 0, nil, fmt.Errorf("verify: empty table")
 	}
-	out := make([]RuleStats, len(rs))
+	stats = make([]RuleStats, len(rs))
 	for i, r := range rs {
-		out[i].Rule = r
+		stats[i].Rule = r
 	}
 	for row := 0; row < tb.Len(); row++ {
 		t := tb.Row(row)
 		x, y := t[xIdx], t[yIdx]
 		isSeg := int(t[critIdx]) == segCode
-		first := true
+		if isSeg {
+			labeled++
+		}
+		covered := false
 		for i, r := range rs {
 			if !r.Covers(x, y) {
 				continue
 			}
-			out[i].Covered++
+			stats[i].Covered++
 			if isSeg {
-				out[i].Matching++
+				stats[i].Matching++
 			}
-			if first {
-				out[i].UniqueCovered++
-				first = false
+			if !covered {
+				stats[i].UniqueCovered++
+				covered = true
 			}
 		}
+		e.add(covered, isSeg)
 	}
 	n := float64(tb.Len())
-	for i := range out {
-		out[i].Support = float64(out[i].Matching) / n
-		if out[i].Covered > 0 {
-			out[i].Confidence = float64(out[i].Matching) / float64(out[i].Covered)
+	for i := range stats {
+		stats[i].Support = float64(stats[i].Matching) / n
+		if stats[i].Covered > 0 {
+			stats[i].Confidence = float64(stats[i].Matching) / float64(stats[i].Covered)
 		}
 	}
-	return out, nil
+	return e, labeled, stats, nil
 }

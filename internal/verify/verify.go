@@ -9,6 +9,10 @@
 // Because the optimal clustering of real data is unknown, the error is
 // approximated on random samples; "repeated k out of n" sampling averages
 // the measurement over several independent draws for a tighter estimate.
+//
+// Outside the threshold search, which scores its probes on a pre-binned
+// Index, coverage is counted in two passes only: SegmentStats over a
+// table and MeasureLattice over a lattice of the value plane.
 package verify
 
 import (
@@ -45,6 +49,18 @@ func (e ErrorCounts) String() string {
 		e.FalsePositives, e.FalseNegatives, e.Total, 100*e.Rate())
 }
 
+// add tallies one tuple: whether the segmentation covers it, and
+// whether it carries the criterion value.
+func (e *ErrorCounts) add(covered, isSeg bool) {
+	e.Total++
+	switch {
+	case covered && !isSeg:
+		e.FalsePositives++
+	case !covered && isSeg:
+		e.FalseNegatives++
+	}
+}
+
 // Covered reports whether any rule's LHS covers the (x, y) point.
 func Covered(rs []rules.ClusteredRule, x, y float64) bool {
 	for _, r := range rs {
@@ -62,7 +78,7 @@ func Measure(rs []rules.ClusteredRule, tb *dataset.Table, xIdx, yIdx, critIdx, s
 	var e ErrorCounts
 	for i := 0; i < tb.Len(); i++ {
 		row := tb.Row(i)
-		e.addTuple(rs, row, xIdx, yIdx, critIdx, segCode)
+		e.add(Covered(rs, row[xIdx], row[yIdx]), int(row[critIdx]) == segCode)
 	}
 	return e
 }
@@ -72,21 +88,10 @@ func Measure(rs []rules.ClusteredRule, tb *dataset.Table, xIdx, yIdx, critIdx, s
 func MeasureIndices(rs []rules.ClusteredRule, tb *dataset.Table, idx []int, xIdx, yIdx, critIdx, segCode int) ErrorCounts {
 	var e ErrorCounts
 	for _, i := range idx {
-		e.addTuple(rs, tb.Row(i), xIdx, yIdx, critIdx, segCode)
+		row := tb.Row(i)
+		e.add(Covered(rs, row[xIdx], row[yIdx]), int(row[critIdx]) == segCode)
 	}
 	return e
-}
-
-func (e *ErrorCounts) addTuple(rs []rules.ClusteredRule, row dataset.Tuple, xIdx, yIdx, critIdx, segCode int) {
-	e.Total++
-	isSeg := int(row[critIdx]) == segCode
-	covered := Covered(rs, row[xIdx], row[yIdx])
-	switch {
-	case covered && !isSeg:
-		e.FalsePositives++
-	case !covered && isSeg:
-		e.FalseNegatives++
-	}
 }
 
 // MeasureRepeated performs the repeated k-out-of-n sampling of §3.6:
@@ -136,34 +141,94 @@ func SampleSource(src dataset.Source, k int, rng *rand.Rand) (*dataset.Table, er
 	return tb, nil
 }
 
-// RegionErrors computes the exact geometric error of a segmentation
-// against known ground-truth rectangles (available only for synthetic
-// data, Figure 9): it samples a uniform lattice of (x, y) points over the
-// given domain and counts points where cluster coverage disagrees with
-// ground-truth coverage. The result approximates the area of the
-// false-positive and false-negative regions.
-func RegionErrors(rs []rules.ClusteredRule, truth func(x, y float64) bool,
-	xLo, xHi, yLo, yHi float64, steps int) (falsePosFrac, falseNegFrac float64, err error) {
+// LatticeCounts is one walk of a steps×steps lattice over a value-space
+// domain: the points a segmentation's rules cover against the points a
+// set of truth rectangles contains. Areas are point counts; divided by
+// Points they are fractions of the domain.
+type LatticeCounts struct {
+	Points int // lattice points walked
+	Mined  int // points some rule covers
+	Truth  int // points some truth rectangle contains
+	Both   int // points in both unions
+	// RuleArea[r] counts the points rule r covers.
+	RuleArea []int
+	// RegionArea[k] counts the points whose first containing truth
+	// rectangle is k, so overlapping regions never count a point twice.
+	RegionArea []int
+	// Inter[r][k] counts the points rule r covers inside region k, by
+	// the same first-containing assignment.
+	Inter [][]int
+}
+
+// MeasureLattice walks a uniform lattice of steps×steps points over
+// [xLo,xHi)×[yLo,yHi), each point the centre of its cell, and counts the
+// coverage of rs and truth there. It is the one place geometric measures
+// against ground truth (RegionErrors, rectangle recovery) are counted.
+func MeasureLattice(rs []rules.ClusteredRule, truth []rules.Rect,
+	xLo, xHi, yLo, yHi float64, steps int) (LatticeCounts, error) {
 	if steps < 2 {
-		return 0, 0, fmt.Errorf("verify: need at least 2 lattice steps, got %d", steps)
+		return LatticeCounts{}, fmt.Errorf("verify: need at least 2 lattice steps, got %d", steps)
 	}
 	if !(xLo < xHi) || !(yLo < yHi) {
-		return 0, 0, fmt.Errorf("verify: invalid domain [%g,%g]×[%g,%g]", xLo, xHi, yLo, yHi)
+		return LatticeCounts{}, fmt.Errorf("verify: invalid domain [%g,%g]×[%g,%g]", xLo, xHi, yLo, yHi)
 	}
-	var fp, fn, total int
+	lc := LatticeCounts{
+		Points:     steps * steps,
+		RuleArea:   make([]int, len(rs)),
+		RegionArea: make([]int, len(truth)),
+		Inter:      make([][]int, len(rs)),
+	}
+	for r := range lc.Inter {
+		lc.Inter[r] = make([]int, len(truth))
+	}
 	for i := 0; i < steps; i++ {
 		x := xLo + (xHi-xLo)*(float64(i)+0.5)/float64(steps)
 		for j := 0; j < steps; j++ {
 			y := yLo + (yHi-yLo)*(float64(j)+0.5)/float64(steps)
-			total++
-			covered := Covered(rs, x, y)
-			actual := truth(x, y)
-			if covered && !actual {
-				fp++
-			} else if !covered && actual {
-				fn++
+			region := -1
+			for k, t := range truth {
+				if t.Contains(x, y) {
+					region = k
+					break
+				}
+			}
+			mined := false
+			for r, rule := range rs {
+				if !rule.Covers(x, y) {
+					continue
+				}
+				mined = true
+				lc.RuleArea[r]++
+				if region >= 0 {
+					lc.Inter[r][region]++
+				}
+			}
+			if mined {
+				lc.Mined++
+			}
+			if region >= 0 {
+				lc.Truth++
+				lc.RegionArea[region]++
+				if mined {
+					lc.Both++
+				}
 			}
 		}
 	}
-	return float64(fp) / float64(total), float64(fn) / float64(total), nil
+	return lc, nil
+}
+
+// RegionErrors computes the geometric error of a segmentation against
+// known ground-truth rectangles (available only for synthetic data,
+// Figure 9): the fractions of a steps×steps lattice over the domain
+// that the rules cover outside the truth (false positives) and that the
+// truth holds outside the rules (false negatives). They approximate the
+// areas of the false-positive and false-negative regions.
+func RegionErrors(rs []rules.ClusteredRule, truth []rules.Rect,
+	xLo, xHi, yLo, yHi float64, steps int) (falsePosFrac, falseNegFrac float64, err error) {
+	lc, err := MeasureLattice(rs, truth, xLo, xHi, yLo, yHi, steps)
+	if err != nil {
+		return 0, 0, err
+	}
+	return float64(lc.Mined-lc.Both) / float64(lc.Points), float64(lc.Truth-lc.Both) / float64(lc.Points), nil
 }
