@@ -182,7 +182,7 @@ func BenchmarkBitOpWords(b *testing.B) {
 // benchSystem builds a reusable ARCS system over Function 2 data.
 func benchSystem(b *testing.B, cfg core.Config) *core.System {
 	b.Helper()
-	gen, err := synth.New(synth.Config{
+	st, err := synth.NewStream(synth.Config{
 		Function: 2, N: 20_000, Seed: 1,
 		Perturbation: 0.05, OutlierFraction: 0.10, FracA: 0.4,
 	})
@@ -193,7 +193,7 @@ func benchSystem(b *testing.B, cfg core.Config) *core.System {
 		cfg.XAttr, cfg.YAttr = synth.AttrAge, synth.AttrSalary
 		cfg.CritAttr, cfg.CritValue = synth.AttrGroup, synth.GroupA
 	}
-	sys, err := core.New(gen, cfg)
+	sys, err := core.New(st.Source(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -370,10 +370,11 @@ func BenchmarkRemine(b *testing.B) {
 // BenchmarkBinningPass measures the streaming binning throughput — the
 // O(N) component that dominates Figure 15.
 func BenchmarkBinningPass(b *testing.B) {
-	gen, err := synth.New(synth.Config{Function: 2, N: 100_000, Seed: 1, FracA: 0.4})
+	st, err := synth.NewStream(synth.Config{Function: 2, N: 100_000, Seed: 1, FracA: 0.4})
 	if err != nil {
 		b.Fatal(err)
 	}
+	gen := st.Source()
 	cfg := core.Config{
 		XAttr: synth.AttrAge, YAttr: synth.AttrSalary,
 		CritAttr: synth.AttrGroup, CritValue: synth.GroupA,

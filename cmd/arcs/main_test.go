@@ -35,7 +35,7 @@ func buildArcs(t *testing.T) string {
 // Function-2 generator with its default perturbation and group fraction.
 func writeF2CSV(t *testing.T) string {
 	t.Helper()
-	gen, err := synth.New(synth.Config{Function: 2, N: 20_000, Seed: 7, Perturbation: 0.05, FracA: 0.4})
+	st, err := synth.NewStream(synth.Config{Function: 2, N: 20_000, Seed: 7, Perturbation: 0.05, FracA: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func writeF2CSV(t *testing.T) string {
 		t.Fatal(err)
 	}
 	bw := bufio.NewWriter(f)
-	if err := dataset.WriteCSV(bw, gen); err != nil {
+	if err := dataset.WriteCSV(bw, st.Source()); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {

@@ -38,18 +38,17 @@ const exitCanceled = 3
 
 func main() {
 	var (
-		n          = flag.Int("n", 10_000, "number of tuples")
-		function   = flag.Int("function", 2, "classification function 1-10")
-		perturb    = flag.Float64("perturb", 0.05, "perturbation factor P")
-		outliers   = flag.Float64("outliers", 0, "outlier fraction U")
-		fracA      = flag.Float64("fraca", 0.40, "target fraction of Group A (0 disables)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		positional = flag.Bool("positional", false, "use the position-deterministic stream generator (tuple i depends only on seed and i; shardable, different values than the sequential generator)")
-		out        = flag.String("out", "", "output file (default stdout)")
-		truthOut   = flag.String("truth-out", "", "also write the function's ground-truth metadata (mining pair, domain, generating regions, generator config) as JSON to this file")
-		timeout    = flag.Duration("timeout", 0, "generation budget; on expiry flush the rows written so far and exit 3")
-		verbose    = flag.Bool("v", false, "debug logging")
-		logFormat  = flag.String("log-format", "text", "log output format: text, json")
+		n         = flag.Int("n", 10_000, "number of tuples")
+		function  = flag.Int("function", 2, "classification function 1-10")
+		perturb   = flag.Float64("perturb", 0.05, "perturbation factor P")
+		outliers  = flag.Float64("outliers", 0, "outlier fraction U")
+		fracA     = flag.Float64("fraca", 0.40, "target fraction of Group A (0 disables)")
+		seed      = flag.Int64("seed", 1, "random seed")
+		out       = flag.String("out", "", "output file (default stdout)")
+		truthOut  = flag.String("truth-out", "", "also write the function's ground-truth metadata (mining pair, domain, generating regions, generator config) as JSON to this file")
+		timeout   = flag.Duration("timeout", 0, "generation budget; on expiry flush the rows written so far and exit 3")
+		verbose   = flag.Bool("v", false, "debug logging")
+		logFormat = flag.String("log-format", "text", "log output format: text, json")
 	)
 	obs.ParseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a stray argument
 	if _, err := obs.SetupSlog(os.Stderr, *logFormat, *verbose); err != nil {
@@ -82,24 +81,14 @@ func main() {
 		FracA:           *fracA,
 	}
 	if *truthOut != "" {
-		if err := writeTruth(*truthOut, cfg, *positional); err != nil {
+		if err := writeTruth(*truthOut, cfg); err != nil {
 			fatal(err)
 		}
 	}
 
-	var gen dataset.Source
-	if *positional {
-		st, err := synth.NewStream(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		gen = st.Source()
-	} else {
-		g, err := synth.New(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		gen = g
+	st, err := synth.NewStream(cfg)
+	if err != nil {
+		fatal(err)
 	}
 
 	w := os.Stdout
@@ -112,7 +101,7 @@ func main() {
 		w = f
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
-	writeErr := dataset.WriteCSVContext(ctx, bw, gen)
+	writeErr := dataset.WriteCSVContext(ctx, bw, st.Source())
 	if err := bw.Flush(); err != nil {
 		fatal(err)
 	}
@@ -138,11 +127,10 @@ type truthDoc struct {
 	Perturbation    float64 `json:"perturbation"`
 	OutlierFraction float64 `json:"outlier_fraction"`
 	FracA           float64 `json:"frac_a"`
-	Positional      bool    `json:"positional,omitempty"`
 }
 
 // writeTruth emits the ground-truth metadata document for cfg.
-func writeTruth(path string, cfg synth.Config, positional bool) error {
+func writeTruth(path string, cfg synth.Config) error {
 	tr, err := synth.GroundTruth(cfg.Function)
 	if err != nil {
 		return err
@@ -153,7 +141,6 @@ func writeTruth(path string, cfg synth.Config, positional bool) error {
 		Perturbation:    cfg.Perturbation,
 		OutlierFraction: cfg.OutlierFraction,
 		FracA:           cfg.FracA,
-		Positional:      positional,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -93,14 +93,14 @@ func requireStreamRows(t *testing.T, path string, st *synth.Stream) int {
 	return i
 }
 
-// TestPositionalRoundTrip: a -positional file read back through the CSV
-// ingest path yields the generator's tuples bit for bit — the round trip
-// a benchmark that mines synthgen's file and checks it against the
-// generator depends on.
+// TestPositionalRoundTrip: a file read back through the CSV ingest path
+// yields the generator's tuples bit for bit, row i being Stream.At(i) —
+// the round trip a benchmark that mines synthgen's file and checks it
+// against the generator depends on.
 func TestPositionalRoundTrip(t *testing.T) {
 	bin := buildSynthgen(t)
 	path := filepath.Join(t.TempDir(), "f2.csv")
-	if code, stderr := run(t, bin, "-positional", "-n", "20000", "-seed", "7", "-outliers", "0.1", "-out", path); code != 0 {
+	if code, stderr := run(t, bin, "-n", "20000", "-seed", "7", "-outliers", "0.1", "-out", path); code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr)
 	}
 	st, err := synth.NewStream(defaultConfig(20_000, 7, 0.1))
@@ -112,9 +112,9 @@ func TestPositionalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSequentialMatchesWriteCSV: without -positional the file is
-// dataset.WriteCSV over the sequential generator, byte for byte, and
-// -truth-out records the generator's parameters.
+// TestSequentialMatchesWriteCSV: the file is dataset.WriteCSV over the
+// generator's source, byte for byte, and -truth-out records the
+// generator's parameters.
 func TestSequentialMatchesWriteCSV(t *testing.T) {
 	bin := buildSynthgen(t)
 	dir := t.TempDir()
@@ -126,12 +126,12 @@ func TestSequentialMatchesWriteCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := synth.New(defaultConfig(3000, 11, 0))
+	st, err := synth.NewStream(defaultConfig(3000, 11, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := dataset.WriteCSV(&want, gen); err != nil {
+	if err := dataset.WriteCSV(&want, st.Source()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {
@@ -143,15 +143,14 @@ func TestSequentialMatchesWriteCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		N          int   `json:"n"`
-		Seed       int64 `json:"seed"`
-		Positional bool  `json:"positional"`
+		N    int   `json:"n"`
+		Seed int64 `json:"seed"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.N != 3000 || doc.Seed != 11 || doc.Positional {
-		t.Errorf("-truth-out records n=%d seed=%d positional=%v, want 3000, 11, false", doc.N, doc.Seed, doc.Positional)
+	if doc.N != 3000 || doc.Seed != 11 {
+		t.Errorf("-truth-out records n=%d seed=%d, want 3000, 11", doc.N, doc.Seed)
 	}
 }
 
@@ -161,7 +160,7 @@ func TestTimeoutFlushesWholeRows(t *testing.T) {
 	bin := buildSynthgen(t)
 	path := filepath.Join(t.TempDir(), "cut.csv")
 	const n = 1_000_000_000
-	if code, stderr := run(t, bin, "-positional", "-n", strconv.Itoa(n), "-seed", "3", "-timeout", "100ms", "-out", path); code != exitCanceled {
+	if code, stderr := run(t, bin, "-n", strconv.Itoa(n), "-seed", "3", "-timeout", "100ms", "-out", path); code != exitCanceled {
 		t.Fatalf("exit %d, want %d\n%s", code, exitCanceled, stderr)
 	}
 	raw, err := os.ReadFile(path)
@@ -183,8 +182,9 @@ func TestTimeoutFlushesWholeRows(t *testing.T) {
 }
 
 // TestUsageAndConfigErrors: a bad generator config is a fatal error
-// (exit 1); a bad flag value or a stray argument, which would drop every
-// flag after it, is a usage error (exit 2) that writes nothing.
+// (exit 1); a bad flag value, a stray argument, which would drop every
+// flag after it, or the retired -positional flag is a usage error
+// (exit 2) that writes nothing.
 func TestUsageAndConfigErrors(t *testing.T) {
 	bin := buildSynthgen(t)
 	dir := t.TempDir()
@@ -195,6 +195,7 @@ func TestUsageAndConfigErrors(t *testing.T) {
 		{[]string{"-function", "11"}, 1},
 		{[]string{"-log-format", "xml"}, 2},
 		{[]string{"stray", "-n", "3"}, 2},
+		{[]string{"-positional"}, 2},
 	} {
 		out := filepath.Join(dir, "out.csv")
 		code, stderr := run(t, bin, append(c.args, "-out", out)...)

@@ -104,8 +104,16 @@ func clusterCombine(a, b []ClusteredRule) ([]MultiRule, error) { return cluster.
 // Agrawal et al. used throughout the paper's evaluation.
 type SynthConfig = synth.Config
 
-// NewGenerator constructs a deterministic synthetic tuple source.
-func NewGenerator(cfg SynthConfig) (Source, error) { return synth.New(cfg) }
+// NewGenerator constructs a deterministic synthetic tuple source: tuple
+// i depends only on the seed and i, and the source can be reset and
+// sharded.
+func NewGenerator(cfg SynthConfig) (Source, error) {
+	st, err := synth.NewStream(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return st.Source(), nil
+}
 
 // SynthSchema builds the generator's schema, useful for constructing
 // compatible tables by hand.

@@ -101,7 +101,7 @@ func main() {
 
 // writeBatch emits Function 2 data as CSV.
 func writeBatch(path string, n int, seed int64) {
-	gen, err := synth.New(synth.Config{
+	st, err := synth.NewStream(synth.Config{
 		Function: 2, N: n, Seed: seed,
 		Perturbation: 0.05, OutlierFraction: 0.10, FracA: 0.4,
 	})
@@ -114,7 +114,7 @@ func writeBatch(path string, n int, seed int64) {
 	}
 	defer f.Close()
 	w := bufio.NewWriterSize(f, 1<<20)
-	if err := dataset.WriteCSV(w, gen); err != nil {
+	if err := dataset.WriteCSV(w, st.Source()); err != nil {
 		log.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

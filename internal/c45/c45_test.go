@@ -34,14 +34,14 @@ func andTable(t *testing.T, n int) *dataset.Table {
 
 func f2Table(t *testing.T, n int, outliers float64) *dataset.Table {
 	t.Helper()
-	gen, err := synth.New(synth.Config{
+	st, err := synth.NewStream(synth.Config{
 		Function: 2, N: n, Seed: 21,
 		Perturbation: 0.05, OutlierFraction: outliers, FracA: 0.4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := dataset.Materialize(gen)
+	tb, err := dataset.Materialize(st.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

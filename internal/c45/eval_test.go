@@ -78,8 +78,8 @@ type constantClassifier int
 func (c constantClassifier) Classify(dataset.Tuple) int { return int(c) }
 
 func TestCrossValidate(t *testing.T) {
-	gen, _ := synth.New(synth.Config{Function: 2, N: 9_000, Seed: 5, FracA: 0.4})
-	tb, err := dataset.Materialize(gen)
+	st, _ := synth.NewStream(synth.Config{Function: 2, N: 9_000, Seed: 5, FracA: 0.4})
+	tb, err := dataset.Materialize(st.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

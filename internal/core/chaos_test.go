@@ -18,14 +18,10 @@ import (
 // f2Source builds the Function 2 generator the chaos tests wound.
 func f2Source(t *testing.T, n int) dataset.Source {
 	t.Helper()
-	gen, err := synth.New(synth.Config{
+	return synthSource(t, synth.Config{
 		Function: 2, N: n, Seed: 42,
 		Perturbation: 0.05, OutlierFraction: 0.05, FracA: 0.4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gen
 }
 
 func chaosConfig() Config {

@@ -9,16 +9,23 @@ import (
 	"arcs/internal/verify"
 )
 
+// synthSource builds the synthetic stream for cfg and returns its source.
+func synthSource(tb testing.TB, cfg synth.Config) *dataset.FuncSource {
+	tb.Helper()
+	st, err := synth.NewStream(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st.Source()
+}
+
 // f2System builds an ARCS system over Function 2 data.
 func f2System(t *testing.T, n int, outliers float64, cfg Config) *System {
 	t.Helper()
-	gen, err := synth.New(synth.Config{
+	gen := synthSource(t, synth.Config{
 		Function: 2, N: n, Seed: 42,
 		Perturbation: 0.05, OutlierFraction: outliers, FracA: 0.4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if cfg.XAttr == "" {
 		cfg.XAttr = synth.AttrAge
 	}
@@ -39,7 +46,7 @@ func f2System(t *testing.T, n int, outliers float64, cfg Config) *System {
 }
 
 func TestConfigValidation(t *testing.T) {
-	gen, _ := synth.New(synth.Config{Function: 2, N: 100, Seed: 1})
+	gen := synthSource(t, synth.Config{Function: 2, N: 100, Seed: 1})
 	bad := []Config{
 		{}, // missing attrs
 		{XAttr: "age", YAttr: "age", CritAttr: "group"},        // same LHS
@@ -247,10 +254,7 @@ func TestCategoricalLHSReordered(t *testing.T) {
 	// elevel (categorical, 5 values) × salary: the pipeline must accept
 	// a categorical LHS attribute and still produce rules. Function 3
 	// ties group to (age, elevel); use elevel × age.
-	gen, err := synth.New(synth.Config{Function: 3, N: 20_000, Seed: 7, FracA: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := synthSource(t, synth.Config{Function: 3, N: 20_000, Seed: 7, FracA: 0.5})
 	sys, err := New(gen, Config{
 		XAttr: synth.AttrELevel, YAttr: synth.AttrAge,
 		CritAttr: synth.AttrGroup, CritValue: synth.GroupA,
@@ -296,7 +300,7 @@ func TestSelectAttributePair(t *testing.T) {
 	// (On Function 2 the marginal distribution of group given age alone
 	// is flat by construction, so age carries almost no univariate gain
 	// there — salary and its correlate commission dominate instead.)
-	gen, _ := synth.New(synth.Config{Function: 1, N: 10_000, Seed: 3})
+	gen := synthSource(t, synth.Config{Function: 1, N: 10_000, Seed: 3})
 	tb, err := dataset.Materialize(gen)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +316,7 @@ func TestSelectAttributePair(t *testing.T) {
 		t.Error("scores not sorted descending")
 	}
 	// On Function 2, salary must rank first.
-	gen2, _ := synth.New(synth.Config{Function: 2, N: 10_000, Seed: 3, FracA: 0.4})
+	gen2 := synthSource(t, synth.Config{Function: 2, N: 10_000, Seed: 3, FracA: 0.4})
 	tb2, _ := dataset.Materialize(gen2)
 	x2, _, scores2, err := SelectAttributePair(tb2, synth.AttrGroup, 10)
 	if err != nil {
@@ -324,7 +328,7 @@ func TestSelectAttributePair(t *testing.T) {
 }
 
 func TestSelectAttributePairValidation(t *testing.T) {
-	gen, _ := synth.New(synth.Config{Function: 2, N: 100, Seed: 3})
+	gen := synthSource(t, synth.Config{Function: 2, N: 100, Seed: 3})
 	tb, _ := dataset.Materialize(gen)
 	if _, _, _, err := SelectAttributePair(tb, synth.AttrGroup, 1); err == nil {
 		t.Error("bins < 2 should error")
@@ -367,7 +371,7 @@ func TestInterestLift(t *testing.T) {
 			liftedGrid.PopCount(), plainGrid.PopCount())
 	}
 	// Negative lift is rejected.
-	gen, _ := synth.New(synth.Config{Function: 2, N: 100, Seed: 1})
+	gen := synthSource(t, synth.Config{Function: 2, N: 100, Seed: 1})
 	if _, err := New(gen, Config{
 		XAttr: synth.AttrAge, YAttr: synth.AttrSalary,
 		CritAttr: synth.AttrGroup, CritValue: synth.GroupA,
@@ -462,7 +466,7 @@ func TestRunValueWithAnnealAndFactorial(t *testing.T) {
 func TestSegmentAllWithEmptyGroup(t *testing.T) {
 	// Register a criterion label that never occurs; SegmentAll must
 	// report an empty result for it, not fail.
-	gen, _ := synth.New(synth.Config{Function: 2, N: 5_000, Seed: 3, FracA: 0.4})
+	gen := synthSource(t, synth.Config{Function: 2, N: 5_000, Seed: 3, FracA: 0.4})
 	gen.Schema().Attr(synth.AttrGroup).CategoryCode("phantom")
 	sys, err := New(gen, Config{
 		XAttr: synth.AttrAge, YAttr: synth.AttrSalary,
@@ -490,7 +494,7 @@ func TestSegmentAllWithEmptyGroup(t *testing.T) {
 }
 
 func TestSelectAttributePairJointInternal(t *testing.T) {
-	gen, _ := synth.New(synth.Config{Function: 2, N: 8_000, Seed: 3, FracA: 0.4})
+	gen := synthSource(t, synth.Config{Function: 2, N: 8_000, Seed: 3, FracA: 0.4})
 	tb, err := dataset.Materialize(gen)
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,7 @@ import (
 
 func extSystem(t *testing.T, n int) *System {
 	t.Helper()
-	gen, err := synth.New(synth.Config{Function: 2, N: n, Seed: 1, FracA: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := synthSource(t, synth.Config{Function: 2, N: n, Seed: 1, FracA: 0.4})
 	sys, err := New(gen, Config{
 		XAttr: synth.AttrAge, YAttr: synth.AttrSalary,
 		CritAttr: synth.AttrGroup, CritValue: synth.GroupA,
@@ -30,10 +27,7 @@ func TestExtendAddsData(t *testing.T) {
 
 	// A fresh generator has a structurally identical schema (different
 	// instance): Extend must remap category codes by label.
-	more, err := synth.New(synth.Config{Function: 2, N: 3_000, Seed: 2, FracA: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	more := synthSource(t, synth.Config{Function: 2, N: 3_000, Seed: 2, FracA: 0.4})
 	if err := sys.Extend(more); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +57,7 @@ func TestExtendAddsData(t *testing.T) {
 func TestExtendSampleStaysBounded(t *testing.T) {
 	sys := extSystem(t, 5_000)
 	capacity := sys.Sample().Len()
-	more, _ := synth.New(synth.Config{Function: 2, N: 10_000, Seed: 3, FracA: 0.4})
+	more := synthSource(t, synth.Config{Function: 2, N: 10_000, Seed: 3, FracA: 0.4})
 	if err := sys.Extend(more); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +124,7 @@ func TestExtendRejectsUnknownCriterionLabel(t *testing.T) {
 func TestExtendDeterministic(t *testing.T) {
 	run := func() uint64 {
 		sys := extSystem(t, 2_000)
-		more, _ := synth.New(synth.Config{Function: 2, N: 1_000, Seed: 9, FracA: 0.4})
+		more := synthSource(t, synth.Config{Function: 2, N: 1_000, Seed: 9, FracA: 0.4})
 		if err := sys.Extend(more); err != nil {
 			t.Fatal(err)
 		}

@@ -269,12 +269,9 @@ func TestObsDisabledProbeZeroAlloc(t *testing.T) {
 // for a cache hit).
 func BenchmarkProbeObserverOverhead(b *testing.B) {
 	bench := func(b *testing.B, observer *obs.Observer) {
-		gen, err := synth.New(synth.Config{
+		gen := synthSource(b, synth.Config{
 			Function: 2, N: 4_000, Seed: 42, Perturbation: 0.05, FracA: 0.4,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 		sys, err := New(gen, Config{
 			XAttr: synth.AttrAge, YAttr: synth.AttrSalary,
 			CritAttr: synth.AttrGroup, CritValue: synth.GroupA,

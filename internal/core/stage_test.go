@@ -16,12 +16,9 @@ import (
 // the shardable source the parallel-ingest tests need.
 func f2Table(t *testing.T, n int) *dataset.Table {
 	t.Helper()
-	gen, err := synth.New(synth.Config{
+	gen := synthSource(t, synth.Config{
 		Function: 2, N: n, Seed: 42, Perturbation: 0.05, FracA: 0.4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tab, err := dataset.Materialize(gen)
 	if err != nil {
 		t.Fatal(err)

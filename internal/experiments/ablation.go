@@ -22,7 +22,7 @@ type AblationRow struct {
 // ablationRun executes one full ARCS run with the given config over a
 // standard noisy Function 2 workload and measures it.
 func ablationRun(n int, cfg core.Config) (AblationRow, error) {
-	gen, err := synth.New(dataConfig(n, 0.10, DefaultSeed))
+	gen, err := synthSource(dataConfig(n, 0.10, DefaultSeed))
 	if err != nil {
 		return AblationRow{}, err
 	}

@@ -37,6 +37,15 @@ func dataConfig(n int, outlierFrac float64, seed int64) synth.Config {
 	}
 }
 
+// synthSource returns the synthetic stream for cfg as a dataset source.
+func synthSource(cfg synth.Config) (*dataset.FuncSource, error) {
+	st, err := synth.NewStream(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return st.Source(), nil
+}
+
 // arcsConfig is the standard ARCS configuration used across experiments:
 // the paper's presets (50 bins, binary smoothing, 1% pruning) plus a
 // bounded threshold walk.
@@ -54,7 +63,7 @@ func arcsConfig(bins int, seed int64) core.Config {
 // segmentation against an independent test table. It returns the
 // result, the test error rate and the wall-clock training time.
 func RunARCS(n int, outlierFrac float64, bins int, test *dataset.Table) (*core.Result, float64, time.Duration, error) {
-	gen, err := synth.New(dataConfig(n, outlierFrac, DefaultSeed))
+	gen, err := synthSource(dataConfig(n, outlierFrac, DefaultSeed))
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -89,7 +98,7 @@ type C45Outcome struct {
 // RunC45 trains the C4.5 baseline on n Function-2 tuples, extracts rules
 // and measures their error on the test table.
 func RunC45(n int, outlierFrac float64, test *dataset.Table) (C45Outcome, error) {
-	gen, err := synth.New(dataConfig(n, outlierFrac, DefaultSeed))
+	gen, err := synthSource(dataConfig(n, outlierFrac, DefaultSeed))
 	if err != nil {
 		return C45Outcome{}, err
 	}
@@ -117,7 +126,7 @@ func RunC45(n int, outlierFrac float64, test *dataset.Table) (C45Outcome, error)
 // TestTable generates an independent evaluation table (different seed
 // from every training set).
 func TestTable(n int, outlierFrac float64) (*dataset.Table, error) {
-	gen, err := synth.New(dataConfig(n, outlierFrac, DefaultSeed+7919))
+	gen, err := synthSource(dataConfig(n, outlierFrac, DefaultSeed+7919))
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +197,7 @@ type ScaleupRow struct {
 func Scaleup(sizes []int) ([]ScaleupRow, error) {
 	var rows []ScaleupRow
 	for _, n := range sizes {
-		gen, err := synth.New(dataConfig(n, 0, DefaultSeed))
+		gen, err := synthSource(dataConfig(n, 0, DefaultSeed))
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +263,7 @@ func BinGranularity(n int, binCounts []int, testN int) ([]BinRow, error) {
 // with 10% outliers, and returns the clustered rules ARCS settles on —
 // expected to closely match the three Function 2 disjuncts.
 func RecoveredRules() (*core.Result, error) {
-	gen, err := synth.New(dataConfig(50_000, 0.10, DefaultSeed))
+	gen, err := synthSource(dataConfig(50_000, 0.10, DefaultSeed))
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +277,7 @@ func RecoveredRules() (*core.Result, error) {
 // SmoothingDemo reproduces Figure 7: the rule grid for Function 2 data
 // with outliers before and after the low-pass filter, rendered as ASCII.
 func SmoothingDemo(n, bins int) (before, after string, err error) {
-	gen, err := synth.New(dataConfig(n, 0.10, DefaultSeed))
+	gen, err := synthSource(dataConfig(n, 0.10, DefaultSeed))
 	if err != nil {
 		return "", "", err
 	}

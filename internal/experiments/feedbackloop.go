@@ -7,7 +7,6 @@ import (
 
 	"arcs/internal/core"
 	"arcs/internal/obs"
-	"arcs/internal/synth"
 )
 
 // FeedbackLoopVariant is one measured configuration of the
@@ -54,7 +53,7 @@ type FeedbackLoopReport struct {
 // uninstrumented cost.
 func FeedbackLoop(n, workers int, sink obs.Sink) (*FeedbackLoopReport, error) {
 	build := func(serial, nocache bool, observer *obs.Observer) (*core.System, error) {
-		gen, err := synth.New(dataConfig(n, 0.10, DefaultSeed))
+		gen, err := synthSource(dataConfig(n, 0.10, DefaultSeed))
 		if err != nil {
 			return nil, err
 		}

@@ -67,7 +67,7 @@ type IngestReport struct {
 // realized columns. Suitable for sizes that comfortably fit in RAM;
 // the streamed spec below scales beyond that.
 func IngestSpec(n, bins int) (*dataset.Table, counts.Spec, error) {
-	gen, err := synth.New(dataConfig(n, 0.10, DefaultSeed))
+	gen, err := synthSource(dataConfig(n, 0.10, DefaultSeed))
 	if err != nil {
 		return nil, counts.Spec{}, err
 	}
@@ -111,19 +111,18 @@ func IngestSpec(n, bins int) (*dataset.Table, counts.Spec, error) {
 }
 
 // IngestStreamSpec prepares the counting-pass inputs as a constant-
-// memory stream: a position-deterministic synth.Stream wrapped in a
-// shardable dataset.FuncSource, with fixed-range equi-width binners
-// over the known age/salary domains (no fitting pass — the generator's
-// domains are the paper's, so fitting would only rediscover them).
-// This is how the bench reaches 10M-100M tuples without a 100M-row
-// table in RAM: each shard synthesizes its own index range on the fly.
+// memory stream: the synth.Stream as a shardable dataset.FuncSource,
+// with fixed-range equi-width binners over the known age/salary domains
+// (no fitting pass — the generator's domains are the paper's, so
+// fitting would only rediscover them). This is how the bench reaches
+// 10M-100M tuples without a 100M-row table in RAM: each shard
+// synthesizes its own index range on the fly.
 func IngestStreamSpec(n, bins int) (*dataset.FuncSource, counts.Spec, error) {
-	cfg := dataConfig(n, 0.10, DefaultSeed)
-	st, err := synth.NewStream(cfg)
+	src, err := synthSource(dataConfig(n, 0.10, DefaultSeed))
 	if err != nil {
 		return nil, counts.Spec{}, err
 	}
-	schema := st.Schema()
+	schema := src.Schema()
 	xIdx := schema.MustIndex(synth.AttrAge)
 	yIdx := schema.MustIndex(synth.AttrSalary)
 	critIdx := schema.MustIndex(synth.AttrGroup)
@@ -135,7 +134,7 @@ func IngestStreamSpec(n, bins int) (*dataset.FuncSource, counts.Spec, error) {
 	if err != nil {
 		return nil, counts.Spec{}, err
 	}
-	return st.Source(), counts.Spec{
+	return src, counts.Spec{
 		XIdx: xIdx, YIdx: yIdx, CritIdx: critIdx,
 		XBinner: xb, YBinner: yb,
 		NSeg: schema.At(critIdx).NumCategories(),

@@ -83,7 +83,7 @@ func qualityDataConfig(fn, n int, seed int64) synth.Config {
 // qualityTable materializes one function's synthetic table, paying the
 // generator's rejection sampling once.
 func qualityTable(fn, n int, seed int64) (*dataset.Table, error) {
-	gen, err := synth.New(qualityDataConfig(fn, n, seed))
+	gen, err := synthSource(qualityDataConfig(fn, n, seed))
 	if err != nil {
 		return nil, err
 	}

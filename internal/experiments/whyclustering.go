@@ -32,7 +32,7 @@ type WhyClusteringResult struct {
 func WhyClustering(n, bins int) (WhyClusteringResult, error) {
 	var out WhyClusteringResult
 
-	gen, err := synth.New(dataConfig(n, 0.10, DefaultSeed))
+	gen, err := synthSource(dataConfig(n, 0.10, DefaultSeed))
 	if err != nil {
 		return out, err
 	}

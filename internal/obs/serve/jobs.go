@@ -65,7 +65,8 @@ type JobSpec struct {
 	Lift      float64 `json:"lift,omitempty"`
 	Seed      int64   `json:"seed,omitempty"`
 
-	// IngestWorkers shards the counting pass (in-memory sources only).
+	// IngestWorkers shards the counting pass over synth sources and
+	// materialized CSV; a streamed CSV is read sequentially.
 	IngestWorkers int `json:"ingest_workers,omitempty"`
 	// MemBudget is the count-substrate memory budget for this run:
 	// bytes with an optional K/M/G/T suffix, or "off" for unlimited.
@@ -102,9 +103,6 @@ type SynthSpec struct {
 	Perturbation float64 `json:"perturbation,omitempty"`
 	Outliers     float64 `json:"outliers,omitempty"`
 	FracA        float64 `json:"frac_a,omitempty"`
-	// Positional selects the position-deterministic stream generator
-	// (shardable; required for ingest_workers > 1).
-	Positional bool `json:"positional,omitempty"`
 }
 
 // validate checks the parts of the spec the server can reject before
@@ -342,18 +340,11 @@ func (r *Run) buildSource(spec JobSpec, reg *obs.Registry) (dataset.Source, func
 			OutlierFraction: spec.Synth.Outliers,
 			FracA:           spec.Synth.FracA,
 		}
-		if spec.Synth.Positional {
-			st, err := synth.NewStream(scfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return st.Source(), nil, nil
-		}
-		gen, err := synth.New(scfg)
+		st, err := synth.NewStream(scfg)
 		if err != nil {
 			return nil, nil, err
 		}
-		return gen, nil, nil
+		return st.Source(), nil, nil
 	}
 
 	schema, err := dataset.InferCSVSchema(spec.CSV.Path, 10_000)
@@ -483,7 +474,7 @@ func (s *Server) execute(ctx context.Context, r *Run, observer *obs.Observer) {
 // category reordering would misalign. Evaluation failures degrade to a
 // missing quality block, never to a failed run.
 func (s *Server) evaluateQuality(runID string, spec JobSpec, results map[string]*core.Result, reg *obs.Registry) map[string]*quality.Report {
-	testGen, err := synth.New(synth.Config{
+	testGen, err := synth.NewStream(synth.Config{
 		Function:        spec.Synth.Function,
 		N:               s.qualityN,
 		Seed:            spec.Synth.Seed + 7919,
@@ -495,7 +486,7 @@ func (s *Server) evaluateQuality(runID string, spec JobSpec, results map[string]
 		slog.Warn("quality: building test generator", "run", runID, "err", err)
 		return nil
 	}
-	test, err := dataset.Materialize(testGen)
+	test, err := dataset.Materialize(testGen.Source())
 	if err != nil {
 		slog.Warn("quality: materializing test table", "run", runID, "err", err)
 		return nil

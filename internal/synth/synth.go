@@ -5,11 +5,14 @@
 // varying complexity. The ARCS evaluation (paper §4.1, Table 1, Figure 8)
 // draws all of its data from this generator with Function 2.
 //
+// The generator is Stream: tuple i is a pure function of the seed and i,
+// so a source of it can be reset, sharded and read in any order.
+//
 // In addition to the classification functions, the generator models the
 // three distortions the paper studies:
 //
 //   - a group-fraction control (fracA / fracOther, Table 1) realized by
-//     rejection sampling,
+//     bounded rejection sampling,
 //   - a perturbation factor that fuzzes attribute values near disjunct
 //     boundaries, and
 //   - an outlier percentage: tuples keep their assigned group label but
@@ -18,8 +21,6 @@ package synth
 
 import (
 	"fmt"
-	"io"
-	"math/rand"
 
 	"arcs/internal/dataset"
 )
@@ -143,153 +144,4 @@ func NewSchema() *dataset.Schema {
 	s.Attr(AttrGroup).CategoryCode(GroupA)
 	s.Attr(AttrGroup).CategoryCode(GroupOther)
 	return s
-}
-
-// Generator is a deterministic, resettable stream of synthetic tuples
-// implementing dataset.SizedSource.
-type Generator struct {
-	cfg    Config
-	schema *dataset.Schema
-	rng    *rand.Rand
-	pos    int
-	buf    dataset.Tuple
-}
-
-// New constructs a generator after validating the config.
-func New(cfg Config) (*Generator, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	g := &Generator{
-		cfg:    cfg,
-		schema: NewSchema(),
-		buf:    make(dataset.Tuple, numCols),
-	}
-	g.rng = rand.New(rand.NewSource(cfg.Seed))
-	return g, nil
-}
-
-// Schema implements dataset.Source.
-func (g *Generator) Schema() *dataset.Schema { return g.schema }
-
-// Len implements dataset.SizedSource.
-func (g *Generator) Len() int { return g.cfg.N }
-
-// Reset implements dataset.Source: it re-seeds the RNG so the stream
-// replays identically.
-func (g *Generator) Reset() error {
-	g.rng = rand.New(rand.NewSource(g.cfg.Seed))
-	g.pos = 0
-	return nil
-}
-
-// Next implements dataset.Source. The returned tuple is reused between
-// calls; clone it to retain.
-func (g *Generator) Next() (dataset.Tuple, error) {
-	if g.pos >= g.cfg.N {
-		return nil, io.EOF
-	}
-	g.pos++
-	g.generate(g.buf)
-	return g.buf, nil
-}
-
-// generate fills out with one tuple according to the config.
-func (g *Generator) generate(out dataset.Tuple) {
-	rng := g.rng
-
-	if g.cfg.OutlierFraction > 0 && rng.Float64() < g.cfg.OutlierFraction {
-		// Outlier: uniform attributes, label chosen by target fraction
-		// (or fair coin when fraction control is off). These tuples
-		// belong to the group per their label but lie outside every
-		// generating rule with high probability (paper §3.3).
-		g.drawUniform(out)
-		frac := g.cfg.FracA
-		if frac == 0 {
-			frac = 0.5
-		}
-		if rng.Float64() < frac {
-			out[ColGroup] = 0 // GroupA
-		} else {
-			out[ColGroup] = 1 // GroupOther
-		}
-		g.perturb(out)
-		return
-	}
-
-	if g.cfg.FracA > 0 {
-		// Fraction control: decide the desired label first, then
-		// rejection-sample attribute vectors until the function agrees.
-		wantA := rng.Float64() < g.cfg.FracA
-		for {
-			g.drawUniform(out)
-			if IsGroupA(g.cfg.Function, out) == wantA {
-				break
-			}
-		}
-	} else {
-		g.drawUniform(out)
-	}
-	if IsGroupA(g.cfg.Function, out) {
-		out[ColGroup] = 0
-	} else {
-		out[ColGroup] = 1
-	}
-	g.perturb(out)
-}
-
-// drawUniform fills the nine person attributes from their domains.
-func (g *Generator) drawUniform(out dataset.Tuple) {
-	rng := g.rng
-	out[ColSalary] = uniform(rng, SalaryMin, SalaryMax)
-	if out[ColSalary] >= 75_000 {
-		out[ColCommission] = 0
-	} else {
-		out[ColCommission] = uniform(rng, CommissionMin, CommissionMax)
-	}
-	out[ColAge] = uniform(rng, AgeMin, AgeMax)
-	out[ColELevel] = float64(rng.Intn(NumELevels))
-	out[ColCar] = float64(rng.Intn(NumCars)) // codes 0..19 = cars 1..20
-	zip := rng.Intn(NumZipcodes)
-	out[ColZipcode] = float64(zip)
-	// hvalue is uniform in [0.5k, 1.5k] * 100000 where k depends on zipcode.
-	k := float64(zip + 1)
-	out[ColHValue] = uniform(rng, 0.5*k*100_000, 1.5*k*100_000)
-	out[ColHYears] = uniform(rng, HYearsMin, HYearsMax)
-	out[ColLoan] = uniform(rng, LoanMin, LoanMax)
-}
-
-// perturb applies the perturbation factor to the quantitative attributes
-// after labeling, modeling fuzzy boundaries between disjuncts. The offset
-// is uniform in ±P/2 of the attribute's domain width and the result is
-// clamped back into the domain.
-func (g *Generator) perturb(out dataset.Tuple) {
-	p := g.cfg.Perturbation
-	if p <= 0 {
-		return
-	}
-	rng := g.rng
-	jitter := func(v, lo, hi float64) float64 {
-		w := (hi - lo) * p
-		v += (rng.Float64() - 0.5) * w
-		if v < lo {
-			v = lo
-		}
-		if v > hi {
-			v = hi
-		}
-		return v
-	}
-	out[ColSalary] = jitter(out[ColSalary], SalaryMin, SalaryMax)
-	if out[ColCommission] > 0 {
-		out[ColCommission] = jitter(out[ColCommission], CommissionMin, CommissionMax)
-	}
-	out[ColAge] = jitter(out[ColAge], AgeMin, AgeMax)
-	out[ColHValue] = jitter(out[ColHValue], 0.5*100_000, 1.5*float64(NumZipcodes)*100_000)
-	out[ColHYears] = jitter(out[ColHYears], HYearsMin, HYearsMax)
-	out[ColLoan] = jitter(out[ColLoan], LoanMin, LoanMax)
-}
-
-func uniform(rng *rand.Rand, lo, hi float64) float64 {
-	return lo + rng.Float64()*(hi-lo)
 }

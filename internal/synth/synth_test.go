@@ -8,6 +8,16 @@ import (
 	"arcs/internal/dataset"
 )
 
+// source builds the stream for cfg and returns it as a dataset source.
+func source(t *testing.T, cfg Config) dataset.Source {
+	t.Helper()
+	st, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Source()
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Function: 0, N: 10},
@@ -21,11 +31,11 @@ func TestConfigValidation(t *testing.T) {
 		{Function: 2, N: 10, FracA: 1},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if _, err := NewStream(cfg); err == nil {
 			t.Errorf("case %d: config %+v should be rejected", i, cfg)
 		}
 	}
-	if _, err := New(Config{Function: 2, N: 10}); err != nil {
+	if _, err := NewStream(Config{Function: 2, N: 10}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
@@ -44,12 +54,10 @@ func TestSchemaStableCodes(t *testing.T) {
 	}
 }
 
+// TestGeneratorDeterministicReplay: one source, materialized twice,
+// replays identical rows, because each pass resets it.
 func TestGeneratorDeterministicReplay(t *testing.T) {
-	cfg := Config{Function: 2, N: 100, Seed: 42, Perturbation: 0.05, OutlierFraction: 0.1, FracA: 0.4}
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := source(t, Config{Function: 2, N: 100, Seed: 42, Perturbation: 0.05, OutlierFraction: 0.1, FracA: 0.4})
 	first, err := dataset.Materialize(g)
 	if err != nil {
 		t.Fatal(err)
@@ -71,21 +79,22 @@ func TestGeneratorDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestGeneratorEOF: the source yields exactly N tuples, then io.EOF.
 func TestGeneratorEOF(t *testing.T) {
-	g, _ := New(Config{Function: 1, N: 2, Seed: 1})
-	g.Next()
-	g.Next()
+	g := source(t, Config{Function: 1, N: 2, Seed: 1})
+	for i := 0; i < 2; i++ {
+		if _, err := g.Next(); err != nil {
+			t.Fatalf("tuple %d: %v", i, err)
+		}
+	}
 	if _, err := g.Next(); err != io.EOF {
 		t.Errorf("expected EOF, got %v", err)
 	}
 }
 
 func TestDomains(t *testing.T) {
-	g, err := New(Config{Function: 2, N: 5000, Seed: 7, Perturbation: 0.05, OutlierFraction: 0.1, FracA: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = dataset.ForEach(g, func(tp dataset.Tuple) error {
+	g := source(t, Config{Function: 2, N: 5000, Seed: 7, Perturbation: 0.05, OutlierFraction: 0.1, FracA: 0.4})
+	err := dataset.ForEach(g, func(tp dataset.Tuple) error {
 		if tp[ColSalary] < SalaryMin || tp[ColSalary] > SalaryMax {
 			t.Errorf("salary %v out of domain", tp[ColSalary])
 		}
@@ -114,11 +123,10 @@ func TestDomains(t *testing.T) {
 	}
 }
 
+// TestFractionControl checks rejection sampling hits the configured
+// Group A fraction within sampling noise.
 func TestFractionControl(t *testing.T) {
-	g, err := New(Config{Function: 2, N: 20000, Seed: 3, FracA: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := source(t, Config{Function: 2, N: 20000, Seed: 3, FracA: 0.4})
 	countA := 0
 	total := 0
 	dataset.ForEach(g, func(tp dataset.Tuple) error {
@@ -137,11 +145,8 @@ func TestFractionControl(t *testing.T) {
 func TestLabelsMatchFunctionWithoutNoise(t *testing.T) {
 	// With no perturbation and no outliers, every label must agree with
 	// the generating function exactly.
-	g, err := New(Config{Function: 2, N: 5000, Seed: 11, FracA: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = dataset.ForEach(g, func(tp dataset.Tuple) error {
+	g := source(t, Config{Function: 2, N: 5000, Seed: 11, FracA: 0.4})
+	err := dataset.ForEach(g, func(tp dataset.Tuple) error {
 		want := IsGroupA(2, tp)
 		got := int(tp[ColGroup]) == 0
 		if want != got {
@@ -157,10 +162,7 @@ func TestLabelsMatchFunctionWithoutNoise(t *testing.T) {
 func TestOutliersProduceRuleViolations(t *testing.T) {
 	// With 100% outliers every tuple is drawn uniformly, so a sizable
 	// fraction must violate the generating function.
-	g, err := New(Config{Function: 2, N: 5000, Seed: 13, OutlierFraction: 1, FracA: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := source(t, Config{Function: 2, N: 5000, Seed: 13, OutlierFraction: 1, FracA: 0.4})
 	violations := 0
 	total := 0
 	dataset.ForEach(g, func(tp dataset.Tuple) error {
@@ -177,10 +179,7 @@ func TestOutliersProduceRuleViolations(t *testing.T) {
 
 func TestAllFunctionsProduceBothGroups(t *testing.T) {
 	for fn := 1; fn <= 10; fn++ {
-		g, err := New(Config{Function: fn, N: 2000, Seed: int64(fn)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := source(t, Config{Function: fn, N: 2000, Seed: int64(fn)})
 		seen := map[int]int{}
 		dataset.ForEach(g, func(tp dataset.Tuple) error {
 			seen[int(tp[ColGroup])]++
@@ -267,17 +266,18 @@ func TestFunctionEvaluations(t *testing.T) {
 }
 
 func TestPerturbationMovesValues(t *testing.T) {
-	// Same seed with and without perturbation: quantitative values must
-	// differ for at least some tuples (RNG consumption differs, so just
-	// check the perturbed stream stays in domain and isn't identical to
-	// an unperturbed stream of the same seed).
-	base, _ := New(Config{Function: 2, N: 200, Seed: 99})
-	pert, _ := New(Config{Function: 2, N: 200, Seed: 99, Perturbation: 0.05})
-	bt, _ := dataset.Materialize(base)
-	pt, _ := dataset.Materialize(pert)
+	// Same seed with and without perturbation: tuple i draws the same
+	// attributes either way, then perturbation shifts each by at most
+	// P/2 of its domain width.
+	bt, _ := dataset.Materialize(source(t, Config{Function: 2, N: 200, Seed: 99}))
+	pt, _ := dataset.Materialize(source(t, Config{Function: 2, N: 200, Seed: 99, Perturbation: 0.05}))
 	diff := 0
 	for i := 0; i < bt.Len(); i++ {
-		if bt.Row(i)[ColSalary] != pt.Row(i)[ColSalary] {
+		d := math.Abs(bt.Row(i)[ColSalary] - pt.Row(i)[ColSalary])
+		if d > 0.025*(SalaryMax-SalaryMin) {
+			t.Errorf("tuple %d: salary moved by %v, more than P/2 of its domain", i, d)
+		}
+		if d != 0 {
 			diff++
 		}
 	}
