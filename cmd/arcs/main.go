@@ -7,21 +7,23 @@
 //
 // With -value, one segmentation is computed; without it, every value of
 // the criterion attribute is segmented (reusing the single binning pass).
+// -v adds the optimizer's probe trace to the output.
+//
+// Exit codes: 0 success, 1 fatal error, 2 usage (checked before any
+// input is read), 3 canceled (SIGINT or -timeout) — possibly after
+// printing a degraded best-so-far result.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 
+	"arcs/internal/cli"
 	"arcs/internal/core"
-	"arcs/internal/counts"
 	"arcs/internal/dataset"
 	"arcs/internal/obs"
 	"arcs/internal/optimizer"
@@ -29,11 +31,15 @@ import (
 	"arcs/internal/segment"
 )
 
-// Exit codes: 0 success, 1 fatal error, 2 usage, 3 canceled (SIGINT or
-// -timeout) — possibly after printing a degraded best-so-far result.
-const exitCanceled = 3
-
 func main() {
+	c := cli.New(cli.Spec{
+		Name:    "arcs",
+		Timeout: "overall run budget; on expiry print the best-so-far result and exit 3",
+		Spans:   "write a JSONL span trace of the run to this file",
+		Input:   true,
+		Counts:  true,
+		Profile: true,
+	})
 	var (
 		in         = flag.String("in", "", "input CSV file (required)")
 		xAttr      = flag.String("x", "", "first LHS attribute (required)")
@@ -50,96 +56,69 @@ func main() {
 		lift       = flag.Float64("lift", 0, "greater-than-expected interest factor (0 disables)")
 		seed       = flag.Int64("seed", 1, "sampling seed")
 		showGrid   = flag.Bool("grid", false, "print the rule grid before clustering")
-		verbose    = flag.Bool("v", false, "debug logging plus the optimizer trace")
-		logFormat  = flag.String("log-format", "text", "log output format: text, json")
 		format     = flag.String("format", "text", "output format: text, markdown, json")
 		stream     = flag.Bool("stream", false, "stream the CSV from disk instead of loading it (constant memory)")
 		save       = flag.String("save", "", "write the segmentation model as JSON to this file (requires -value)")
 		describe   = flag.Bool("describe", false, "print per-attribute statistics and exit")
-		spansPath  = flag.String("spans", "", "write a JSONL span trace of the run to this file")
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text-format metrics to this file on exit")
-		timeout    = flag.Duration("timeout", 0, "overall run budget; on expiry print the best-so-far result and exit 3")
-		maxBadRows = flag.Int("max-bad-rows", 0, "input rows to quarantine per pass before failing; -1 unlimited, 0 strict")
-		retries    = flag.Int("retries", 2, "retries per read for transient input errors")
 		ingestW    = flag.Int("ingest-workers", 0, "workers for the parallel counting pass (0/1 sequential; needs an in-memory source, so not with -stream)")
-		memBudget  = flag.String("mem-budget", "", "memory budget for the count substrate: bytes with optional K/M/G/T suffix, or 'off' for unlimited (empty keeps the 1 GiB default; grids over budget use the sparse backend)")
-		backend    = flag.String("counts-backend", "auto", "count backend: auto, dense, sparse")
-		prof       obs.Profiler
 	)
-	prof.RegisterFlags(flag.CommandLine)
-	obs.ParseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a stray argument
+	c.Parse()
+	// Every flag value is checked before any input is read.
 	if *in == "" || (!*describe && (*xAttr == "" || *yAttr == "" || *critAttr == "")) {
-		flag.Usage()
-		os.Exit(2)
+		c.Usage(errors.New("need -in, and -x, -y and -crit unless -describe"))
 	}
-	if _, err := obs.SetupSlog(os.Stderr, *logFormat, *verbose); err != nil {
-		fmt.Fprintln(os.Stderr, "arcs:", err)
-		os.Exit(2)
+	if *save != "" && *critValue == "" {
+		c.Usage(errors.New("-save requires -value"))
 	}
-	defer func() {
-		runExitHooks()
-		if exitCode != 0 {
-			os.Exit(exitCode)
-		}
-	}()
+	outFormat, err := report.ParseFormat(*format)
+	if err != nil {
+		c.Usage(err)
+	}
+	cfg := core.Config{
+		XAttr: *xAttr, YAttr: *yAttr,
+		CritAttr: *critAttr, CritValue: *critValue,
+		NumBins:            *bins,
+		PruneFraction:      *prune,
+		InterestLift:       *lift,
+		FixedMinSupport:    *minSup,
+		FixedMinConfidence: *minConf,
+		Seed:               *seed,
+		IngestWorkers:      *ingestW,
+		MemBudget:          c.MemBudget(),
+		CountsBackend:      c.CountsBackend(),
+		Walk:               optimizer.ThresholdWalk{},
+	}
+	if cfg.Smoothing, err = core.ParseSmoothingMode(*smoothing); err != nil {
+		c.Usage(err)
+	}
+	if cfg.BinStrategy, err = core.ParseBinStrategy(*binning); err != nil {
+		c.Usage(err)
+	}
+	if cfg.Search, err = core.ParseSearchStrategy(*search); err != nil {
+		c.Usage(err)
+	}
 
-	// SIGINT/SIGTERM and -timeout cancel the run cooperatively: the
-	// pipeline stops at its next checkpoint and, when a search is far
-	// enough along, degrades to the best-so-far result (exit 3).
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	atExit(stopSignals)
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		atExit(cancel)
-	}
-	// After the first cancellation, restore default signal handling so a
-	// second Ctrl-C kills the process the ordinary way instead of being
-	// swallowed while the pipeline drains to its next checkpoint.
-	go func() { <-ctx.Done(); stopSignals() }()
-
-	if stop, err := prof.Start(); err != nil {
-		fatal(err)
-	} else {
-		atExit(func() {
-			if err := stop(); err != nil {
-				slog.Error("stopping profilers", "err", err)
-			}
-		})
-	}
+	// The pipeline stops at its next checkpoint when ctx is canceled and,
+	// when a search is far enough along, degrades to the best-so-far
+	// result (exit 3).
+	ctx := c.Start(os.Stderr)
+	defer c.Exit()
 
 	// -spans or -metrics-out (or both) turn the observability layer on;
 	// the live registry is also published on expvar for /debug/vars.
-	var observer *obs.Observer
-	if *spansPath != "" || *metricsOut != "" {
-		var sink obs.Sink
-		if *spansPath != "" {
-			f, err := os.Create(*spansPath)
-			if err != nil {
-				fatal(err)
-			}
-			js := obs.NewJSONLSink(f)
-			sink = js
-			atExit(func() {
-				if err := js.Err(); err != nil {
-					slog.Error("writing span trace", "path", *spansPath, "err", err)
-				}
-				if err := f.Close(); err != nil {
-					slog.Error("closing span trace", "path", *spansPath, "err", err)
-				}
-			})
-		}
-		observer = obs.New(sink)
+	if sink := c.SpanSink(); sink != nil || *metricsOut != "" {
+		observer := obs.New(sink)
 		if err := obs.PublishExpvar("arcs", observer.Registry()); err != nil {
 			slog.Warn("publishing expvar snapshot", "err", err)
 		}
 		// Flush the final registry state into the trace before the sink
 		// closes (hooks run last-registered-first), so arcstrace sees the
 		// run's counters and histograms alongside its spans.
-		atExit(func() { observer.FlushMetrics() })
+		c.AtExit(observer.FlushMetrics)
 		if *metricsOut != "" {
 			path := *metricsOut
-			atExit(func() {
+			c.AtExit(func() {
 				f, err := os.Create(path)
 				if err != nil {
 					slog.Error("creating metrics file", "path", path, "err", err)
@@ -154,75 +133,28 @@ func main() {
 				}
 			})
 		}
+		cfg.Observer = observer
 	}
 
-	outFormat, err := report.ParseFormat(*format)
+	// Bad rows are quarantined within the -max-bad-rows budget in both
+	// modes. Without -stream the cleaned rows are loaded into memory;
+	// with it the file is parsed inside core's passes, so only the
+	// in-memory load has a dataset.load span.
+	input, err := dataset.OpenCSV(*in, c.MaxBadRows(), cfg.Observer, "")
 	if err != nil {
-		fatal(err)
+		c.Fatal(err)
 	}
-
-	// Input always goes through the CSV stream wrapped in the resilient
-	// layer — transient errors are retried with backoff and bad rows
-	// (parse failures, non-finite values) are quarantined with row
-	// numbers within the -max-bad-rows budget. Without -stream the
-	// cleaned rows are then materialized into memory, so the quarantine
-	// policy applies identically in both modes. With -stream the file is
-	// parsed inside core's passes, so only the in-memory load has a
-	// dataset.load span.
-	sp := observer.Root("dataset.infer")
-	schema, err := dataset.InferCSVSchema(*in, 10_000)
-	sp.End()
-	if err != nil {
-		fatal(err)
-	}
-	var load obs.Span
-	if !*stream {
-		load = observer.Root("dataset.load")
-	}
-	cs, err := dataset.OpenCSVStream(*in, schema)
-	if err != nil {
-		fatal(err)
-	}
-	resilient := dataset.NewResilient(cs,
-		dataset.Retry{Max: *retries, Seed: *seed},
-		dataset.Quarantine{MaxBadRows: *maxBadRows,
-			OnBad: func(reason string, row int, err error) {
-				slog.Debug("quarantined row", "reason", reason, "row", row, "err", err)
-			}})
-	if observer != nil {
-		resilient.Observe(observer.Registry())
-	}
-	atExit(func() {
-		if st := resilient.Stats(); st.Total() > 0 || st.Retries > 0 {
-			slog.Warn("input degradation",
-				"rows_quarantined", st.Total(), "by_reason", st.Quarantined,
-				"retries", st.Retries)
-		}
-	})
-
-	var src dataset.Source
+	c.AtExit(input.LogDegradation)
+	var src dataset.Source = input
 	var tb *dataset.Table // the loaded rows; nil with -stream
 	if *stream {
-		defer cs.Close()
-		src = resilient
+		defer input.Close()
 		if *ingestW > 1 {
 			slog.Warn("-ingest-workers needs an in-memory source; streaming ingest stays sequential")
 		}
 	} else {
-		tb, err = dataset.Materialize(resilient)
-		if cerr := cs.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if load.Enabled() {
-			var size int64
-			if fi, err := os.Stat(*in); err == nil {
-				size = fi.Size()
-			}
-			load.End(obs.Int("rows", tb.Len()), obs.Int("quarantined", int(resilient.Stats().Total())),
-				obs.Int("bytes", int(size)))
+		if tb, err = input.Load(); err != nil {
+			c.Fatal(err)
 		}
 		src = tb
 	}
@@ -230,94 +162,31 @@ func main() {
 	if *describe {
 		if tb == nil {
 			if tb, err = dataset.Materialize(src); err != nil {
-				fatal(err)
+				c.Fatal(err)
 			}
 		}
 		fmt.Print(dataset.RenderSummary(dataset.Summarize(tb), 8))
 		return
 	}
 
-	budget, err := counts.ParseBudget(*memBudget)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := core.Config{
-		XAttr: *xAttr, YAttr: *yAttr,
-		CritAttr: *critAttr, CritValue: *critValue,
-		NumBins:            *bins,
-		PruneFraction:      *prune,
-		InterestLift:       *lift,
-		FixedMinSupport:    *minSup,
-		FixedMinConfidence: *minConf,
-		Seed:               *seed,
-		IngestWorkers:      *ingestW,
-		MemBudget:          budget,
-		CountsBackend:      *backend,
-		Walk:               optimizer.ThresholdWalk{},
-		Observer:           observer,
-	}
-	switch *smoothing {
-	case "binary":
-		cfg.Smoothing = core.SmoothBinary
-	case "off":
-		cfg.Smoothing = core.SmoothOff
-	case "weighted":
-		cfg.Smoothing = core.SmoothWeighted
-	case "morphological":
-		cfg.Smoothing = core.SmoothMorphological
-	default:
-		fatal(fmt.Errorf("unknown smoothing %q", *smoothing))
-	}
-	switch *binning {
-	case "equi-width":
-		cfg.BinStrategy = core.BinEquiWidth
-	case "equi-depth":
-		cfg.BinStrategy = core.BinEquiDepth
-	case "homogeneity":
-		cfg.BinStrategy = core.BinHomogeneity
-	case "supervised":
-		cfg.BinStrategy = core.BinSupervised
-	default:
-		fatal(fmt.Errorf("unknown binning %q", *binning))
-	}
-	switch *search {
-	case "walk":
-		cfg.Search = core.SearchWalk
-	case "anneal":
-		cfg.Search = core.SearchAnneal
-	case "factorial":
-		cfg.Search = core.SearchFactorial
-	case "fixed":
-		cfg.Search = core.SearchFixed
-	default:
-		fatal(fmt.Errorf("unknown search %q", *search))
-	}
-
 	sys, err := core.NewContext(ctx, src, cfg)
 	if err != nil {
-		if wasCanceled(err) {
-			fatalCode(err, exitCanceled)
-		}
-		fatal(err)
+		c.Fatal(err)
 	}
 	if *critValue != "" {
 		res, err := sys.RunContext(ctx)
 		if err != nil {
-			re := core.AsRunError(err)
-			switch {
-			case re != nil && re.Partial && res != nil:
+			if re := core.AsRunError(err); re != nil && re.Partial && res != nil {
 				slog.Warn("run canceled mid-search; printing best-so-far (degraded) result", "cause", err)
-				exitCode = exitCanceled
-			case wasCanceled(err):
-				fatalCode(err, exitCanceled)
-			default:
-				fatal(err)
+				c.MarkCanceled()
+			} else {
+				c.Fatal(err)
 			}
 		}
 		if *showGrid {
 			bm, err := sys.Grid(*critValue, res.MinSupport, res.MinConfidence)
 			if err != nil {
-				fatal(err)
+				c.Fatal(err)
 			}
 			fmt.Printf("rule grid for %s = %s with clusters (y grows upward):\n%s",
 				*critAttr, *critValue, report.RenderGrid(bm, res.Rules))
@@ -325,30 +194,23 @@ func main() {
 			fmt.Println()
 		}
 		if err := report.WriteResult(os.Stdout, res, outFormat); err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		if *save != "" {
 			if err := saveModel(*save, res); err != nil {
-				fatal(err)
+				c.Fatal(err)
 			}
 		}
-		printTrace(res, *verbose)
+		printTrace(res, c.Verbose())
 		return
-	}
-	if *save != "" {
-		fatal(fmt.Errorf("-save requires -value"))
 	}
 	results, err := sys.SegmentAllContext(ctx)
 	if err != nil {
-		re := core.AsRunError(err)
-		switch {
-		case re != nil && re.Partial && len(results) > 0:
+		if re := core.AsRunError(err); re != nil && re.Partial && len(results) > 0 {
 			slog.Warn("segmentation canceled; printing the groups that completed", "cause", err)
-			exitCode = exitCanceled
-		case wasCanceled(err):
-			fatalCode(err, exitCanceled)
-		default:
-			fatal(err)
+			c.MarkCanceled()
+		} else {
+			c.Fatal(err)
 		}
 	}
 	labels := make([]string, 0, len(results))
@@ -357,9 +219,9 @@ func main() {
 	}
 	sort.Strings(labels)
 	if err := report.WriteAll(os.Stdout, results, labels, outFormat); err != nil {
-		fatal(err)
+		c.Fatal(err)
 	}
-	if *verbose {
+	if c.Verbose() {
 		for _, label := range labels {
 			printTrace(results[label], true)
 		}
@@ -397,43 +259,4 @@ func printTrace(res *core.Result, verbose bool) {
 	p := res.Provenance
 	fmt.Printf("  search: %d probes, %d accepted, %d zero-rules, %d no-improvement, %d cache hits\n",
 		p.Probes, p.Accepted, p.ZeroRules, p.NoImprovement, p.CacheHits)
-}
-
-// exitCode is the process status set on the graceful-degradation paths;
-// the deferred block in main applies it after the exit hooks have run,
-// so traces and metrics flush even on a canceled run.
-var exitCode int
-
-// wasCanceled reports whether err stems from context cancellation
-// (SIGINT/SIGTERM) or deadline expiry (-timeout).
-func wasCanceled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// fatalCode is fatal with an explicit exit status.
-func fatalCode(err error, code int) {
-	runExitHooks()
-	slog.Error(err.Error())
-	os.Exit(code)
-}
-
-// exitHooks run once, either on normal return from main (via defer) or
-// from fatal before os.Exit, so profiles, span traces, and metric files
-// are flushed on every path.
-var exitHooks []func()
-
-func atExit(fn func()) { exitHooks = append(exitHooks, fn) }
-
-func runExitHooks() {
-	hooks := exitHooks
-	exitHooks = nil
-	for i := len(hooks) - 1; i >= 0; i-- {
-		hooks[i]()
-	}
-}
-
-func fatal(err error) {
-	runExitHooks()
-	slog.Error(err.Error())
-	os.Exit(1)
 }

@@ -170,17 +170,53 @@ func TestCountsBackendChoice(t *testing.T) {
 	}
 
 	cmd := exec.Command(bin, append(args, "-counts-backend", "spill", "-log-format", "json")...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err == nil {
-		t.Fatal("arcs -counts-backend spill exited 0")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("arcs -counts-backend spill: %v, want exit 2 (usage)\n%s", err, stderr.String())
 	}
-	var logged struct{ Msg string }
-	if err := json.Unmarshal(stderr.Bytes(), &logged); err != nil {
-		t.Fatalf("stderr is not one JSON log line: %v\n%s", err, stderr.String())
+	if want := `unknown backend "spill" (want auto, dense or sparse)`; stdout.Len() != 0 || !strings.Contains(stderr.String(), want) {
+		t.Errorf("arcs -counts-backend spill printed %q and %q, want no output and an error naming %s",
+			stdout.String(), stderr.String(), want)
 	}
-	if want := `unknown backend "spill" (want auto, dense or sparse)`; !strings.Contains(logged.Msg, want) {
-		t.Errorf("arcs -counts-backend spill logged %q, want it to name %s", logged.Msg, want)
+}
+
+// TestBadFlagValuesAreUsageErrors: every flag value is checked before
+// the input is read, so a bad one exits 2 naming itself even when -in
+// names no file, and prints nothing.
+func TestBadFlagValuesAreUsageErrors(t *testing.T) {
+	bin := buildArcs(t)
+	base := []string{"-in", filepath.Join(t.TempDir(), "missing.csv"), "-x", "age", "-y", "salary", "-crit", "group"}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-smoothing", "bogus"}, `unknown smoothing "bogus"`},
+		{[]string{"-binning", "bogus"}, `unknown binning "bogus"`},
+		{[]string{"-search", "bogus"}, `unknown search "bogus"`},
+		{[]string{"-mem-budget", "bogus"}, `bad memory budget "bogus"`},
+		{[]string{"-counts-backend", "bogus"}, `unknown backend "bogus"`},
+		{[]string{"-format", "bogus"}, `unknown format "bogus"`},
+		{[]string{"-log-format", "xml"}, `unknown log format "xml"`},
+		{[]string{"-bins", "abc"}, `invalid value "abc" for flag -bins`},
+		{[]string{"-save", "model.json"}, "-save requires -value"},
+		// -retries is gone: no input a command reads raises a transient
+		// error, so it could never fire.
+		{[]string{"-retries", "2"}, "-retries"},
+	} {
+		cmd := exec.Command(bin, append(base, tc.args...)...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("arcs %s: %v, want exit 2\n%s", strings.Join(tc.args, " "), err, stderr.String())
+			continue
+		}
+		if stdout.Len() != 0 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("arcs %s printed %q and %q, want no output and an error naming %s",
+				strings.Join(tc.args, " "), stdout.String(), stderr.String(), tc.want)
+		}
 	}
 }
 

@@ -23,26 +23,26 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/csv"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 
+	"arcs/internal/cli"
 	"arcs/internal/dataset"
-	"arcs/internal/obs"
 	"arcs/internal/segment"
 	"arcs/internal/segment/registry"
 )
 
-const exitCanceled = 3
-
 func main() {
+	c := cli.New(cli.Spec{
+		Name:    "arcsapply",
+		Timeout: "scoring budget; on expiry flush the rows scored so far and exit 3",
+		Input:   true,
+	})
 	var (
 		modelPath   = flag.String("model", "", "segmentation model JSON file")
 		registryDir = flag.String("registry", "", "model registry directory (alternative to -model)")
@@ -51,42 +51,19 @@ func main() {
 		out         = flag.String("out", "", "output file (default stdout)")
 		matchedOnly = flag.Bool("matched-only", false, "emit only matching rows, without the membership column")
 		column      = flag.String("column", "in_segment", "name of the membership column")
-		timeout     = flag.Duration("timeout", 0, "scoring budget; on expiry flush the rows scored so far and exit 3")
-		maxBadRows  = flag.Int("max-bad-rows", 0, "input rows to quarantine before failing; -1 unlimited, 0 strict")
-		retries     = flag.Int("retries", 2, "retries per read for transient input errors")
-		verbose     = flag.Bool("v", false, "debug logging")
-		logFormat   = flag.String("log-format", "text", "log output format: text, json")
 	)
-	obs.ParseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a stray argument
+	c.Parse()
 	if (*modelPath == "") == (*registryDir == "") || *in == "" {
-		fmt.Fprintln(os.Stderr, "arcsapply: need -in plus exactly one of -model or -registry")
-		flag.Usage()
-		os.Exit(2)
+		c.Usage(errors.New("need -in plus exactly one of -model or -registry"))
 	}
 	if *version != "" && *registryDir == "" {
-		fmt.Fprintln(os.Stderr, "arcsapply: -model-version needs -registry")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if _, err := obs.SetupSlog(os.Stderr, *logFormat, *verbose); err != nil {
-		fmt.Fprintln(os.Stderr, "arcsapply:", err)
-		os.Exit(2)
+		c.Usage(errors.New("-model-version needs -registry"))
 	}
 
-	// SIGINT/SIGTERM and -timeout cancel the scoring pass cooperatively:
-	// the stream stops at its next checkpoint, the rows already scored are
-	// flushed, and the process exits 3.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	// After the first cancellation, restore default signal handling so a
-	// second Ctrl-C kills the process the ordinary way instead of being
-	// swallowed while the partial output flushes.
-	go func() { <-ctx.Done(); stopSignals() }()
+	// The scoring pass stops at its next checkpoint when ctx is canceled;
+	// the rows already scored are flushed, and the process exits 3.
+	ctx := c.Start(os.Stderr)
+	defer c.Exit()
 
 	// Both load paths end in the same read-validation: a file goes
 	// through segment.Read directly, a registry version additionally
@@ -96,17 +73,17 @@ func main() {
 	if *registryDir != "" {
 		reg, err := registry.Open(*registryDir, registry.Options{})
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		id := *version
 		if id == "" {
 			if id = reg.ActiveID(); id == "" {
-				fatal(fmt.Errorf("registry %s has no active model; activate one or pass -model-version", *registryDir))
+				c.Fatal(fmt.Errorf("registry %s has no active model; activate one or pass -model-version", *registryDir))
 			}
 		}
 		m, man, err := reg.Load(id)
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		model = m
 		slog.Debug("loaded model from registry", "version", id,
@@ -114,46 +91,36 @@ func main() {
 	} else {
 		mf, err := os.Open(*modelPath)
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		m, err := segment.Read(mf)
 		mf.Close()
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		model = m
 	}
 
-	schema, err := dataset.InferCSVSchema(*in, 10_000)
-	if err != nil {
-		fatal(err)
-	}
-	cs, err := dataset.OpenCSVStream(*in, schema)
-	if err != nil {
-		fatal(err)
-	}
-	defer cs.Close()
-	// The resilient layer retries transient read errors with backoff and
-	// quarantines unparseable rows (with row numbers) within the
+	// Unparseable rows are quarantined (with row numbers) within the
 	// -max-bad-rows budget, so one corrupt prospect row doesn't abort the
 	// whole scoring run unless the operator asked for strictness.
-	src := dataset.NewResilient(cs,
-		dataset.Retry{Max: *retries},
-		dataset.Quarantine{MaxBadRows: *maxBadRows,
-			OnBad: func(reason string, row int, err error) {
-				slog.Debug("quarantined row", "reason", reason, "row", row, "err", err)
-			}})
+	src, err := dataset.OpenCSV(*in, c.MaxBadRows(), nil, "")
+	if err != nil {
+		c.Fatal(err)
+	}
+	defer src.Close()
+	schema := src.Schema()
 
 	applier, err := model.Bind(schema)
 	if err != nil {
-		fatal(err)
+		c.Fatal(err)
 	}
 
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		defer f.Close()
 		w = f
@@ -166,7 +133,7 @@ func main() {
 		header = append(header, *column)
 	}
 	if err := cw.Write(header); err != nil {
-		fatal(err)
+		c.Fatal(err)
 	}
 
 	rec := make([]string, schema.Len(), schema.Len()+1)
@@ -201,36 +168,22 @@ func main() {
 	// every row scored up to the checkpoint.
 	cw.Flush()
 	if err := cw.Error(); err != nil {
-		fatal(err)
+		c.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
-		fatal(err)
+		c.Fatal(err)
 	}
-	if st := src.Stats(); st.Total() > 0 || st.Retries > 0 {
-		slog.Warn("input degradation",
-			"rows_quarantined", st.Total(), "by_reason", st.Quarantined,
-			"retries", st.Retries)
-	}
+	src.LogDegradation()
 	if applyErr != nil {
-		if wasCanceled(applyErr) {
+		if cli.Canceled(applyErr) {
 			slog.Warn("scoring canceled; partial output flushed",
 				"rows_scored", total, "matched", matched, "cause", applyErr)
-			os.Exit(exitCanceled)
+			c.MarkCanceled()
+			return
 		}
-		fatal(applyErr)
+		c.Fatal(applyErr)
 	}
 	slog.Info("scored rows against segment",
 		"matched", matched, "total", total,
 		"crit_attr", model.CritAttr, "crit_value", model.CritValue)
-}
-
-// wasCanceled reports whether err stems from context cancellation
-// (SIGINT/SIGTERM) or deadline expiry (-timeout).
-func wasCanceled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func fatal(err error) {
-	slog.Error(err.Error())
-	os.Exit(1)
 }

@@ -231,6 +231,11 @@ func TestSavedModelScoresLikeApply(t *testing.T) {
 	if _, code := run(t, apply, "-model", modelPath, "-registry", regDir, "-in", in); code != 2 {
 		t.Errorf("arcsapply -model with -registry exited %d, want 2 (usage)", code)
 	}
+	// -retries is gone: no input a command reads raises a transient
+	// error, so it could never fire.
+	if _, code := run(t, apply, "-model", modelPath, "-in", in, "-retries", "2"); code != 2 {
+		t.Errorf("arcsapply -retries 2 exited %d, want 2 (usage)", code)
+	}
 }
 
 // TestStrayArgumentIsUsageError: flag parsing stops at the first

@@ -23,100 +23,76 @@
 //	arcsbench -exp all                 # everything
 //
 // -scale shrinks every database size by the given factor for quick runs.
+//
+// Exit codes: 0 success, 1 fatal error, 2 usage (including an unknown
+// -exp name and a bad flag value), 3 canceled (SIGINT or -timeout) —
+// experiments already printed stand as partial results.
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"os/signal"
 	"runtime"
 	"slices"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"arcs/internal/cli"
 	"arcs/internal/experiments"
-	"arcs/internal/obs"
 )
-
-// Exit codes: 0 success, 1 fatal error, 2 usage (including an unknown
-// -exp name), 3 canceled (SIGINT or -timeout) — experiments already
-// printed stand as partial results.
-const exitCanceled = 3
 
 // experimentNames lists the -exp names in the order -exp all runs them.
 var experimentNames = []string{"rules", "fig11", "fig12", "fig13", "fig14", "fig15", "table2",
 	"bins", "why", "ablation", "feedbackloop", "ingest", "quality", "smoothing"}
 
 func main() {
+	c := cli.New(cli.Spec{
+		Name:    "arcsbench",
+		Timeout: "overall budget; experiments not yet started when it expires are skipped and the process exits 3",
+		Spans:   "write a JSONL span trace of the feedbackloop experiment to this file",
+		Profile: true,
+	})
 	var (
-		exp       = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", ")+", or all")
-		ingestW   = flag.String("ingest-workers", "2,4,8", "comma-separated worker counts for -exp ingest")
-		ingestN   = flag.String("ingest-tuples", "1000000,2000000,5000000,10000000", "comma-separated workload sizes for -exp ingest (each divided by -scale)")
-		scale     = flag.Int("scale", 1, "divide every database size by this factor")
-		c45Cap    = flag.Int("c45cap", 200_000, "largest database C4.5 is attempted on (the paper's C4.5 ran out of memory beyond 100k)")
-		testN     = flag.Int("testn", 10_000, "held-out test table size")
-		timeout   = flag.Duration("timeout", 0, "overall budget; experiments not yet started when it expires are skipped and the process exits 3")
-		verbose   = flag.Bool("v", false, "debug logging")
-		logFormat = flag.String("log-format", "text", "log output format: text, json")
-		spansPath = flag.String("spans", "", "write a JSONL span trace of the feedbackloop experiment to this file")
-		prof      obs.Profiler
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", ")+", or all")
+		ingestW = flag.String("ingest-workers", "2,4,8", "comma-separated worker counts for -exp ingest")
+		ingestN = flag.String("ingest-tuples", "1000000,2000000,5000000,10000000", "comma-separated workload sizes for -exp ingest (each divided by -scale)")
+		scale   = flag.Int("scale", 1, "divide every database size by this factor")
+		c45Cap  = flag.Int("c45cap", 200_000, "largest database C4.5 is attempted on (the paper's C4.5 ran out of memory beyond 100k)")
+		testN   = flag.Int("testn", 10_000, "held-out test table size")
 	)
-	prof.RegisterFlags(flag.CommandLine)
-	obs.ParseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a stray argument
-	if _, err := obs.SetupSlog(os.Stderr, *logFormat, *verbose); err != nil {
-		fmt.Fprintln(os.Stderr, "arcsbench:", err)
-		os.Exit(2)
-	}
+	c.Parse()
 	// A misspelled -exp would otherwise match no experiment and exit 0,
 	// silently skipping whatever gate a CI step meant to run.
 	if *exp != "all" && !slices.Contains(experimentNames, *exp) {
-		fmt.Fprintf(os.Stderr, "arcsbench: unknown experiment %q (valid: %s, or all)\n",
-			*exp, strings.Join(experimentNames, ", "))
-		os.Exit(2)
+		c.Usage(fmt.Errorf("unknown experiment %q (valid: %s, or all)", *exp, strings.Join(experimentNames, ", ")))
 	}
-	defer func() {
-		runExitHooks()
-		if exitCode != 0 {
-			os.Exit(exitCode)
-		}
-	}()
 	if *scale < 1 {
-		fatal(fmt.Errorf("scale must be >= 1"))
+		c.Usage(errors.New("-scale must be >= 1"))
+	}
+	workers, err := parseWorkers(*ingestW)
+	if err != nil {
+		c.Usage(err)
+	}
+	ingestSizes, err := parseSizes(*ingestN, *scale)
+	if err != nil {
+		c.Usage(err)
 	}
 
-	// SIGINT/SIGTERM and -timeout cancel the suite between experiments:
-	// completed tables have already been printed, the rest are skipped.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	atExit(stopSignals)
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		atExit(cancel)
-	}
-	// After the first cancellation, restore default signal handling so a
-	// second Ctrl-C kills the process the ordinary way instead of being
-	// swallowed while a long experiment finishes.
-	go func() { <-ctx.Done(); stopSignals() }()
-	if stop, err := prof.Start(); err != nil {
-		fatal(err)
-	} else {
-		atExit(func() {
-			if err := stop(); err != nil {
-				slog.Error("stopping profilers", "err", err)
-			}
-		})
-	}
+	// A canceled ctx skips the experiments not yet started: completed
+	// tables have already been printed.
+	ctx := c.Start(os.Stderr)
+	defer c.Exit()
 
 	// The paper's Figure 11-14 sizes: 20k to 1M tuples.
 	figSizes := scaled([]int{20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000}, *scale)
 	// Figure 15: 100k to 10M.
 	scaleupSizes := scaled([]int{100_000, 200_000, 500_000, 1_000_000, 2_000_000, 4_000_000, 10_000_000}, *scale)
 
+	canceled := false
 	run := func(name string, fn func() error) {
 		if !slices.Contains(experimentNames, name) {
 			panic("arcsbench: experiment " + name + " is missing from experimentNames")
@@ -125,16 +101,17 @@ func main() {
 			return
 		}
 		if err := ctx.Err(); err != nil {
-			if exitCode == 0 {
+			if !canceled {
 				slog.Warn("suite canceled; skipping remaining experiments", "cause", err)
-				exitCode = exitCanceled
+				canceled = true
+				c.MarkCanceled()
 			}
 			slog.Debug("skipped experiment", "exp", name)
 			return
 		}
 		fmt.Printf("\n===== %s =====\n", name)
 		if err := fn(); err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
+			c.Fatal(fmt.Errorf("%s: %w", name, err))
 		}
 	}
 
@@ -260,24 +237,7 @@ func main() {
 
 	run("feedbackloop", func() error {
 		fmt.Println("threshold-search feedback loop: sequential vs batched worker pool, cache cold vs warm")
-		var sink obs.Sink
-		if *spansPath != "" {
-			f, err := os.Create(*spansPath)
-			if err != nil {
-				return err
-			}
-			js := obs.NewJSONLSink(f)
-			sink = js
-			defer func() {
-				if err := js.Err(); err != nil {
-					slog.Error("writing span trace", "path", *spansPath, "err", err)
-				}
-				if err := f.Close(); err != nil {
-					slog.Error("closing span trace", "path", *spansPath, "err", err)
-				}
-			}()
-		}
-		report, err := experiments.FeedbackLoop(figSizes[0], runtime.GOMAXPROCS(0), sink)
+		report, err := experiments.FeedbackLoop(figSizes[0], runtime.GOMAXPROCS(0), c.SpanSink())
 		if err != nil {
 			return err
 		}
@@ -295,15 +255,7 @@ func main() {
 
 	run("ingest", func() error {
 		fmt.Println("counting pass: dense vs sparse backend, sequential vs sharded ingest (byte-identity re-checked)")
-		workers, err := parseWorkers(*ingestW)
-		if err != nil {
-			return err
-		}
-		sizes, err := parseSizes(*ingestN, *scale)
-		if err != nil {
-			return err
-		}
-		report, benchErr := experiments.IngestBench(ctx, sizes, 50, workers)
+		report, benchErr := experiments.IngestBench(ctx, ingestSizes, 50, workers)
 		if benchErr != nil && report == nil {
 			return benchErr
 		}
@@ -358,9 +310,9 @@ func main() {
 
 	// A budget that expired while the final experiment was running has no
 	// later checkpoint to notice it; report the overrun in the exit code.
-	if err := ctx.Err(); err != nil && exitCode == 0 {
+	if err := ctx.Err(); err != nil && !canceled {
 		slog.Warn("budget expired during the suite; results printed are partial", "cause", err)
-		exitCode = exitCanceled
+		c.MarkCanceled()
 	}
 }
 
@@ -427,29 +379,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// exitCode is the process status set on the graceful-cancellation path;
-// the deferred block in main applies it after the exit hooks have run,
-// so profiles flush even on a canceled suite.
-var exitCode int
-
-// exitHooks run once, either on normal return from main (via defer) or
-// from fatal before os.Exit, so profiles are flushed on every path.
-var exitHooks []func()
-
-func atExit(fn func()) { exitHooks = append(exitHooks, fn) }
-
-func runExitHooks() {
-	hooks := exitHooks
-	exitHooks = nil
-	for i := len(hooks) - 1; i >= 0; i-- {
-		hooks[i]()
-	}
-}
-
-func fatal(err error) {
-	runExitHooks()
-	slog.Error(err.Error())
-	os.Exit(1)
 }

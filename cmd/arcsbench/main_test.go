@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"arcs/internal/cli"
 )
 
 // buildBench compiles this command into a temporary directory and
@@ -61,8 +63,8 @@ func TestExperimentNames(t *testing.T) {
 	// one's run first checks that its name is in experimentNames — an
 	// experiment -exp would reject panics here instead of exiting 3.
 	t.Run("all-are-listed", func(t *testing.T) {
-		if code, _, stderr := run("-exp", "all", "-timeout", "1ns"); code != exitCanceled {
-			t.Errorf("exit code %d, want %d (canceled)\n%s", code, exitCanceled, stderr)
+		if code, _, stderr := run("-exp", "all", "-timeout", "1ns"); code != cli.ExitCanceled {
+			t.Errorf("exit code %d, want %d (canceled)\n%s", code, cli.ExitCanceled, stderr)
 		}
 	})
 }

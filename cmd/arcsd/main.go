@@ -35,30 +35,35 @@
 // SIGINT/SIGTERM starts a drain: /readyz flips to 503, new submissions
 // are refused, in-flight runs are canceled cooperatively (degrading to
 // best-so-far results), and the server shuts down within -drain.
+//
+// -mem-budget and -counts-backend are the defaults for runs; a job spec
+// overrides them per run with mem_budget and counts_backend.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"arcs/internal/counts"
+	"arcs/internal/cli"
 	"arcs/internal/obs"
 	"arcs/internal/obs/serve"
 	"arcs/internal/segment/registry"
 )
 
 func main() {
+	c := cli.New(cli.Spec{
+		Name:   "arcsd",
+		Spans:  "tee every run's span trace to this JSONL file",
+		Counts: true,
+	})
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
-		spansPath = flag.String("spans", "", "tee every run's span trace to this JSONL file")
 		csvRoot   = flag.String("csv-root", "", "restrict csv job paths to this directory (empty: any readable path)")
 		flightCap = flag.Int("flight-cap", 8192, "flight recorder capacity (events retained)")
 		maxRuns   = flag.Int("max-runs", 64, "finished runs retained for status queries")
@@ -72,55 +77,20 @@ func main() {
 		applyBreakerCD = flag.Duration("apply-breaker-cooldown", 5*time.Second, "tripped-breaker hold before traffic is retried")
 		drain          = flag.Duration("drain", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
 		lameDuck       = flag.Duration("lame-duck", 0, "hold /readyz at 503 this long before canceling runs, so load balancers stop routing first")
-		memBudget      = flag.String("mem-budget", "", "default count-substrate memory budget for runs: bytes with optional K/M/G/T suffix, or 'off' for unlimited (specs override per run via mem_budget)")
-		countsBackend  = flag.String("counts-backend", "auto", "default count backend for runs: auto, dense, sparse (specs override per run via counts_backend)")
-		verbose        = flag.Bool("v", false, "debug logging")
-		logFormat      = flag.String("log-format", "text", "log output format: text, json")
 	)
-	obs.ParseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a stray argument
-	budget, err := counts.ParseBudget(*memBudget)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arcsd:", err)
-		os.Exit(2)
-	}
-	if _, err := counts.ParseKind(*countsBackend); err != nil {
-		fmt.Fprintln(os.Stderr, "arcsd:", err)
-		os.Exit(2)
-	}
+	c.Parse()
 
 	// The flight recorder exists before logging is set up so log lines
 	// land in it too: a /debug/flightrecord dump interleaves the
-	// daemon's own logs with the span record (obs.SetupSlog taking an
-	// io.Writer is what makes this tee possible).
+	// daemon's own logs with the span record. A signal, which cancels
+	// ctx, starts the drain.
 	flight := obs.NewFlightRecorder(*flightCap)
-	logOut := io.MultiWriter(os.Stderr, flight.LogWriter())
-	if _, err := obs.SetupSlog(logOut, *logFormat, *verbose); err != nil {
-		fmt.Fprintln(os.Stderr, "arcsd:", err)
-		os.Exit(2)
-	}
+	ctx := c.Start(io.MultiWriter(os.Stderr, flight.LogWriter()))
+	defer c.Exit()
 
 	reg := obs.NewRegistry()
 	if err := obs.PublishExpvar("arcs", reg); err != nil {
 		slog.Warn("publishing expvar snapshot", "err", err)
-	}
-
-	var tee obs.Sink
-	if *spansPath != "" {
-		f, err := os.Create(*spansPath)
-		if err != nil {
-			slog.Error(err.Error())
-			os.Exit(1)
-		}
-		js := obs.NewJSONLSink(f)
-		tee = js
-		defer func() {
-			if err := js.Err(); err != nil {
-				slog.Error("writing span trace", "path", *spansPath, "err", err)
-			}
-			if err := f.Close(); err != nil {
-				slog.Error("closing span trace", "path", *spansPath, "err", err)
-			}
-		}()
 	}
 
 	// The model registry survives restarts: corrupt or half-published
@@ -132,8 +102,7 @@ func main() {
 		var err error
 		models, err = registry.Open(*registryDir, registry.Options{Metrics: reg})
 		if err != nil {
-			slog.Error(err.Error())
-			os.Exit(1)
+			c.Fatal(err)
 		}
 		slog.Info("model registry open", "dir", *registryDir,
 			"versions", len(models.List()), "active", models.ActiveID())
@@ -143,13 +112,13 @@ func main() {
 		Registry:         reg,
 		Flight:           flight,
 		Harvester:        obs.NewRuntimeHarvester(reg),
-		Tee:              tee,
+		Tee:              c.SpanSink(),
 		CSVRoot:          *csvRoot,
 		SubscriberBuffer: *streamBuf,
 		MaxRuns:          *maxRuns,
 		QualityTestN:     *qualityN,
-		MemBudget:        budget,
-		CountsBackend:    *countsBackend,
+		MemBudget:        c.MemBudget(),
+		CountsBackend:    c.CountsBackend(),
 
 		Models:                models,
 		ApplyMaxInFlight:      *applyInFlight,
@@ -164,9 +133,6 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	errCh := make(chan error, 1)
 	go func() {
 		slog.Info("arcsd listening", "addr", *addr, "flight_cap", *flightCap)
@@ -175,11 +141,9 @@ func main() {
 
 	select {
 	case err := <-errCh:
-		slog.Error(err.Error())
-		os.Exit(1)
+		c.Fatal(err)
 	case <-ctx.Done():
 	}
-	stop() // restore default handling: a second signal kills immediately
 
 	// Drain: flip /readyz so load balancers stop routing (holding it
 	// there for the lame-duck window), refuse new submissions, cancel
@@ -203,15 +167,12 @@ func main() {
 			drained = false
 		}
 	}
-	if !drained {
-		slog.Warn("drain budget exhausted with runs in flight")
-	}
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		slog.Warn("shutdown incomplete; forcing close", "err", err)
 		httpSrv.Close()
 	}
 	if !drained {
-		os.Exit(1)
+		c.Fatal(errors.New("drain budget exhausted with runs in flight"))
 	}
 	slog.Info("arcsd stopped")
 }

@@ -19,58 +19,38 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"os"
-	"os/signal"
-	"syscall"
 
+	"arcs/internal/cli"
 	"arcs/internal/dataset"
-	"arcs/internal/obs"
 	"arcs/internal/synth"
 )
 
-const exitCanceled = 3
-
 func main() {
+	c := cli.New(cli.Spec{
+		Name:    "synthgen",
+		Timeout: "generation budget; on expiry flush the rows written so far and exit 3",
+	})
 	var (
-		n         = flag.Int("n", 10_000, "number of tuples")
-		function  = flag.Int("function", 2, "classification function 1-10")
-		perturb   = flag.Float64("perturb", 0.05, "perturbation factor P")
-		outliers  = flag.Float64("outliers", 0, "outlier fraction U")
-		fracA     = flag.Float64("fraca", 0.40, "target fraction of Group A (0 disables)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		out       = flag.String("out", "", "output file (default stdout)")
-		truthOut  = flag.String("truth-out", "", "also write the function's ground-truth metadata (mining pair, domain, generating regions, generator config) as JSON to this file")
-		timeout   = flag.Duration("timeout", 0, "generation budget; on expiry flush the rows written so far and exit 3")
-		verbose   = flag.Bool("v", false, "debug logging")
-		logFormat = flag.String("log-format", "text", "log output format: text, json")
+		n        = flag.Int("n", 10_000, "number of tuples")
+		function = flag.Int("function", 2, "classification function 1-10")
+		perturb  = flag.Float64("perturb", 0.05, "perturbation factor P")
+		outliers = flag.Float64("outliers", 0, "outlier fraction U")
+		fracA    = flag.Float64("fraca", 0.40, "target fraction of Group A (0 disables)")
+		seed     = flag.Int64("seed", 1, "random seed")
+		out      = flag.String("out", "", "output file (default stdout)")
+		truthOut = flag.String("truth-out", "", "also write the function's ground-truth metadata (mining pair, domain, generating regions, generator config) as JSON to this file")
 	)
-	obs.ParseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a stray argument
-	if _, err := obs.SetupSlog(os.Stderr, *logFormat, *verbose); err != nil {
-		fmt.Fprintln(os.Stderr, "synthgen:", err)
-		os.Exit(2)
-	}
+	c.Parse()
 
-	// SIGINT/SIGTERM and -timeout cancel generation cooperatively: the
-	// pass stops at its next checkpoint, the rows already emitted are
-	// flushed (output truncated at a row boundary), and the process
-	// exits 3.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	// After the first cancellation, restore default signal handling so a
-	// second Ctrl-C kills the process the ordinary way instead of being
-	// swallowed while the partial output flushes.
-	go func() { <-ctx.Done(); stopSignals() }()
+	// The generation pass stops at its next checkpoint when ctx is
+	// canceled; the rows already emitted are flushed (output truncated at
+	// a row boundary), and the process exits 3.
+	ctx := c.Start(os.Stderr)
+	defer c.Exit()
 
 	cfg := synth.Config{
 		Function:        *function,
@@ -82,20 +62,20 @@ func main() {
 	}
 	if *truthOut != "" {
 		if err := writeTruth(*truthOut, cfg); err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 	}
 
 	st, err := synth.NewStream(cfg)
 	if err != nil {
-		fatal(err)
+		c.Fatal(err)
 	}
 
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		defer f.Close()
 		w = f
@@ -103,14 +83,15 @@ func main() {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	writeErr := dataset.WriteCSVContext(ctx, bw, st.Source())
 	if err := bw.Flush(); err != nil {
-		fatal(err)
+		c.Fatal(err)
 	}
 	if writeErr != nil {
-		if errors.Is(writeErr, context.Canceled) || errors.Is(writeErr, context.DeadlineExceeded) {
+		if cli.Canceled(writeErr) {
 			slog.Warn("generation canceled; partial output flushed", "cause", writeErr)
-			os.Exit(exitCanceled)
+			c.MarkCanceled()
+			return
 		}
-		fatal(writeErr)
+		c.Fatal(writeErr)
 	}
 	slog.Debug("generated synthetic data",
 		"tuples", *n, "function", *function, "perturb", *perturb, "outliers", *outliers)
@@ -147,9 +128,4 @@ func writeTruth(path string, cfg synth.Config) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func fatal(err error) {
-	slog.Error(err.Error())
-	os.Exit(1)
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"arcs/internal/cli"
 	"arcs/internal/dataset"
 	"arcs/internal/synth"
 )
@@ -160,8 +161,8 @@ func TestTimeoutFlushesWholeRows(t *testing.T) {
 	bin := buildSynthgen(t)
 	path := filepath.Join(t.TempDir(), "cut.csv")
 	const n = 1_000_000_000
-	if code, stderr := run(t, bin, "-n", strconv.Itoa(n), "-seed", "3", "-timeout", "100ms", "-out", path); code != exitCanceled {
-		t.Fatalf("exit %d, want %d\n%s", code, exitCanceled, stderr)
+	if code, stderr := run(t, bin, "-n", strconv.Itoa(n), "-seed", "3", "-timeout", "100ms", "-out", path); code != cli.ExitCanceled {
+		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitCanceled, stderr)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"arcs/internal/counts"
 	"arcs/internal/mdl"
@@ -41,20 +42,22 @@ const (
 	BinSupervised
 )
 
+var binStrategyNames = enumNames{
+	BinEquiWidth:   {"equi-width", "equi-width"},
+	BinEquiDepth:   {"equi-depth", "equi-depth"},
+	BinHomogeneity: {"homogeneity", "homogeneity"},
+	BinSupervised:  {"supervised", "supervised"},
+}
+
 // String names the strategy.
-func (b BinStrategy) String() string {
-	switch b {
-	case BinEquiWidth:
-		return "equi-width"
-	case BinEquiDepth:
-		return "equi-depth"
-	case BinHomogeneity:
-		return "homogeneity"
-	case BinSupervised:
-		return "supervised"
-	default:
-		return fmt.Sprintf("BinStrategy(%d)", int(b))
-	}
+func (b BinStrategy) String() string { return binStrategyNames.print("BinStrategy", int(b)) }
+
+// ParseBinStrategy returns the strategy a flag names: equi-width,
+// equi-depth, homogeneity or supervised. The empty name is the default,
+// BinEquiWidth.
+func ParseBinStrategy(name string) (BinStrategy, error) {
+	v, err := binStrategyNames.parse("binning", name)
+	return BinStrategy(v), err
 }
 
 // SmoothingMode selects the grid-smoothing preprocessing (paper §3.4, §5).
@@ -77,20 +80,22 @@ const (
 	SmoothMorphological
 )
 
+var smoothingModeNames = enumNames{
+	SmoothBinary:        {"binary", "binary"},
+	SmoothOff:           {"off", "off"},
+	SmoothWeighted:      {"weighted", "support-weighted"},
+	SmoothMorphological: {"morphological", "morphological"},
+}
+
 // String names the mode.
-func (s SmoothingMode) String() string {
-	switch s {
-	case SmoothBinary:
-		return "binary"
-	case SmoothOff:
-		return "off"
-	case SmoothWeighted:
-		return "support-weighted"
-	case SmoothMorphological:
-		return "morphological"
-	default:
-		return fmt.Sprintf("SmoothingMode(%d)", int(s))
-	}
+func (s SmoothingMode) String() string { return smoothingModeNames.print("SmoothingMode", int(s)) }
+
+// ParseSmoothingMode returns the mode a flag or job spec names: binary,
+// off, weighted or morphological. The empty name is the default,
+// SmoothBinary.
+func ParseSmoothingMode(name string) (SmoothingMode, error) {
+	v, err := smoothingModeNames.parse("smoothing", name)
+	return SmoothingMode(v), err
 }
 
 // SearchStrategy selects the threshold optimizer.
@@ -108,20 +113,49 @@ const (
 	SearchFixed
 )
 
+var searchStrategyNames = enumNames{
+	SearchWalk:      {"walk", "threshold-walk"},
+	SearchAnneal:    {"anneal", "simulated-annealing"},
+	SearchFactorial: {"factorial", "factorial-design"},
+	SearchFixed:     {"fixed", "fixed"},
+}
+
 // String names the strategy.
-func (s SearchStrategy) String() string {
-	switch s {
-	case SearchWalk:
-		return "threshold-walk"
-	case SearchAnneal:
-		return "simulated-annealing"
-	case SearchFactorial:
-		return "factorial-design"
-	case SearchFixed:
-		return "fixed"
-	default:
-		return fmt.Sprintf("SearchStrategy(%d)", int(s))
+func (s SearchStrategy) String() string { return searchStrategyNames.print("SearchStrategy", int(s)) }
+
+// ParseSearchStrategy returns the strategy a flag or job spec names:
+// walk, anneal, factorial or fixed. The empty name is the default,
+// SearchWalk.
+func ParseSearchStrategy(name string) (SearchStrategy, error) {
+	v, err := searchStrategyNames.parse("search", name)
+	return SearchStrategy(v), err
+}
+
+// enumNames is a strategy enum's name table, indexed by value: the
+// name flags and job specs give a value, and the name its String
+// method prints, which traces carry as the strategy attribute.
+type enumNames []struct{ flag, print string }
+
+func (n enumNames) print(typ string, v int) string {
+	if v < 0 || v >= len(n) {
+		return fmt.Sprintf("%s(%d)", typ, v)
 	}
+	return n[v].print
+}
+
+func (n enumNames) parse(what, name string) (int, error) {
+	if name == "" {
+		return 0, nil
+	}
+	flags := make([]string, len(n))
+	for v, e := range n {
+		if e.flag == name {
+			return v, nil
+		}
+		flags[v] = e.flag
+	}
+	last := len(flags) - 1
+	return 0, fmt.Errorf("unknown %s %q (want %s or %s)", what, name, strings.Join(flags[:last], ", "), flags[last])
 }
 
 // Config parameterizes an ARCS run. Only the attribute names are

@@ -406,6 +406,54 @@ func TestEnumStrings(t *testing.T) {
 	}
 }
 
+// TestEnumParse: each strategy parses from the name flags and job specs
+// give it, the empty name is the default, and an unknown name is an
+// error that lists the names.
+func TestEnumParse(t *testing.T) {
+	parse := func(p func(string) (int, error), name string) int {
+		t.Helper()
+		v, err := p(name)
+		if err != nil {
+			t.Fatalf("parsing %q: %v", name, err)
+		}
+		return v
+	}
+	bin := func(s string) (int, error) { v, err := ParseBinStrategy(s); return int(v), err }
+	smooth := func(s string) (int, error) { v, err := ParseSmoothingMode(s); return int(v), err }
+	search := func(s string) (int, error) { v, err := ParseSearchStrategy(s); return int(v), err }
+	for _, c := range []struct {
+		p    func(string) (int, error)
+		name string
+		want int
+	}{
+		{bin, "", int(BinEquiWidth)}, {bin, "equi-width", int(BinEquiWidth)},
+		{bin, "equi-depth", int(BinEquiDepth)}, {bin, "homogeneity", int(BinHomogeneity)},
+		{bin, "supervised", int(BinSupervised)},
+		{smooth, "", int(SmoothBinary)}, {smooth, "binary", int(SmoothBinary)},
+		{smooth, "off", int(SmoothOff)}, {smooth, "weighted", int(SmoothWeighted)},
+		{smooth, "morphological", int(SmoothMorphological)},
+		{search, "", int(SearchWalk)}, {search, "walk", int(SearchWalk)},
+		{search, "anneal", int(SearchAnneal)}, {search, "factorial", int(SearchFactorial)},
+		{search, "fixed", int(SearchFixed)},
+	} {
+		if got := parse(c.p, c.name); got != c.want {
+			t.Errorf("parsing %q gave %d, want %d", c.name, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		p          func(string) (int, error)
+		name, want string
+	}{
+		{bin, "threshold-walk", `unknown binning "threshold-walk" (want equi-width, equi-depth, homogeneity or supervised)`},
+		{smooth, "support-weighted", `unknown smoothing "support-weighted" (want binary, off, weighted or morphological)`},
+		{search, "threshold-walk", `unknown search "threshold-walk" (want walk, anneal, factorial or fixed)`},
+	} {
+		if _, err := c.p(c.name); err == nil || err.Error() != c.want {
+			t.Errorf("parsing %q: %v, want %s", c.name, err, c.want)
+		}
+	}
+}
+
 func TestObjectiveAccessor(t *testing.T) {
 	sys := f2System(t, 5_000, 0, Config{NumBins: 15})
 	obj, err := sys.Objective(synth.GroupA)

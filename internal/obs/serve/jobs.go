@@ -58,8 +58,8 @@ type JobSpec struct {
 	Value string `json:"value,omitempty"`
 
 	Bins      int     `json:"bins,omitempty"`
-	Search    string  `json:"search,omitempty"`    // walk|anneal|factorial|fixed (default walk)
-	Smoothing string  `json:"smoothing,omitempty"` // binary|off|weighted|morphological
+	Search    string  `json:"search,omitempty"`    // a core.ParseSearchStrategy name
+	Smoothing string  `json:"smoothing,omitempty"` // a core.ParseSmoothingMode name
 	MinSup    float64 `json:"min_support,omitempty"`
 	MinConf   float64 `json:"min_confidence,omitempty"`
 	Lift      float64 `json:"lift,omitempty"`
@@ -89,8 +89,6 @@ type CSVSpec struct {
 	Stream bool `json:"stream,omitempty"`
 	// MaxBadRows is the quarantine budget (-1 unlimited, 0 strict).
 	MaxBadRows int `json:"max_bad_rows,omitempty"`
-	// Retries is the per-read retry budget for transient errors.
-	Retries int `json:"retries,omitempty"`
 }
 
 // SynthSpec generates the Agrawal et al. synthetic workload in-process —
@@ -143,15 +141,11 @@ func (j *JobSpec) validate(csvRoot string) error {
 			return errors.New("synth.n must be positive")
 		}
 	}
-	switch j.Search {
-	case "", "walk", "anneal", "factorial", "fixed":
-	default:
-		return fmt.Errorf("unknown search %q (want walk, anneal, factorial or fixed)", j.Search)
+	if _, err := core.ParseSearchStrategy(j.Search); err != nil {
+		return err
 	}
-	switch j.Smoothing {
-	case "", "binary", "off", "weighted", "morphological":
-	default:
-		return fmt.Errorf("unknown smoothing %q (want binary, off, weighted or morphological)", j.Smoothing)
+	if _, err := core.ParseSmoothingMode(j.Smoothing); err != nil {
+		return err
 	}
 	if _, err := counts.ParseBudget(j.MemBudget); err != nil {
 		return fmt.Errorf("mem_budget: %w", err)
@@ -175,8 +169,11 @@ type countsDefaults struct {
 // coreConfig maps the spec onto a core.Config for the given run ID and
 // observer; def fills the count-substrate knobs the spec leaves unset.
 func (j *JobSpec) coreConfig(runID string, observer *obs.Observer, def countsDefaults) core.Config {
+	// validate already vetted the fields parsed here; parse errors cannot
+	// reach it.
+	search, _ := core.ParseSearchStrategy(j.Search)
+	smoothing, _ := core.ParseSmoothingMode(j.Smoothing)
 	memBudget := def.memBudget
-	// validate already vetted both fields; parse errors cannot reach here.
 	if b, err := counts.ParseBudget(j.MemBudget); err == nil && b != 0 {
 		memBudget = b
 	}
@@ -184,7 +181,7 @@ func (j *JobSpec) coreConfig(runID string, observer *obs.Observer, def countsDef
 	if backend == "" {
 		backend = def.backend
 	}
-	cfg := core.Config{
+	return core.Config{
 		XAttr: j.X, YAttr: j.Y,
 		CritAttr: j.Crit, CritValue: j.Value,
 		NumBins:            j.Bins,
@@ -195,31 +192,12 @@ func (j *JobSpec) coreConfig(runID string, observer *obs.Observer, def countsDef
 		IngestWorkers:      j.IngestWorkers,
 		MemBudget:          memBudget,
 		CountsBackend:      backend,
+		Smoothing:          smoothing,
+		Search:             search,
 		Walk:               optimizer.ThresholdWalk{},
 		RunID:              runID,
 		Observer:           observer,
 	}
-	switch j.Search {
-	case "anneal":
-		cfg.Search = core.SearchAnneal
-	case "factorial":
-		cfg.Search = core.SearchFactorial
-	case "fixed":
-		cfg.Search = core.SearchFixed
-	default:
-		cfg.Search = core.SearchWalk
-	}
-	switch j.Smoothing {
-	case "off":
-		cfg.Smoothing = core.SmoothOff
-	case "weighted":
-		cfg.Smoothing = core.SmoothWeighted
-	case "morphological":
-		cfg.Smoothing = core.SmoothMorphological
-	default:
-		cfg.Smoothing = core.SmoothBinary
-	}
-	return cfg
 }
 
 // Run is one submitted mining job: its spec, lifecycle state, the
@@ -328,9 +306,10 @@ func (r *Run) Cancel() { r.cancel() }
 func (r *Run) Done() <-chan struct{} { return r.done }
 
 // buildSource constructs the run's tuple source. The returned cleanup
-// (possibly nil) runs after the mining completes. reg receives the
-// resilient layer's quarantine/retry counters for CSV sources.
-func (r *Run) buildSource(spec JobSpec, reg *obs.Registry) (dataset.Source, func(), error) {
+// (possibly nil) runs after the mining completes. A CSV source counts
+// its quarantined rows on observer's registry and records the
+// dataset.infer and, when loaded into memory, dataset.load spans.
+func (r *Run) buildSource(spec JobSpec, observer *obs.Observer) (dataset.Source, func(), error) {
 	if spec.Synth != nil {
 		scfg := synth.Config{
 			Function:        spec.Synth.Function,
@@ -347,34 +326,20 @@ func (r *Run) buildSource(spec JobSpec, reg *obs.Registry) (dataset.Source, func
 		return st.Source(), nil, nil
 	}
 
-	schema, err := dataset.InferCSVSchema(spec.CSV.Path, 10_000)
+	in, err := dataset.OpenCSV(spec.CSV.Path, spec.CSV.MaxBadRows, observer, r.ID)
 	if err != nil {
 		return nil, nil, err
 	}
-	cs, err := dataset.OpenCSVStream(spec.CSV.Path, schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	resilient := dataset.NewResilient(cs,
-		dataset.Retry{Max: spec.CSV.Retries, Seed: spec.Seed},
-		dataset.Quarantine{MaxBadRows: spec.CSV.MaxBadRows,
-			OnBad: func(reason string, row int, err error) {
-				slog.Debug("quarantined row", "run", r.ID, "reason", reason, "row", row, "err", err)
-			}})
-	resilient.Observe(reg)
 	record := func() {
 		r.mu.Lock()
-		r.quar = resilient.Stats()
+		r.quar = in.Stats()
 		r.mu.Unlock()
 	}
 	if spec.CSV.Stream {
-		return resilient, func() { record(); cs.Close() }, nil
+		return in, func() { record(); in.Close() }, nil
 	}
-	tb, err := dataset.Materialize(resilient)
+	tb, err := in.Load()
 	record()
-	if cerr := cs.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -401,7 +366,7 @@ func (s *Server) execute(ctx context.Context, r *Run, observer *obs.Observer) {
 	var results map[string]*core.Result
 	var runErr error
 	pprof.Do(ctx, pprof.Labels("arcs_run", r.ID), func(ctx context.Context) {
-		src, cleanup, err := r.buildSource(spec, observer.Registry())
+		src, cleanup, err := r.buildSource(spec, observer)
 		if err != nil {
 			runErr = err
 			return

@@ -7,12 +7,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"arcs/internal/dataset"
 	"arcs/internal/obs"
+	"arcs/internal/synth"
 )
 
 // newTestServer builds a Server with small limits and its HTTP harness.
@@ -367,6 +371,9 @@ func TestObsServeBadRequests(t *testing.T) {
 		// two is gone, and a spec still sending it is refused by name.
 		{"positional synth", `{"synth":{"function":1,"n":10,"positional":true},"x":"a","y":"b","crit":"c"}`,
 			`"positional"`},
+		// No input a job reads raises a transient error, so the retry
+		// budget that could never fire is gone, and refused by name.
+		{"retries csv", `{"csv":{"path":"a.csv","retries":2},"x":"a","y":"b","crit":"c"}`, `"retries"`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
@@ -381,6 +388,93 @@ func TestObsServeBadRequests(t *testing.T) {
 		}
 		if !strings.Contains(body.String(), tc.cause) {
 			t.Errorf("%s: response %q does not name %s", tc.name, body.String(), tc.cause)
+		}
+	}
+}
+
+// TestObsServeCSVJob: a CSV job reads its file the way cmd/arcs does.
+// One dirty file, mined once loaded into memory and once streamed,
+// yields the same rules; the loaded run reports its quarantined row.
+// Both record their dataset spans carrying the run's ID, which is all a
+// shared tee has to attribute them by, and only the loaded one records
+// dataset.load.
+func TestObsServeCSVJob(t *testing.T) {
+	dir := t.TempDir()
+	st, err := synth.NewStream(synth.Config{Function: 2, N: 5000, Seed: 1, Perturbation: 0.05, FracA: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data bytes.Buffer
+	if err := dataset.WriteCSV(&data, st.Source()); err != nil {
+		t.Fatal(err)
+	}
+	// A field-count error, which schema inference skips and every pass
+	// quarantines.
+	data.WriteString("1,2,3\n")
+	path := filepath.Join(dir, "f2.csv")
+	if err := os.WriteFile(path, data.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tee := &obs.MemSink{}
+	s, ts := newTestServer(t, Options{Tee: tee, CSVRoot: dir})
+	spec := func(stream bool) string {
+		return fmt.Sprintf(`{"csv":{"path":%q,"stream":%t,"max_bad_rows":1},
+		                     "x":"age","y":"salary","crit":"group","value":"A","bins":20}`, path, stream)
+	}
+	loaded, streamed := submit(t, ts, spec(false)), submit(t, ts, spec(true))
+	rules := map[string]string{}
+	for _, id := range []string{loaded, streamed} {
+		status := waitTerminal(t, s, ts, id)
+		if status.State != StateDone {
+			t.Fatalf("run %s ended %s (%s), want done", id, status.State, status.Error)
+		}
+		doc, _ := status.Results["A"].(map[string]any)
+		raw, err := json.Marshal(doc["rules"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules[id] = string(raw)
+		if id == loaded && status.RowsQuarantined != 1 {
+			t.Errorf("the loaded run quarantined %d rows, want 1", status.RowsQuarantined)
+		}
+	}
+	if rules[loaded] == "null" || rules[loaded] != rules[streamed] {
+		t.Errorf("loaded run found rules %s, streamed run %s; want the same rules", rules[loaded], rules[streamed])
+	}
+
+	spans := map[string]map[string][]obs.Event{} // span name → run ID → spans
+	for _, name := range []string{"dataset.infer", "dataset.load"} {
+		spans[name] = map[string][]obs.Event{}
+		for _, ev := range tee.Spans(name) {
+			if ev.Parent != 0 {
+				t.Errorf("%s span has parent %d, want a root span", name, ev.Parent)
+			}
+			id := ev.Attr("run_id")
+			spans[name][id] = append(spans[name][id], ev)
+		}
+	}
+	for _, id := range []string{loaded, streamed} {
+		if n := len(spans["dataset.infer"][id]); n != 1 {
+			t.Errorf("run %s recorded %d dataset.infer spans carrying its ID, want 1", id, n)
+		}
+	}
+	if loads := spans["dataset.load"][loaded]; len(loads) != 1 {
+		t.Errorf("the loaded run recorded %d dataset.load spans carrying its ID, want 1", len(loads))
+	} else {
+		want := map[string]string{"run_id": loaded, "rows": "5000", "quarantined": "1", "bytes": fmt.Sprint(data.Len())}
+		for k, v := range want {
+			if got := loads[0].Attr(k); got != v {
+				t.Errorf("dataset.load %s = %q, want %q", k, got, v)
+			}
+		}
+	}
+	if n := len(spans["dataset.load"][streamed]); n != 0 {
+		t.Errorf("the streamed run recorded %d dataset.load spans, want none", n)
+	}
+	for name, byRun := range spans {
+		if n := len(byRun[""]); n != 0 {
+			t.Errorf("%d %s spans carry no run_id", n, name)
 		}
 	}
 }
