@@ -390,28 +390,6 @@ func BenchmarkBinningPass(b *testing.B) {
 	b.ReportMetric(float64(100_000*b.N)/b.Elapsed().Seconds(), "tuples/sec")
 }
 
-// BenchmarkBitOpParallel measures the parallel enumeration speedup on a
-// large grid (paper §5: "parallel implementations of the algorithm would
-// be straightforward").
-func BenchmarkBitOpParallel(b *testing.B) {
-	const size = 400
-	bm, _ := grid.New(size, size)
-	for r := 0; r < size; r++ {
-		for c := 0; c < size; c++ {
-			if (r/17+c/13)%2 == 0 {
-				bm.Set(r, c)
-			}
-		}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bitop.EnumerateParallel(bm, workers)
-			}
-		})
-	}
-}
-
 // BenchmarkWhyClustering regenerates the §1 motivation numbers: raw cell
 // rules vs quantitative interval rules vs clustered rules on identical
 // data.

@@ -282,6 +282,19 @@ func TestQuarantinedRowAddsNoGroup(t *testing.T) {
 	}
 }
 
+// TestLiftAboveOneMinesNoRules: -lift raises each value's confidence
+// bar to lift × prior. For "other" (prior 0.6) -lift 2 sets the bar at
+// 1.2, which no cell can reach: the run exits 0 and prints no rules for
+// "other" instead of failing, while A (bar 0.8) keeps its rules.
+func TestLiftAboveOneMinesNoRules(t *testing.T) {
+	bin, csv := buildArcs(t), writeF2CSV(t)
+	out := runArcs(t, bin, "-in", csv, "-x", "age", "-y", "salary", "-crit", "group", "-bins", "20", "-lift", "2")
+	a, other, ok := strings.Cut(out, "== segmentation for other ==")
+	if !ok || !strings.Contains(a, "=> group = A") || !strings.Contains(other, "(no clustered rules)") {
+		t.Errorf("arcs -lift 2 printed\n%s\nwant rules for A and none for other", out)
+	}
+}
+
 // TestStrayArgumentIsUsageError: flag parsing stops at the first
 // non-flag argument, so `arcs ... stray -bins 5` would mine at the
 // default 50 bins; the command refuses it instead, naming it.

@@ -13,6 +13,9 @@
 // The implementation uses only word-wide AND/compare operations on the
 // packed bitmap rows, mirroring the paper's claim that BitOp needs
 // nothing beyond arithmetic registers, bitwise AND and shifts.
+// Clustering one bitmap is sequential: the threshold search (package
+// core) gets its parallelism by running whole probes, each with its own
+// Cluster call, at once.
 package bitop
 
 import (
@@ -33,8 +36,7 @@ type Options struct {
 	// unbounded.
 	MaxClusters int
 	// Stats, when non-nil, accumulates the call's operation accounting
-	// (word ops, candidates, rounds, worker utilization). Nil costs
-	// nothing.
+	// (word ops, candidates, sweeps, rounds). Nil costs nothing.
 	Stats *Stats
 }
 
@@ -49,8 +51,7 @@ func Enumerate(bm *grid.Bitmap) []grid.Rect {
 // enumerator holds the scratch of a candidate enumeration — the two
 // sweep masks and the output slice. Cluster reuses one across its
 // greedy rounds so the steady-state round performs no allocations
-// (guarded by TestBitOpRoundZeroAlloc); the parallel path gives each
-// worker its own.
+// (guarded by TestBitOpRoundZeroAlloc).
 type enumerator struct {
 	mask, next []uint64
 	out        []grid.Rect
@@ -73,6 +74,49 @@ func (e *enumerator) run(bm *grid.Bitmap, st *Stats) []grid.Rect {
 		sweepAnchor(bm, top, rows, cols, e.mask, e.next, &e.out, st)
 	}
 	return e.out
+}
+
+// sweepAnchor runs the downward mask sweep for one anchor row, reusing
+// the caller's scratch masks and appending emitted rectangles to out.
+// Each row below the anchor costs exactly one fused pass over the mask
+// words: grid.AndRowInto computes the AND, the changed test and the
+// empty test together, where a copy, an AND, an equality test and an
+// emptiness test would walk the words up to four times. Operation counts
+// accumulate in local integers and flush into st once per sweep, so the
+// inner loop carries no atomic or branch cost beyond two plain
+// additions.
+func sweepAnchor(bm *grid.Bitmap, top, rows, cols int, mask, next []uint64, out *[]grid.Rect, st *Stats) {
+	wpr := int64(len(mask))
+	andOps, cmpOps := int64(0), wpr // initial MaskEmpty scan
+	bm.CopyRow(mask, top)
+	if grid.MaskEmpty(mask) {
+		st.addSweep(andOps, cmpOps, 0)
+		return
+	}
+	emitted := len(*out)
+	height := 1
+	alive := true
+	for r := top + 1; r < rows; r++ {
+		changed, empty := bm.AndRowInto(next, mask, r)
+		andOps += wpr
+		cmpOps += wpr
+		if changed {
+			emitRuns(mask, cols, top, height, out)
+			if empty {
+				alive = false
+				break
+			}
+		}
+		// The shrunk mask is in next; swap rather than copy. When the
+		// row changed nothing the two masks hold equal words, so the
+		// swap is harmless.
+		mask, next = next, mask
+		height++
+	}
+	if alive {
+		emitRuns(mask, cols, top, height, out)
+	}
+	st.addSweep(andOps, cmpOps, int64(len(*out)-emitted))
 }
 
 func emitRuns(mask []uint64, cols, top, height int, out *[]grid.Rect) {

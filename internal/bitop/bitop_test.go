@@ -8,6 +8,20 @@ import (
 	"arcs/internal/grid"
 )
 
+// randomBitmap sets each cell of a rows×cols bitmap with probability
+// density.
+func randomBitmap(rng *rand.Rand, rows, cols int, density float64) *grid.Bitmap {
+	bm, _ := grid.New(rows, cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if rng.Float64() < density {
+				bm.Set(r, c)
+			}
+		}
+	}
+	return bm
+}
+
 // mk builds a bitmap from ASCII rows (row 0 first), '#' = set.
 func mk(t *testing.T, rows ...string) *grid.Bitmap {
 	t.Helper()

@@ -1,26 +1,20 @@
 package bitop
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Stats accumulates the operation accounting of clustering calls when
 // attached via Options.Stats. Sweeps count in local integers and flush
 // once per anchor row, so attaching Stats costs a handful of atomic adds
 // per sweep — and a nil *Stats costs nothing at all: every method is a
 // nil-safe no-op, mirroring the obs package's disabled handles, so call
-// sites never branch on whether accounting is on. Safe for concurrent
-// use by the parallel enumeration workers.
+// sites never branch on whether accounting is on. The counters are
+// atomic, so a Stats is safe for concurrent use.
 type Stats struct {
 	andWordOps atomic.Int64
 	cmpWordOps atomic.Int64
 	candidates atomic.Int64
 	sweeps     atomic.Int64
 	rounds     atomic.Int64
-
-	mu         sync.Mutex
-	workerRows []int64
 }
 
 // addSweep records one anchor-row sweep's word-level operation counts
@@ -41,17 +35,6 @@ func (st *Stats) addRound() {
 		return
 	}
 	st.rounds.Add(1)
-}
-
-// addWorkerRows records how many anchor rows one parallel worker
-// processed in one enumeration — the chunk-size / utilization sample.
-func (st *Stats) addWorkerRows(rows int64) {
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	st.workerRows = append(st.workerRows, rows)
-	st.mu.Unlock()
 }
 
 // AndWordOps reports the 64-bit-word AND operations performed.
@@ -93,15 +76,4 @@ func (st *Stats) Rounds() int64 {
 		return 0
 	}
 	return st.rounds.Load()
-}
-
-// WorkerRows returns a copy of the per-worker anchor-row counts, one
-// entry per worker per parallel enumeration. Empty on the serial path.
-func (st *Stats) WorkerRows() []int64 {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return append([]int64(nil), st.workerRows...)
 }

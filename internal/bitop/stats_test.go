@@ -41,32 +41,11 @@ func TestBitopStatsAccounting(t *testing.T) {
 	if want := st.Rounds() * int64(bm.Rows()); st.Sweeps() != want {
 		t.Fatalf("sweeps=%d, want rounds*rows=%d", st.Sweeps(), want)
 	}
-	if len(st.WorkerRows()) != 0 {
-		t.Fatalf("serial path recorded worker rows: %v", st.WorkerRows())
-	}
 
 	// Stats must not change the clustering.
 	plain := Cluster(bm, Options{MinArea: 1})
 	if len(plain) != len(clusters) {
 		t.Fatalf("stats changed result: %d vs %d clusters", len(clusters), len(plain))
-	}
-}
-
-func TestBitopStatsParallelWorkerRows(t *testing.T) {
-	bm := statsBitmap(t)
-	st := &Stats{}
-	ClusterParallel(bm, Options{MinArea: 1, Stats: st}, 4)
-	rows := st.WorkerRows()
-	if len(rows) == 0 {
-		t.Fatal("parallel path recorded no worker-row samples")
-	}
-	var total int64
-	for _, r := range rows {
-		total += r
-	}
-	// Across all rounds, workers together process every anchor row.
-	if want := st.Rounds() * int64(bm.Rows()); total != want {
-		t.Fatalf("worker rows sum to %d, want %d", total, want)
 	}
 }
 
@@ -78,12 +57,11 @@ func TestBitopStatsDisabledZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		st.addSweep(64, 64, 2)
 		st.addRound()
-		st.addWorkerRows(8)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil Stats accounting allocates %.1f per op, want 0", allocs)
 	}
-	if st.AndWordOps() != 0 || st.Rounds() != 0 || st.WorkerRows() != nil {
+	if st.AndWordOps() != 0 || st.Rounds() != 0 {
 		t.Fatal("nil Stats reported non-zero values")
 	}
 }

@@ -67,35 +67,6 @@ func FromRects(rects []grid.Rect, ba counts.Backend, seg int, xb, yb binning.Bin
 	return out, nil
 }
 
-// Prune applies §3.5's dynamic pruning: clusters covering less than
-// minFraction of the overall grid area are dropped — unless every cluster
-// is already sufficiently large, in which case no pruning is performed
-// (the paper's explicit carve-out). The default minFraction in ARCS is
-// 0.01 (1% of the grid).
-func Prune(rs []rules.ClusteredRule, gridArea int, minFraction float64) []rules.ClusteredRule {
-	if minFraction <= 0 || gridArea <= 0 {
-		return rs
-	}
-	minCells := minFraction * float64(gridArea)
-	allLarge := true
-	for _, r := range rs {
-		if float64(r.Area()) < minCells {
-			allLarge = false
-			break
-		}
-	}
-	if allLarge {
-		return rs
-	}
-	out := rs[:0:0]
-	for _, r := range rs {
-		if float64(r.Area()) >= minCells {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // AttrRange is one attribute's value range in a multi-attribute rule.
 type AttrRange struct {
 	Attr   string

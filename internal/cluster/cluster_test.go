@@ -80,38 +80,6 @@ func TestFromRectsEmptyArray(t *testing.T) {
 	}
 }
 
-func mkRule(area int) rules.ClusteredRule {
-	// area cells in a 1-row strip.
-	return rules.ClusteredRule{XLoBin: 0, XHiBin: area - 1, YLoBin: 0, YHiBin: 0}
-}
-
-func TestPruneDropsSmall(t *testing.T) {
-	rs := []rules.ClusteredRule{mkRule(50), mkRule(2), mkRule(30)}
-	// Grid 100x100 = 10000 cells; 1% = 100 cells... use 1% of 2500 = 25.
-	got := Prune(rs, 2500, 0.01)
-	if len(got) != 2 {
-		t.Fatalf("pruned to %d rules, want 2", len(got))
-	}
-	for _, r := range got {
-		if r.Area() < 25 {
-			t.Errorf("small rule survived: area %d", r.Area())
-		}
-	}
-}
-
-func TestPruneNoOpWhenAllLarge(t *testing.T) {
-	rs := []rules.ClusteredRule{mkRule(50), mkRule(30)}
-	got := Prune(rs, 2500, 0.01)
-	if len(got) != 2 {
-		t.Errorf("pruning should be skipped when all clusters are large")
-	}
-	// Zero fraction disables pruning entirely.
-	rs2 := []rules.ClusteredRule{mkRule(1)}
-	if got := Prune(rs2, 2500, 0); len(got) != 1 {
-		t.Error("zero fraction should disable pruning")
-	}
-}
-
 func TestCombineSharedAttribute(t *testing.T) {
 	ab := rules.ClusteredRule{
 		XAttr: "age", YAttr: "salary", CritAttr: "group", CritValue: "A",

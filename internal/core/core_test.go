@@ -381,6 +381,122 @@ func TestInterestLift(t *testing.T) {
 	}
 }
 
+// TestInterestLiftSelectsCells: on a 2×2 grid, a cell is admitted only
+// when its confidence reaches lift × prior, and a bar above 1 admits no
+// cell in every smoothing mode. That is no error: the rule generator
+// never sees the bar.
+func TestInterestLiftSelectsCells(t *testing.T) {
+	// a's prior is 0.5. Lift 1.5 puts the bar at 0.75: cell (0,0) at
+	// confidence 1 is admitted, cell (1,1) at 1/3 is not.
+	bm, err := liftSystem(t, "a", 1.5, SmoothOff).Grid("a", 0.01, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bm.PopCount() != 1 || !bm.Get(0, 0) {
+		t.Fatalf("lift 1.5 grid:\n%v\nwant only cell (0,0)", bm)
+	}
+	// Lift 0.5 puts the bar at 0.25 and admits both occupied cells.
+	bm, err = liftSystem(t, "a", 0.5, SmoothOff).Grid("a", 0.01, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bm.PopCount() != 2 || !bm.Get(0, 0) || !bm.Get(1, 1) {
+		t.Fatalf("lift 0.5 grid:\n%v\nwant cells (0,0) and (1,1)", bm)
+	}
+	// Lift 3 puts the bar at 1.5, which no cell can reach.
+	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothWeighted, SmoothMorphological} {
+		sys := liftSystem(t, "a", 3, mode)
+		rs, err := sys.MineAt(0.01, 0)
+		if err != nil || len(rs) != 0 {
+			t.Errorf("%v, lift 3: rules %v, err %v; want none and no error", mode, rs, err)
+		}
+		bm, err := sys.Grid("a", 0.01, 0)
+		if err != nil || bm.PopCount() != 0 {
+			t.Errorf("%v, lift 3: grid err %v, want an empty grid", mode, err)
+		}
+	}
+}
+
+// TestInterestLiftExactlyAtBar: the comparison is inclusive. Lift 2
+// puts a's bar at 2 × 0.5 = 1, exactly cell (0,0)'s confidence: that
+// cell is admitted and cell (1,1) is not. Nudging the bar above 1
+// admits nothing, in every smoothing mode and without error.
+func TestInterestLiftExactlyAtBar(t *testing.T) {
+	rs, err := liftSystem(t, "a", 2, SmoothOff).MineAt(0.01, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 || rs[0].Confidence != 1 {
+		t.Fatalf("bar at cell confidence: rules %v, want the one cell at confidence 1", rs)
+	}
+	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothWeighted, SmoothMorphological} {
+		sys := liftSystem(t, "a", 2.0000001, mode)
+		rs, err := sys.MineAt(0.01, 0)
+		if err != nil || len(rs) != 0 {
+			t.Errorf("%v, lift just above the bar: rules %v, err %v; want none and no error", mode, rs, err)
+		}
+		bm, err := sys.Grid("a", 0.01, 0)
+		if err != nil || bm.PopCount() != 0 {
+			t.Errorf("%v, lift just above the bar: grid err %v, want an empty grid", mode, err)
+		}
+	}
+}
+
+// TestInterestLiftZeroPrior: a value with no tuples has prior 0, so its
+// bar is 0, but no cell is occupied for it: the result is empty, not an
+// error and not a division blow-up. Its sibling is unaffected.
+func TestInterestLiftZeroPrior(t *testing.T) {
+	rs, err := liftSystem(t, "z", 1.5, SmoothOff).MineAt(0.01, 0)
+	if err != nil || len(rs) != 0 {
+		t.Errorf("zero-prior value: rules %v, err %v; want none and no error", rs, err)
+	}
+	// b's prior is 0.5 and its one cell (1,1) has confidence 2/3, so
+	// lift 1 admits it.
+	bm, err := liftSystem(t, "b", 1, SmoothOff).Grid("b", 0.01, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bm.PopCount() != 1 || !bm.Get(1, 1) {
+		t.Errorf("b under lift 1:\n%v\nwant only cell (1,1)", bm)
+	}
+}
+
+// liftSystem builds a System over a 2×2 grid. Cell (0,0) holds 5 tuples
+// of "a"; cell (1,1) holds 5 of "a" and 10 of "b"; label "z" has no
+// tuples. So a's prior is exactly 0.5, cell (0,0) has confidence 1 and
+// cell (1,1) confidence 1/3.
+func liftSystem(t *testing.T, crit string, lift float64, smoothing SmoothingMode) *System {
+	t.Helper()
+	schema := dataset.NewSchema(
+		dataset.Attribute{Name: "x", Kind: dataset.Quantitative},
+		dataset.Attribute{Name: "y", Kind: dataset.Quantitative},
+		dataset.Attribute{Name: "g", Kind: dataset.Categorical},
+	)
+	for _, label := range []string{"a", "b", "z"} {
+		if _, err := schema.At(2).CategoryCode(label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab := dataset.NewTable(schema)
+	add := func(x, y, g float64, n int) {
+		for i := 0; i < n; i++ {
+			tab.MustAppend(dataset.Tuple{x, y, g})
+		}
+	}
+	add(0.5, 0.5, 0, 5)
+	add(1.5, 1.5, 0, 5)
+	add(1.5, 1.5, 1, 10)
+	sys, err := New(tab, Config{
+		XAttr: "x", YAttr: "y", CritAttr: "g", CritValue: crit,
+		NumBins: 2, XRange: &[2]float64{0, 2}, YRange: &[2]float64{0, 2},
+		Smoothing: smoothing, InterestLift: lift,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 func TestEnumStrings(t *testing.T) {
 	cases := map[string]string{
 		BinEquiWidth.String():        "equi-width",

@@ -254,24 +254,16 @@ func (o *segObjective) evaluate(parent obs.Span, minSup, minConf float64) (float
 
 // safeEvaluateProbe is the probe isolation layer: it runs the configured
 // ProbeHook (the chaos-test fault seam) and the probe pipeline with a
-// recover, so a panic anywhere inside one probe — including panics
-// re-raised from bitop worker goroutines — fails only that probe. The
+// recover, so a panic anywhere inside one probe fails only that probe. The
 // recovered panic comes back as a *PanicError (stack attached, counted
 // on probe_panics_recovered_total) which unwraps to
 // optimizer.ErrProbeFailed so the search strategies skip the probe.
 func (s *System) safeEvaluateProbe(ctx context.Context, parent obs.Span, seg int, minSup, minConf float64) (cost float64, numRules int, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			stack := debug.Stack()
-			// A bitop worker panic already carries the worker's stack —
-			// prefer it over this goroutine's unwinding stack.
-			if wp, ok := v.(*bitop.WorkerPanic); ok {
-				stack = wp.Stack
-				v = wp.Value
-			}
 			s.mPanics.Inc()
 			cost, numRules = 0, 0
-			err = &PanicError{Phase: "probe", Value: v, Stack: stack}
+			err = &PanicError{Phase: "probe", Value: v, Stack: debug.Stack()}
 		}
 	}()
 	if s.cfg.ProbeHook != nil {

@@ -61,7 +61,6 @@ type System struct {
 	mBitopCmp    *obs.Counter
 	mBitopCand   *obs.Counter
 	mBitopRounds *obs.Counter
-	mWorkerRows  *obs.Histogram
 	mRectArea    *obs.Histogram
 	mRectWidth   *obs.Histogram
 	mRectHeight  *obs.Histogram
@@ -111,7 +110,6 @@ func NewContext(ctx context.Context, src dataset.Source, cfg Config) (*System, e
 	s.mBitopCmp = reg.Counter("bitop_cmp_word_ops_total")
 	s.mBitopCand = reg.Counter("bitop_candidates_total")
 	s.mBitopRounds = reg.Counter("bitop_rounds_total")
-	s.mWorkerRows = reg.HistogramBuckets("bitop_worker_rows", obs.SizeBuckets)
 	s.mRectArea = reg.HistogramBuckets("cluster_rect_area", obs.SizeBuckets)
 	s.mRectWidth = reg.HistogramBuckets("cluster_rect_width", obs.SizeBuckets)
 	s.mRectHeight = reg.HistogramBuckets("cluster_rect_height", obs.SizeBuckets)
@@ -347,7 +345,8 @@ func (s *System) Grid(label string, minSup, minConf float64) (*grid.Bitmap, erro
 
 // effectiveMinConf applies the interest-measure extension: when
 // InterestLift is configured, the confidence bar is raised to
-// lift × prior of the criterion value if that exceeds minConf.
+// lift × prior of the criterion value if that exceeds minConf. The
+// raised bar can exceed 1, and then buildGrid admits no cell.
 func (s *System) effectiveMinConf(seg int, minConf float64) float64 {
 	if s.cfg.InterestLift > 0 && s.ba.N() > 0 {
 		prior := float64(counts.SegmentTotal(s.ba, seg)) / float64(s.ba.N())
@@ -360,6 +359,10 @@ func (s *System) effectiveMinConf(seg int, minConf float64) float64 {
 
 func (s *System) buildGrid(seg int, minSup, minConf float64) (*grid.Bitmap, error) {
 	minConf = s.effectiveMinConf(seg, minConf)
+	if minConf > 1 {
+		// No cell reaches the bar, whatever the smoothing.
+		return grid.New(s.ba.NY(), s.ba.NX())
+	}
 	switch s.cfg.Smoothing {
 	case SmoothWeighted:
 		// Smooth support values of confidence-passing cells, then
@@ -442,9 +445,6 @@ func (s *System) mineAtSeg(parent obs.Span, seg int, minSup, minConf float64) ([
 		s.mBitopCmp.Add(st.CmpWordOps())
 		s.mBitopCand.Add(st.Candidates())
 		s.mBitopRounds.Add(st.Rounds())
-		for _, rows := range st.WorkerRows() {
-			s.mWorkerRows.Observe(float64(rows))
-		}
 		for _, r := range rects {
 			s.mRectArea.Observe(float64(r.Area()))
 			s.mRectWidth.Observe(float64(r.Width()))

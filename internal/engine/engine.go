@@ -53,35 +53,6 @@ func GenAssociationRules(ba counts.Backend, seg int, minSupport, minConfidence f
 	return out, nil
 }
 
-// GenInterestingRules mines cell rules using the "greater-than-expected
-// value" interest measure of Srikant & Agrawal that the paper discusses
-// in §1.1: instead of an absolute confidence floor, a cell qualifies
-// when its confidence exceeds the criterion value's global prior by the
-// factor minLift (e.g. 1.5 = half again more likely than the base
-// rate). This suits segmentation criteria whose base rates differ
-// wildly, where one absolute confidence threshold over- or
-// under-selects.
-func GenInterestingRules(ba counts.Backend, seg int, minSupport, minLift float64) ([]rules.CellRule, error) {
-	if seg < 0 || seg >= ba.NSeg() {
-		return nil, fmt.Errorf("engine: criterion value %d out of range 0..%d", seg, ba.NSeg()-1)
-	}
-	if minSupport < 0 || minSupport > 1 {
-		return nil, fmt.Errorf("engine: min support %g outside [0, 1]", minSupport)
-	}
-	if minLift <= 0 {
-		return nil, fmt.Errorf("engine: min lift must be positive, got %g", minLift)
-	}
-	if ba.N() == 0 {
-		return nil, nil
-	}
-	prior := float64(counts.SegmentTotal(ba, seg)) / float64(ba.N())
-	minConf := minLift * prior
-	if minConf > 1 {
-		return nil, nil // unreachable bar: no cell can qualify
-	}
-	return GenAssociationRules(ba, seg, minSupport, minConf)
-}
-
 // Thresholds is the ordered structure of Figure 10: the unique support
 // values occurring in the binned data for one criterion value, each with
 // the list of unique confidence values of the cells at that support.

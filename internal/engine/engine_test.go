@@ -186,109 +186,3 @@ func TestMiningMonotoneInSupport(t *testing.T) {
 		prev = len(got)
 	}
 }
-
-func TestGenInterestingRules(t *testing.T) {
-	// Prior of seg 0 is 10/30; cells must beat lift*prior.
-	ba := buildBA(t, [2][3][3]int{
-		{{8, 0, 0}, {0, 2, 0}, {0, 0, 0}},
-		{{2, 0, 0}, {0, 8, 0}, {0, 0, 10}},
-	})
-	// prior = 10/30 = 1/3. Cell (0,0): conf 0.8 (lift 2.4);
-	// cell (1,1): conf 0.2 (lift 0.6).
-	got, err := GenInterestingRules(ba, 0, 0, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].X != 0 || got[0].Y != 0 {
-		t.Fatalf("interesting rules = %v, want only cell (0,0)", got)
-	}
-	// Lift 0.5 admits both occupied seg-0 cells.
-	got, err = GenInterestingRules(ba, 0, 0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("lift 0.5 rules = %v, want 2", got)
-	}
-	// An unreachable bar yields nothing.
-	got, err = GenInterestingRules(ba, 0, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("lift 10 rules = %v", got)
-	}
-}
-
-func TestGenInterestingRulesValidation(t *testing.T) {
-	ba := buildBA(t, [2][3][3]int{})
-	if _, err := GenInterestingRules(ba, 9, 0, 1); err == nil {
-		t.Error("bad segment should error")
-	}
-	if _, err := GenInterestingRules(ba, 0, -1, 1); err == nil {
-		t.Error("bad support should error")
-	}
-	if _, err := GenInterestingRules(ba, 0, 0, 0); err == nil {
-		t.Error("zero lift should error")
-	}
-	// Empty BinArray yields nothing without error.
-	empty, _ := counts.NewDense(2, 2, 2)
-	got, err := GenInterestingRules(empty, 0, 0, 1)
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty: %v, %v", got, err)
-	}
-}
-
-// TestGenInterestingRulesZeroPrior: a criterion value with no tuples at
-// all (prior 0) lowers the bar to confidence >= 0, but no cell is
-// occupied for that segment, so the result is empty — not an error and
-// not a division blow-up.
-func TestGenInterestingRulesZeroPrior(t *testing.T) {
-	ba := buildBA(t, [2][3][3]int{
-		{}, // segment 0: empty
-		{{5, 0, 0}, {0, 5, 0}, {0, 0, 5}},
-	})
-	got, err := GenInterestingRules(ba, 0, 0, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("zero-prior segment produced rules %v, want none", got)
-	}
-	// The populated segment is unaffected by its sibling being empty:
-	// prior = 15/15 = 1, so lift 1 admits every occupied cell.
-	got, err = GenInterestingRules(ba, 1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Errorf("segment 1 rules = %v, want 3", got)
-	}
-}
-
-// TestGenInterestingRulesLiftExactlyAtBar: a cell whose lift equals
-// minLift exactly is admitted — the threshold comparison is inclusive,
-// matching GenAssociationRules' handling of minConfidence.
-func TestGenInterestingRulesLiftExactlyAtBar(t *testing.T) {
-	// prior = 10/20 = 0.5 exactly. Cell (0,0): conf 5/5 = 1.0, lift 2.0;
-	// cell (1,1): conf 5/15 = 1/3, lift 2/3.
-	ba := buildBA(t, [2][3][3]int{
-		{{5, 0, 0}, {0, 5, 0}, {0, 0, 0}},
-		{{0, 0, 0}, {0, 10, 0}, {0, 0, 0}},
-	})
-	got, err := GenInterestingRules(ba, 0, 0, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].X != 0 || got[0].Y != 0 {
-		t.Fatalf("lift exactly at bar: rules = %v, want only cell (0,0)", got)
-	}
-	// Nudging the bar above the exact lift excludes the cell.
-	got, err = GenInterestingRules(ba, 0, 0, 2.0000001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("lift just above bar: rules = %v, want none", got)
-	}
-}

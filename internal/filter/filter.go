@@ -7,15 +7,13 @@
 //
 // Two variants are provided, matching the paper: the binary filter used
 // in the main experiments, and the support-weighted filter of §5 that
-// averages rule support values instead of 0/1 presence. A small generic
-// convolution engine with box, Gaussian and Sobel kernels supports the
-// paper's suggestion of more advanced filters for detecting cluster edges
-// and corners.
+// averages rule support values instead of 0/1 presence by convolving
+// them with a 3×3 box kernel. Morphological opening and closing
+// (morphology.go) are a third smoothing mode.
 package filter
 
 import (
 	"fmt"
-	"math"
 
 	"arcs/internal/grid"
 )
@@ -83,39 +81,11 @@ func Box3() Kernel {
 	return Kernel{Size: 3, Weights: w}
 }
 
-// Gauss3 is a 3×3 Gaussian kernel, a gentler low-pass that preserves
-// cluster cores better than the box filter.
-func Gauss3() Kernel {
-	return Kernel{Size: 3, Weights: []float64{
-		1.0 / 16, 2.0 / 16, 1.0 / 16,
-		2.0 / 16, 4.0 / 16, 2.0 / 16,
-		1.0 / 16, 2.0 / 16, 1.0 / 16,
-	}}
-}
-
-// SobelX is the horizontal Sobel gradient kernel (edge detection, paper
-// §5 future work).
-func SobelX() Kernel {
-	return Kernel{Size: 3, Weights: []float64{
-		-1, 0, 1,
-		-2, 0, 2,
-		-1, 0, 1,
-	}}
-}
-
-// SobelY is the vertical Sobel gradient kernel.
-func SobelY() Kernel {
-	return Kernel{Size: 3, Weights: []float64{
-		-1, -2, -1,
-		0, 0, 0,
-		1, 2, 1,
-	}}
-}
-
-// Convolve applies a kernel to a dense grid. Out-of-bounds neighbors are
-// treated by renormalizing over the in-bounds kernel weights (for kernels
-// whose weights sum to ~1, i.e. smoothing kernels) or by zero-padding
-// (for zero-sum kernels such as Sobel). The input is not modified.
+// Convolve applies a smoothing kernel to a dense grid. Out-of-bounds
+// neighbors are left out and the result is renormalized over the
+// in-bounds kernel weights, so a constant field stays constant up to its
+// edges; the weights must therefore not sum to zero. The input is not
+// modified.
 func Convolve(d *grid.Dense, k Kernel) (*grid.Dense, error) {
 	if err := k.validate(); err != nil {
 		return nil, err
@@ -124,7 +94,6 @@ func Convolve(d *grid.Dense, k Kernel) (*grid.Dense, error) {
 	for _, w := range k.Weights {
 		wsum += w
 	}
-	renormalize := math.Abs(wsum) > 1e-9
 	rows, cols := d.Rows(), d.Cols()
 	out, err := grid.NewDense(rows, cols)
 	if err != nil {
@@ -139,13 +108,13 @@ func Convolve(d *grid.Dense, k Kernel) (*grid.Dense, error) {
 					rr, cc := r+dr, c+dc
 					w := k.Weights[(dr+half)*k.Size+(dc+half)]
 					if rr < 0 || rr >= rows || cc < 0 || cc >= cols {
-						continue // zero padding
+						continue
 					}
 					acc += w * d.At(rr, cc)
 					used += w
 				}
 			}
-			if renormalize && used != 0 {
+			if used != 0 {
 				acc = acc * wsum / used
 			}
 			out.Set(r, c, acc)
@@ -169,27 +138,4 @@ func LowPassWeighted(supports *grid.Dense, minSupport float64) (*grid.Bitmap, er
 		return nil, err
 	}
 	return sm.Threshold(minSupport), nil
-}
-
-// EdgeMagnitude computes the Sobel gradient magnitude of a dense grid,
-// highlighting cluster edges and corners (paper §5).
-func EdgeMagnitude(d *grid.Dense) (*grid.Dense, error) {
-	gx, err := Convolve(d, SobelX())
-	if err != nil {
-		return nil, err
-	}
-	gy, err := Convolve(d, SobelY())
-	if err != nil {
-		return nil, err
-	}
-	out, err := grid.NewDense(d.Rows(), d.Cols())
-	if err != nil {
-		return nil, err
-	}
-	for r := 0; r < d.Rows(); r++ {
-		for c := 0; c < d.Cols(); c++ {
-			out.Set(r, c, math.Hypot(gx.At(r, c), gy.At(r, c)))
-		}
-	}
-	return out, nil
 }

@@ -1,10 +1,6 @@
 package filter
 
-import (
-	"sort"
-
-	"arcs/internal/grid"
-)
+import "arcs/internal/grid"
 
 // Morphological operators on rule grids — the classical image-processing
 // toolbox the paper's §5 points at for detecting cluster edges and
@@ -71,39 +67,3 @@ func Open(bm *grid.Bitmap) *grid.Bitmap { return Dilate(Erode(bm)) }
 // Close dilates then erodes: single-cell holes and hairline gaps inside
 // clusters are filled, the outline is preserved.
 func Close(bm *grid.Bitmap) *grid.Bitmap { return Erode(Dilate(bm)) }
-
-// MedianDense applies a 3×3 median filter to a dense grid: each cell
-// becomes the median of its in-bounds neighborhood. Unlike the mean
-// (box) filter, the median is robust to isolated extreme values, so a
-// single high-support noise cell cannot drag its neighborhood above a
-// threshold.
-func MedianDense(d *grid.Dense) *grid.Dense {
-	rows, cols := d.Rows(), d.Cols()
-	out, _ := grid.NewDense(rows, cols)
-	var window [9]float64
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			n := 0
-			for dr := -1; dr <= 1; dr++ {
-				for dc := -1; dc <= 1; dc++ {
-					rr, cc := r+dr, c+dc
-					if rr < 0 || rr >= rows || cc < 0 || cc >= cols {
-						continue
-					}
-					window[n] = d.At(rr, cc)
-					n++
-				}
-			}
-			vals := window[:n]
-			sort.Float64s(vals)
-			var med float64
-			if n%2 == 1 {
-				med = vals[n/2]
-			} else {
-				med = (vals[n/2-1] + vals[n/2]) / 2
-			}
-			out.Set(r, c, med)
-		}
-	}
-	return out
-}

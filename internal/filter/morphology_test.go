@@ -1,10 +1,6 @@
 package filter
 
-import (
-	"testing"
-
-	"arcs/internal/grid"
-)
+import "testing"
 
 func TestErodeRemovesIsolatedCell(t *testing.T) {
 	bm := mk(t,
@@ -103,46 +99,6 @@ func TestOpenIdempotent(t *testing.T) {
 		for c := 0; c < bm.Cols(); c++ {
 			if once.Get(r, c) != twice.Get(r, c) {
 				t.Fatalf("opening not idempotent at (%d,%d)", r, c)
-			}
-		}
-	}
-}
-
-func TestMedianDenseSuppressesSpike(t *testing.T) {
-	d, _ := grid.NewDense(3, 3)
-	// Uniform 1.0 field with a 100.0 spike in the middle.
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			d.Set(r, c, 1)
-		}
-	}
-	d.Set(1, 1, 100)
-	out := MedianDense(d)
-	if out.At(1, 1) != 1 {
-		t.Errorf("spike survived median: %v", out.At(1, 1))
-	}
-	// Compare: the box filter smears the spike across the neighborhood.
-	box, err := Convolve(d, Box3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if box.At(0, 0) <= out.At(0, 0) {
-		t.Error("box filter should smear the spike where the median does not")
-	}
-}
-
-func TestMedianDensePreservesConstantField(t *testing.T) {
-	d, _ := grid.NewDense(4, 5)
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 5; c++ {
-			d.Set(r, c, 2.5)
-		}
-	}
-	out := MedianDense(d)
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 5; c++ {
-			if out.At(r, c) != 2.5 {
-				t.Fatalf("constant field changed at (%d,%d): %v", r, c, out.At(r, c))
 			}
 		}
 	}

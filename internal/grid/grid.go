@@ -92,21 +92,13 @@ func (b *Bitmap) CopyRow(dst []uint64, r int) {
 	copy(dst, b.Row(r))
 }
 
-// AndRow computes dst &= row r in place.
-func (b *Bitmap) AndRow(dst []uint64, r int) {
-	row := b.Row(r)
-	for i := range dst {
-		dst[i] &= row[i]
-	}
-}
-
 // AndRowInto computes dst = src AND row r in one fused pass, reporting
 // whether dst differs from src and whether dst came out all-zero. The
 // three answers the BitOp sweep needs per row (the ANDed mask, did it
-// shrink, is it dead) cost one word scan instead of the copy + AND +
-// equality + emptiness scans of the unfused primitives; the change and
-// emptiness signals accumulate in branch-free OR registers. dst and src
-// must both have length WordsPerRow and may not alias.
+// shrink, is it dead) cost one word scan instead of separate copy,
+// AND, equality and emptiness scans; the change and emptiness signals
+// accumulate in branch-free OR registers. dst and src must both have
+// length WordsPerRow and may not alias.
 func (b *Bitmap) AndRowInto(dst, src []uint64, r int) (changed, empty bool) {
 	row := b.words[r*b.wpr : (r+1)*b.wpr]
 	var diff, any uint64
@@ -242,16 +234,6 @@ func (b *Bitmap) Transpose() *Bitmap {
 func MaskEmpty(mask []uint64) bool {
 	for _, w := range mask {
 		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// MasksEqual reports whether two packed row masks are identical.
-func MasksEqual(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -79,37 +80,70 @@ func TestClearAndFillRect(t *testing.T) {
 	}
 }
 
+// TestRowOps drives the BitOp sweep's fused kernel, AndRowInto, on a
+// two-word (70-column) bitmap.
 func TestRowOps(t *testing.T) {
-	bm, _ := New(2, 70)
-	bm.Set(0, 5)
-	bm.Set(0, 65)
-	bm.Set(1, 5)
-	mask := make([]uint64, bm.WordsPerRow())
-	bm.CopyRow(mask, 0)
-	if MaskEmpty(mask) {
+	bm, _ := New(4, 70)
+	for _, c := range []int{5, 65} {
+		bm.Set(0, c)
+		bm.Set(1, c) // row 1 equals row 0
+	}
+	bm.Set(2, 5) // row 2 drops column 65, in the second word
+	// row 3 is empty
+	wpr := bm.WordsPerRow()
+	if wpr != 2 {
+		t.Fatalf("WordsPerRow = %d, want 2", wpr)
+	}
+	src := make([]uint64, wpr)
+	bm.CopyRow(src, 0)
+	if MaskEmpty(src) {
 		t.Error("copied row should not be empty")
 	}
-	bm.AndRow(mask, 1)
-	// Only column 5 survives the AND.
-	var cols []int
-	MaskRuns(mask, 70, func(c0, c1 int) {
-		for c := c0; c <= c1; c++ {
-			cols = append(cols, c)
-		}
-	})
-	if len(cols) != 1 || cols[0] != 5 {
-		t.Errorf("AND result columns = %v, want [5]", cols)
+	before := append([]uint64(nil), src...)
+	dst := make([]uint64, wpr)
+	columns := func(mask []uint64) []int {
+		var cols []int
+		MaskRuns(mask, 70, func(c0, c1 int) {
+			for c := c0; c <= c1; c++ {
+				cols = append(cols, c)
+			}
+		})
+		return cols
 	}
-	empty := make([]uint64, bm.WordsPerRow())
-	if !MaskEmpty(empty) {
+
+	if changed, empty := bm.AndRowInto(dst, src, 1); changed || empty {
+		t.Errorf("equal row: changed=%v empty=%v, want false false", changed, empty)
+	}
+	if got := columns(dst); !reflect.DeepEqual(got, []int{5, 65}) {
+		t.Errorf("equal row: dst columns %v, want [5 65]", got)
+	}
+
+	changed, empty := bm.AndRowInto(dst, src, 2)
+	if !changed || empty {
+		t.Errorf("row dropping a bit: changed=%v empty=%v, want true false", changed, empty)
+	}
+	row := bm.Row(2)
+	for i := range dst {
+		if dst[i] != src[i]&row[i] {
+			t.Errorf("word %d: dst %#x, want src AND row %#x", i, dst[i], src[i]&row[i])
+		}
+	}
+	if got := columns(dst); !reflect.DeepEqual(got, []int{5}) {
+		t.Errorf("row dropping a bit: dst columns %v, want [5]", got)
+	}
+	if !reflect.DeepEqual(src, before) {
+		t.Errorf("src changed from %v to %v", before, src)
+	}
+
+	if changed, empty := bm.AndRowInto(dst, src, 3); !changed || !empty {
+		t.Errorf("empty row: changed=%v empty=%v, want true true", changed, empty)
+	}
+	zero := make([]uint64, wpr)
+	if !MaskEmpty(zero) {
 		t.Error("zero mask should be empty")
 	}
-	if MasksEqual(mask, empty) {
-		t.Error("masks should differ")
-	}
-	same := append([]uint64(nil), mask...)
-	if !MasksEqual(mask, same) {
-		t.Error("identical masks should be equal")
+	if changed, empty := bm.AndRowInto(dst, zero, 0); changed || !empty {
+		t.Errorf("zero mask: changed=%v empty=%v, want false true", changed, empty)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,20 +54,37 @@ func TestObsStreamNDJSONLiveRun(t *testing.T) {
 	}
 }
 
+// gateSink, used as a server's Tee, holds the first event a run emits
+// until the channel is closed; later events pass straight through.
+type gateSink chan struct{}
+
+func (g gateSink) Emit(obs.Event) { <-g }
+
 // TestObsStreamMatchesFlightRecord checks stream/trace consistency: the
 // spans a live subscriber received are the same records the flight
 // recorder retained for that run (modulo the stream.end trailer and any
 // ring eviction — the test ring is large enough to retain everything).
 func TestObsStreamMatchesFlightRecord(t *testing.T) {
 	flight := obs.NewFlightRecorder(65536)
-	s, ts := newTestServer(t, Options{Flight: flight})
+	gate := make(gateSink)
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	s, ts := newTestServer(t, Options{Flight: flight, Tee: gate})
+	// Registered after the server's cleanup, so it runs first and a
+	// failed test never leaves the run blocked.
+	t.Cleanup(release)
 	id := submit(t, ts, synthSpec())
 
+	// The run is held at its first event until the stream is attached:
+	// the response headers go out only after the subscription, so the
+	// small run cannot finish its late phases before the stream sees
+	// them.
 	resp, err := http.Get(ts.URL + "/runs/" + id + "/spans")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	release()
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	streamed := readNDJSONStream(t, sc)
@@ -83,9 +101,8 @@ func TestObsStreamMatchesFlightRecord(t *testing.T) {
 		}
 		counts[n]++
 	}
-	// The subscriber attached after submission, so it may have missed
-	// the earliest init-phase spans; every streamed record must be in
-	// the flight record, and the late-run spans must match exactly.
+	// Every streamed record must be in the flight record, and the
+	// late-run spans must match exactly.
 	for name, n := range counts {
 		if recorded[name] < n {
 			t.Errorf("streamed %d %q events but flight record holds %d", n, name, recorded[name])

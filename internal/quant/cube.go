@@ -16,7 +16,6 @@ type cube struct {
 	// tuples with a0 <= i, a1 <= j, a2 == k. With fewer than three
 	// attributes the missing dimensions have size 1.
 	pre [][]int
-	n   int
 }
 
 // newCube builds the histogram from a binned table.
@@ -61,7 +60,7 @@ func newCube(tb *dataset.Table, bins []int) *cube {
 		}
 		pre[k] = p
 	}
-	return &cube{dims: dims, pre: pre, n: tb.Len()}
+	return &cube{dims: dims, pre: pre}
 }
 
 // count returns the number of tuples matching the conjunction of
@@ -95,12 +94,4 @@ func (c *cube) count(ivs []Interval) int {
 			p[lo[0]*(d1+1)+lo[1]]
 	}
 	return total
-}
-
-// support returns the fraction of tuples matching the conjunction.
-func (c *cube) support(ivs []Interval) float64 {
-	if c.n == 0 {
-		return 0
-	}
-	return float64(c.count(ivs)) / float64(c.n)
 }

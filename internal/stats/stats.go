@@ -1,16 +1,11 @@
 // Package stats provides the statistical primitives ARCS relies on:
 // entropy and information-gain measures (used by attribute selection and
-// by the C4.5 baseline), descriptive statistics, covariance/correlation,
-// a Jacobi eigensolver powering principal component analysis (the paper
-// cites PCA and factor analysis as candidate attribute selectors), and
-// reservoir / k-out-of-n sampling used by the segmentation verifier.
+// by the C4.5 baseline), the mean and standard deviation of repeated
+// measurements, and reservoir / k-out-of-n sampling (the ingest sample
+// and the segmentation verifier).
 package stats
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
+import "math"
 
 // Log2 returns log base 2 of x, defined as 0 for x <= 0. The MDL cost
 // model and entropy computations both need this guarded form: an empty
@@ -41,33 +36,6 @@ func Entropy(counts []float64) float64 {
 		}
 	}
 	return h
-}
-
-// EntropyInts is Entropy over integer counts.
-func EntropyInts(counts []int) float64 {
-	f := make([]float64, len(counts))
-	for i, c := range counts {
-		f[i] = float64(c)
-	}
-	return Entropy(f)
-}
-
-// Gini computes the Gini impurity of a discrete distribution given as
-// non-negative counts.
-func Gini(counts []float64) float64 {
-	var total float64
-	for _, c := range counts {
-		total += c
-	}
-	if total <= 0 {
-		return 0
-	}
-	g := 1.0
-	for _, c := range counts {
-		p := c / total
-		g -= p * p
-	}
-	return g
 }
 
 // InfoGain computes the information gain of a partition: parent entropy
@@ -120,41 +88,6 @@ func GainRatio(children [][]float64) float64 {
 	return InfoGain(children) / si
 }
 
-// ChiSquare computes the chi-square statistic of an observed contingency
-// table against independence of rows and columns. Rows or columns with
-// zero marginals contribute nothing.
-func ChiSquare(table [][]float64) float64 {
-	if len(table) == 0 {
-		return 0
-	}
-	rows := len(table)
-	cols := len(table[0])
-	rowSum := make([]float64, rows)
-	colSum := make([]float64, cols)
-	var total float64
-	for i := range table {
-		for j := range table[i] {
-			rowSum[i] += table[i][j]
-			colSum[j] += table[i][j]
-			total += table[i][j]
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	var chi float64
-	for i := range table {
-		for j := range table[i] {
-			expected := rowSum[i] * colSum[j] / total
-			if expected > 0 {
-				d := table[i][j] - expected
-				chi += d * d / expected
-			}
-		}
-	}
-	return chi
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -184,74 +117,3 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Covariance returns the population covariance of two equal-length
-// samples.
-func Covariance(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: covariance requires equal-length samples")
-	}
-	if len(xs) < 2 {
-		return 0, nil
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var s float64
-	for i := range xs {
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Correlation returns the Pearson correlation coefficient of two samples,
-// or 0 when either sample has zero variance.
-func Correlation(xs, ys []float64) (float64, error) {
-	cov, err := Covariance(xs, ys)
-	if err != nil {
-		return 0, err
-	}
-	sx, sy := StdDev(xs), StdDev(ys)
-	if sx == 0 || sy == 0 {
-		return 0, nil
-	}
-	return cov / (sx * sy), nil
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// MinMax returns the smallest and largest values in xs. It returns
-// (+Inf, -Inf) for an empty slice so that accumulation loops can extend
-// the result.
-func MinMax(xs []float64) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}

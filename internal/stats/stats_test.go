@@ -34,9 +34,6 @@ func TestEntropy(t *testing.T) {
 			t.Errorf("Entropy(%v) = %v, want %v", c.counts, got, c.want)
 		}
 	}
-	if got := EntropyInts([]int{1, 1}); !approx(got, 1, 1e-12) {
-		t.Errorf("EntropyInts = %v", got)
-	}
 }
 
 func TestEntropyNonNegativeAndBounded(t *testing.T) {
@@ -63,18 +60,6 @@ func TestEntropyNonNegativeAndBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGini(t *testing.T) {
-	if got := Gini([]float64{1, 1}); !approx(got, 0.5, 1e-12) {
-		t.Errorf("Gini uniform-2 = %v", got)
-	}
-	if got := Gini([]float64{7, 0}); !approx(got, 0, 1e-12) {
-		t.Errorf("Gini pure = %v", got)
-	}
-	if got := Gini(nil); got != 0 {
-		t.Errorf("Gini(nil) = %v", got)
 	}
 }
 
@@ -116,22 +101,6 @@ func TestInfoGainNonNegative(t *testing.T) {
 	}
 }
 
-func TestChiSquare(t *testing.T) {
-	// Independent table: chi-square 0.
-	indep := [][]float64{{10, 20}, {20, 40}}
-	if got := ChiSquare(indep); !approx(got, 0, 1e-9) {
-		t.Errorf("ChiSquare independent = %v", got)
-	}
-	// Perfectly associated 2x2.
-	assoc := [][]float64{{50, 0}, {0, 50}}
-	if got := ChiSquare(assoc); !approx(got, 100, 1e-9) {
-		t.Errorf("ChiSquare associated = %v, want 100", got)
-	}
-	if got := ChiSquare(nil); got != 0 {
-		t.Errorf("ChiSquare(nil) = %v", got)
-	}
-}
-
 func TestDescriptive(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); !approx(got, 5, 1e-12) {
@@ -145,64 +114,5 @@ func TestDescriptive(t *testing.T) {
 	}
 	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
 		t.Error("degenerate descriptive stats should be 0")
-	}
-}
-
-func TestCovarianceCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	cov, err := Covariance(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(cov, 2.5, 1e-12) {
-		t.Errorf("Covariance = %v", cov)
-	}
-	r, err := Correlation(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(r, 1, 1e-12) {
-		t.Errorf("Correlation = %v, want 1", r)
-	}
-	neg := []float64{8, 6, 4, 2}
-	r, _ = Correlation(xs, neg)
-	if !approx(r, -1, 1e-12) {
-		t.Errorf("Correlation = %v, want -1", r)
-	}
-	if _, err := Covariance(xs, ys[:2]); err == nil {
-		t.Error("length mismatch should error")
-	}
-	flat := []float64{3, 3, 3, 3}
-	r, _ = Correlation(xs, flat)
-	if r != 0 {
-		t.Errorf("Correlation with constant = %v, want 0", r)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("Q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 4 {
-		t.Errorf("Q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.5); !approx(got, 2.5, 1e-12) {
-		t.Errorf("median = %v", got)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile of empty should be NaN")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v, %v", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {
-		t.Errorf("MinMax(nil) = %v, %v", lo, hi)
 	}
 }

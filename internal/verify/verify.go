@@ -107,40 +107,6 @@ func MeasureRepeated(rs []rules.ClusteredRule, tb *dataset.Table, rng *rand.Rand
 	})
 }
 
-// SampleSource reservoir-samples up to k tuples from a streaming source
-// into an in-memory table, giving the verifier a uniform sample without
-// materializing the data. The source is consumed from the beginning
-// (Reset first).
-func SampleSource(src dataset.Source, k int, rng *rand.Rand) (*dataset.Table, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("verify: sample size must be positive, got %d", k)
-	}
-	res := stats.NewReservoir(rng, k)
-	buf := make([]dataset.Tuple, 0, k)
-	err := dataset.ForEach(src, func(t dataset.Tuple) error {
-		slot, keep := res.Offer()
-		if !keep {
-			return nil
-		}
-		if slot == len(buf) {
-			buf = append(buf, t.Clone())
-		} else {
-			buf[slot] = t.Clone()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb := dataset.NewTable(src.Schema())
-	for _, t := range buf {
-		if err := tb.Append(t); err != nil {
-			return nil, err
-		}
-	}
-	return tb, nil
-}
-
 // LatticeCounts is one walk of a steps×steps lattice over a value-space
 // domain: the points a segmentation's rules cover against the points a
 // set of truth rectangles contains. Areas are point counts; divided by

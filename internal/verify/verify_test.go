@@ -107,41 +107,6 @@ func TestMeasureRepeatedClampsK(t *testing.T) {
 	}
 }
 
-func TestSampleSource(t *testing.T) {
-	rowsData := make([][3]float64, 200)
-	for i := range rowsData {
-		rowsData[i] = [3]float64{float64(i), float64(i), 0}
-	}
-	tb := mkTable(t, rowsData)
-	rng := rand.New(rand.NewSource(3))
-	sample, err := SampleSource(tb, 20, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sample.Len() != 20 {
-		t.Fatalf("sample size = %d", sample.Len())
-	}
-	// Sampled tuples must be actual rows.
-	for i := 0; i < sample.Len(); i++ {
-		v := sample.Row(i)[0]
-		if v < 0 || v >= 200 || v != sample.Row(i)[1] {
-			t.Errorf("sample row %d = %v not from source", i, sample.Row(i))
-		}
-	}
-	// Small source: sample everything.
-	small := mkTable(t, [][3]float64{{1, 1, 0}, {2, 2, 0}})
-	sample, err = SampleSource(small, 20, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sample.Len() != 2 {
-		t.Errorf("small sample size = %d", sample.Len())
-	}
-	if _, err := SampleSource(small, 0, rng); err == nil {
-		t.Error("k=0 should error")
-	}
-}
-
 func TestRegionErrorsExact(t *testing.T) {
 	// Truth: [0,10)x[0,10) in a 20x20 domain. Cluster matches exactly:
 	// zero error.
