@@ -72,9 +72,9 @@ type ClusteredRule = rules.ClusteredRule
 // and the backend's footprint (Stats). One package implements it with
 // two in-memory backends — dense, and sparse when the dense grid would
 // not fit Config.MemBudget — chosen by Config.MemBudget and
-// Config.CountsBackend; sequential, fused and sharded
-// (Config.IngestWorkers) builds all return one of them, and every
-// combination produces bit-identical counts.
+// Config.CountsBackend; sequential and sharded (Config.IngestWorkers)
+// builds both return one of them, and every combination produces
+// bit-identical counts.
 type Counts = counts.Backend
 
 // MDLWeights biases the cost function (wc, we of paper §3.6).

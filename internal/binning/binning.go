@@ -3,8 +3,13 @@
 // before mining so that the binning process is transparent to the
 // association rule engine. The paper's experiments use equi-width bins;
 // equi-depth and homogeneity-based binning are provided as the paper's
-// suggested alternatives, and a categorical binner supports the
+// suggested alternatives, supervised (entropy/MDL) cuts as its §5
+// information-gain suggestion, and a categorical binner supports the
 // future-work extension of one categorical LHS attribute.
+//
+// Every strategy is one concrete Binner: the fitting algorithms differ,
+// but each fit reduces to one of three lookups — equal-width division,
+// a search over sorted cut points, or a category table.
 package binning
 
 import (
@@ -13,40 +18,133 @@ import (
 	"sort"
 )
 
+// kind is a Binner's lookup.
+type kind uint8
+
+const (
+	// divide is equal-width division over [lo, hi] (equi-width).
+	divide kind = iota
+	// table maps a category code through a permutation (categorical).
+	table
+	// search finds the bin among sorted cut points (equi-depth,
+	// homogeneity, supervised).
+	search
+)
+
 // Binner maps attribute values to bin numbers 0..NumBins-1 and back to
 // value ranges. Bins are half-open [lo, hi) except the last, which is
-// closed so the domain maximum maps to a valid bin.
-type Binner interface {
-	// NumBins reports the number of bins.
-	NumBins() int
-	// Bin maps a value to its bin, clamping values outside the fitted
-	// domain to the first or last bin.
-	Bin(v float64) int
-	// Bounds returns the value range covered by bin b.
-	Bounds(b int) (lo, hi float64)
-}
-
-// EquiWidth divides [lo, hi] into n bins of equal width — the paper's
-// default strategy.
-type EquiWidth struct {
-	lo, hi float64
+// closed so the domain maximum maps to a valid bin. The build's hot
+// loop calls Bin once per tuple and axis, so it is a concrete method
+// with a kind switch rather than an interface dispatch.
+type Binner struct {
+	kind   kind
+	method string
 	n      int
-	width  float64
+	// divide: the domain [lo, hi] and the bin width.
+	lo, hi, width float64
+	// table: category code -> bin, and bin -> category code.
+	bin, code []int32
+	// search: cuts[i] is the lower bound of bin i; cuts has n+1
+	// entries, the last being the domain maximum.
+	cuts []float64
 }
 
-// NewEquiWidth constructs an equi-width binner over [lo, hi].
-func NewEquiWidth(lo, hi float64, n int) (*EquiWidth, error) {
+// NumBins reports the number of bins.
+func (b *Binner) NumBins() int { return b.n }
+
+// Method names the strategy that fitted the binner: equi-width,
+// equi-depth, homogeneity, supervised or categorical. Binning metrics
+// and span attributes carry it.
+func (b *Binner) Method() string { return b.method }
+
+// Bin maps a value to its bin, clamping values outside the fitted
+// domain to the first or last bin (and category codes outside [0, n)
+// to the edge codes). Equi-width keeps the division, not a multiply by
+// the reciprocal, which could move a value on a bin edge by one bin.
+func (b *Binner) Bin(v float64) int {
+	switch b.kind {
+	case divide:
+		if v <= b.lo {
+			return 0
+		}
+		if v >= b.hi {
+			return b.n - 1
+		}
+		i := int((v - b.lo) / b.width)
+		if i >= b.n {
+			i = b.n - 1
+		}
+		return i
+	case table:
+		code := int(v)
+		if code < 0 {
+			code = 0
+		}
+		if code >= b.n {
+			code = b.n - 1
+		}
+		return int(b.bin[code])
+	default:
+		n := b.n
+		if v <= b.cuts[0] {
+			return 0
+		}
+		if v >= b.cuts[n] {
+			return n - 1
+		}
+		// cuts is sorted; find the right-most lower bound <= v.
+		i := sort.SearchFloat64s(b.cuts, v)
+		if i > 0 && b.cuts[i] != v {
+			i--
+		}
+		if i >= n {
+			i = n - 1
+		}
+		return i
+	}
+}
+
+// Bounds returns the value range covered by bin i. For a categorical
+// bin the range is the single category code occupying it, returned as
+// [code, code+1).
+func (b *Binner) Bounds(i int) (lo, hi float64) {
+	switch b.kind {
+	case divide:
+		return b.lo + float64(i)*b.width, b.lo + float64(i+1)*b.width
+	case table:
+		c := float64(b.code[i])
+		return c, c + 1
+	default:
+		return b.cuts[i], b.cuts[i+1]
+	}
+}
+
+// WidenDegenerate widens a degenerate domain [lo, lo] to the unit
+// interval [lo, lo+1), so binning a constant column stays well-formed
+// (every value lands in bin 0) instead of producing a zero-width
+// domain. Other domains come back unchanged.
+func WidenDegenerate(lo, hi float64) (float64, float64) {
+	if lo == hi {
+		hi = lo + 1
+	}
+	return lo, hi
+}
+
+// NewEquiWidth constructs an equi-width binner over [lo, hi] — the
+// paper's default strategy.
+func NewEquiWidth(lo, hi float64, n int) (*Binner, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("binning: need at least one bin, got %d", n)
 	}
 	if !(lo < hi) {
 		return nil, fmt.Errorf("binning: invalid domain [%g, %g]", lo, hi)
 	}
-	return &EquiWidth{lo: lo, hi: hi, n: n, width: (hi - lo) / float64(n)}, nil
+	return &Binner{kind: divide, method: "equi-width", n: n, lo: lo, hi: hi, width: (hi - lo) / float64(n)}, nil
 }
 
-// NewEquiWidthFromData fits an equi-width binner to the min/max of values.
-func NewEquiWidthFromData(values []float64, n int) (*EquiWidth, error) {
+// NewEquiWidthFromData fits an equi-width binner to the min/max of
+// values, widening a constant column with WidenDegenerate.
+func NewEquiWidthFromData(values []float64, n int) (*Binner, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("binning: no data to fit")
 	}
@@ -59,50 +157,21 @@ func NewEquiWidthFromData(values []float64, n int) (*EquiWidth, error) {
 			hi = v
 		}
 	}
-	if lo == hi {
-		// Degenerate domain: widen symmetrically so every value maps to
-		// a well-defined bin.
-		hi = lo + 1
-	}
+	lo, hi = WidenDegenerate(lo, hi)
 	return NewEquiWidth(lo, hi, n)
 }
 
-// NumBins implements Binner.
-func (e *EquiWidth) NumBins() int { return e.n }
-
-// Bin implements Binner.
-func (e *EquiWidth) Bin(v float64) int {
-	if v <= e.lo {
-		return 0
-	}
-	if v >= e.hi {
-		return e.n - 1
-	}
-	b := int((v - e.lo) / e.width)
-	if b >= e.n {
-		b = e.n - 1
-	}
-	return b
+// newSearch is the binner over sorted, distinct cut points.
+func newSearch(method string, cuts []float64) *Binner {
+	return &Binner{kind: search, method: method, n: len(cuts) - 1, cuts: cuts}
 }
 
-// Bounds implements Binner.
-func (e *EquiWidth) Bounds(b int) (lo, hi float64) {
-	return e.lo + float64(b)*e.width, e.lo + float64(b+1)*e.width
-}
-
-// EquiDepth divides the domain so each bin holds roughly the same number
-// of tuples, using quantile boundaries from a fitted sample (the strategy
-// of Srikant & Agrawal's quantitative rule mining, paper §1.1).
-type EquiDepth struct {
-	// boundaries[i] is the lower bound of bin i; boundaries has n+1
-	// entries, the last being the domain maximum.
-	boundaries []float64
-}
-
-// NewEquiDepth fits an equi-depth binner with n bins to values.
-// Heavily repeated values can make some quantile boundaries coincide; the
-// fitted binner may then have fewer than n distinct bins.
-func NewEquiDepth(values []float64, n int) (*EquiDepth, error) {
+// NewEquiDepth fits an equi-depth binner with n bins to values: bins
+// hold roughly the same number of tuples, using quantile boundaries
+// (the strategy of Srikant & Agrawal's quantitative rule mining, paper
+// §1.1). Heavily repeated values can make some quantile boundaries
+// coincide; the fitted binner may then have fewer than n distinct bins.
+func NewEquiDepth(values []float64, n int) (*Binner, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("binning: need at least one bin, got %d", n)
 	}
@@ -111,65 +180,34 @@ func NewEquiDepth(values []float64, n int) (*EquiDepth, error) {
 	}
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
-	var bounds []float64
+	var cuts []float64
 	prev := math.Inf(-1)
 	for i := 0; i <= n; i++ {
 		pos := float64(i) / float64(n) * float64(len(sorted)-1)
 		v := sorted[int(math.Round(pos))]
 		if v > prev {
-			bounds = append(bounds, v)
+			cuts = append(cuts, v)
 			prev = v
 		}
 	}
-	if len(bounds) < 2 {
+	if len(cuts) < 2 {
 		// All values identical.
-		bounds = []float64{sorted[0], sorted[0] + 1}
+		lo, hi := WidenDegenerate(sorted[0], sorted[0])
+		cuts = []float64{lo, hi}
 	}
-	return &EquiDepth{boundaries: bounds}, nil
+	return newSearch("equi-depth", cuts), nil
 }
 
-// NumBins implements Binner.
-func (e *EquiDepth) NumBins() int { return len(e.boundaries) - 1 }
-
-// Bin implements Binner.
-func (e *EquiDepth) Bin(v float64) int {
-	n := e.NumBins()
-	if v <= e.boundaries[0] {
-		return 0
-	}
-	if v >= e.boundaries[n] {
-		return n - 1
-	}
-	// boundaries is sorted; find the right-most lower bound <= v.
-	b := sort.SearchFloat64s(e.boundaries, v)
-	if b > 0 && e.boundaries[b] != v {
-		b--
-	}
-	if b >= n {
-		b = n - 1
-	}
-	return b
-}
-
-// Bounds implements Binner.
-func (e *EquiDepth) Bounds(b int) (lo, hi float64) {
-	return e.boundaries[b], e.boundaries[b+1]
-}
-
-// Homogeneity sizes bins so the tuples within each bin are near-uniformly
-// distributed (paper references [14, 23]). It fits by building a fine
-// equi-width micro-histogram and recursively splitting: at each step the
-// segment whose micro-bin counts deviate most from uniform (largest
-// within-segment sum of squared errors) is split at the point minimizing
-// the children's summed SSE. On already-uniform data ties resolve to
-// splitting the longest segment at its midpoint, so the result degrades
-// gracefully to equi-width.
-type Homogeneity struct {
-	boundaries []float64
-}
-
-// NewHomogeneity fits a homogeneity-based binner with n bins to values.
-func NewHomogeneity(values []float64, n int) (*Homogeneity, error) {
+// NewHomogeneity fits a homogeneity-based binner with n bins to values:
+// bins are sized so the tuples within each are near-uniformly
+// distributed (paper references [14, 23]). It builds a fine equi-width
+// micro-histogram and splits recursively: at each step the segment
+// whose micro-bin counts deviate most from uniform (largest
+// within-segment sum of squared errors) is split at the point
+// minimizing the children's summed SSE. On already-uniform data ties
+// resolve to splitting the longest segment at its midpoint, so the
+// result degrades gracefully to equi-width.
+func NewHomogeneity(values []float64, n int) (*Binner, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("binning: need at least one bin, got %d", n)
 	}
@@ -244,14 +282,14 @@ func NewHomogeneity(values []float64, n int) (*Homogeneity, error) {
 		segs = append(segs, segment{bestCut, s.end})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-	bounds := make([]float64, 0, len(segs)+1)
+	cuts := make([]float64, 0, len(segs)+1)
 	for _, s := range segs {
 		lo, _ := ew.Bounds(s.start)
-		bounds = append(bounds, lo)
+		cuts = append(cuts, lo)
 	}
 	_, last := ew.Bounds(micro - 1)
-	bounds = append(bounds, last)
-	return &Homogeneity{boundaries: bounds}, nil
+	cuts = append(cuts, last)
+	return newSearch("homogeneity", cuts), nil
 }
 
 func abs(x int) int {
@@ -261,122 +299,48 @@ func abs(x int) int {
 	return x
 }
 
-// NumBins implements Binner.
-func (h *Homogeneity) NumBins() int { return len(h.boundaries) - 1 }
-
-// Bin implements Binner.
-func (h *Homogeneity) Bin(v float64) int {
-	n := h.NumBins()
-	if v <= h.boundaries[0] {
-		return 0
-	}
-	if v >= h.boundaries[n] {
-		return n - 1
-	}
-	b := sort.SearchFloat64s(h.boundaries, v)
-	if b > 0 && h.boundaries[b] != v {
-		b--
-	}
-	if b >= n {
-		b = n - 1
-	}
-	return b
-}
-
-// Bounds implements Binner.
-func (h *Homogeneity) Bounds(b int) (lo, hi float64) {
-	return h.boundaries[b], h.boundaries[b+1]
-}
-
-// Categorical maps category codes to bins one-to-one, optionally through
-// a permutation. It supports the future-work extension of clustering with
-// one categorical LHS attribute: reordering categories changes adjacency
-// in the grid, and the densest ordering yields the best clusters.
-type Categorical struct {
-	n     int
-	perm  []int // category code -> bin, nil means identity
-	inv   []int // bin -> category code
-	ident bool
-}
-
-// NewCategorical constructs an identity categorical binner over n codes.
-func NewCategorical(n int) (*Categorical, error) {
+// NewCategorical constructs an identity categorical binner over n
+// category codes: code c is bin c.
+func NewCategorical(n int) (*Binner, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("binning: need at least one category, got %d", n)
 	}
-	return &Categorical{n: n, ident: true}, nil
+	order := make([]int, n)
+	for c := range order {
+		order[c] = c
+	}
+	return newTable(order), nil
 }
 
 // NewCategoricalOrdered constructs a categorical binner where category
 // code c maps to bin order[c]. order must be a permutation of 0..n-1.
-func NewCategoricalOrdered(order []int) (*Categorical, error) {
+// It supports the future-work extension of clustering with one
+// categorical LHS attribute: reordering categories changes adjacency in
+// the grid, and the densest ordering yields the best clusters.
+func NewCategoricalOrdered(order []int) (*Binner, error) {
 	n := len(order)
 	if n == 0 {
 		return nil, fmt.Errorf("binning: empty ordering")
 	}
 	seen := make([]bool, n)
-	inv := make([]int, n)
-	for code, b := range order {
+	for _, b := range order {
 		if b < 0 || b >= n || seen[b] {
 			return nil, fmt.Errorf("binning: order is not a permutation: %v", order)
 		}
 		seen[b] = true
-		inv[b] = code
 	}
-	return &Categorical{n: n, perm: append([]int(nil), order...), inv: inv}, nil
+	return newTable(order), nil
 }
 
-// NumBins implements Binner.
-func (c *Categorical) NumBins() int { return c.n }
-
-// Bin implements Binner. Codes outside [0, n) clamp to the edge bins.
-func (c *Categorical) Bin(v float64) int {
-	code := int(v)
-	if code < 0 {
-		code = 0
+// newTable is the categorical binner over a validated permutation.
+func newTable(order []int) *Binner {
+	b := &Binner{kind: table, method: "categorical", n: len(order),
+		bin: make([]int32, len(order)), code: make([]int32, len(order))}
+	for code, bin := range order {
+		b.bin[code] = int32(bin)
+		b.code[bin] = int32(code)
 	}
-	if code >= c.n {
-		code = c.n - 1
-	}
-	if c.ident {
-		return code
-	}
-	return c.perm[code]
-}
-
-// Bounds implements Binner. For categorical bins the "range" is the
-// single category code occupying the bin, returned as [code, code+1).
-func (c *Categorical) Bounds(b int) (lo, hi float64) {
-	code := b
-	if !c.ident {
-		code = c.inv[b]
-	}
-	return float64(code), float64(code + 1)
-}
-
-// Code returns the category code occupying bin b.
-func (c *Categorical) Code(b int) int {
-	if c.ident {
-		return b
-	}
-	return c.inv[b]
-}
-
-// MethodName reports a stable identifier for a binner's strategy, used
-// to label binning metrics and span attributes per method.
-func MethodName(b Binner) string {
-	switch b.(type) {
-	case *EquiWidth:
-		return "equi-width"
-	case *EquiDepth:
-		return "equi-depth"
-	case *Homogeneity:
-		return "homogeneity"
-	case *Categorical:
-		return "categorical"
-	default:
-		return "unknown"
-	}
+	return b
 }
 
 // Boundaries collects every boundary value a binner can produce — the
@@ -388,7 +352,7 @@ func MethodName(b Binner) string {
 // cluster rule bounds are taken verbatim from Bounds, every rule edge is
 // a member of this array — the property the verification index relies on
 // to replace value comparisons with slot comparisons exactly.
-func Boundaries(b Binner) []float64 {
+func Boundaries(b *Binner) []float64 {
 	n := b.NumBins()
 	vals := make([]float64, 0, 2*n)
 	for i := 0; i < n; i++ {

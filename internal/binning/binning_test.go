@@ -219,8 +219,8 @@ func TestCategoricalIdentity(t *testing.T) {
 		if got := c.Bin(float64(code)); got != code {
 			t.Errorf("Bin(%d) = %d", code, got)
 		}
-		if got := c.Code(code); got != code {
-			t.Errorf("Code(%d) = %d", code, got)
+		if lo, hi := c.Bounds(code); lo != float64(code) || hi != float64(code+1) {
+			t.Errorf("Bounds(%d) = [%v, %v)", code, lo, hi)
 		}
 	}
 	if c.Bin(-1) != 0 || c.Bin(99) != 4 {
@@ -241,12 +241,11 @@ func TestCategoricalOrdered(t *testing.T) {
 	if c.Bin(0) != 2 || c.Bin(1) != 0 || c.Bin(2) != 1 {
 		t.Error("permutation not applied")
 	}
-	if c.Code(0) != 1 || c.Code(1) != 2 || c.Code(2) != 0 {
-		t.Error("inverse permutation wrong")
-	}
-	lo, _ := c.Bounds(0)
-	if int(lo) != 1 {
-		t.Errorf("Bounds(0) lo = %v, want code 1", lo)
+	// Bin b holds code inv[b]: bin 0 <- code 1, bin 1 <- code 2, bin 2 <- code 0.
+	for b, code := range []float64{1, 2, 0} {
+		if lo, hi := c.Bounds(b); lo != code || hi != code+1 {
+			t.Errorf("Bounds(%d) = [%v, %v), want code %v", b, lo, hi, code)
+		}
 	}
 }
 
@@ -263,11 +262,4 @@ func TestCategoricalOrderedErrors(t *testing.T) {
 	if _, err := NewCategorical(0); err == nil {
 		t.Error("zero categories should error")
 	}
-}
-
-func TestBinnersAreInterface(t *testing.T) {
-	var _ Binner = &EquiWidth{}
-	var _ Binner = &EquiDepth{}
-	var _ Binner = &Homogeneity{}
-	var _ Binner = &Categorical{}
 }

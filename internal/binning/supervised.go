@@ -8,22 +8,19 @@ import (
 	"arcs/internal/stats"
 )
 
-// Supervised is an entropy-based (Fayyad & Irani style) discretizer: cut
-// points are chosen to minimize class entropy and accepted only while
-// they pass the MDL stopping criterion, so bin boundaries align with the
-// places where the class distribution actually changes. This realizes
-// the paper's §5 suggestion of applying information-gain measures to
-// threshold determination: on ARCS's Function 2 data, supervised cuts on
-// age land at 40 and 60 and on salary at the disjunct edges, instead of
-// wherever the equi-width lattice happens to fall.
-type Supervised struct {
-	boundaries []float64
-}
-
-// NewSupervised fits a supervised binner on (value, class) pairs.
+// NewSupervised fits an entropy-based (Fayyad & Irani style)
+// discretizer on (value, class) pairs: cut points are chosen to
+// minimize class entropy and accepted only while they pass the MDL
+// stopping criterion, so bin boundaries align with the places where the
+// class distribution actually changes. This realizes the paper's §5
+// suggestion of applying information-gain measures to threshold
+// determination: on ARCS's Function 2 data, supervised cuts on salary
+// land at the disjunct edges instead of wherever the equi-width lattice
+// happens to fall.
+//
 // maxBins caps the number of bins (recursion stops early when reached);
 // it must be at least 2. Classes are category codes.
-func NewSupervised(values []float64, classes []int, maxBins int) (*Supervised, error) {
+func NewSupervised(values []float64, classes []int, maxBins int) (*Binner, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("binning: no data to fit")
 	}
@@ -75,25 +72,19 @@ func NewSupervised(values []float64, classes []int, maxBins int) (*Supervised, e
 	}
 	recurse(0, len(sv))
 
-	lo := sv[0]
-	hi := sv[len(sv)-1]
-	if lo == hi {
-		hi = lo + 1
-	}
+	lo, hi := WidenDegenerate(sv[0], sv[len(sv)-1])
 	boundaries := append([]float64{lo}, cuts...)
 	boundaries = append(boundaries, hi)
 	sort.Float64s(boundaries)
-	// Collapse duplicate boundaries (possible with repeated values).
+	// Collapse duplicate boundaries (possible with repeated values);
+	// lo < hi keeps at least one bin.
 	dedup := boundaries[:1]
 	for _, b := range boundaries[1:] {
 		if b > dedup[len(dedup)-1] {
 			dedup = append(dedup, b)
 		}
 	}
-	if len(dedup) < 2 {
-		dedup = append(dedup, dedup[0]+1)
-	}
-	return &Supervised{boundaries: dedup}, nil
+	return newSearch("supervised", dedup), nil
 }
 
 // bestCut finds the entropy-minimizing cut in sv[lo:hi] and applies the
@@ -165,31 +156,4 @@ func countPresent(counts []float64) int {
 		}
 	}
 	return k
-}
-
-// NumBins implements Binner.
-func (s *Supervised) NumBins() int { return len(s.boundaries) - 1 }
-
-// Bin implements Binner.
-func (s *Supervised) Bin(v float64) int {
-	n := s.NumBins()
-	if v <= s.boundaries[0] {
-		return 0
-	}
-	if v >= s.boundaries[n] {
-		return n - 1
-	}
-	b := sort.SearchFloat64s(s.boundaries, v)
-	if b > 0 && s.boundaries[b] != v {
-		b--
-	}
-	if b >= n {
-		b = n - 1
-	}
-	return b
-}
-
-// Bounds implements Binner.
-func (s *Supervised) Bounds(b int) (lo, hi float64) {
-	return s.boundaries[b], s.boundaries[b+1]
 }

@@ -124,7 +124,3 @@ func TestSupervisedConstantValues(t *testing.T) {
 		t.Errorf("Bin(5) = %d out of range", b)
 	}
 }
-
-func TestSupervisedImplementsBinner(t *testing.T) {
-	var _ Binner = &Supervised{}
-}

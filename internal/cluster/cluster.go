@@ -28,7 +28,7 @@ type Meta struct {
 // clustered association rules, translating bin ranges back to attribute
 // value ranges via the binners and computing each cluster's aggregate
 // support and confidence from the BinArray.
-func FromRects(rects []grid.Rect, ba counts.Backend, seg int, xb, yb binning.Binner, meta Meta) ([]rules.ClusteredRule, error) {
+func FromRects(rects []grid.Rect, ba counts.Backend, seg int, xb, yb *binning.Binner, meta Meta) ([]rules.ClusteredRule, error) {
 	if seg < 0 || seg >= ba.NSeg() {
 		return nil, fmt.Errorf("cluster: criterion value %d out of range 0..%d", seg, ba.NSeg()-1)
 	}

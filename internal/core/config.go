@@ -172,18 +172,11 @@ type Config struct {
 	// The paper presets 50. Categorical LHS attributes always get one
 	// bin per category.
 	NumBins int
-	// XBins / YBins override NumBins per axis when non-zero.
-	XBins, YBins int
 	// BinStrategy selects the quantitative partitioning scheme.
 	BinStrategy BinStrategy
-	// XRange / YRange optionally fix a quantitative attribute's domain
-	// [lo, hi], avoiding the need to fit it from data.
-	XRange, YRange *[2]float64
 
-	// Smoothing selects the grid preprocessing; SmoothThreshold is the
-	// neighborhood fraction for the binary filter (default 0.5).
-	Smoothing       SmoothingMode
-	SmoothThreshold float64
+	// Smoothing selects the grid preprocessing.
+	Smoothing SmoothingMode
 
 	// PruneFraction is the dynamic pruning threshold of §3.5: clusters
 	// smaller than this fraction of the grid are discarded and the
@@ -213,12 +206,9 @@ type Config struct {
 	FixedMinConfidence float64
 
 	// SampleSize is the number of tuples reservoir-sampled for the
-	// verifier (default 2000). SampleRounds and SampleK configure the
-	// repeated k-out-of-n measurement (defaults 5 rounds of half the
-	// sample).
-	SampleSize   int
-	SampleRounds int
-	SampleK      int
+	// verifier (default 2000). Each probe measures its errors on five
+	// random draws of half the sample.
+	SampleSize int
 
 	// ReorderCategorical enables the densest-cluster category ordering
 	// for a categorical LHS attribute (default on; only relevant when an
@@ -287,19 +277,20 @@ type Config struct {
 	ProbeHook func(seg int, minSup, minConf float64)
 }
 
+const (
+	// smoothThreshold is the binary low-pass filter's neighborhood
+	// fraction (paper §3.4): a cell is set when at least half of its
+	// 3×3 neighborhood is.
+	smoothThreshold = 0.5
+	// sampleRounds is the number of repeated k-out-of-n draws each
+	// probe verifies on, k being half the sample.
+	sampleRounds = 5
+)
+
 // withDefaults fills the zero values with the paper's defaults.
 func (c Config) withDefaults() Config {
 	if c.NumBins == 0 {
 		c.NumBins = 50
-	}
-	if c.XBins == 0 {
-		c.XBins = c.NumBins
-	}
-	if c.YBins == 0 {
-		c.YBins = c.NumBins
-	}
-	if c.SmoothThreshold == 0 {
-		c.SmoothThreshold = 0.5
 	}
 	if c.PruneFraction == 0 {
 		c.PruneFraction = 0.01
@@ -309,12 +300,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleSize == 0 {
 		c.SampleSize = 2000
-	}
-	if c.SampleRounds == 0 {
-		c.SampleRounds = 5
-	}
-	if c.SampleK == 0 {
-		c.SampleK = c.SampleSize / 2
 	}
 	if c.ReorderCategorical == nil {
 		t := true
@@ -333,11 +318,8 @@ func (c Config) validate() error {
 	if c.XAttr == c.CritAttr || c.YAttr == c.CritAttr {
 		return fmt.Errorf("core: criterion attribute %q cannot also be an LHS attribute", c.CritAttr)
 	}
-	if c.NumBins < 0 || c.XBins < 0 || c.YBins < 0 {
+	if c.NumBins < 0 {
 		return fmt.Errorf("core: bin counts must be non-negative")
-	}
-	if c.SmoothThreshold < 0 || c.SmoothThreshold > 1 {
-		return fmt.Errorf("core: smooth threshold %g outside [0, 1]", c.SmoothThreshold)
 	}
 	if c.PruneFraction > 1 {
 		return fmt.Errorf("core: prune fraction %g exceeds 1", c.PruneFraction)

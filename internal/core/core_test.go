@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"arcs/internal/dataset"
@@ -190,6 +191,26 @@ func TestSmoothingModes(t *testing.T) {
 	}
 }
 
+// TestWeightedZeroSupportMinesOccupiedCells: under weighted smoothing a
+// minimum support of 0 mines exactly what the smallest positive bar
+// mines. Cells with no support anywhere near them stay out of the grid
+// instead of joining one rule over the whole domain.
+func TestWeightedZeroSupportMinesOccupiedCells(t *testing.T) {
+	sys := f2System(t, 20_000, 0, Config{Smoothing: SmoothWeighted})
+	zero, err := sys.MineAt(0, 0.39)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny, err := sys.MineAt(1e-12, 0.39)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zero, tiny) {
+		t.Errorf("minimum support 0 mined %d rules:\n%v\nwant the %d mined at 1e-12:\n%v",
+			len(zero), zero, len(tiny), tiny)
+	}
+}
+
 func TestBinStrategies(t *testing.T) {
 	for _, strat := range []BinStrategy{BinEquiWidth, BinEquiDepth, BinHomogeneity, BinSupervised} {
 		sys := f2System(t, 10_000, 0, Config{NumBins: 20, BinStrategy: strat})
@@ -219,19 +240,6 @@ func TestFixedSearch(t *testing.T) {
 	}
 	if res.Evaluations != 1 {
 		t.Errorf("Evaluations = %d", res.Evaluations)
-	}
-}
-
-func TestExplicitRangesSkipFitDependence(t *testing.T) {
-	xr := [2]float64{synth.AgeMin, synth.AgeMax}
-	yr := [2]float64{synth.SalaryMin, synth.SalaryMax}
-	sys := f2System(t, 10_000, 0, Config{NumBins: 25, XRange: &xr, YRange: &yr})
-	rs, err := sys.MineAt(0.0001, 0.39)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) == 0 {
-		t.Error("no rules with explicit ranges")
 	}
 }
 
@@ -488,7 +496,7 @@ func liftSystem(t *testing.T, crit string, lift float64, smoothing SmoothingMode
 	add(1.5, 1.5, 1, 10)
 	sys, err := New(tab, Config{
 		XAttr: "x", YAttr: "y", CritAttr: "g", CritValue: crit,
-		NumBins: 2, XRange: &[2]float64{0, 2}, YRange: &[2]float64{0, 2},
+		NumBins:   2,
 		Smoothing: smoothing, InterestLift: lift,
 	})
 	if err != nil {

@@ -300,3 +300,43 @@ func BenchmarkProbeObserverOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) { bench(b, nil) })
 	b.Run("enabled", func(b *testing.B) { bench(b, obs.New(&obs.MemSink{})) })
 }
+
+// TestBinFitSpanNamesStrategy: the binfit span names the strategy that
+// fitted each axis. On Function 2 data supervised binning finds cuts on
+// salary, while age's marginal class distribution is flat, so age falls
+// back to equi-width; a categorical axis is binned by category.
+func TestBinFitSpanNamesStrategy(t *testing.T) {
+	cases := []struct {
+		name         string
+		cfg          Config
+		wantX, wantY string
+	}{
+		{"equi-width", Config{BinStrategy: BinEquiWidth}, "equi-width", "equi-width"},
+		{"equi-depth", Config{BinStrategy: BinEquiDepth}, "equi-depth", "equi-depth"},
+		{"homogeneity", Config{BinStrategy: BinHomogeneity}, "homogeneity", "homogeneity"},
+		{"supervised", Config{BinStrategy: BinSupervised}, "equi-width", "supervised"},
+		{"categorical", Config{XAttr: synth.AttrCar}, "categorical", "equi-width"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &obs.MemSink{}
+			cfg := tc.cfg
+			cfg.NumBins = 20
+			cfg.Observer = obs.New(sink)
+			sys := f2System(t, 10_000, 0, cfg)
+			spans := sink.Spans("binfit")
+			if len(spans) != 1 {
+				t.Fatalf("%d binfit spans, want 1", len(spans))
+			}
+			if got := spans[0].Attr("method_x"); got != tc.wantX {
+				t.Errorf("method_x = %q, want %q", got, tc.wantX)
+			}
+			if got := spans[0].Attr("method_y"); got != tc.wantY {
+				t.Errorf("method_y = %q, want %q", got, tc.wantY)
+			}
+			if _, yb := sys.Binners(); tc.wantY == "supervised" && yb.NumBins() < 3 {
+				t.Errorf("supervised salary axis has %d bins, want cuts", yb.NumBins())
+			}
+		})
+	}
+}

@@ -11,17 +11,14 @@ import (
 //	Ingest  — one sequential pass collecting axis statistics and the
 //	          reservoir sample (order-dependent, so never parallel);
 //	BinFit  — construct the axis binners from those statistics;
-//	Count   — fill the count backend (dense, sharded, or fused with
-//	          Ingest when the binners needed no fitting pass).
+//	Count   — fill the count backend in a second pass (sequential, or
+//	          sharded across workers).
 //
 // The Search and Emit halves of a run have the same stage shape but
 // live on the run path (run.go: search → mine-final → verify-final),
 // where their timings also land in Result.Phases.
 type stage struct {
 	name string
-	// skip drops the stage for this build (e.g. the Ingest pass when the
-	// fused fast path covers it inside Count).
-	skip bool
 	// run does the work and returns the attributes its span ends with.
 	run func(ctx context.Context) ([]obs.Attr, error)
 }
@@ -32,9 +29,6 @@ type stage struct {
 // cancellations wrapped as RunError{Phase: "init"}.
 func (s *System) runStages(ctx context.Context, parent obs.Span, stages []stage) error {
 	for _, st := range stages {
-		if st.skip {
-			continue
-		}
 		sp := parent.Child(st.name)
 		var attrs []obs.Attr
 		var err error

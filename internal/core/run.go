@@ -386,12 +386,13 @@ func (s *System) evaluateProbe(ctx context.Context, parent obs.Span, seg int, mi
 		return 0, 0, nil
 	}
 	vsp := sp.Child("verify",
-		obs.Int("rules", len(rs)), obs.Int("rounds", s.cfg.SampleRounds))
+		obs.Int("rules", len(rs)), obs.Int("rounds", sampleRounds))
 	rng := rand.New(rand.NewSource(s.cfg.Seed + 1))
+	sampleK := s.cfg.SampleSize / 2
 	var meanErrors float64
 	s.labeled("verify", func() {
 		meanErrors, _, err = s.vindex.MeasureRepeatedContext(ctx, rs, rng,
-			s.cfg.SampleRounds, s.cfg.SampleK, seg)
+			sampleRounds, sampleK, seg)
 	})
 	vsp.End()
 	if err != nil {
@@ -401,12 +402,8 @@ func (s *System) evaluateProbe(ctx context.Context, parent obs.Span, seg int, mi
 	// Scale the sampled error count up to the full sample so MDL costs
 	// are comparable across sample sizes.
 	scale := 1.0
-	if s.cfg.SampleK > 0 && s.sample.Len() > 0 {
-		k := s.cfg.SampleK
-		if k > s.sample.Len() {
-			k = s.sample.Len()
-		}
-		scale = float64(s.sample.Len()) / float64(k)
+	if sampleK > 0 && s.sample.Len() > 0 {
+		scale = float64(s.sample.Len()) / float64(min(sampleK, s.sample.Len()))
 	}
 	msp := sp.Child("mdl")
 	bd, err := mdl.CostBreakdown(len(rs), meanErrors*scale, s.cfg.Weights)

@@ -106,7 +106,7 @@ func SelectAttributePairJoint(tb *dataset.Table, critAttr string, bins int) (x, 
 	if len(candidates) < 2 {
 		return "", "", nil, fmt.Errorf("core: need at least 2 quantitative attributes, have %d", len(candidates))
 	}
-	binners := make(map[string]binning.Binner, len(candidates))
+	binners := make(map[string]*binning.Binner, len(candidates))
 	for _, name := range candidates {
 		b, err := binning.NewEquiWidthFromData(tb.Column(schema.MustIndex(name)), bins)
 		if err != nil {

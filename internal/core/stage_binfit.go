@@ -6,38 +6,11 @@ import (
 	"arcs/internal/binning"
 )
 
-// widenDegenerate widens a degenerate fitted range [lo, lo] to a unit
-// interval so equi-width binning over a constant column stays
-// well-formed — every value lands in bin 0 — instead of constructing a
-// zero-width domain.
-func widenDegenerate(lo, hi float64) (float64, float64) {
-	if lo == hi {
-		hi = lo + 1
-	}
-	return lo, hi
-}
-
-// axisFitFree reports whether an axis binner can be constructed without
-// the Ingest pass: categorical axes (one bin per dictionary entry) and
-// fixed-range equi-width axes need no fitted statistics.
-func (s *System) axisFitFree(cat bool, fixed *[2]float64) bool {
-	return cat || (s.cfg.BinStrategy == BinEquiWidth && fixed != nil)
-}
-
-// fuseEligible reports whether the fused single-pass fast path applies:
-// with both binners fit-free, Ingest and Count collapse into one pass
-// over the source. Sharded ingest (IngestWorkers > 1) keeps the
-// sequential sample pass regardless, so fusion only pays off when the
-// count pass is sequential too.
-func (s *System) fuseEligible() bool {
-	return s.axisFitFree(s.xCat, s.cfg.XRange) && s.axisFitFree(s.yCat, s.cfg.YRange)
-}
-
 // stageBinFit is the BinFit stage: construct the two axis binners from
-// the Ingest stage's statistics. ing is nil on the fused path, where
-// both axes are fit-free and never consult it.
+// the Ingest stage's statistics.
 func (s *System) stageBinFit(ing *ingestStats) error {
 	cfg := s.cfg
+	bins := cfg.NumBins
 	col := func(idx int) []float64 {
 		out := make([]float64, len(ing.buf))
 		for i, t := range ing.buf {
@@ -45,17 +18,14 @@ func (s *System) stageBinFit(ing *ingestStats) error {
 		}
 		return out
 	}
-	mkBinner := func(idx int, cat bool, bins int, fixed *[2]float64, lo, hi float64) (binning.Binner, error) {
+	mkBinner := func(idx int, cat bool, lo, hi float64) (*binning.Binner, error) {
 		if cat {
 			n := s.schema.At(idx).NumCategories()
 			return binning.NewCategorical(n)
 		}
+		lo, hi = binning.WidenDegenerate(lo, hi)
 		switch cfg.BinStrategy {
 		case BinEquiWidth:
-			if fixed != nil {
-				return binning.NewEquiWidth(fixed[0], fixed[1], bins)
-			}
-			lo, hi = widenDegenerate(lo, hi)
 			return binning.NewEquiWidth(lo, hi, bins)
 		case BinEquiDepth:
 			return binning.NewEquiDepth(col(idx), bins)
@@ -77,7 +47,6 @@ func (s *System) stageBinFit(ing *ingestStats) error {
 			// test and the axis would collapse to one bin; fall back to
 			// the unsupervised default there.
 			if sb.NumBins() < 3 {
-				lo, hi = widenDegenerate(lo, hi)
 				return binning.NewEquiWidth(lo, hi, bins)
 			}
 			return sb, nil
@@ -85,15 +54,11 @@ func (s *System) stageBinFit(ing *ingestStats) error {
 			return nil, fmt.Errorf("core: unknown bin strategy %v", cfg.BinStrategy)
 		}
 	}
-	var xLo, xHi, yLo, yHi float64
-	if ing != nil {
-		xLo, xHi, yLo, yHi = ing.xLo, ing.xHi, ing.yLo, ing.yHi
-	}
 	var err error
-	if s.xb, err = mkBinner(s.xIdx, s.xCat, cfg.XBins, cfg.XRange, xLo, xHi); err != nil {
+	if s.xb, err = mkBinner(s.xIdx, s.xCat, ing.xLo, ing.xHi); err != nil {
 		return err
 	}
-	if s.yb, err = mkBinner(s.yIdx, s.yCat, cfg.YBins, cfg.YRange, yLo, yHi); err != nil {
+	if s.yb, err = mkBinner(s.yIdx, s.yCat, ing.yLo, ing.yHi); err != nil {
 		return err
 	}
 	return nil

@@ -39,14 +39,13 @@ func countsInfoOf(b counts.Backend, workers int) CountsInfo {
 }
 
 // stageCount is the Count stage: fill the count backend with one pass
-// over the source. The pass shape (fused single-pass, sharded
-// parallel, sequential) and the backend kind (dense, sparse) dispatch
-// independently — Config.CountsBackend pins a kind, Config.MemBudget
+// over the source. The pass shape (sequential or sharded parallel) and
+// the backend kind (dense, sparse) dispatch independently — Config.CountsBackend pins a kind, Config.MemBudget
 // lets Auto pick one the budget fits — and all combinations produce
 // bit-identical counts. IngestWorkers > 1 shards the pass when the
 // source supports range sharding (dataset.Sharder) and falls back to
 // the sequential pass when it does not.
-func (s *System) stageCount(ctx context.Context, src dataset.Source, nseg int, fused bool) ([]obs.Attr, error) {
+func (s *System) stageCount(ctx context.Context, src dataset.Source, nseg int) ([]obs.Attr, error) {
 	spec := counts.Spec{
 		XIdx: s.xIdx, YIdx: s.yIdx, CritIdx: s.critIdx,
 		XBinner: s.xb, YBinner: s.yb, NSeg: nseg,
@@ -57,16 +56,10 @@ func (s *System) stageCount(ctx context.Context, src dataset.Source, nseg int, f
 	}
 	opts := counts.Options{Kind: kind, MemBudget: s.cfg.MemBudget}
 	mode, workers := "sequential", 1
-	var sm *sampler
-	sharder, shardable := src.(dataset.Sharder)
-	switch {
-	case fused:
-		mode, sm = "fused", s.newSampler()
-		s.ba, err = counts.BuildFused(ctx, src, spec, sm.observe, opts)
-	case shardable && s.cfg.IngestWorkers > 1:
+	if sharder, ok := src.(dataset.Sharder); ok && s.cfg.IngestWorkers > 1 {
 		mode = "sharded"
 		s.ba, workers, err = counts.BuildSharded(ctx, sharder, s.cfg.IngestWorkers, spec, opts)
-	default:
+	} else {
 		s.ba, err = counts.Build(ctx, src, spec, opts)
 	}
 	if err != nil {
@@ -74,11 +67,6 @@ func (s *System) stageCount(ctx context.Context, src dataset.Source, nseg int, f
 	}
 	if s.ba.N() == 0 {
 		return nil, fmt.Errorf("core: source yielded no tuples")
-	}
-	if sm != nil {
-		if err := s.buildSample(sm.buf); err != nil {
-			return nil, err
-		}
 	}
 	s.countsInfo = countsInfoOf(s.ba, workers)
 	attrs := []obs.Attr{

@@ -18,48 +18,18 @@ type ingestStats struct {
 	buf                []dataset.Tuple
 }
 
-// sampler is the reservoir over the stream that both the standalone
-// Ingest stage and the fused Ingest+Count pass feed. Seeding and offer
-// order are identical on both paths, so the drawn sample — and with it
-// every verification measurement — does not depend on which path ran.
-type sampler struct {
-	res *stats.Reservoir
-	buf []dataset.Tuple
-}
-
-func (s *System) newSampler() *sampler {
-	rng := rand.New(rand.NewSource(s.cfg.Seed))
-	fitSize := s.cfg.SampleSize
-	if fitSize < 4096 {
-		fitSize = 4096
-	}
-	return &sampler{
-		res: stats.NewReservoir(rng, fitSize),
-		buf: make([]dataset.Tuple, 0, fitSize),
-	}
-}
-
-// observe offers one tuple to the reservoir, cloning kept tuples (the
-// stream's buffer may be reused by the next row).
-func (sm *sampler) observe(t dataset.Tuple) {
-	if slot, keep := sm.res.Offer(); keep {
-		if slot == len(sm.buf) {
-			sm.buf = append(sm.buf, t.Clone())
-		} else {
-			sm.buf[slot] = t.Clone()
-		}
-	}
-}
-
 // stageIngest is the Ingest stage: one pass over the source collecting
-// the axis min/max for binner fitting and the reservoir sample. It is
+// the axis min/max for binner fitting and the reservoir sample, then
+// installing the verifier's sample, a uniform subsample of it. It is
 // sequential on purpose — reservoir sampling is order-dependent, so this
 // pass defines the sample bit-for-bit; only the Count stage shards.
 func (s *System) stageIngest(ctx context.Context, src dataset.Source) (*ingestStats, error) {
-	sm := s.newSampler()
+	fitSize := max(s.cfg.SampleSize, 4096)
+	res := stats.NewReservoir(rand.New(rand.NewSource(s.cfg.Seed)), fitSize)
 	ing := &ingestStats{
 		xLo: math.Inf(1), xHi: math.Inf(-1),
 		yLo: math.Inf(1), yHi: math.Inf(-1),
+		buf: make([]dataset.Tuple, 0, fitSize),
 	}
 	err := dataset.ForEachContext(ctx, src, func(t dataset.Tuple) error {
 		if v := t[s.xIdx]; v < ing.xLo {
@@ -74,35 +44,29 @@ func (s *System) stageIngest(ctx context.Context, src dataset.Source) (*ingestSt
 		if v := t[s.yIdx]; v > ing.yHi {
 			ing.yHi = v
 		}
-		sm.observe(t)
+		// Kept tuples are cloned: the stream may reuse t's buffer for
+		// the next row.
+		if slot, keep := res.Offer(); keep {
+			if slot == len(ing.buf) {
+				ing.buf = append(ing.buf, t.Clone())
+			} else {
+				ing.buf[slot] = t.Clone()
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	ing.buf = sm.buf
-	if err := s.buildSample(sm.buf); err != nil {
-		return nil, err
-	}
-	return ing, nil
-}
-
-// buildSample installs the verifier's sample — a uniform subsample of
-// the fit buffer — shared by the Ingest stage and the fused Count pass.
-func (s *System) buildSample(buf []dataset.Tuple) error {
-	if len(buf) == 0 {
-		return fmt.Errorf("core: source yielded no tuples")
+	if len(ing.buf) == 0 {
+		return nil, fmt.Errorf("core: source yielded no tuples")
 	}
 	sample := dataset.NewTable(s.schema)
-	limit := s.cfg.SampleSize
-	if limit > len(buf) {
-		limit = len(buf)
-	}
-	for _, t := range buf[:limit] {
+	for _, t := range ing.buf[:min(s.cfg.SampleSize, len(ing.buf))] {
 		if err := sample.Append(t); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	s.sample = sample
-	return nil
+	return ing, nil
 }

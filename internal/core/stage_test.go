@@ -162,74 +162,6 @@ func TestBuildFallsBackToDense(t *testing.T) {
 	}
 }
 
-// TestFusedMatchesTwoPass: with fixed equi-width ranges the build fuses
-// ingest and count into one pass; the counts, the reservoir sample and
-// the full Result must match the two-pass build exactly.
-func TestFusedMatchesTwoPass(t *testing.T) {
-	tab := f2Table(t, 10_000)
-	ageIdx := tab.Schema().MustIndex(synth.AttrAge)
-	salIdx := tab.Schema().MustIndex(synth.AttrSalary)
-	lohi := func(col []float64) *[2]float64 {
-		lo, hi := col[0], col[0]
-		for _, v := range col {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		return &[2]float64{lo, hi}
-	}
-	base := f2Config(Config{
-		NumBins: 20, Walk: walkBudget(),
-		XRange: lohi(tab.Column(ageIdx)), YRange: lohi(tab.Column(salIdx)),
-	})
-
-	// Fused: fixed ranges, sequential ingest, with a sink to prove the
-	// ingest span really was elided and the count pass reported fusion.
-	sink := &obs.MemSink{}
-	fusedCfg := base
-	fusedCfg.Observer = obs.New(sink)
-	fused, err := New(tab, fusedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(sink.Spans("ingest")); got != 0 {
-		t.Errorf("fused build emitted %d ingest spans, want 0", got)
-	}
-	countSpans := sink.Spans("count")
-	if len(countSpans) != 1 || countSpans[0].Attr("mode") != "fused" {
-		t.Errorf("count span mode = %q, want \"fused\"", countSpans[0].Attr("mode"))
-	}
-	if got := countSpans[0].Attr("backend"); got != "dense" {
-		t.Errorf("count span backend = %q, want \"dense\"", got)
-	}
-
-	// Two-pass reference: same fixed ranges, but IngestWorkers=2 keeps
-	// the standalone ingest stage (fusion requires a sequential count).
-	twoPassCfg := base
-	twoPassCfg.IngestWorkers = 2
-	twoPass, err := New(tab, twoPassCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(countsBytes(t, fused), countsBytes(t, twoPass)) {
-		t.Error("fused counts differ from the two-pass build")
-	}
-	sameSample(t, "fused", twoPass.Sample(), fused.Sample())
-	resFused, err := fused.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resTwo, err := twoPass.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameOutcome(t, "fused", resTwo, resFused)
-}
-
 // TestConstantColumnBins: a constant quantitative column fits through
 // the degenerate-range widening instead of collapsing the binner.
 func TestConstantColumnBins(t *testing.T) {
@@ -264,14 +196,5 @@ func TestConstantColumnBins(t *testing.T) {
 	}
 	if inBin0 != 50 {
 		t.Errorf("%d tuples in y bin 0, want all 50", inBin0)
-	}
-}
-
-func TestWidenDegenerate(t *testing.T) {
-	if lo, hi := widenDegenerate(5, 5); lo != 5 || hi != 6 {
-		t.Errorf("widenDegenerate(5, 5) = (%g, %g), want (5, 6)", lo, hi)
-	}
-	if lo, hi := widenDegenerate(1, 2); lo != 1 || hi != 2 {
-		t.Errorf("widenDegenerate(1, 2) = (%g, %g), want unchanged", lo, hi)
 	}
 }

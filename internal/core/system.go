@@ -31,7 +31,7 @@ type System struct {
 	schema *dataset.Schema
 
 	xIdx, yIdx, critIdx int
-	xb, yb              binning.Binner
+	xb, yb              *binning.Binner
 	xCat, yCat          bool
 
 	ba counts.Backend
@@ -80,11 +80,9 @@ type System struct {
 
 // New builds a System from a tuple source by running the construction
 // stages (see pipeline.go): Ingest (stats + reservoir sample), BinFit,
-// and Count. Normally that is two passes over the data; when both
-// binners are fit-free (fixed ranges or categorical axes) Ingest and
-// Count fuse into a single pass, and with Config.IngestWorkers > 1 the
-// Count pass shards across a worker pool for shardable sources. All
-// variants produce bit-identical counts and samples.
+// and Count — two passes over the data. With Config.IngestWorkers > 1
+// the Count pass shards across a worker pool for shardable sources;
+// both shapes produce bit-identical counts.
 func New(src dataset.Source, cfg Config) (*System, error) {
 	return NewContext(context.Background(), src, cfg)
 }
@@ -145,13 +143,9 @@ func NewContext(ctx context.Context, src dataset.Source, cfg Config) (*System, e
 		return nil, fmt.Errorf("core: criterion attribute %q has no categories", cfg.CritAttr)
 	}
 
-	// The construction pipeline. When both binners are fit-free and the
-	// count pass is sequential, the Ingest stage is skipped entirely and
-	// Count runs the fused single pass (sampling + counting together).
-	fused := s.fuseEligible() && cfg.IngestWorkers <= 1
 	var ing *ingestStats
 	err = s.runStages(ctx, init, []stage{
-		{name: "ingest", skip: fused, run: func(ctx context.Context) ([]obs.Attr, error) {
+		{name: "ingest", run: func(ctx context.Context) ([]obs.Attr, error) {
 			var err error
 			if ing, err = s.stageIngest(ctx, src); err != nil {
 				return nil, err
@@ -163,14 +157,14 @@ func NewContext(ctx context.Context, src dataset.Source, cfg Config) (*System, e
 				return nil, err
 			}
 			return []obs.Attr{
-				obs.Str("method_x", binning.MethodName(s.xb)),
-				obs.Str("method_y", binning.MethodName(s.yb)),
+				obs.Str("method_x", s.xb.Method()),
+				obs.Str("method_y", s.yb.Method()),
 				obs.Int("boundaries_x", len(binning.Boundaries(s.xb))),
 				obs.Int("boundaries_y", len(binning.Boundaries(s.yb))),
 			}, nil
 		}},
 		{name: "count", run: func(ctx context.Context) ([]obs.Attr, error) {
-			return s.stageCount(ctx, src, nseg, fused)
+			return s.stageCount(ctx, src, nseg)
 		}},
 	})
 	if err != nil {
@@ -330,7 +324,7 @@ func (s *System) CountsStats() CountsInfo { return s.countsInfo }
 func (s *System) Sample() *dataset.Table { return s.sample }
 
 // Binners exposes the fitted binners for the two LHS attributes.
-func (s *System) Binners() (x, y binning.Binner) { return s.xb, s.yb }
+func (s *System) Binners() (x, y *binning.Binner) { return s.xb, s.yb }
 
 // Grid builds the (optionally smoothed) rule bitmap at the given
 // thresholds for a criterion label — the exact input BitOp sees. Useful
@@ -389,7 +383,7 @@ func (s *System) buildGrid(seg int, minSup, minConf float64) (*grid.Bitmap, erro
 		}
 		switch s.cfg.Smoothing {
 		case SmoothBinary:
-			return filter.LowPass(bm, s.cfg.SmoothThreshold)
+			return filter.LowPass(bm, smoothThreshold)
 		case SmoothMorphological:
 			return filter.Open(filter.Close(bm)), nil
 		default:

@@ -10,7 +10,7 @@
 // path; SparseArray keeps memory proportional to occupied cells for
 // high-resolution mostly-empty grids. Every build runs the same
 // tuple-to-cell pass (fill) into a backend of the selected kind,
-// sequentially (Build, BuildFused) or sharded across workers and merged
+// sequentially (Build) or sharded across workers and merged
 // (BuildSharded). Both backends produce counts byte-identical to the
 // dense reference (see Snapshot), at any worker count — saturating
 // addition is associative and commutative, so no partitioning or merge
@@ -207,7 +207,7 @@ func newBuilder(kind Kind, nx, ny, nseg int, opts Options) (builder, error) {
 // fitted binners, and the criterion cardinality.
 type Spec struct {
 	XIdx, YIdx, CritIdx int
-	XBinner, YBinner    binning.Binner
+	XBinner, YBinner    *binning.Binner
 	NSeg                int
 }
 
@@ -217,25 +217,16 @@ type Spec struct {
 // dense array refuses under the budget still builds. The resulting
 // counts are bit-identical across both backends.
 func Build(ctx context.Context, src dataset.Source, spec Spec, opts Options) (Backend, error) {
-	return BuildFused(ctx, src, spec, nil, opts)
-}
-
-// BuildFused is Build with an observer: the single-pass fast path
-// fusing Ingest and Count, used when the binners need no fitting pass
-// (fixed-range equi-width or categorical axes). observe sees every
-// counted tuple in stream order (for reservoir sampling); the tuple
-// buffer may be reused, so observers that retain tuples must Clone.
-func BuildFused(ctx context.Context, src dataset.Source, spec Spec, observe func(dataset.Tuple), opts Options) (Backend, error) {
-	return newFilled(ctx, src, spec, resolveKind(spec, opts, 1), opts, observe)
+	return newFilled(ctx, src, spec, resolveKind(spec, opts, 1), opts)
 }
 
 // newFilled runs the fill pass into a fresh builder of the given kind.
-func newFilled(ctx context.Context, src dataset.Source, spec Spec, kind Kind, opts Options, observe func(dataset.Tuple)) (builder, error) {
+func newFilled(ctx context.Context, src dataset.Source, spec Spec, kind Kind, opts Options) (builder, error) {
 	b, err := newBuilder(kind, spec.XBinner.NumBins(), spec.YBinner.NumBins(), spec.NSeg, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := fill(ctx, src, spec, observe, b); err != nil {
+	if err := fill(ctx, src, spec, b); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -244,11 +235,11 @@ func newFilled(ctx context.Context, src dataset.Source, spec Spec, kind Kind, op
 // fill is the one tuple-to-cell pass of Figure 2's binner component: it
 // streams src once through dataset.ForEachContext (which polls the
 // context at checkpoint granularity), maps the two LHS attributes
-// through compiled binners and the criterion through its category code,
+// through their binners and the criterion through its category code,
 // and adds each tuple to b. The pass allocates nothing per tuple
-// (guarded by TestIngestZeroAllocPerTuple and TestFusedZeroAllocPerTuple).
-func fill(ctx context.Context, src dataset.Source, spec Spec, observe func(dataset.Tuple), b builder) error {
-	cx, cy := binning.Compile(spec.XBinner), binning.Compile(spec.YBinner)
+// (guarded by TestIngestZeroAllocPerTuple).
+func fill(ctx context.Context, src dataset.Source, spec Spec, b builder) error {
+	xb, yb := spec.XBinner, spec.YBinner
 	width := src.Schema().Len()
 	return dataset.ForEachContext(ctx, src, func(t dataset.Tuple) error {
 		if len(t) != width {
@@ -258,10 +249,7 @@ func fill(ctx context.Context, src dataset.Source, spec Spec, observe func(datas
 		if seg < 0 || seg >= spec.NSeg {
 			return criterionError(src.Schema().At(spec.CritIdx), seg, spec.NSeg)
 		}
-		b.AddN(cx.Bin(t[spec.XIdx]), cy.Bin(t[spec.YIdx]), seg, 1)
-		if observe != nil {
-			observe(t)
-		}
+		b.AddN(xb.Bin(t[spec.XIdx]), yb.Bin(t[spec.YIdx]), seg, 1)
 		return nil
 	})
 }

@@ -3,7 +3,6 @@ package counts
 import (
 	"bytes"
 	"context"
-	"strings"
 	"testing"
 
 	"arcs/internal/binning"
@@ -119,47 +118,6 @@ func TestBuildShardedUsesShards(t *testing.T) {
 	}
 	if b.N() != 100 {
 		t.Errorf("N() = %d, want 100", b.N())
-	}
-}
-
-// TestBuildFusedMatchesTwoPass: the fused pass produces byte-identical
-// counts and observes every tuple in stream order.
-func TestBuildFusedMatchesTwoPass(t *testing.T) {
-	tab := testTable(t, 1_000)
-	spec := testSpec(t)
-	ref, err := Build(context.Background(), tab, spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []dataset.Tuple
-	fused, err := BuildFused(context.Background(), tab, spec, func(tp dataset.Tuple) {
-		seen = append(seen, tp.Clone())
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapBytes(t, fused), snapBytes(t, ref)) {
-		t.Error("fused build differs from two-pass build")
-	}
-	if len(seen) != tab.Len() {
-		t.Fatalf("observed %d tuples, want %d", len(seen), tab.Len())
-	}
-	for i, tp := range seen {
-		for j, v := range tp {
-			if v != tab.Row(i)[j] {
-				t.Fatalf("observed tuple %d = %v, want row %v (stream order)", i, tp, tab.Row(i))
-			}
-		}
-	}
-}
-
-// TestBuildFusedRejectsBadCriterion mirrors the dense build's contract.
-func TestBuildFusedRejectsBadCriterion(t *testing.T) {
-	tab := dataset.NewTable(testSchema(t))
-	tab.MustAppend(dataset.Tuple{1, 1, 7}) // category code 7 out of 0..2
-	_, err := BuildFused(context.Background(), tab, testSpec(t), nil, Options{})
-	if err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("err = %v, want criterion range error", err)
 	}
 }
 

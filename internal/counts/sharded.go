@@ -31,7 +31,7 @@ func BuildSharded(ctx context.Context, src dataset.Sharder, workers int, spec Sp
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			parts[i], errs[i] = newFilled(ctx, shards[i], spec, kind, opts, nil)
+			parts[i], errs[i] = newFilled(ctx, shards[i], spec, kind, opts)
 		}(i)
 	}
 	wg.Wait()

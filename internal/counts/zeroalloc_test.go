@@ -74,32 +74,3 @@ func TestIngestZeroAllocPerTuple(t *testing.T) {
 		t.Logf("%s: constant allocations per build: %.1f", src.name, bigAllocs)
 	}
 }
-
-// TestFusedZeroAllocPerTuple is the same guard for the fused
-// ingest+count single pass.
-func TestFusedZeroAllocPerTuple(t *testing.T) {
-	xb, err := binning.NewEquiWidth(0, 100, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	yb, err := binning.NewEquiWidth(0, 77, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := Spec{XIdx: 0, YIdx: 1, CritIdx: 2, XBinner: xb, YBinner: yb, NSeg: 3}
-	ctx := context.Background()
-	small, big := zeroAllocFuncSource(1_000), zeroAllocFuncSource(16_000)
-	build := func(s dataset.Source) func() {
-		return func() {
-			if _, err := BuildFused(ctx, s, spec, nil, Options{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	smallAllocs := testing.AllocsPerRun(20, build(small))
-	bigAllocs := testing.AllocsPerRun(20, build(big))
-	if bigAllocs > smallAllocs {
-		t.Errorf("fused build over 16k tuples allocates %.1f objects vs %.1f over 1k — allocating per tuple",
-			bigAllocs, smallAllocs)
-	}
-}

@@ -79,27 +79,11 @@ func IngestSpec(n, bins int) (*dataset.Table, counts.Spec, error) {
 	xIdx := schema.MustIndex(synth.AttrAge)
 	yIdx := schema.MustIndex(synth.AttrSalary)
 	critIdx := schema.MustIndex(synth.AttrGroup)
-	fit := func(idx int) (binning.Binner, error) {
-		col := tab.Column(idx)
-		lo, hi := col[0], col[0]
-		for _, v := range col {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if lo == hi {
-			hi = lo + 1
-		}
-		return binning.NewEquiWidth(lo, hi, bins)
-	}
-	xb, err := fit(xIdx)
+	xb, err := binning.NewEquiWidthFromData(tab.Column(xIdx), bins)
 	if err != nil {
 		return nil, counts.Spec{}, err
 	}
-	yb, err := fit(yIdx)
+	yb, err := binning.NewEquiWidthFromData(tab.Column(yIdx), bins)
 	if err != nil {
 		return nil, counts.Spec{}, err
 	}

@@ -89,7 +89,7 @@ func WhyClustering(n, bins int) (WhyClusteringResult, error) {
 
 // binF2 projects the generator stream to (age, salary, group) and bins
 // the quantitative attributes equi-width for the quant miner.
-func binF2(src dataset.Source, bins int) (*dataset.Table, binning.Binner, binning.Binner, int, error) {
+func binF2(src dataset.Source, bins int) (*dataset.Table, *binning.Binner, *binning.Binner, int, error) {
 	xb, err := binning.NewEquiWidth(synth.AgeMin, synth.AgeMax, bins)
 	if err != nil {
 		return nil, nil, nil, 0, err

@@ -126,9 +126,10 @@ func Convolve(d *grid.Dense, k Kernel) (*grid.Dense, error) {
 // LowPassWeighted applies the support-weighted smoothing of §5: the 3×3
 // box filter runs over rule support values (a Dense grid) and the result
 // is thresholded back to a bitmap at minSupport. Cells whose smoothed
-// support reaches the mining threshold survive; this lets strong
-// neighbors rescue boundary cells that individually just missed the
-// support cut, while isolated weak cells fade out.
+// support is positive and reaches the mining threshold survive; this
+// lets strong neighbors rescue boundary cells that individually just
+// missed the support cut, while isolated weak cells fade out. A cell
+// with no support nearby never survives, even at minSupport 0.
 func LowPassWeighted(supports *grid.Dense, minSupport float64) (*grid.Bitmap, error) {
 	if minSupport < 0 {
 		return nil, fmt.Errorf("filter: negative support threshold %g", minSupport)

@@ -185,6 +185,31 @@ func TestLowPassWeightedRescuesBoundaryCell(t *testing.T) {
 	}
 }
 
+// TestLowPassWeightedZeroBarKeepsEmptyCellsClear: at minimum support 0
+// a cell with no support in its neighborhood stays clear; only cells
+// the smoothing reaches are set.
+func TestLowPassWeightedZeroBarKeepsEmptyCellsClear(t *testing.T) {
+	sup, _ := grid.NewDense(4, 5)
+	bm, err := LowPassWeighted(sup, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bm.PopCount(); n != 0 {
+		t.Errorf("all-zero supports at minSupport 0 set %d cells, want 0", n)
+	}
+	sup.Set(0, 0, 0.2)
+	if bm, err = LowPassWeighted(sup, 0); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 5; c++ {
+			if want := r <= 1 && c <= 1; bm.Get(r, c) != want {
+				t.Errorf("cell (%d, %d) set = %v, want %v", r, c, bm.Get(r, c), want)
+			}
+		}
+	}
+}
+
 func TestSmoothingImprovesClusterability(t *testing.T) {
 	// The Figure 7 scenario: a ragged blob with holes becomes a compact
 	// block after smoothing, reducing the number of set-cell "islands".

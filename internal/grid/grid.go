@@ -367,13 +367,14 @@ func (d *Dense) Clone() *Dense {
 	return &c
 }
 
-// Threshold converts the dense grid to a bitmap: cells with value >= t
-// are set.
+// Threshold converts the dense grid to a bitmap: cells with a positive
+// value >= t are set. An empty cell never passes, so a bar of 0 sets
+// the occupied cells rather than the whole grid.
 func (d *Dense) Threshold(t float64) *Bitmap {
 	bm, _ := New(d.rows, d.cols)
 	for r := 0; r < d.rows; r++ {
 		for c := 0; c < d.cols; c++ {
-			if d.At(r, c) >= t {
+			if v := d.At(r, c); v > 0 && v >= t {
 				bm.Set(r, c)
 			}
 		}

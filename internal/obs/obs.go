@@ -15,10 +15,10 @@
 //
 //	init                  system construction (core.New)
 //	  ingest              axis statistics + reservoir sample pass
-//	                      (skipped when fused into count)
-//	  binfit              axis binner construction
-//	  count               count-backend fill pass (dense, sharded,
-//	                      or fused single-pass with ingest)
+//	  binfit              axis binner construction, naming each axis's
+//	                      strategy (method_x, method_y)
+//	  count               count-backend fill pass (mode sequential or
+//	                      sharded, backend dense or sparse)
 //	  reorder             categorical densest-cluster reordering
 //	  verify-index        verification-sample pre-binning
 //	run                   one RunValue feedback loop
