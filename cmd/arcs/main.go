@@ -9,9 +9,10 @@
 // the criterion attribute is segmented (reusing the single binning pass).
 // -v adds the optimizer's probe trace to the output.
 //
-// Exit codes: 0 success, 1 fatal error, 2 usage (checked before any
-// input is read), 3 canceled (SIGINT or -timeout) — possibly after
-// printing a degraded best-so-far result.
+// Exit codes: 0 success, 1 fatal error, 2 usage (flag values are
+// checked before any input is read, attribute names against the file's
+// header before any row is loaded), 3 canceled (SIGINT or -timeout) —
+// possibly after printing a degraded best-so-far result.
 package main
 
 import (
@@ -143,6 +144,15 @@ func main() {
 	input, err := dataset.OpenCSV(*in, c.MaxBadRows(), cfg.Observer, "")
 	if err != nil {
 		c.Fatal(err)
+	}
+	// A misspelled attribute is a usage error, found in the inferred
+	// header before any row is loaded.
+	if !*describe {
+		for _, a := range []struct{ flag, name string }{{"x", *xAttr}, {"y", *yAttr}, {"crit", *critAttr}} {
+			if _, err := input.Schema().Index(a.name); err != nil {
+				c.Usage(fmt.Errorf("-%s: %w", a.flag, err))
+			}
+		}
 	}
 	c.AtExit(input.LogDegradation)
 	var src dataset.Source = input

@@ -220,6 +220,42 @@ func TestBadFlagValuesAreUsageErrors(t *testing.T) {
 	}
 }
 
+// TestMisspelledAttributeIsUsageError: -x, -y and -crit are checked
+// against the header the schema was inferred from, before any row is
+// loaded or streamed, so a misspelled one exits 2 with one line naming
+// it and the file's columns. -describe reads no attribute flag.
+func TestMisspelledAttributeIsUsageError(t *testing.T) {
+	bin, csv := buildArcs(t), writeF2CSV(t)
+	names := map[string]string{"x": "age", "y": "salary", "crit": "group"}
+	for _, flag := range []string{"x", "y", "crit"} {
+		for _, mode := range [][]string{nil, {"-stream"}} {
+			args := []string{"-in", csv, "-value", "A"}
+			for f, name := range names {
+				if f == flag {
+					name += "e"
+				}
+				args = append(args, "-"+f, name)
+			}
+			cmd := exec.Command(bin, append(args, mode...)...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Errorf("arcs %s: %v, want exit 2\n%s", strings.Join(cmd.Args[1:], " "), err, stderr.String())
+				continue
+			}
+			want := "arcs: -" + flag + `: dataset: no attribute "` + names[flag] + `e" (have [salary commission age `
+			if stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), want) || strings.Count(stderr.String(), "\n") != 1 {
+				t.Errorf("arcs %s printed %q and %q, want no output and one line starting %q",
+					strings.Join(cmd.Args[1:], " "), stdout.String(), stderr.String(), want)
+			}
+		}
+	}
+	if out := runArcs(t, bin, "-in", csv, "-describe"); !strings.Contains(out, "salary") {
+		t.Errorf("arcs -describe printed no salary summary:\n%s", out)
+	}
+}
+
 // TestSpansAttributeTheLoad: a -spans trace of an in-memory run has the
 // dataset.infer and dataset.load root spans, the load carrying its row,
 // quarantine and byte counts.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"arcs/internal/number"
 )
 
 // ReadCSV parses comma-separated data with a header row into a Table.
@@ -67,7 +69,7 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 			a := schema.At(i)
 			switch a.Kind {
 			case Quantitative:
-				v, err := parseFloat(field)
+				v, err := number.Parse(field)
 				if err != nil {
 					return nil, fmt.Errorf("dataset: CSV line %d, attribute %q: %w", lines[rowNo], a.Name, err)
 				}
@@ -95,7 +97,7 @@ func inferSchema(header []string, records [][]string) *Schema {
 				continue
 			}
 			seen = true
-			if _, err := parseFloat(rec[col]); err != nil {
+			if _, err := number.Parse(rec[col]); err != nil {
 				kind = Categorical
 				break
 			}

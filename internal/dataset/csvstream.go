@@ -12,6 +12,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+
+	"arcs/internal/number"
 )
 
 // csvChunkSize is the read granularity of a CSVStream: the file is read
@@ -398,7 +400,7 @@ func (p *csvPart) parse(kinds []Kind) {
 				switch kinds[col] {
 				case Quantitative:
 					if bad.err == nil {
-						v, err := parseFloat(f)
+						v, err := number.Parse(f)
 						if err != nil {
 							bad.col, bad.err = col, err
 						}
@@ -484,7 +486,7 @@ func (s *CSVStream) nextCSV() (Tuple, error) {
 		if s.kinds[i] != Quantitative {
 			continue
 		}
-		v, err := parseFloat(field)
+		v, err := number.Parse(field)
 		if err != nil {
 			line, _ := s.cr.FieldPos(i)
 			return nil, &RowError{Path: s.path, Row: s.lineBase + line, Reason: "parse",

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"arcs/internal/number"
 )
 
 func writeTempCSV(t *testing.T, content string) string {
@@ -425,4 +427,39 @@ func TestCSVStreamIOErrorIsFatal(t *testing.T) {
 	if AsRowError(err) != nil || !errors.Is(err, os.ErrClosed) || !strings.HasPrefix(err.Error(), "dataset: "+path+":") {
 		t.Errorf("read failure mid-pass = %v, want a fatal dataset: %s:<line>: error wrapping os.ErrClosed", err, path)
 	}
+}
+
+// TestCSVStreamKernelBoundaries: every edge case, first on its line and
+// last on it, reads as in the strconv-based encoding/csv reference —
+// values, RowErrors and all — both through the chunk parser and in a
+// quoted file, which CSVStream parses with encoding/csv.
+func TestCSVStreamKernelBoundaries(t *testing.T) {
+	var plain, quoted strings.Builder
+	plain.WriteString("x,g,y\n0,A,0\n")
+	quoted.WriteString("x,g,y\n0,\"A\",0\n")
+	for _, s := range number.EdgeCases {
+		if strings.ContainsAny(s, ",\r") {
+			continue // not a field of an unquoted line
+		}
+		fmt.Fprintf(&plain, "%s,A,1\n1,B,%s\n", s, s)
+		fmt.Fprintf(&quoted, "%s,\"A\",1\n1,\"B\",%s\n", s, s)
+	}
+	diffCSV(t, writeTempCSV(t, plain.String()), 1)
+	diffCSV(t, writeTempCSV(t, quoted.String()), 1)
+}
+
+// FuzzParseFloat is TestCSVStreamKernelBoundaries for one field at a
+// time: any field, first on its line and last on it, bare and quoted,
+// reads as in the strconv-based encoding/csv reference.
+func FuzzParseFloat(f *testing.F) {
+	for _, s := range number.EdgeCases {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if strings.ContainsAny(s, ",\"\r\n") {
+			return // not a field of an unquoted line
+		}
+		diffCSV(t, writeTempCSV(t, fmt.Sprintf("x,g,y\n0,A,0\n%s,A,1\n1,B,%s\n", s, s)), 1)
+		diffCSV(t, writeTempCSV(t, fmt.Sprintf("x,g,y\n0,\"A\",0\n%s,\"A\",1\n1,\"B\",%s\n", s, s)), 1)
+	})
 }

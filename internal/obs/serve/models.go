@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -275,10 +276,13 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req applyRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	buf := applyPool.Get().(*applyBuffers)
+	defer buf.release()
+	req, fast, err := buf.read(w, r)
+	if !fast {
+		s.mApplyFallback.Inc()
+	}
+	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -286,11 +290,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "set exactly one of tuple or points", http.StatusBadRequest)
 		return
 	}
-	timeout := s.applyTimeout
-	if req.TimeoutMS > 0 && time.Duration(req.TimeoutMS)*time.Millisecond < timeout {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout(s.applyTimeout, req.TimeoutMS))
 	defer cancel()
 	if s.applyGate != nil {
 		// Test seam: hold the in-flight slot (overload tests) and burn
@@ -316,7 +316,8 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	out := make([]bool, len(req.Points))
+	out := slices.Grow(buf.results[:0], len(req.Points))[:len(req.Points)]
+	buf.results = out
 	matched, err := snap.Model.ApplyPointsContext(ctx, req.Points, out)
 	if err != nil {
 		if cancelcheck.IsCancel(err) {
@@ -330,12 +331,21 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	s.applyBreaker.success()
 	s.mApplyTuples.Add(int64(len(req.Points)))
 	s.hApplySeconds.Observe(time.Since(start).Seconds())
-	writeJSON(w, map[string]any{
-		"model":   snap.ID,
-		"total":   len(req.Points),
-		"matched": matched,
-		"results": out,
-	})
+	buf.resp = appendPointsResponse(buf.resp[:0], snap.ID, matched, out)
+	w.Header().Set("Content-Type", "application/json")
+	// A write error means the client hung up; nothing to recover.
+	_, _ = w.Write(buf.resp)
+}
+
+// requestTimeout is an /apply request's deadline: the server's ceiling,
+// lowered to timeoutMS milliseconds when that is positive and shorter.
+// It compares whole milliseconds, because timeoutMS·10⁶ ns overflows a
+// Duration above about 9.2e12 ms.
+func requestTimeout(ceiling time.Duration, timeoutMS int) time.Duration {
+	if ms := int64(timeoutMS); ms > 0 && ms <= int64(ceiling/time.Millisecond) {
+		return time.Duration(ms) * time.Millisecond
+	}
+	return ceiling
 }
 
 // applyFailure answers a bind/apply error and feeds the breaker: a

@@ -123,6 +123,7 @@ type Server struct {
 	mApplyErrors      *obs.Counter
 	mApplyBreakerOpen *obs.Counter
 	mApplyTuples      *obs.Counter
+	mApplyFallback    *obs.Counter
 	gApplyInFlight    *obs.Gauge
 	hApplySeconds     *obs.Histogram
 
@@ -207,6 +208,7 @@ func New(opts Options) *Server {
 		mApplyErrors:      opts.Registry.Counter("apply_errors_total"),
 		mApplyBreakerOpen: opts.Registry.Counter("apply_breaker_open_total"),
 		mApplyTuples:      opts.Registry.Counter("apply_tuples_total"),
+		mApplyFallback:    opts.Registry.Counter("apply_json_fallback_total"),
 		gApplyInFlight:    opts.Registry.Gauge("apply_in_flight"),
 		hApplySeconds:     opts.Registry.Histogram("apply_seconds"),
 	}
