@@ -73,7 +73,7 @@ func (s *System) Extend(src dataset.Source) error {
 		// Algorithm-R continuation over the combined stream.
 		seen++
 		if s.sample.Len() < capacity {
-			return s.sample.Append(buf.Clone())
+			return s.sample.Append(buf)
 		}
 		if j := rng.Intn(seen); j < s.sample.Len() {
 			copy(s.sample.Row(j), buf)

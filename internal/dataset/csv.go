@@ -59,12 +59,11 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 	}
 
 	tb := NewTable(schema)
-	tb.rows = make([]Tuple, 0, len(records))
 	for rowNo, rec := range records {
 		if len(rec) != schema.Len() {
 			return nil, fmt.Errorf("dataset: CSV line %d has %d fields, want %d", lines[rowNo], len(rec), schema.Len())
 		}
-		tp := make(Tuple, schema.Len())
+		tp := tb.grow()
 		for i, field := range rec {
 			a := schema.At(i)
 			switch a.Kind {
@@ -82,7 +81,6 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 				tp[i] = float64(code)
 			}
 		}
-		tb.rows = append(tb.rows, tp)
 	}
 	return tb, nil
 }

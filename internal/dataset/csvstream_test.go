@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -307,58 +308,46 @@ func TestCSVStreamZeroAllocPerRow(t *testing.T) {
 // unsizedSource hides a source's Len, as a CSVStream has none.
 type unsizedSource struct{ Source }
 
-// TestMaterializeAllocsPerSlab: Materialize makes one allocation per
-// slab of rows, plus the growth of its rows slice and a constant three
-// (the table, the pass's closure and the slab it captures), and its rows
-// are independent: full-capacity slices, so appending to one cannot
-// overwrite the next.
-func TestMaterializeAllocsPerSlab(t *testing.T) {
+// TestMaterializeZeroAllocPerRow: Materialize allocates per slab of
+// rows, never per row. Beyond one allocation per slab it makes a
+// constant few: the table, the first slab's six doublings from 64 rows
+// and, for the unsized source, the wrapper. The slab list also doubles,
+// and that is the one count that grows with the rows: a 24-byte header
+// per slab, so nine allocations at a million rows. The collector is off
+// while it counts, since a cycle makes allocations of its own.
+func TestMaterializeZeroAllocPerRow(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	schema := NewSchema(
 		Attribute{Name: "x", Kind: Quantitative},
 		Attribute{Name: "y", Kind: Quantitative},
 	)
-	const n = 5*materializeSlabRows + 7
-	src := NewFuncSource(schema, n, func(i int, out Tuple) { out[0], out[1] = float64(i), -float64(i) })
-	slabs, room := 0, 0
-	for rows := 0; rows < n; rows++ {
-		if room == 0 {
-			slabs++
-			room = min(max(rows, 64), materializeSlabRows)
-		}
-		room--
-	}
-	growths := 0
-	var rows []Tuple
-	for i := 0; i < n; i++ {
-		if len(rows) == cap(rows) {
-			growths++
-		}
-		rows = append(rows, nil)
-	}
-	for _, c := range []struct {
-		name string
-		src  Source
-		want int // allocations beyond the slabs
-	}{
-		{"sized", src, 3 + 1},
-		{"unsized", unsizedSource{src}, 3 + growths},
-	} {
-		var tb *Table
-		allocs := testing.AllocsPerRun(3, func() {
-			var err error
-			if tb, err = Materialize(c.src); err != nil {
-				t.Fatal(err)
+	for _, n := range []int{5*slabRows + 7, 33 * slabRows} {
+		src := NewFuncSource(schema, n, func(i int, out Tuple) { out[0], out[1] = float64(i), -float64(i) })
+		slabs := (n + slabRows - 1) / slabRows
+		listGrowths := 0
+		var list [][]float64
+		for range slabs {
+			if len(list) == cap(list) {
+				listGrowths++
 			}
-		})
-		if want := float64(slabs + c.want); allocs > want {
-			t.Errorf("%s: Materialize of %d rows made %.0f allocations, want at most %.0f (%d slabs)", c.name, n, allocs, want, slabs)
+			list = append(list, nil)
 		}
-		if tb.Len() != n {
-			t.Fatalf("%s: %d rows, want %d", c.name, tb.Len(), n)
-		}
-		for i := 0; i < n; i++ {
-			if r := tb.Row(i); r[0] != float64(i) || r[1] != -float64(i) || cap(r) != len(r) {
-				t.Fatalf("%s: row %d is %v (cap %d)", c.name, i, r, cap(r))
+		for _, c := range []struct {
+			name string
+			src  Source
+			want int // allocations beyond the slabs and the slab list
+		}{
+			{"sized", src, 1 + 6},
+			{"unsized", unsizedSource{src}, 1 + 6 + 1},
+		} {
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := Materialize(c.src); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if want := float64(slabs + listGrowths + c.want); allocs > want {
+				t.Errorf("%s: Materialize of %d rows made %.0f allocations, want at most %.0f (%d slabs, %d slab-list growths)",
+					c.name, n, allocs, want, slabs, listGrowths)
 			}
 		}
 	}

@@ -167,34 +167,12 @@ func Count(src Source) (int, error) {
 	return n, err
 }
 
-// materializeSlabRows caps the rows Materialize copies into one
-// allocation.
-const materializeSlabRows = 4096
-
 // Materialize drains the source into an in-memory Table sharing the
-// source's schema. Rows are copied into shared slabs, each holding as
-// many rows as the table already has (at least 64, at most
-// materializeSlabRows), so a small table stays small and a large one
-// costs one allocation per slab rather than one per row.
+// source's schema, copying each tuple into the table's slabs. A tuple
+// whose width differs from the schema's fails with ErrSchemaMismatch.
 func Materialize(src Source) (*Table, error) {
 	tb := NewTable(src.Schema())
-	if ss, ok := src.(SizedSource); ok {
-		tb.rows = make([]Tuple, 0, ss.Len())
-	}
-	width := src.Schema().Len()
-	var slab []float64
-	err := ForEach(src, func(t Tuple) error {
-		if len(slab) < len(t) {
-			rows := min(max(len(tb.rows), 64), materializeSlabRows)
-			slab = make([]float64, max(rows*width, len(t)))
-		}
-		row := slab[:len(t):len(t)]
-		copy(row, t)
-		slab = slab[len(t):]
-		tb.rows = append(tb.rows, row)
-		return nil
-	})
-	if err != nil {
+	if err := ForEach(src, tb.Append); err != nil {
 		return nil, err
 	}
 	return tb, nil

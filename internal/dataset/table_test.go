@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"io"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -171,4 +173,178 @@ func TestCountSizedFastPath(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Errorf("Count = %d, %v", n, err)
 	}
+}
+
+// TestTableViewAppendLeavesParent: appending to a Slice or Shard view
+// copies the view's rows out first, so the parent's rows and a sibling
+// view's keep their values bit for bit.
+func TestTableViewAppendLeavesParent(t *testing.T) {
+	for _, n := range []int{4, slabRows + 4} {
+		tb := NewTable(shardSchema())
+		for i := range n {
+			tb.MustAppend(Tuple{float64(i) + 0.5})
+		}
+		before := tb.Column(0)
+		sl := tb.Slice(0, 1)
+		sl.MustAppend(Tuple{99})
+		sh, err := tb.Shard(0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.(*Table).MustAppend(Tuple{98})
+		sibling, err := tb.Shard(1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := tb.Column(0); !sameBits(after, before) {
+			t.Fatalf("n=%d: parent rows changed by appends to its views: %v, want %v", n, after[:4], before[:4])
+		}
+		if r := drain(t, sibling); r[0][0] != before[n/2] || len(r) != n-n/2 {
+			t.Errorf("n=%d: sibling shard starts at %v with %d rows, want %v and %d", n, r[0], len(r), before[n/2], n-n/2)
+		}
+		if sl.Len() != 2 || sl.Row(0)[0] != before[0] || sl.Row(1)[0] != 99 {
+			t.Errorf("n=%d: slice after append = %v, %v", n, sl.Row(0), sl.Row(1))
+		}
+		if got := sh.(*Table); got.Len() != n/2+1 || got.Row(n / 2)[0] != 98 {
+			t.Errorf("n=%d: shard after append has %d rows ending %v", n, got.Len(), got.Row(got.Len()-1))
+		}
+	}
+}
+
+// TestTableLayoutPaths: every way of building or viewing a table yields
+// the same rows, bit for bit, at sizes on either side of a slab boundary,
+// and every row is a full-capacity slice, so appending to one cannot
+// overwrite the next.
+func TestTableLayoutPaths(t *testing.T) {
+	schema := func() *Schema {
+		s := NewSchema(
+			Attribute{Name: "x", Kind: Quantitative},
+			Attribute{Name: "y", Kind: Quantitative},
+			Attribute{Name: "g", Kind: Categorical},
+		)
+		for _, l := range []string{"a", "b", "c"} {
+			if _, err := s.Attr("g").CategoryCode(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}()
+	labels := []string{"a", "b", "c"}
+	// Row i of a case; rows outside [0, n) pad the parents of views.
+	gen := func(i int, out Tuple) {
+		out[0] = float64(i)/7 - 300
+		out[1] = math.Ldexp(float64(i%97)-48.25, i%9-4)
+		out[2] = float64((i%3 + 3) % 3)
+	}
+	const pad = 5
+	for _, n := range []int{0, 1, slabRows - 1, slabRows, slabRows + 1, 3*slabRows + 7} {
+		want := make([]Tuple, n)
+		for i := range want {
+			want[i] = make(Tuple, schema.Len())
+			gen(i, want[i])
+		}
+		src := NewFuncSource(schema, n, gen)
+		// padded holds the case's rows behind pad rows and ahead of pad more.
+		padded, err := Materialize(NewFuncSource(schema, n+2*pad, func(i int, out Tuple) { gen(i-pad, out) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := map[string]*Table{}
+		check := func(name string, tb *Table, err error) {
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, name, err)
+			}
+			paths[name] = tb
+		}
+
+		tb := NewTable(schema)
+		buf := make(Tuple, schema.Len())
+		for i := range n {
+			gen(i, buf)
+			if err := tb.Append(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("Append", tb, nil)
+
+		tb = NewTable(schema)
+		for _, r := range want {
+			if err := tb.AppendValues(r[0], r[1], labels[int(r[2])]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("AppendValues", tb, nil)
+
+		tb, err = Materialize(src)
+		check("Materialize sized", tb, err)
+		tb, err = Materialize(unsizedSource{src})
+		check("Materialize unsized", tb, err)
+
+		var text strings.Builder
+		if err := WriteCSV(&text, src); err != nil {
+			t.Fatal(err)
+		}
+		tb, err = ReadCSV(strings.NewReader(text.String()), schema)
+		check("ReadCSV", tb, err)
+
+		check("Slice", padded.Slice(pad, pad+n), nil)
+		check("Slice of a Slice", padded.Slice(1, n+2*pad-1).Slice(pad-1, pad-1+n), nil)
+
+		shards := NewTable(schema)
+		for i := range 3 {
+			sh, err := paths["Materialize sized"].Shard(i, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range drain(t, sh) {
+				shards.MustAppend(r)
+			}
+		}
+		check("Shard", shards, nil)
+
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = pad + i
+		}
+		check("Select", padded.Select(idx), nil)
+		lo, hi := -300.0, float64(n)/7-300
+		check("Filter", padded.Filter(func(r Tuple) bool { return r[0] >= lo && r[0] < hi }), nil)
+
+		for name, tb := range paths {
+			if tb.Len() != n {
+				t.Fatalf("n=%d %s: %d rows", n, name, tb.Len())
+			}
+			for i, w := range want {
+				if r := tb.Row(i); !sameBits(r, w) || cap(r) != len(r) {
+					t.Fatalf("n=%d %s: row %d = %v (cap %d), want %v (cap %d)", n, name, i, r, cap(r), w, len(w))
+				}
+			}
+			for i, r := range drain(t, tb) {
+				if !sameBits(r, want[i]) {
+					t.Fatalf("n=%d %s: Next's row %d = %v, want %v", n, name, i, r, want[i])
+				}
+			}
+			for c := range schema.Len() {
+				col := tb.Column(c)
+				for i, w := range want {
+					if !sameBits(col[i:i+1], w[c:c+1]) {
+						t.Fatalf("n=%d %s: Column(%d)[%d] = %v, want %v", n, name, c, i, col[i], w[c])
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

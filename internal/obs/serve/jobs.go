@@ -330,6 +330,14 @@ func (r *Run) buildSource(spec JobSpec, observer *obs.Observer) (dataset.Source,
 	if err != nil {
 		return nil, nil, err
 	}
+	// A misspelled attribute fails the job from the inferred header,
+	// before any row is loaded or streamed.
+	for _, a := range []struct{ field, name string }{{"x", spec.X}, {"y", spec.Y}, {"crit", spec.Crit}} {
+		if _, err := in.Schema().Index(a.name); err != nil {
+			in.Close()
+			return nil, nil, fmt.Errorf("%s: %w", a.field, err)
+		}
+	}
 	record := func() {
 		r.mu.Lock()
 		r.quar = in.Stats()

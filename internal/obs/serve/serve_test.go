@@ -392,6 +392,48 @@ func TestObsServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestObsServeCSVJobMisspelledAttribute: a CSV job checks x, y and crit
+// against the inferred header, as cmd/arcs does, so a misspelled one
+// fails the job before any row is loaded or streamed, with the field
+// ahead of the schema's error.
+func TestObsServeCSVJobMisspelledAttribute(t *testing.T) {
+	dir := t.TempDir()
+	st, err := synth.NewStream(synth.Config{Function: 2, N: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data bytes.Buffer
+	if err := dataset.WriteCSV(&data, st.Source()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "f2.csv")
+	if err := os.WriteFile(path, data.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tee := &obs.MemSink{}
+	s, ts := newTestServer(t, Options{Tee: tee, CSVRoot: dir})
+	names := map[string]string{"x": "age", "y": "salary", "crit": "group"}
+	for _, field := range []string{"x", "y", "crit"} {
+		for _, stream := range []bool{false, true} {
+			attrs := map[string]string{}
+			for k, v := range names {
+				attrs[k] = v
+			}
+			attrs[field] += "e"
+			id := submit(t, ts, fmt.Sprintf(`{"csv":{"path":%q,"stream":%t},"x":%q,"y":%q,"crit":%q}`,
+				path, stream, attrs["x"], attrs["y"], attrs["crit"]))
+			status := waitTerminal(t, s, ts, id)
+			want := fmt.Sprintf("%s: dataset: no attribute %q (have [", field, attrs[field])
+			if status.State != StateFailed || !strings.HasPrefix(status.Error, want) {
+				t.Errorf("%s misspelled (stream %t): run ended %s with %q, want failed with %q...", field, stream, status.State, status.Error, want)
+			}
+		}
+	}
+	if loads := tee.Spans("dataset.load"); len(loads) != 0 {
+		t.Errorf("%d dataset.load spans, want none: no job gets past the header", len(loads))
+	}
+}
+
 // TestObsServeCSVJob: a CSV job reads its file the way cmd/arcs does.
 // One dirty file, mined once loaded into memory and once streamed,
 // yields the same rules; the loaded run reports its quarantined row.
