@@ -126,25 +126,32 @@ func BenchmarkBinGranularity(b *testing.B) {
 	}
 }
 
-// BenchmarkSmoothing measures the Figure 7 preprocessing step: the 3×3
-// low-pass filter over a dense rule grid, at the paper's 50×50 preset
-// and at the 1000×1000 size §3.3.1 mentions as comfortably in-memory.
+// BenchmarkSmoothing measures the Figure 7 preprocessing step over a
+// dense rule grid, at the paper's 50×50 preset and at the 1000×1000 size
+// §3.3.1 mentions as comfortably in-memory: the 3×3 low-pass filter, and
+// the opening of the closing that -smoothing morphological runs.
 func BenchmarkSmoothing(b *testing.B) {
 	for _, size := range []int{50, 1000} {
-		b.Run(fmt.Sprintf("grid=%dx%d", size, size), func(b *testing.B) {
-			bm, _ := grid.New(size, size)
-			for r := 0; r < size; r++ {
-				for c := 0; c < size; c++ {
-					if (r*31+c*17)%3 != 0 {
-						bm.Set(r, c)
-					}
+		bm, _ := grid.New(size, size)
+		for r := 0; r < size; r++ {
+			for c := 0; c < size; c++ {
+				if (r*31+c*17)%3 != 0 {
+					bm.Set(r, c)
 				}
 			}
-			b.ResetTimer()
+		}
+		b.Run(fmt.Sprintf("grid=%dx%d", size, size), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := filter.LowPass(bm, 0.5); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+		b.Run(fmt.Sprintf("open-close/grid=%dx%d", size, size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				filter.Open(filter.Close(bm))
 			}
 		})
 	}
@@ -179,11 +186,12 @@ func BenchmarkBitOpWords(b *testing.B) {
 	})
 }
 
-// benchSystem builds a reusable ARCS system over Function 2 data.
-func benchSystem(b *testing.B, cfg core.Config) *core.System {
+// benchSystem builds a reusable ARCS system over n tuples of Function 2
+// data.
+func benchSystem(b *testing.B, n int, cfg core.Config) *core.System {
 	b.Helper()
 	st, err := synth.NewStream(synth.Config{
-		Function: 2, N: 20_000, Seed: 1,
+		Function: 2, N: n, Seed: 1,
 		Perturbation: 0.05, OutlierFraction: 0.10, FracA: 0.4,
 	})
 	if err != nil {
@@ -205,7 +213,7 @@ func benchSystem(b *testing.B, cfg core.Config) *core.System {
 func BenchmarkAblationSmoothing(b *testing.B) {
 	for _, mode := range []core.SmoothingMode{core.SmoothOff, core.SmoothBinary, core.SmoothWeighted, core.SmoothMorphological} {
 		b.Run(mode.String(), func(b *testing.B) {
-			sys := benchSystem(b, core.Config{NumBins: 50, Smoothing: mode,
+			sys := benchSystem(b, 20_000, core.Config{NumBins: 50, Smoothing: mode,
 				Walk: optimizer.ThresholdWalk{MaxSupportLevels: 12, MaxConfLevels: 8, MaxEvals: 100}})
 			var errPct float64
 			for i := 0; i < b.N; i++ {
@@ -229,7 +237,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 			name = "prune=off"
 		}
 		b.Run(name, func(b *testing.B) {
-			sys := benchSystem(b, core.Config{NumBins: 50, PruneFraction: frac,
+			sys := benchSystem(b, 20_000, core.Config{NumBins: 50, PruneFraction: frac,
 				Walk: optimizer.ThresholdWalk{MaxSupportLevels: 12, MaxConfLevels: 8, MaxEvals: 100}})
 			var rules float64
 			for i := 0; i < b.N; i++ {
@@ -262,7 +270,7 @@ func BenchmarkAblationSearch(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := c.cfg
 			cfg.NumBins = 50
-			sys := benchSystem(b, cfg)
+			sys := benchSystem(b, 20_000, cfg)
 			var cost, probes float64
 			for i := 0; i < b.N; i++ {
 				res, err := sys.Run()
@@ -283,7 +291,7 @@ func BenchmarkAblationSearch(b *testing.B) {
 func BenchmarkAblationBinStrategy(b *testing.B) {
 	for _, strat := range []core.BinStrategy{core.BinEquiWidth, core.BinEquiDepth, core.BinHomogeneity, core.BinSupervised} {
 		b.Run(strat.String(), func(b *testing.B) {
-			sys := benchSystem(b, core.Config{NumBins: 50, BinStrategy: strat,
+			sys := benchSystem(b, 20_000, core.Config{NumBins: 50, BinStrategy: strat,
 				Walk: optimizer.ThresholdWalk{MaxSupportLevels: 12, MaxConfLevels: 8, MaxEvals: 100}})
 			var errPct float64
 			for i := 0; i < b.N; i++ {
@@ -311,12 +319,12 @@ func BenchmarkFeedbackLoop(b *testing.B) {
 
 	seqCfg := base
 	seqCfg.SerialSearch, seqCfg.DisableProbeCache = true, true
-	seqSys := benchSystem(b, seqCfg)
+	seqSys := benchSystem(b, 20_000, seqCfg)
 	seqRes, err := seqSys.Run()
 	if err != nil {
 		b.Fatal(err)
 	}
-	parSys := benchSystem(b, base)
+	parSys := benchSystem(b, 20_000, base)
 	parRes, err := parSys.Run()
 	if err != nil {
 		b.Fatal(err)
@@ -355,16 +363,33 @@ func BenchmarkFeedbackLoop(b *testing.B) {
 
 // BenchmarkRemine demonstrates §3.2's claim that changing thresholds is
 // nearly instantaneous: once the BinArray is built, a full re-mine at
-// new thresholds touches no source data.
+// new thresholds touches no source data. MineAt is one probe at 50 bins;
+// SegmentAll-cold is a whole threshold search per group on a 200×200
+// grid over 200k tuples with the probe cache emptied first, the op of
+// perfbench's remine-hires workload.
 func BenchmarkRemine(b *testing.B) {
-	sys := benchSystem(b, core.Config{NumBins: 50})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		minConf := 0.3 + float64(i%5)*0.1
-		if _, err := sys.MineAt(0.0001, minConf); err != nil {
-			b.Fatal(err)
+	b.Run("MineAt/bins=50", func(b *testing.B) {
+		sys := benchSystem(b, 20_000, core.Config{NumBins: 50})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			minConf := 0.3 + float64(i%5)*0.1
+			if _, err := sys.MineAt(0.0001, minConf); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("SegmentAll-cold/bins=200", func(b *testing.B) {
+		sys := benchSystem(b, 200_000, core.Config{NumBins: 200})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sys.ResetProbeCache()
+			if _, err := sys.SegmentAll(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkBinningPass measures the streaming binning throughput — the

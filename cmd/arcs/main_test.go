@@ -331,6 +331,38 @@ func TestLiftAboveOneMinesNoRules(t *testing.T) {
 	}
 }
 
+// TestNaNThresholdsAreRejected: a NaN threshold fails the range check
+// its out-of-range values fail, with the same exit status and error,
+// rather than passing every comparison and mining as if it were unset.
+func TestNaNThresholdsAreRejected(t *testing.T) {
+	bin, csv := buildArcs(t), writeF2CSV(t)
+	base := []string{"-in", csv, "-x", "age", "-y", "salary", "-crit", "group", "-bins", "20"}
+	for _, tc := range []struct {
+		nan, outOfRange []string
+		want            string
+	}{
+		{[]string{"-search", "fixed", "-minsup", "NaN"}, []string{"-search", "fixed", "-minsup", "-1"}, "fixed thresholds"},
+		{[]string{"-search", "fixed", "-minconf", "NaN"}, []string{"-search", "fixed", "-minconf", "2"}, "fixed thresholds"},
+		{[]string{"-prune", "NaN"}, []string{"-prune", "2"}, "prune fraction"},
+		{[]string{"-lift", "NaN"}, []string{"-lift", "-1"}, "interest lift"},
+	} {
+		for _, args := range [][]string{tc.outOfRange, tc.nan} {
+			cmd := exec.Command(bin, append(base, args...)...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Errorf("arcs %s: %v, want exit 1\n%s", strings.Join(args, " "), err, stdout.String())
+				continue
+			}
+			if stdout.Len() != 0 || !strings.Contains(stderr.String(), "core: "+tc.want) {
+				t.Errorf("arcs %s printed %q and logged %q, want no output and a core: %s error",
+					strings.Join(args, " "), stdout.String(), stderr.String(), tc.want)
+			}
+		}
+	}
+}
+
 // TestStrayArgumentIsUsageError: flag parsing stops at the first
 // non-flag argument, so `arcs ... stray -bins 5` would mine at the
 // default 50 bins; the command refuses it instead, naming it.

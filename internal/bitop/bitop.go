@@ -40,21 +40,16 @@ type Options struct {
 	Stats *Stats
 }
 
-// Enumerate lists every candidate rectangle the mask sweep discovers,
-// from every anchor row, in deterministic order (anchor row ascending,
-// then emission order). The bitmap is not modified. Candidates may
-// overlap and nest; selection happens in Cluster.
-func Enumerate(bm *grid.Bitmap) []grid.Rect {
-	return newEnumerator(bm).run(bm, nil)
-}
-
 // enumerator holds the scratch of a candidate enumeration — the two
-// sweep masks and the output slice. Cluster reuses one across its
-// greedy rounds so the steady-state round performs no allocations
-// (guarded by TestBitOpRoundZeroAlloc).
+// sweep masks — and its result: how many candidates the sweep emitted
+// and the best of them under less. Cluster reuses one across its greedy
+// rounds, and a round keeps no candidate list, so a round allocates
+// nothing however many candidates it sweeps past (guarded by
+// TestBitOpRoundZeroAlloc).
 type enumerator struct {
 	mask, next []uint64
-	out        []grid.Rect
+	n          int64
+	best       grid.Rect
 }
 
 func newEnumerator(bm *grid.Bitmap) *enumerator {
@@ -64,28 +59,28 @@ func newEnumerator(bm *grid.Bitmap) *enumerator {
 	}
 }
 
-// run enumerates every anchor row of bm into the reused output slice.
-// The returned slice aliases the enumerator's scratch and is valid until
-// the next run call.
-func (e *enumerator) run(bm *grid.Bitmap, st *Stats) []grid.Rect {
-	e.out = e.out[:0]
+// run sweeps every anchor row of bm, leaving the candidate count in e.n
+// and, when it is positive, the best candidate in e.best. Candidates are
+// compared in emission order by pickBest's rule, so e.best is the
+// rectangle pickBest would select from the full candidate list.
+func (e *enumerator) run(bm *grid.Bitmap, st *Stats) {
+	e.n = 0
 	rows, cols := bm.Rows(), bm.Cols()
 	for top := 0; top < rows; top++ {
-		sweepAnchor(bm, top, rows, cols, e.mask, e.next, &e.out, st)
+		e.sweepAnchor(bm, top, rows, cols, st)
 	}
-	return e.out
 }
 
-// sweepAnchor runs the downward mask sweep for one anchor row, reusing
-// the caller's scratch masks and appending emitted rectangles to out.
-// Each row below the anchor costs exactly one fused pass over the mask
-// words: grid.AndRowInto computes the AND, the changed test and the
-// empty test together, where a copy, an AND, an equality test and an
-// emptiness test would walk the words up to four times. Operation counts
-// accumulate in local integers and flush into st once per sweep, so the
-// inner loop carries no atomic or branch cost beyond two plain
-// additions.
-func sweepAnchor(bm *grid.Bitmap, top, rows, cols int, mask, next []uint64, out *[]grid.Rect, st *Stats) {
+// sweepAnchor runs the downward mask sweep for one anchor row over the
+// enumerator's scratch masks. Each row below the anchor costs exactly
+// one fused pass over the mask words: grid.AndRowInto computes the AND,
+// the changed test and the empty test together, where a copy, an AND,
+// an equality test and an emptiness test would walk the words up to
+// four times. Operation counts accumulate in local integers and flush
+// into st once per sweep, so the inner loop carries no atomic or branch
+// cost beyond two plain additions.
+func (e *enumerator) sweepAnchor(bm *grid.Bitmap, top, rows, cols int, st *Stats) {
+	mask, next := e.mask, e.next
 	wpr := int64(len(mask))
 	andOps, cmpOps := int64(0), wpr // initial MaskEmpty scan
 	bm.CopyRow(mask, top)
@@ -93,7 +88,7 @@ func sweepAnchor(bm *grid.Bitmap, top, rows, cols int, mask, next []uint64, out 
 		st.addSweep(andOps, cmpOps, 0)
 		return
 	}
-	emitted := len(*out)
+	emitted := e.n
 	height := 1
 	alive := true
 	for r := top + 1; r < rows; r++ {
@@ -101,7 +96,7 @@ func sweepAnchor(bm *grid.Bitmap, top, rows, cols int, mask, next []uint64, out 
 		andOps += wpr
 		cmpOps += wpr
 		if changed {
-			emitRuns(mask, cols, top, height, out)
+			e.emitRuns(mask, cols, top, height)
 			if empty {
 				alive = false
 				break
@@ -114,14 +109,19 @@ func sweepAnchor(bm *grid.Bitmap, top, rows, cols int, mask, next []uint64, out 
 		height++
 	}
 	if alive {
-		emitRuns(mask, cols, top, height, out)
+		e.emitRuns(mask, cols, top, height)
 	}
-	st.addSweep(andOps, cmpOps, int64(len(*out)-emitted))
+	st.addSweep(andOps, cmpOps, e.n-emitted)
 }
 
-func emitRuns(mask []uint64, cols, top, height int, out *[]grid.Rect) {
+// emitRuns offers every run of the mask, as a rectangle of the given
+// height under the anchor row, to the running best.
+func (e *enumerator) emitRuns(mask []uint64, cols, top, height int) {
 	grid.MaskRuns(mask, cols, func(c0, c1 int) {
-		*out = append(*out, grid.Rect{R0: top, C0: c0, R1: top + height - 1, C1: c1})
+		r := grid.Rect{R0: top, C0: c0, R1: top + height - 1, C1: c1}
+		if e.n++; e.n == 1 || less(e.best, r) {
+			e.best = r
+		}
 	})
 }
 
@@ -144,11 +144,11 @@ func Cluster(bm *grid.Bitmap, opts Options) []grid.Rect {
 			break
 		}
 		opts.Stats.addRound()
-		cands := enum.run(work, opts.Stats)
-		if len(cands) == 0 {
+		enum.run(work, opts.Stats)
+		if enum.n == 0 {
 			break
 		}
-		best := pickBest(cands)
+		best := enum.best
 		if best.Area() < minArea {
 			// §3.5: if the algorithm cannot locate a sufficiently large
 			// cluster it terminates; remaining cells are noise/outliers.
@@ -160,8 +160,8 @@ func Cluster(bm *grid.Bitmap, opts Options) []grid.Rect {
 	return clusters
 }
 
-// pickBest selects the candidate with the largest area, breaking ties
-// deterministically.
+// pickBest selects the candidate with the largest area from a list,
+// breaking ties deterministically, as Cluster's running best does.
 func pickBest(cands []grid.Rect) grid.Rect {
 	best := cands[0]
 	for _, c := range cands[1:] {

@@ -39,6 +39,24 @@ func mk(t *testing.T, rows ...string) *grid.Bitmap {
 	return bm
 }
 
+// sweep runs the packed enumeration over bm, checks that its candidate
+// count, its best candidate and its Stats count agree with the naive
+// enumeration's candidate list, and returns that list.
+func sweep(t *testing.T, bm *grid.Bitmap) []grid.Rect {
+	t.Helper()
+	e, st := newEnumerator(bm), &Stats{}
+	e.run(bm, st)
+	cands := enumerateNaive(toBools(bm), bm.Rows(), bm.Cols())
+	if e.n != int64(len(cands)) || st.Candidates() != e.n {
+		t.Fatalf("packed sweep counted %d candidates (Stats %d), naive enumeration %d: %v",
+			e.n, st.Candidates(), len(cands), cands)
+	}
+	if len(cands) > 0 && e.best != pickBest(cands) {
+		t.Fatalf("packed sweep kept %v, pickBest over the candidates %v", e.best, pickBest(cands))
+	}
+	return cands
+}
+
 func TestEnumeratePaperExample(t *testing.T) {
 	// The worked example of §3.3.1:
 	//   row1: 0 1 1
@@ -52,7 +70,7 @@ func TestEnumeratePaperExample(t *testing.T) {
 		"##.",
 		"#..",
 	)
-	cands := Enumerate(bm)
+	cands := sweep(t, bm)
 	want := map[grid.Rect]bool{
 		{R0: 0, C0: 1, R1: 0, C1: 2}: true, // top row run
 		{R0: 0, C0: 1, R1: 1, C1: 1}: true, // the dashed-circle 1-by-2 cluster
@@ -77,7 +95,7 @@ func TestEnumerateCandidatesAreAllSet(t *testing.T) {
 		"###.#",
 		".##..",
 	)
-	for _, cand := range Enumerate(bm) {
+	for _, cand := range sweep(t, bm) {
 		for r := cand.R0; r <= cand.R1; r++ {
 			for c := cand.C0; c <= cand.C1; c++ {
 				if !bm.Get(r, c) {
@@ -90,7 +108,7 @@ func TestEnumerateCandidatesAreAllSet(t *testing.T) {
 
 func TestEnumerateEmpty(t *testing.T) {
 	bm, _ := grid.New(4, 4)
-	if cands := Enumerate(bm); len(cands) != 0 {
+	if cands := sweep(t, bm); len(cands) != 0 {
 		t.Errorf("empty bitmap produced candidates %v", cands)
 	}
 }
@@ -255,27 +273,36 @@ func toBools(bm *grid.Bitmap) [][]bool {
 
 func TestClusterMatchesNaiveOracle(t *testing.T) {
 	// Differential test: the word-packed implementation must agree with
-	// the straightforward bool-matrix implementation on random grids.
+	// the straightforward bool-matrix implementation on random grids,
+	// and on 200×200 grids of overlapping blocks with noise and holes,
+	// the shape a high-resolution rule grid has, where the sweeps emit
+	// over 100,000 candidates.
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		rows := 1 + rng.Intn(12)
-		cols := 1 + rng.Intn(90) // crosses the 64-bit word boundary often
-		bm, _ := grid.New(rows, cols)
-		density := rng.Float64()
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				if rng.Float64() < density {
-					bm.Set(r, c)
-				}
-			}
-		}
-		opts := Options{MinArea: 1 + rng.Intn(3)}
+	check := func(trial int, bm *grid.Bitmap, opts Options) {
+		t.Helper()
 		fast := Cluster(bm, opts)
 		slow := ClusterNaive(toBools(bm), opts)
 		if !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("trial %d (%dx%d, minArea %d):\nfast = %v\nslow = %v\ngrid:\n%s",
-				trial, rows, cols, opts.MinArea, fast, slow, bm)
+				trial, bm.Rows(), bm.Cols(), opts.MinArea, fast, slow, bm)
 		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		rows := 1 + rng.Intn(12)
+		cols := 1 + rng.Intn(90) // crosses the 64-bit word boundary often
+		bm := randomBitmap(rng, rows, cols, rng.Float64())
+		check(trial, bm, Options{MinArea: 1 + rng.Intn(3)})
+	}
+	for trial := 200; trial < 203; trial++ {
+		bm := randomBitmap(rng, 200, 200, 0.02)
+		for i := 0; i < 12; i++ {
+			r0, c0 := rng.Intn(180), rng.Intn(180)
+			bm.FillRect(grid.Rect{R0: r0, C0: c0, R1: r0 + rng.Intn(200-r0), C1: c0 + rng.Intn(200-c0)})
+		}
+		for i := 0; i < 60; i++ {
+			bm.Clear(rng.Intn(200), rng.Intn(200)) // holes
+		}
+		check(trial, bm, Options{MinArea: []int{1, 4, 400}[trial-200]})
 	}
 }
 
@@ -348,11 +375,11 @@ func TestClusterDeterministicProperty(t *testing.T) {
 	}
 }
 
-// TestBitOpRoundZeroAlloc guards the zero-allocation property of a
-// steady-state enumeration round: once the enumerator's scratch masks
-// and output slice are warm, re-running the full anchor sweep must not
-// allocate. This is what makes the per-round reuse in Cluster pay off —
-// a greedy clustering of k rounds costs one enumerator, not k.
+// TestBitOpRoundZeroAlloc guards the zero-allocation property of an
+// enumeration round: with the enumerator's scratch masks made, the full
+// anchor sweep must not allocate, however many candidates it emits.
+// This is what makes the per-round reuse in Cluster pay off — a greedy
+// clustering of k rounds costs one enumerator, not k.
 func TestBitOpRoundZeroAlloc(t *testing.T) {
 	bm, err := grid.New(70, 130) // >2 words per row exercises the multi-word path
 	if err != nil {
@@ -367,7 +394,6 @@ func TestBitOpRoundZeroAlloc(t *testing.T) {
 		bm.Set(i, (i*13)%130)
 	}
 	e := newEnumerator(bm)
-	e.run(bm, nil) // warm the output slice to its steady-state capacity
 	allocs := testing.AllocsPerRun(200, func() {
 		e.run(bm, nil)
 	})

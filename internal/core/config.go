@@ -321,10 +321,11 @@ func (c Config) validate() error {
 	if c.NumBins < 0 {
 		return fmt.Errorf("core: bin counts must be non-negative")
 	}
-	if c.PruneFraction > 1 {
+	// The threshold checks are written so that NaN fails them.
+	if !(c.PruneFraction <= 1) {
 		return fmt.Errorf("core: prune fraction %g exceeds 1", c.PruneFraction)
 	}
-	if c.InterestLift < 0 {
+	if !(c.InterestLift >= 0) {
 		return fmt.Errorf("core: interest lift %g is negative", c.InterestLift)
 	}
 	if c.IngestWorkers < 0 {
@@ -334,8 +335,8 @@ func (c Config) validate() error {
 		return err
 	}
 	if c.Search == SearchFixed {
-		if c.FixedMinSupport < 0 || c.FixedMinSupport > 1 ||
-			c.FixedMinConfidence < 0 || c.FixedMinConfidence > 1 {
+		if !(c.FixedMinSupport >= 0 && c.FixedMinSupport <= 1 &&
+			c.FixedMinConfidence >= 0 && c.FixedMinConfidence <= 1) {
 			return fmt.Errorf("core: fixed thresholds (%g, %g) outside [0, 1]",
 				c.FixedMinSupport, c.FixedMinConfidence)
 		}

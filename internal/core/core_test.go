@@ -2,9 +2,11 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"arcs/internal/dataset"
+	"arcs/internal/obs"
 	"arcs/internal/optimizer"
 	"arcs/internal/synth"
 	"arcs/internal/verify"
@@ -687,5 +689,55 @@ func TestSelectAttributePairJointInternal(t *testing.T) {
 	}
 	if _, _, _, err := SelectAttributePairJoint(tb, synth.AttrSalary, 8); err == nil {
 		t.Error("quantitative criterion should error")
+	}
+}
+
+// TestProbeZeroAllocPerCandidate guards a threshold probe's mine and
+// cluster steps on a 200×200 grid: setting the rule grid, smoothing it,
+// running BitOp and converting its rectangles allocate a small constant
+// number of bitmaps' worth of bytes, under the same bound at a sparse
+// and at a dense threshold, however many rules the grid holds and
+// candidates BitOp sweeps past.
+func TestProbeZeroAllocPerCandidate(t *testing.T) {
+	sys := f2System(t, 100_000, 0.05, Config{NumBins: 200})
+	seg, err := sys.segCode(synth.GroupA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := sys.thresholdsFor(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sups := th.Supports()
+	const bitmapBytes = 200 * 4 * 8 // 200 rows of four 64-bit words
+	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothMorphological} {
+		sys.cfg.Smoothing = mode
+		for _, tc := range []struct {
+			name      string
+			sup, conf float64
+		}{
+			{"sparse", sups[len(sups)/4], 0.5},
+			{"dense", 0, 0},
+		} {
+			probe := func() {
+				if _, err := sys.mineAtSeg(obs.Span{}, seg, tc.sup, tc.conf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			probe()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const runs = 20
+			for i := 0; i < runs; i++ {
+				probe()
+			}
+			runtime.ReadMemStats(&after)
+			perProbe := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			t.Logf("%s, %s (support %g, confidence %g): %.0f bytes per probe", mode, tc.name, tc.sup, tc.conf, perProbe)
+			if perProbe > 8*bitmapBytes {
+				t.Errorf("%s, %s probe allocates %.0f bytes, want at most 8 bitmaps' worth (%d)",
+					mode, tc.name, perProbe, 8*bitmapBytes)
+			}
+		}
 	}
 }

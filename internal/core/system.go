@@ -263,16 +263,12 @@ func (s *System) reorderCategorical() error {
 		// the first category.
 		seg = 0
 	}
-	cellRules, err := engine.GenAssociationRules(s.ba, seg, 0, 0)
+	bm, err := engine.RuleGrid(s.ba, seg, 0, 0)
 	if err != nil {
 		return err
 	}
-	if len(cellRules) == 0 {
+	if !bm.Any() {
 		return nil
-	}
-	bm, err := grid.FromRules(cellRules, s.ba.NX(), s.ba.NY())
-	if err != nil {
-		return err
 	}
 	if s.xCat {
 		order := cluster.OrderCategories(bm)
@@ -373,11 +369,7 @@ func (s *System) buildGrid(seg int, minSup, minConf float64) (*grid.Bitmap, erro
 		})
 		return filter.LowPassWeighted(dense, minSup)
 	default:
-		cellRules, err := engine.GenAssociationRules(s.ba, seg, minSup, minConf)
-		if err != nil {
-			return nil, err
-		}
-		bm, err := grid.FromRules(cellRules, s.ba.NX(), s.ba.NY())
+		bm, err := engine.RuleGrid(s.ba, seg, minSup, minConf)
 		if err != nil {
 			return nil, err
 		}
@@ -404,7 +396,7 @@ func (s *System) MineAt(minSup, minConf float64) ([]rules.ClusteredRule, error) 
 	return s.mineAtSeg(obs.Span{}, seg, minSup, minConf)
 }
 
-// mineAtSeg emits "mine" (rule generation + grid + smoothing) and
+// mineAtSeg emits "mine" (the rule grid + smoothing) and
 // "cluster" (BitOp + rule conversion) spans under parent; a zero parent
 // span disables both.
 func (s *System) mineAtSeg(parent obs.Span, seg int, minSup, minConf float64) ([]rules.ClusteredRule, error) {

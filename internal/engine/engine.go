@@ -14,8 +14,38 @@ import (
 	"sort"
 
 	"arcs/internal/counts"
+	"arcs/internal/grid"
 	"arcs/internal/rules"
 )
+
+// ruleBar is the cell-rule test of Figure 3 at one pair of thresholds.
+// The support threshold is converted to a count once, so each cell costs
+// one comparison and one division.
+type ruleBar struct {
+	minCount, minConfidence float64
+}
+
+// newRuleBar checks the criterion value and the thresholds; a NaN
+// threshold is out of range.
+func newRuleBar(ba counts.Backend, seg int, minSupport, minConfidence float64) (ruleBar, error) {
+	if seg < 0 || seg >= ba.NSeg() {
+		return ruleBar{}, fmt.Errorf("engine: criterion value %d out of range 0..%d", seg, ba.NSeg()-1)
+	}
+	if !(minSupport >= 0 && minSupport <= 1) {
+		return ruleBar{}, fmt.Errorf("engine: min support %g outside [0, 1]", minSupport)
+	}
+	if !(minConfidence >= 0 && minConfidence <= 1) {
+		return ruleBar{}, fmt.Errorf("engine: min confidence %g outside [0, 1]", minConfidence)
+	}
+	return ruleBar{minCount: minSupport * float64(ba.N()), minConfidence: minConfidence}, nil
+}
+
+// admits reports whether an occupied cell holding segCount tuples of
+// the criterion value among cellTotal is a rule.
+func (b ruleBar) admits(segCount, cellTotal uint32) bool {
+	return float64(segCount) >= b.minCount &&
+		float64(segCount)/float64(cellTotal) >= b.minConfidence
+}
 
 // GenAssociationRules derives all cell rules X=i ∧ Y=j ⇒ G=seg whose
 // support and confidence meet the thresholds, by checking each occupied
@@ -23,34 +53,43 @@ import (
 // minConfidence is a fraction of the cell total. Rules are returned in
 // deterministic row-major cell order.
 func GenAssociationRules(ba counts.Backend, seg int, minSupport, minConfidence float64) ([]rules.CellRule, error) {
-	if seg < 0 || seg >= ba.NSeg() {
-		return nil, fmt.Errorf("engine: criterion value %d out of range 0..%d", seg, ba.NSeg()-1)
+	bar, err := newRuleBar(ba, seg, minSupport, minConfidence)
+	if err != nil {
+		return nil, err
 	}
-	if minSupport < 0 || minSupport > 1 {
-		return nil, fmt.Errorf("engine: min support %g outside [0, 1]", minSupport)
-	}
-	if minConfidence < 0 || minConfidence > 1 {
-		return nil, fmt.Errorf("engine: min confidence %g outside [0, 1]", minConfidence)
-	}
-	// Following Figure 3, the support threshold is converted to a count
-	// once, so the inner loop is integer-only.
-	minCount := minSupport * float64(ba.N())
 	var out []rules.CellRule
 	counts.Occupied(ba, seg, func(x, y int, segCount, cellTotal uint32) {
-		if float64(segCount) < minCount {
-			return
-		}
-		conf := float64(segCount) / float64(cellTotal)
-		if conf < minConfidence {
+		if !bar.admits(segCount, cellTotal) {
 			return
 		}
 		out = append(out, rules.CellRule{
 			X: x, Y: y, Seg: seg,
 			Support:    float64(segCount) / float64(ba.N()),
-			Confidence: conf,
+			Confidence: float64(segCount) / float64(cellTotal),
 		})
 	})
 	return out, nil
+}
+
+// RuleGrid sets the cells of the rules GenAssociationRules derives at the
+// same thresholds on a BinArray-shaped bitmap: rule X=i ∧ Y=j sets cell
+// (row j, col i). It is what a threshold probe mines, and it builds no
+// rule list.
+func RuleGrid(ba counts.Backend, seg int, minSupport, minConfidence float64) (*grid.Bitmap, error) {
+	bar, err := newRuleBar(ba, seg, minSupport, minConfidence)
+	if err != nil {
+		return nil, err
+	}
+	bm, err := grid.New(ba.NY(), ba.NX())
+	if err != nil {
+		return nil, err
+	}
+	counts.Occupied(ba, seg, func(x, y int, segCount, cellTotal uint32) {
+		if bar.admits(segCount, cellTotal) {
+			bm.Set(y, x)
+		}
+	})
+	return bm, nil
 }
 
 // Thresholds is the ordered structure of Figure 10: the unique support

@@ -2,9 +2,12 @@ package engine
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"arcs/internal/counts"
+	"arcs/internal/grid"
 )
 
 // buildBA constructs a 3x3 BinArray with 2 segments from explicit counts.
@@ -78,14 +81,99 @@ func TestGenAssociationRulesZeroThresholdsReturnAllOccupied(t *testing.T) {
 
 func TestGenAssociationRulesValidation(t *testing.T) {
 	ba := buildBA(t, [2][3][3]int{})
-	if _, err := GenAssociationRules(ba, 5, 0.1, 0.1); err == nil {
-		t.Error("bad segment should error")
+	for _, tc := range []struct {
+		name          string
+		seg           int
+		minSup, minCf float64
+	}{
+		{"bad segment", 5, 0.1, 0.1},
+		{"negative support", 0, -0.1, 0.1},
+		{"NaN support", 0, math.NaN(), 0.1},
+		{"confidence > 1", 0, 0.1, 1.5},
+		{"NaN confidence", 0, 0.1, math.NaN()},
+	} {
+		if _, err := GenAssociationRules(ba, tc.seg, tc.minSup, tc.minCf); err == nil {
+			t.Errorf("GenAssociationRules: %s should error", tc.name)
+		}
+		if _, err := RuleGrid(ba, tc.seg, tc.minSup, tc.minCf); err == nil {
+			t.Errorf("RuleGrid: %s should error", tc.name)
+		}
 	}
-	if _, err := GenAssociationRules(ba, 0, -0.1, 0.1); err == nil {
-		t.Error("negative support should error")
+}
+
+// TestRuleGridSetsRuleCells: rule X=i ∧ Y=j sets cell (row j, col i) of
+// a grid with a row per y bin and a column per x bin.
+func TestRuleGridSetsRuleCells(t *testing.T) {
+	ba, err := counts.NewDense(3, 4, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := GenAssociationRules(ba, 0, 0.1, 1.5); err == nil {
-		t.Error("confidence > 1 should error")
+	ba.Add(1, 2, 0)
+	ba.Add(0, 0, 0)
+	bm, err := RuleGrid(ba, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bm.Rows() != 4 || bm.Cols() != 3 {
+		t.Fatalf("grid is %d×%d, want 4 rows of 3", bm.Rows(), bm.Cols())
+	}
+	if !bm.Get(2, 1) || !bm.Get(0, 0) || bm.PopCount() != 2 {
+		t.Errorf("rule cells (1, 2) and (0, 0) set\n%s\nwant cells (row 2, col 1) and (row 0, col 0)", bm)
+	}
+}
+
+// TestRuleGridMatchesGenAssociationRules: on dense and sparse backends,
+// the builder sets exactly the cells of the rules GenAssociationRules
+// derives, at every support and confidence occurring in the data, where
+// cells tie with the bar, and at zero.
+func TestRuleGridMatchesGenAssociationRules(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	const nx, ny, nseg = 23, 70, 3
+	dense, err := counts.NewDense(nx, ny, nseg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := counts.NewSparse(nx, ny, nseg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		// Skewed draws leave empty cells and repeat supports.
+		x, y, seg := rng.Intn(nx)*rng.Intn(2), rng.Intn(ny), rng.Intn(nseg)
+		dense.Add(x, y, seg)
+		sparse.Add(x, y, seg)
+	}
+	for _, ba := range []counts.Backend{dense, sparse} {
+		for seg := 0; seg < nseg; seg++ {
+			th, err := NewThresholds(ba, seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sup := range append([]float64{0}, th.Supports()...) {
+				confs := []float64{0}
+				if i > 0 {
+					confs = append(confs, th.ConfidencesAt(i-1)...)
+				}
+				for _, conf := range confs {
+					cellRules, err := GenAssociationRules(ba, seg, sup, conf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bm, err := RuleGrid(ba, seg, sup, conf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, _ := grid.New(ny, nx)
+					for _, r := range cellRules {
+						want.Set(r.Y, r.X)
+					}
+					if !reflect.DeepEqual(bm, want) {
+						t.Fatalf("%T seg %d at (%g, %g): RuleGrid\n%s\nwant the %d rule cells\n%s",
+							ba, seg, sup, conf, bm, len(cellRules), want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package filter
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"arcs/internal/grid"
@@ -83,6 +85,90 @@ func TestLowPassThresholdValidation(t *testing.T) {
 	if _, err := LowPass(bm, 1.5); err == nil {
 		t.Error("threshold > 1 should error")
 	}
+	if _, err := LowPass(bm, math.NaN()); err == nil {
+		t.Error("NaN threshold should error")
+	}
+}
+
+// lowPassCells is the per-cell low-pass filter: each cell's in-bounds
+// 3×3 neighborhood is counted with Get and compared with the bar in
+// floating point. It is the oracle for the word-level LowPass.
+func lowPassCells(bm *grid.Bitmap, threshold float64) *grid.Bitmap {
+	rows, cols := bm.Rows(), bm.Cols()
+	out, _ := grid.New(rows, cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			set, total := 0, 0
+			for dr := -1; dr <= 1; dr++ {
+				for dc := -1; dc <= 1; dc++ {
+					rr, cc := r+dr, c+dc
+					if rr < 0 || rr >= rows || cc < 0 || cc >= cols {
+						continue
+					}
+					total++
+					if bm.Get(rr, cc) {
+						set++
+					}
+				}
+			}
+			if float64(set) >= threshold*float64(total) {
+				out.Set(r, c)
+			}
+		}
+	}
+	return out
+}
+
+// oracleShapes are the grid sizes the word-level filters are checked on
+// against their per-cell oracles: one to three rows and columns, and
+// column counts on either side of one, two and three words.
+var (
+	oracleRows = []int{1, 2, 3, 7, 64, 65, 200}
+	oracleCols = []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 200}
+)
+
+// oracleGrids calls fn with random bitmaps of every oracle shape at a
+// sparse, a middling and a dense fill.
+func oracleGrids(t *testing.T, fn func(bm *grid.Bitmap)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(25))
+	for _, rows := range oracleRows {
+		for _, cols := range oracleCols {
+			for _, density := range []float64{0.1, 0.5, 0.9} {
+				bm, err := grid.New(rows, cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < rows; r++ {
+					for c := 0; c < cols; c++ {
+						if rng.Float64() < density {
+							bm.Set(r, c)
+						}
+					}
+				}
+				fn(bm)
+			}
+		}
+	}
+}
+
+// TestLowPassMatchesCellOracle: the word-level filter sets exactly the
+// cells the per-cell test sets, edges and corners included, at bars
+// that fall on, just above and between the in-bounds fractions.
+func TestLowPassMatchesCellOracle(t *testing.T) {
+	thresholds := []float64{1e-9, 1.0 / 9, 0.25, 1.0 / 3, 0.5, 2.0 / 3, 0.7, 1}
+	oracleGrids(t, func(bm *grid.Bitmap) {
+		for _, th := range thresholds {
+			got, err := LowPass(bm, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := lowPassCells(bm, th); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d×%d grid, threshold %g: LowPass\n%s\nwant\n%s\ninput\n%s",
+					bm.Rows(), bm.Cols(), th, got, want, bm)
+			}
+		}
+	})
 }
 
 func TestLowPassInputUnmodified(t *testing.T) {

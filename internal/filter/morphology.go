@@ -15,47 +15,47 @@ import "arcs/internal/grid"
 // idempotent, which makes them predictable preprocessing steps compared
 // to repeated low-pass smoothing.
 
-// Erode returns the erosion of the bitmap by the 3×3 cross.
+// Erode returns the erosion of the bitmap by the 3×3 cross: each row is
+// the AND of itself, the rows above and below, and itself shifted one
+// column each way, with out-of-bounds neighbours set.
 func Erode(bm *grid.Bitmap) *grid.Bitmap {
-	rows, cols := bm.Rows(), bm.Cols()
-	out, _ := grid.New(rows, cols)
-	get := func(r, c int) bool {
-		if r < 0 || r >= rows || c < 0 || c >= cols {
-			return true // border padding: set
-		}
-		return bm.Get(r, c)
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if get(r, c) && get(r-1, c) && get(r+1, c) && get(r, c-1) && get(r, c+1) {
-				if bm.Get(r, c) {
-					out.Set(r, c)
-				}
-			}
-		}
-	}
-	return out
+	return cross(bm, ^uint64(0), func(m, up, down, left, right uint64) uint64 {
+		return m & up & down & left & right
+	})
 }
 
-// Dilate returns the dilation of the bitmap by the 3×3 cross.
+// Dilate returns the dilation of the bitmap by the 3×3 cross: the OR of
+// the same five rows, with out-of-bounds neighbours clear.
 func Dilate(bm *grid.Bitmap) *grid.Bitmap {
-	rows, cols := bm.Rows(), bm.Cols()
+	return cross(bm, 0, func(m, up, down, left, right uint64) uint64 {
+		return m | up | down | left | right
+	})
+}
+
+// cross combines every word of the bitmap with its four axis neighbours'
+// words by op; a neighbour outside the bitmap reads as the matching bit
+// of outside.
+func cross(bm *grid.Bitmap, outside uint64, op func(m, up, down, left, right uint64) uint64) *grid.Bitmap {
+	rows, cols, wpr := bm.Rows(), bm.Cols(), bm.WordsPerRow()
 	out, _ := grid.New(rows, cols)
-	set := func(r, c int) {
-		if r >= 0 && r < rows && c >= 0 && c < cols {
-			out.Set(r, c)
-		}
+	buf := make([]uint64, 2*wpr)
+	pad, dst := buf[:wpr], buf[wpr:]
+	for i := range pad {
+		pad[i] = outside
 	}
 	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if bm.Get(r, c) {
-				set(r, c)
-				set(r-1, c)
-				set(r+1, c)
-				set(r, c-1)
-				set(r, c+1)
-			}
+		up, mid, down := pad, bm.Row(r), pad
+		if r > 0 {
+			up = bm.Row(r - 1)
 		}
+		if r+1 < rows {
+			down = bm.Row(r + 1)
+		}
+		for i, m := range mid {
+			left, right := sides(mid, i, cols, outside)
+			dst[i] = op(m, up[i], down[i], left, right)
+		}
+		out.SetRow(r, dst)
 	}
 	return out
 }

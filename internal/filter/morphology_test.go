@@ -1,6 +1,76 @@
 package filter
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"arcs/internal/grid"
+)
+
+// erodeCells and dilateCells are the per-cell erosion and dilation by
+// the 3×3 cross, reading every cell with Get. They are the oracles for
+// the word-level Erode and Dilate.
+func erodeCells(bm *grid.Bitmap) *grid.Bitmap {
+	rows, cols := bm.Rows(), bm.Cols()
+	out, _ := grid.New(rows, cols)
+	get := func(r, c int) bool {
+		if r < 0 || r >= rows || c < 0 || c >= cols {
+			return true // border padding: set
+		}
+		return bm.Get(r, c)
+	}
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if get(r, c) && get(r-1, c) && get(r+1, c) && get(r, c-1) && get(r, c+1) {
+				out.Set(r, c)
+			}
+		}
+	}
+	return out
+}
+
+func dilateCells(bm *grid.Bitmap) *grid.Bitmap {
+	rows, cols := bm.Rows(), bm.Cols()
+	out, _ := grid.New(rows, cols)
+	set := func(r, c int) {
+		if r >= 0 && r < rows && c >= 0 && c < cols {
+			out.Set(r, c)
+		}
+	}
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if bm.Get(r, c) {
+				set(r, c)
+				set(r-1, c)
+				set(r+1, c)
+				set(r, c-1)
+				set(r, c+1)
+			}
+		}
+	}
+	return out
+}
+
+// TestMorphologyMatchesCellOracle: the word-level erosion and dilation,
+// and the opening of the closing that -smoothing morphological runs, set
+// exactly the cells the per-cell versions set.
+func TestMorphologyMatchesCellOracle(t *testing.T) {
+	oracleGrids(t, func(bm *grid.Bitmap) {
+		for _, tc := range []struct {
+			name      string
+			got, want *grid.Bitmap
+		}{
+			{"Erode", Erode(bm), erodeCells(bm)},
+			{"Dilate", Dilate(bm), dilateCells(bm)},
+			{"Open(Close)", Open(Close(bm)), dilateCells(erodeCells(erodeCells(dilateCells(bm))))},
+		} {
+			if !reflect.DeepEqual(tc.got, tc.want) {
+				t.Fatalf("%d×%d grid: %s\n%s\nwant\n%s\ninput\n%s",
+					bm.Rows(), bm.Cols(), tc.name, tc.got, tc.want, bm)
+			}
+		}
+	})
+}
 
 func TestErodeRemovesIsolatedCell(t *testing.T) {
 	bm := mk(t,

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-
-	"arcs/internal/rules"
 )
 
 const wordBits = 64
@@ -33,22 +31,6 @@ func New(rows, cols int) (*Bitmap, error) {
 	}
 	wpr := (cols + wordBits - 1) / wordBits
 	return &Bitmap{rows: rows, cols: cols, wpr: wpr, words: make([]uint64, rows*wpr)}, nil
-}
-
-// FromRules builds a bitmap from mined cell rules on an nx × ny grid.
-// Rule (X, Y) sets cell (row Y, col X).
-func FromRules(cellRules []rules.CellRule, nx, ny int) (*Bitmap, error) {
-	bm, err := New(ny, nx)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range cellRules {
-		if r.X < 0 || r.X >= nx || r.Y < 0 || r.Y >= ny {
-			return nil, fmt.Errorf("grid: rule cell (%d, %d) outside %d×%d grid", r.X, r.Y, nx, ny)
-		}
-		bm.Set(r.Y, r.X)
-	}
-	return bm, nil
 }
 
 // Rows reports the number of rows.
@@ -85,6 +67,15 @@ func (b *Bitmap) Get(r, c int) bool {
 // callers must not modify it.
 func (b *Bitmap) Row(r int) []uint64 {
 	return b.words[r*b.wpr : (r+1)*b.wpr]
+}
+
+// SetRow overwrites row r with the packed words of src, which must have
+// length WordsPerRow. Bits of src past the last column are dropped, so
+// a word-level writer need not mask its last word.
+func (b *Bitmap) SetRow(r int, src []uint64) {
+	row := b.words[r*b.wpr : (r+1)*b.wpr]
+	copy(row, src)
+	row[b.wpr-1] &= ^uint64(0) >> uint(b.wpr*wordBits-b.cols)
 }
 
 // CopyRow copies row r into dst, which must have length WordsPerRow.

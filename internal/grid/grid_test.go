@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"arcs/internal/rules"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -145,6 +143,13 @@ func TestRowOps(t *testing.T) {
 	if changed, empty := bm.AndRowInto(dst, zero, 0); changed || !empty {
 		t.Errorf("zero mask: changed=%v empty=%v, want false true", changed, empty)
 	}
+
+	// SetRow drops the bits past column 69, so a full word pattern sets
+	// exactly the 70 cells of the row.
+	bm.SetRow(3, []uint64{^uint64(0), ^uint64(0)})
+	if got := columns(bm.Row(3)); len(got) != 70 || bm.PopCount() != 5+70 {
+		t.Errorf("SetRow of all ones: row columns %v, PopCount %d, want 0..69 and 75", got, bm.PopCount())
+	}
 }
 
 func TestMaskRuns(t *testing.T) {
@@ -179,23 +184,6 @@ func TestMaskRunsAcrossWordBoundary(t *testing.T) {
 	})
 	if len(runs) != 1 || runs[0] != [2]int{60, 69} {
 		t.Errorf("runs = %v, want [[60 69]]", runs)
-	}
-}
-
-func TestFromRules(t *testing.T) {
-	cellRules := []rules.CellRule{{X: 1, Y: 2}, {X: 0, Y: 0}}
-	bm, err := FromRules(cellRules, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bm.Get(2, 1) || !bm.Get(0, 0) {
-		t.Error("rule cells not set")
-	}
-	if bm.PopCount() != 2 {
-		t.Errorf("PopCount = %d", bm.PopCount())
-	}
-	if _, err := FromRules([]rules.CellRule{{X: 5, Y: 0}}, 3, 3); err == nil {
-		t.Error("out-of-grid rule should error")
 	}
 }
 

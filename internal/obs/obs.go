@@ -25,7 +25,7 @@
 //	  search              optimizer strategy
 //	    probe-batch       one worker-pool batch of threshold probes
 //	      probe           one (support, confidence) evaluation
-//	        mine          GenAssociationRules + grid + smoothing
+//	        mine          rule grid set from the BinArray + smoothing
 //	        cluster       BitOp rectangles + rule conversion
 //	        verify        repeated k-of-n error measurement
 //	        mdl           MDL cost
