@@ -194,6 +194,9 @@ func TestUsageAndConfigErrors(t *testing.T) {
 		code int
 	}{
 		{[]string{"-function", "11"}, 1},
+		{[]string{"-perturb", "NaN"}, 1},
+		{[]string{"-outliers", "NaN"}, 1},
+		{[]string{"-fraca", "NaN"}, 1},
 		{[]string{"-log-format", "xml"}, 2},
 		{[]string{"stray", "-n", "3"}, 2},
 		{[]string{"-positional"}, 2},

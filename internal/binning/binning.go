@@ -5,11 +5,12 @@
 // equi-depth and homogeneity-based binning are provided as the paper's
 // suggested alternatives, supervised (entropy/MDL) cuts as its §5
 // information-gain suggestion, and a categorical binner supports the
-// future-work extension of one categorical LHS attribute.
+// future-work extension of one categorical LHS attribute, binned in
+// category-code order so that every cluster is a range of codes.
 //
 // Every strategy is one concrete Binner: the fitting algorithms differ,
-// but each fit reduces to one of three lookups — equal-width division,
-// a search over sorted cut points, or a category table.
+// but each fit reduces to one of two lookups — equal-width division or
+// a search over sorted cut points.
 package binning
 
 import (
@@ -22,10 +23,9 @@ import (
 type kind uint8
 
 const (
-	// divide is equal-width division over [lo, hi] (equi-width).
+	// divide is equal-width division over [lo, hi] (equi-width,
+	// categorical).
 	divide kind = iota
-	// table maps a category code through a permutation (categorical).
-	table
 	// search finds the bin among sorted cut points (equi-depth,
 	// homogeneity, supervised).
 	search
@@ -42,8 +42,6 @@ type Binner struct {
 	n      int
 	// divide: the domain [lo, hi] and the bin width.
 	lo, hi, width float64
-	// table: category code -> bin, and bin -> category code.
-	bin, code []int32
 	// search: cuts[i] is the lower bound of bin i; cuts has n+1
 	// entries, the last being the domain maximum.
 	cuts []float64
@@ -58,9 +56,9 @@ func (b *Binner) NumBins() int { return b.n }
 func (b *Binner) Method() string { return b.method }
 
 // Bin maps a value to its bin, clamping values outside the fitted
-// domain to the first or last bin (and category codes outside [0, n)
-// to the edge codes). Equi-width keeps the division, not a multiply by
-// the reciprocal, which could move a value on a bin edge by one bin.
+// domain to the first or last bin. Equi-width keeps the division, not a
+// multiply by the reciprocal, which could move a value on a bin edge by
+// one bin.
 func (b *Binner) Bin(v float64) int {
 	switch b.kind {
 	case divide:
@@ -75,15 +73,6 @@ func (b *Binner) Bin(v float64) int {
 			i = b.n - 1
 		}
 		return i
-	case table:
-		code := int(v)
-		if code < 0 {
-			code = 0
-		}
-		if code >= b.n {
-			code = b.n - 1
-		}
-		return int(b.bin[code])
 	default:
 		n := b.n
 		if v <= b.cuts[0] {
@@ -105,15 +94,11 @@ func (b *Binner) Bin(v float64) int {
 }
 
 // Bounds returns the value range covered by bin i. For a categorical
-// bin the range is the single category code occupying it, returned as
-// [code, code+1).
+// bin the range is its category code c, returned as [c, c+1).
 func (b *Binner) Bounds(i int) (lo, hi float64) {
 	switch b.kind {
 	case divide:
 		return b.lo + float64(i)*b.width, b.lo + float64(i+1)*b.width
-	case table:
-		c := float64(b.code[i])
-		return c, c + 1
 	default:
 		return b.cuts[i], b.cuts[i+1]
 	}
@@ -299,59 +284,25 @@ func abs(x int) int {
 	return x
 }
 
-// NewCategorical constructs an identity categorical binner over n
-// category codes: code c is bin c.
+// NewCategorical constructs the categorical binner over n category
+// codes: code c is bin c, by equal-width division of [0, n) with width
+// 1, so a run of adjacent bins is a range of codes.
 func NewCategorical(n int) (*Binner, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("binning: need at least one category, got %d", n)
 	}
-	order := make([]int, n)
-	for c := range order {
-		order[c] = c
-	}
-	return newTable(order), nil
-}
-
-// NewCategoricalOrdered constructs a categorical binner where category
-// code c maps to bin order[c]. order must be a permutation of 0..n-1.
-// It supports the future-work extension of clustering with one
-// categorical LHS attribute: reordering categories changes adjacency in
-// the grid, and the densest ordering yields the best clusters.
-func NewCategoricalOrdered(order []int) (*Binner, error) {
-	n := len(order)
-	if n == 0 {
-		return nil, fmt.Errorf("binning: empty ordering")
-	}
-	seen := make([]bool, n)
-	for _, b := range order {
-		if b < 0 || b >= n || seen[b] {
-			return nil, fmt.Errorf("binning: order is not a permutation: %v", order)
-		}
-		seen[b] = true
-	}
-	return newTable(order), nil
-}
-
-// newTable is the categorical binner over a validated permutation.
-func newTable(order []int) *Binner {
-	b := &Binner{kind: table, method: "categorical", n: len(order),
-		bin: make([]int32, len(order)), code: make([]int32, len(order))}
-	for code, bin := range order {
-		b.bin[code] = int32(bin)
-		b.code[bin] = int32(code)
-	}
-	return b
+	return &Binner{kind: divide, method: "categorical", n: n, hi: float64(n), width: 1}, nil
 }
 
 // Boundaries collects every boundary value a binner can produce — the
 // lo and hi of each bin's Bounds — sorted ascending with duplicates
-// removed. For the quantitative binners, whose bins tile the domain
-// contiguously, the result is the boundary array B[0..n] with bin b
-// spanning [B[b], B[b+1]); for a permuted categorical binner it is the
-// category cut points 0, 1, ..., n regardless of bin order. Because
-// cluster rule bounds are taken verbatim from Bounds, every rule edge is
-// a member of this array — the property the verification index relies on
-// to replace value comparisons with slot comparisons exactly.
+// removed. Every binner's bins tile its domain contiguously, so the
+// result is the boundary array B[0..n] with bin b spanning
+// [B[b], B[b+1]); for a categorical binner it is the category cut
+// points 0, 1, ..., n. Because cluster rule bounds are taken verbatim
+// from Bounds, every rule edge is a member of this array — the property
+// the verification index relies on to replace value comparisons with
+// slot comparisons exactly.
 func Boundaries(b *Binner) []float64 {
 	n := b.NumBins()
 	vals := make([]float64, 0, 2*n)

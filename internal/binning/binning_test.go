@@ -230,35 +230,6 @@ func TestCategoricalIdentity(t *testing.T) {
 	if lo != 2 || hi != 3 {
 		t.Errorf("Bounds(2) = [%v, %v)", lo, hi)
 	}
-}
-
-func TestCategoricalOrdered(t *testing.T) {
-	// code 0 -> bin 2, code 1 -> bin 0, code 2 -> bin 1
-	c, err := NewCategoricalOrdered([]int{2, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Bin(0) != 2 || c.Bin(1) != 0 || c.Bin(2) != 1 {
-		t.Error("permutation not applied")
-	}
-	// Bin b holds code inv[b]: bin 0 <- code 1, bin 1 <- code 2, bin 2 <- code 0.
-	for b, code := range []float64{1, 2, 0} {
-		if lo, hi := c.Bounds(b); lo != code || hi != code+1 {
-			t.Errorf("Bounds(%d) = [%v, %v), want code %v", b, lo, hi, code)
-		}
-	}
-}
-
-func TestCategoricalOrderedErrors(t *testing.T) {
-	if _, err := NewCategoricalOrdered(nil); err == nil {
-		t.Error("empty order should error")
-	}
-	if _, err := NewCategoricalOrdered([]int{0, 0}); err == nil {
-		t.Error("non-permutation should error")
-	}
-	if _, err := NewCategoricalOrdered([]int{0, 5}); err == nil {
-		t.Error("out-of-range order should error")
-	}
 	if _, err := NewCategorical(0); err == nil {
 		t.Error("zero categories should error")
 	}

@@ -47,7 +47,6 @@ func TestLookupsPinned(t *testing.T) {
 		{"homogeneity", must(NewHomogeneity(vals, 4)), "homogeneity", 4, 0x4e338e47899044cd},
 		{"supervised", must(NewSupervised(sv, sc, 8)), "supervised", 3, 0xc4dec79eb2a3f082},
 		{"categorical", must(NewCategorical(6)), "categorical", 6, 0x1c4fabd2da0097fc},
-		{"categorical-ordered", must(NewCategoricalOrdered([]int{2, 0, 3, 1})), "categorical", 4, 0xb36ee7ac7afefde1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,10 +1,8 @@
 // Package cluster turns the rectangles found by BitOp back into
 // user-facing clustered association rules (paper §2.1), implements the
-// dynamic cluster pruning of §3.5, and provides two of the paper's
+// dynamic cluster pruning of §3.5, and provides one of the paper's
 // future-work extensions: combining overlapping two-attribute clustered
-// rules into rules over more than two attributes, and ordering the
-// values of a categorical LHS attribute so that the densest clusters
-// become contiguous in the grid.
+// rules into rules over more than two attributes.
 package cluster
 
 import (
@@ -207,68 +205,4 @@ func minF(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// OrderCategories computes an ordering of grid columns (category codes of
-// a categorical LHS attribute) that makes similar columns adjacent,
-// enabling BitOp to find contiguous clusters over an attribute with no
-// natural order (paper §5). The heuristic chains columns greedily: start
-// from the densest column, then repeatedly append the unplaced column
-// whose set-row profile shares the most rows with the previously placed
-// one. The result maps category code to grid position, suitable for
-// binning.NewCategoricalOrdered.
-func OrderCategories(bm *grid.Bitmap) []int {
-	cols := bm.Cols()
-	rows := bm.Rows()
-	profiles := make([][]bool, cols)
-	density := make([]int, cols)
-	for c := 0; c < cols; c++ {
-		profiles[c] = make([]bool, rows)
-		for r := 0; r < rows; r++ {
-			if bm.Get(r, c) {
-				profiles[c][r] = true
-				density[c]++
-			}
-		}
-	}
-	similarity := func(a, b int) int {
-		s := 0
-		for r := 0; r < rows; r++ {
-			if profiles[a][r] && profiles[b][r] {
-				s++
-			}
-		}
-		return s
-	}
-	placed := make([]bool, cols)
-	// Start with the densest column (ties: lowest code).
-	cur := 0
-	for c := 1; c < cols; c++ {
-		if density[c] > density[cur] {
-			cur = c
-		}
-	}
-	chain := []int{cur}
-	placed[cur] = true
-	for len(chain) < cols {
-		best, bestSim := -1, -1
-		for c := 0; c < cols; c++ {
-			if placed[c] {
-				continue
-			}
-			sim := similarity(cur, c)
-			// Tie-break by density, then code, for determinism.
-			if sim > bestSim || (sim == bestSim && best >= 0 && density[c] > density[best]) {
-				best, bestSim = c, sim
-			}
-		}
-		chain = append(chain, best)
-		placed[best] = true
-		cur = best
-	}
-	order := make([]int, cols)
-	for pos, code := range chain {
-		order[code] = pos
-	}
-	return order
 }

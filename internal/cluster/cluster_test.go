@@ -167,39 +167,3 @@ func TestCombineBothSharedErrors(t *testing.T) {
 		t.Error("rules sharing both attributes should error")
 	}
 }
-
-func TestOrderCategoriesMakesDenseColumnsAdjacent(t *testing.T) {
-	// Columns 0 and 3 share the same row profile; columns 1 and 2 are
-	// empty. A good ordering puts 0 and 3 next to each other.
-	bm, _ := grid.New(4, 4)
-	for r := 0; r < 4; r++ {
-		bm.Set(r, 0)
-		bm.Set(r, 3)
-	}
-	order := OrderCategories(bm)
-	if len(order) != 4 {
-		t.Fatalf("order = %v", order)
-	}
-	posOf := func(code int) int { return order[code] }
-	d := posOf(0) - posOf(3)
-	if d != 1 && d != -1 {
-		t.Errorf("similar columns 0 and 3 not adjacent: order = %v", order)
-	}
-	// The result must be a permutation.
-	seen := make([]bool, 4)
-	for _, p := range order {
-		if p < 0 || p >= 4 || seen[p] {
-			t.Fatalf("order is not a permutation: %v", order)
-		}
-		seen[p] = true
-	}
-}
-
-func TestOrderCategoriesSingleColumn(t *testing.T) {
-	bm, _ := grid.New(3, 1)
-	bm.Set(1, 0)
-	order := OrderCategories(bm)
-	if len(order) != 1 || order[0] != 0 {
-		t.Errorf("order = %v", order)
-	}
-}

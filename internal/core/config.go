@@ -210,11 +210,6 @@ type Config struct {
 	// random draws of half the sample.
 	SampleSize int
 
-	// ReorderCategorical enables the densest-cluster category ordering
-	// for a categorical LHS attribute (default on; only relevant when an
-	// LHS attribute is categorical).
-	ReorderCategorical *bool
-
 	// Seed drives all sampling; runs are deterministic per seed.
 	Seed int64
 
@@ -300,10 +295,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleSize == 0 {
 		c.SampleSize = 2000
-	}
-	if c.ReorderCategorical == nil {
-		t := true
-		c.ReorderCategorical = &t
 	}
 	return c
 }

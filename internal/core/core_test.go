@@ -260,29 +260,41 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestCategoricalLHSReordered(t *testing.T) {
-	// elevel (categorical, 5 values) × salary: the pipeline must accept
-	// a categorical LHS attribute and still produce rules. Function 3
-	// ties group to (age, elevel); use elevel × age.
-	gen := synthSource(t, synth.Config{Function: 3, N: 20_000, Seed: 7, FracA: 0.5})
+// TestCategoricalRulesCoverTheirBins: a categorical LHS axis is binned
+// in category-code order, so each mined rule's value range holds
+// exactly the category codes of the bins its cluster spans.
+func TestCategoricalRulesCoverTheirBins(t *testing.T) {
+	gen := synthSource(t, synth.Config{Function: 2, N: 5_000, Seed: 7, Perturbation: 0.05, FracA: 0.4})
 	sys, err := New(gen, Config{
-		XAttr: synth.AttrELevel, YAttr: synth.AttrAge,
+		XAttr: synth.AttrCar, YAttr: synth.AttrSalary,
 		CritAttr: synth.AttrGroup, CritValue: synth.GroupA,
 		NumBins: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sys.MineAt(0.0005, 0.5)
+	res, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) == 0 {
-		t.Error("categorical LHS produced no rules")
+	if len(res.Rules) == 0 {
+		t.Fatal("categorical LHS produced no rules")
 	}
 	xb, _ := sys.Binners()
-	if xb.NumBins() != 5 {
-		t.Errorf("elevel bins = %d, want 5 (one per category)", xb.NumBins())
+	if xb.NumBins() != synth.NumCars {
+		t.Fatalf("car bins = %d, want %d (one per category)", xb.NumBins(), synth.NumCars)
+	}
+	for _, r := range res.Rules {
+		for c := 0; c < xb.NumBins(); c++ {
+			v := float64(c)
+			inRange := r.XLo <= v && v < r.XHi
+			bin := xb.Bin(v)
+			if inBins := r.XLoBin <= bin && bin <= r.XHiBin; inRange != inBins {
+				t.Errorf("rule %v over car bins %d..%d: code %d (bin %d) in range %v, in bins %v",
+					r, r.XLoBin, r.XHiBin, c, bin, inRange, inBins)
+				break
+			}
+		}
 	}
 }
 

@@ -171,15 +171,6 @@ func NewContext(ctx context.Context, src dataset.Source, cfg Config) (*System, e
 		return nil, err
 	}
 
-	if *cfg.ReorderCategorical && (s.xCat || s.yCat) {
-		sp := init.Child("reorder")
-		if err := s.reorderCategorical(); err != nil {
-			return nil, err
-		}
-		sp.End()
-	}
-	// Built last: the index depends on the final binner boundaries, which
-	// reorderCategorical may have replaced.
 	sp := init.Child("verify-index")
 	if err := s.buildVerifyIndex(); err != nil {
 		return nil, err
@@ -251,52 +242,6 @@ func initErr(err error) error {
 		return &RunError{Phase: "init", Err: err}
 	}
 	return err
-}
-
-// reorderCategorical computes the densest-cluster ordering for the
-// categorical LHS attribute (paper §5) from a zero-threshold rule grid
-// and permutes the count backend in memory.
-func (s *System) reorderCategorical() error {
-	seg, err := s.segCode(s.cfg.CritValue)
-	if err != nil {
-		// No criterion value chosen yet (e.g. SegmentAll); reorder by
-		// the first category.
-		seg = 0
-	}
-	bm, err := engine.RuleGrid(s.ba, seg, 0, 0)
-	if err != nil {
-		return err
-	}
-	if !bm.Any() {
-		return nil
-	}
-	if s.xCat {
-		order := cluster.OrderCategories(bm)
-		ordered, err := binning.NewCategoricalOrdered(order)
-		if err != nil {
-			return err
-		}
-		if s.ba, err = counts.PermuteX(s.ba, order); err != nil {
-			return err
-		}
-		s.xb = ordered
-	} else {
-		// Column-order the transpose so OrderCategories sees the y
-		// categories as columns.
-		order := cluster.OrderCategories(bm.Transpose())
-		ordered, err := binning.NewCategoricalOrdered(order)
-		if err != nil {
-			return err
-		}
-		if s.ba, err = counts.PermuteY(s.ba, order); err != nil {
-			return err
-		}
-		s.yb = ordered
-	}
-	// Any cached thresholds refer to the old layout's cells; supports
-	// and confidences are permutation-invariant, but rebuild for safety.
-	s.thresholds = make(map[int]*engine.Thresholds)
-	return nil
 }
 
 // segCode resolves a criterion label to its category code.

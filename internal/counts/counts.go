@@ -1,9 +1,8 @@
 // Package counts is the count substrate behind the ARCS pipeline: the
 // BinArray of paper §3.1. It is filled in one pass over the data, after
 // which the feedback loop only reads it; everything downstream of the
-// build — the rule engine, grid construction, categorical reorder,
-// threshold enumeration — needs only the small read API captured here
-// as Backend.
+// build — the rule engine, grid construction, threshold enumeration —
+// needs only the small read API captured here as Backend.
 //
 // Two in-memory backends fill that API, selected by memory budget
 // (Options/Kind): the dense DenseArray is the reference and the fast
@@ -47,8 +46,8 @@ type Backend interface {
 	// row-major order (x outer, y inner) with the full count slab
 	// [seg 0 .. seg nseg-1, total]. The slice is only valid during the
 	// callback and must not be mutated. This is the bulk read path:
-	// rule mining, snapshots, occupancy metrics, merges and permutes
-	// iterate occupied cells instead of scanning the grid.
+	// rule mining, snapshots, occupancy metrics and merges iterate
+	// occupied cells instead of scanning the grid.
 	Cells(fn func(x, y int, cell []uint32))
 	// Stats summarizes the backend's shape and footprint.
 	Stats() Stats
@@ -143,9 +142,9 @@ func (s *shape) outOfRange(x, y, seg int) {
 	panic(fmt.Sprintf("counts: cell (%d, %d, %d) out of range %d×%d×%d", x, y, seg, s.nx, s.ny, s.nseg))
 }
 
-// addTuples advances the tuple total by n. A merge or permute moves
-// whole count slabs with addCell and the exact total with addTuples:
-// saturated cell totals cannot reconstruct it.
+// addTuples advances the tuple total by n. A merge moves whole count
+// slabs with addCell and the exact total with addTuples: saturated cell
+// totals cannot reconstruct it.
 func (s *shape) addTuples(n uint64) { s.n += n }
 
 // satAdd is the saturating accumulation every count goes through:
@@ -162,7 +161,7 @@ func satAdd(c, n uint32) uint32 {
 }
 
 // accumulate adds count slab src into dst element-wise with saturation:
-// the per-cell step of sharded merges and permutes.
+// the per-cell step of sharded merges.
 // Copying the stored total instead of re-deriving it keeps saturated
 // cells byte-identical.
 func accumulate(dst, src []uint32) {
@@ -175,8 +174,8 @@ func accumulate(dst, src []uint32) {
 
 // builder is the write side of one build. Both backends are their own
 // mutable builders: the fill pass feeds them tuples through AddN;
-// merges and permutes feed them whole count slabs through addCell and
-// the exact tuple total through addTuples.
+// merges feed them whole count slabs through addCell and the exact
+// tuple total through addTuples.
 type builder interface {
 	Backend
 	AddN(x, y, seg int, n uint32)
@@ -184,8 +183,8 @@ type builder interface {
 	addTuples(n uint64)
 }
 
-// newBuilder is the one backend-kind dispatch: every build, shard and
-// permute starts from it. Auto (never passed by a resolved build) and
+// newBuilder is the one backend-kind dispatch: every build and shard
+// starts from it. Auto (never passed by a resolved build) and
 // unknown kinds get the dense reference.
 func newBuilder(kind Kind, nx, ny, nseg int, opts Options) (builder, error) {
 	if kind == Sparse {
@@ -266,48 +265,10 @@ func criterionError(a *dataset.Attribute, seg, nseg int) error {
 	return fmt.Errorf("counts: criterion value %d out of range 0..%d", seg, nseg-1)
 }
 
-// transfer accumulates every occupied cell of src into dst, at the
-// coordinates at maps it to (nil keeps them), and advances dst's tuple
-// total by src's: the one per-cell step behind sharded merges and
-// permutes.
-func transfer(dst builder, src Backend, at func(x, y int) (int, int)) {
-	src.Cells(func(x, y int, cell []uint32) {
-		if at != nil {
-			x, y = at(x, y)
-		}
-		dst.addCell(x, y, cell)
-	})
+// transfer accumulates every occupied cell of src into dst and
+// advances dst's tuple total by src's: the one per-cell step of a
+// sharded merge.
+func transfer(dst builder, src Backend) {
+	src.Cells(dst.addCell)
 	dst.addTuples(src.N())
-}
-
-// PermuteX returns a backend of the same kind with old x bin i at
-// position order[i] — the categorical densest-cluster reorder: after a
-// better category ordering is computed, the counts are permuted instead
-// of re-reading the source. order must be a permutation of 0..NX-1.
-func PermuteX(b Backend, order []int) (Backend, error) {
-	return permute(b, order, "x", b.NX(), func(x, y int) (int, int) { return order[x], y })
-}
-
-// PermuteY is PermuteX for the y axis.
-func PermuteY(b Backend, order []int) (Backend, error) {
-	return permute(b, order, "y", b.NY(), func(x, y int) (int, int) { return x, order[y] })
-}
-
-func permute(b Backend, order []int, axis string, n int, at func(x, y int) (int, int)) (Backend, error) {
-	if len(order) != n {
-		return nil, fmt.Errorf("counts: order has %d entries for %d %s bins", len(order), n, axis)
-	}
-	seen := make([]bool, n)
-	for _, p := range order {
-		if p < 0 || p >= n || seen[p] {
-			return nil, fmt.Errorf("counts: order is not a permutation: %v", order)
-		}
-		seen[p] = true
-	}
-	out, err := newBuilder(KindOf(b), b.NX(), b.NY(), b.NSeg(), Options{})
-	if err != nil {
-		return nil, err
-	}
-	transfer(out, b, at)
-	return out, nil
 }

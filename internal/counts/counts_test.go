@@ -130,53 +130,6 @@ func TestBuildShardedCancel(t *testing.T) {
 	}
 }
 
-// TestPermuteSharded: permuting the backend a sharded build returns
-// matches permuting the sequential dense array, on every backend kind.
-func TestPermuteSharded(t *testing.T) {
-	tab := testTable(t, 500)
-	spec := testSpec(t)
-	seq, err := Build(context.Background(), tab, spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := make([]int, seq.NX())
-	for i := range order {
-		order[i] = seq.NX() - 1 - i
-	}
-	yOrder := make([]int, seq.NY())
-	for i := range yOrder {
-		yOrder[i] = (i + 1) % seq.NY()
-	}
-	wantX, err := PermuteX(seq, order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantY, err := PermuteY(seq, yOrder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []Kind{Dense, Sparse} {
-		sh, _, err := BuildSharded(context.Background(), tab, 3, spec, Options{Kind: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotX, err := PermuteX(sh, order)
-		if err != nil {
-			t.Fatalf("%v PermuteX: %v", kind, err)
-		}
-		if !bytes.Equal(snapBytes(t, gotX), snapBytes(t, wantX)) {
-			t.Errorf("%v: permuted sharded counts differ from permuted dense counts", kind)
-		}
-		gotY, err := PermuteY(sh, yOrder)
-		if err != nil {
-			t.Fatalf("%v PermuteY: %v", kind, err)
-		}
-		if !bytes.Equal(snapBytes(t, gotY), snapBytes(t, wantY)) {
-			t.Errorf("%v: y-permuted sharded counts differ from y-permuted dense counts", kind)
-		}
-	}
-}
-
 // TestShardedAddDelegates: the backend a sharded build returns is
 // mutable whatever its kind, and an Add lands in the merged counts.
 func TestShardedAddDelegates(t *testing.T) {

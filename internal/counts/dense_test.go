@@ -295,7 +295,7 @@ func TestAddNSaturation(t *testing.T) {
 	s1, s2 := newDenseT(t, 2, 2, 2), newDenseT(t, 2, 2, 2)
 	s1.AddN(1, 0, 1, math.MaxUint32/2+7)
 	s2.AddN(1, 0, 1, math.MaxUint32/2+9)
-	transfer(s1, s2, nil)
+	transfer(s1, s2)
 	if got := s1.Count(1, 0, 1); got != math.MaxUint32 {
 		t.Errorf("merged saturated Count = %d, want MaxUint32", got)
 	}
@@ -321,7 +321,7 @@ func TestMergeAddsCounts(t *testing.T) {
 	a.Add(2, 1, 1)
 	b.Add(0, 0, 0)
 	b.Add(0, 0, 1)
-	transfer(a, b, nil)
+	transfer(a, b)
 	if got := a.Count(0, 0, 0); got != 2 {
 		t.Errorf("Count(0,0,0) = %d, want 2", got)
 	}
@@ -340,71 +340,6 @@ func TestMergeAddsCounts(t *testing.T) {
 	// The merge source is untouched.
 	if got := b.N(); got != 2 {
 		t.Errorf("merge source N() = %d, want 2", got)
-	}
-}
-
-// permuteFixture is the 3×2 grid of the permute tests on every backend.
-func permuteFixture(t *testing.T) map[string]Backend {
-	return builtBackends(t, 3, 2, 2, []gridOp{{0, 0, 0, 2}, {1, 1, 1, 1}, {2, 0, 0, 1}})
-}
-
-func TestPermuteX(t *testing.T) {
-	for kind, b := range permuteFixture(t) {
-		// old x 0 -> 2, 1 -> 0, 2 -> 1
-		out, err := PermuteX(b, []int{2, 0, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if KindOf(out) != KindOf(b) {
-			t.Errorf("%s: permuted to a %v backend", kind, KindOf(out))
-		}
-		if out.N() != b.N() {
-			t.Errorf("%s: N = %d, want %d", kind, out.N(), b.N())
-		}
-		if got := out.Count(2, 0, 0); got != 2 {
-			t.Errorf("%s: Count(2,0,0) = %d, want 2 (moved from x=0)", kind, got)
-		}
-		if got := out.Count(0, 1, 1); got != 1 {
-			t.Errorf("%s: Count(0,1,1) = %d, want 1 (moved from x=1)", kind, got)
-		}
-		if got := out.CellTotal(1, 0); got != 1 {
-			t.Errorf("%s: CellTotal(1,0) = %d, want 1 (moved from x=2)", kind, got)
-		}
-		// Original untouched.
-		if b.Count(0, 0, 0) != 2 {
-			t.Errorf("%s: PermuteX modified its input", kind)
-		}
-	}
-}
-
-func TestPermuteY(t *testing.T) {
-	for kind, b := range builtBackends(t, 2, 3, 1, []gridOp{{0, 0, 0, 1}, {1, 2, 0, 1}}) {
-		out, err := PermuteY(b, []int{1, 2, 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := out.Count(0, 1, 0); got != 1 {
-			t.Errorf("%s: Count(0,1,0) = %d (y=0 should move to 1)", kind, got)
-		}
-		if got := out.Count(1, 0, 0); got != 1 {
-			t.Errorf("%s: Count(1,0,0) = %d (y=2 should move to 0)", kind, got)
-		}
-	}
-}
-
-func TestPermuteValidation(t *testing.T) {
-	b := newDenseT(t, 3, 3, 1)
-	if _, err := PermuteX(b, []int{0, 1}); err == nil {
-		t.Error("wrong-length order should error")
-	}
-	if _, err := PermuteX(b, []int{0, 0, 1}); err == nil {
-		t.Error("non-permutation should error")
-	}
-	if _, err := PermuteY(b, []int{0, 1, 9}); err == nil {
-		t.Error("out-of-range order should error")
-	}
-	if _, err := PermuteY(b, []int{0, 1}); err == nil {
-		t.Error("wrong-length y order should error")
 	}
 }
 

@@ -43,7 +43,7 @@ func BuildSharded(ctx context.Context, src dataset.Sharder, workers int, spec Sp
 		}
 	}
 	for _, p := range parts[1:] {
-		transfer(parts[0], p, nil)
+		transfer(parts[0], p)
 	}
 	return parts[0], workers, nil
 }

@@ -92,11 +92,8 @@ func qualityTable(fn, n int, seed int64) (*dataset.Table, error) {
 
 // QualityEval mines one classification function with the standard ARCS
 // configuration and evaluates the segmentation against a held-out test
-// table. Functions whose recommended pair has a categorical axis are
-// mined with categorical reordering disabled, so the mined value ranges
-// live in the same unpermuted code space as the ground-truth regions.
-// The training table is materialized once, so core.New's two passes
-// over it do not generate it twice. Alongside the report it returns the
+// table. The training table is materialized once, so core.New's two
+// passes over it do not generate it twice. Alongside the report it returns the
 // wall-clock time of each stage as the phases quality-f<N>-generate
 // (training and test tables), -mine and -evaluate.
 func QualityEval(fn, trainN, testN int) (*quality.Report, []core.PhaseTiming, error) {
@@ -126,10 +123,6 @@ func QualityEval(fn, trainN, testN int) (*quality.Report, []core.PhaseTiming, er
 
 	cfg := arcsConfig(50, DefaultSeed)
 	cfg.XAttr, cfg.YAttr = tr.XAttr, tr.YAttr
-	if tr.CategoricalY {
-		f := false
-		cfg.ReorderCategorical = &f
-	}
 	sys, err := core.New(train, cfg)
 	if err != nil {
 		return nil, nil, err

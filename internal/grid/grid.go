@@ -208,19 +208,6 @@ func (b *Bitmap) String() string {
 	return sb.String()
 }
 
-// Transpose returns a new bitmap with rows and columns swapped.
-func (b *Bitmap) Transpose() *Bitmap {
-	out, _ := New(b.cols, b.rows)
-	for r := 0; r < b.rows; r++ {
-		for c := 0; c < b.cols; c++ {
-			if b.Get(r, c) {
-				out.Set(c, r)
-			}
-		}
-	}
-	return out
-}
-
 // MaskEmpty reports whether a packed row mask has no set bits.
 func MaskEmpty(mask []uint64) bool {
 	for _, w := range mask {

@@ -267,28 +267,3 @@ func TestDenseGrid(t *testing.T) {
 		t.Errorf("Threshold dims = %d×%d", bm.Rows(), bm.Cols())
 	}
 }
-
-func TestTranspose(t *testing.T) {
-	bm, _ := New(2, 3)
-	bm.Set(0, 2)
-	bm.Set(1, 0)
-	tr := bm.Transpose()
-	if tr.Rows() != 3 || tr.Cols() != 2 {
-		t.Fatalf("dims = %dx%d", tr.Rows(), tr.Cols())
-	}
-	if !tr.Get(2, 0) || !tr.Get(0, 1) {
-		t.Error("cells not transposed")
-	}
-	if tr.PopCount() != bm.PopCount() {
-		t.Error("pop count changed")
-	}
-	// Double transpose is identity.
-	back := tr.Transpose()
-	for r := 0; r < 2; r++ {
-		for c := 0; c < 3; c++ {
-			if back.Get(r, c) != bm.Get(r, c) {
-				t.Fatalf("double transpose differs at (%d,%d)", r, c)
-			}
-		}
-	}
-}

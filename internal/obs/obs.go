@@ -19,7 +19,6 @@
 //	                      strategy (method_x, method_y)
 //	  count               count-backend fill pass (mode sequential or
 //	                      sharded, backend dense or sparse)
-//	  reorder             categorical densest-cluster reordering
 //	  verify-index        verification-sample pre-binning
 //	run                   one RunValue feedback loop
 //	  search              optimizer strategy

@@ -442,10 +442,8 @@ func (s *Server) execute(ctx context.Context, r *Run, observer *obs.Observer) {
 // held-out test table (the generator re-run on a shifted seed) and
 // publishes the headline numbers into the shared registry. Generating
 // disjuncts are attached only when the spec mines the function's
-// recommended pair and that pair is fully quantitative — categorical
-// regions live in unpermuted code space, which the server's default
-// category reordering would misalign. Evaluation failures degrade to a
-// missing quality block, never to a failed run.
+// recommended pair. Evaluation failures degrade to a missing quality
+// block, never to a failed run.
 func (s *Server) evaluateQuality(runID string, spec JobSpec, results map[string]*core.Result, reg *obs.Registry) map[string]*quality.Report {
 	testGen, err := synth.NewStream(synth.Config{
 		Function:        spec.Synth.Function,
@@ -472,8 +470,7 @@ func (s *Server) evaluateQuality(runID string, spec JobSpec, results map[string]
 			CritAttr: spec.Crit, CritValue: label,
 		}
 		if tr, terr := synth.GroundTruth(spec.Synth.Function); terr == nil &&
-			tr.HasRegions() && !tr.CategoricalY &&
-			tr.XAttr == spec.X && tr.YAttr == spec.Y &&
+			tr.HasRegions() && tr.XAttr == spec.X && tr.YAttr == spec.Y &&
 			spec.Crit == synth.AttrGroup && label == synth.GroupA {
 			opts.Truth = tr.Regions
 			opts.XLo, opts.XHi = tr.XLo, tr.XHi

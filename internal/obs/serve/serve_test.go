@@ -194,53 +194,59 @@ func TestObsServeMetricsScrape(t *testing.T) {
 
 // TestObsServeQualityBlock: a synth run's status carries a quality
 // report for the mined value — held-out error, per-rule measures, and
-// (Function 2 mines its recommended pair) rectangle recovery — and the
+// rectangle recovery, since each spec mines its function's recommended
+// pair (Function 3's has the categorical elevel axis, whose truth
+// regions and mined rules are both in category-code order) — and the
 // quality gauges land on /metrics.
 func TestObsServeQualityBlock(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, ts := newTestServer(t, Options{Registry: reg, QualityTestN: 2000})
-	id := submit(t, ts, synthSpec())
-	st := waitTerminal(t, s, ts, id)
-	if st.State != StateDone {
-		t.Fatalf("run ended %q (err %q)", st.State, st.Error)
-	}
-	rep, ok := st.Quality["A"]
-	if !ok {
-		t.Fatalf("status has no quality report for A: %+v", st.Quality)
-	}
-	if rep.TestN != 2000 {
-		t.Errorf("quality TestN = %d, want the configured 2000", rep.TestN)
-	}
-	if rep.Rules < 1 || len(rep.RuleMeasures) != rep.Rules {
-		t.Errorf("quality rules = %d with %d measures", rep.Rules, len(rep.RuleMeasures))
-	}
-	if rep.ErrorPct < 0 || rep.ErrorPct > 100 {
-		t.Errorf("quality error = %g out of range", rep.ErrorPct)
-	}
-	// The spec mines Function 2 over age×salary = the recommended pair,
-	// so recovery against the generating disjuncts must be present.
-	if rep.Recovery == nil {
-		t.Fatal("quality report lacks rectangle recovery for Function 2 on its recommended pair")
-	}
-	if rep.Recovery.IoU <= 0 || rep.Recovery.IoU > 1 {
-		t.Errorf("recovery IoU = %g out of range", rep.Recovery.IoU)
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	for _, want := range []string{
-		"arcs_quality_error_rate_pct",
-		"arcs_quality_rules",
-		"arcs_quality_recovery_iou",
-		"arcs_quality_rule_lift_count",
+	for _, tc := range []struct{ name, spec string }{
+		{"f2 age×salary", synthSpec()},
+		{"f3 age×elevel", `{"synth":{"function":3,"n":5000,"seed":1,"perturbation":0.05,"frac_a":0.4},
+		  "x":"age","y":"elevel","crit":"group","value":"A","bins":20}`},
 	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("scrape lacks %q", want)
+		reg := obs.NewRegistry()
+		s, ts := newTestServer(t, Options{Registry: reg, QualityTestN: 2000})
+		id := submit(t, ts, tc.spec)
+		st := waitTerminal(t, s, ts, id)
+		if st.State != StateDone {
+			t.Fatalf("%s: run ended %q (err %q)", tc.name, st.State, st.Error)
+		}
+		rep, ok := st.Quality["A"]
+		if !ok {
+			t.Fatalf("%s: status has no quality report for A: %+v", tc.name, st.Quality)
+		}
+		if rep.TestN != 2000 {
+			t.Errorf("%s: quality TestN = %d, want the configured 2000", tc.name, rep.TestN)
+		}
+		if rep.Rules < 1 || len(rep.RuleMeasures) != rep.Rules {
+			t.Errorf("%s: quality rules = %d with %d measures", tc.name, rep.Rules, len(rep.RuleMeasures))
+		}
+		if rep.ErrorPct < 0 || rep.ErrorPct > 100 {
+			t.Errorf("%s: quality error = %g out of range", tc.name, rep.ErrorPct)
+		}
+		if rep.Recovery == nil {
+			t.Fatalf("%s: quality report lacks rectangle recovery on the function's recommended pair", tc.name)
+		}
+		if rep.Recovery.IoU <= 0 || rep.Recovery.IoU > 1 {
+			t.Errorf("%s: recovery IoU = %g out of range", tc.name, rep.Recovery.IoU)
+		}
+
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		for _, want := range []string{
+			"arcs_quality_error_rate_pct",
+			"arcs_quality_rules",
+			"arcs_quality_recovery_iou",
+			"arcs_quality_rule_lift_count",
+		} {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("%s: scrape lacks %q", tc.name, want)
+			}
 		}
 	}
 }

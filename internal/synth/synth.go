@@ -102,13 +102,14 @@ func (c Config) validate() error {
 	if c.N < 0 {
 		return fmt.Errorf("synth: N must be non-negative, got %d", c.N)
 	}
-	if c.Perturbation < 0 || c.Perturbation > 1 {
+	// The fraction checks are written so that NaN fails them.
+	if !(c.Perturbation >= 0 && c.Perturbation <= 1) {
 		return fmt.Errorf("synth: perturbation must be in [0,1], got %g", c.Perturbation)
 	}
-	if c.OutlierFraction < 0 || c.OutlierFraction > 1 {
+	if !(c.OutlierFraction >= 0 && c.OutlierFraction <= 1) {
 		return fmt.Errorf("synth: outlier fraction must be in [0,1], got %g", c.OutlierFraction)
 	}
-	if c.FracA < 0 || c.FracA >= 1 {
+	if !(c.FracA >= 0 && c.FracA < 1) {
 		return fmt.Errorf("synth: fracA must be in [0,1), got %g", c.FracA)
 	}
 	return nil

@@ -33,8 +33,8 @@ type Truth struct {
 	// Regions are the generating disjuncts in the (XAttr, YAttr) plane,
 	// nil when the function is not a union of axis-aligned rectangles
 	// there. For a categorical axis the bounds are category codes (code
-	// c occupies [c, c+1)) in unpermuted code space (Function 3):
-	// evaluate against rules mined with categorical reordering disabled.
+	// c occupies [c, c+1)), the order in which a categorical axis is
+	// binned and mined (Function 3).
 	Regions []rules.Rect `json:"regions,omitempty"`
 	// CategoricalY marks YAttr as categorical (code-space axis).
 	CategoricalY bool `json:"categorical_y,omitempty"`

@@ -175,9 +175,9 @@ func (ix *Index) NewCoverage(rs []rules.ClusteredRule) *Coverage {
 		}
 		ix.fastC.Inc()
 		if xhi <= xlo || yhi <= ylo {
-			// Empty or inverted value range (permuted categorical bins
-			// produce these): Covers is identically false, so the rule
-			// contributes nothing.
+			// Empty or inverted value range: only a hand-built rule can
+			// have one, since a mined rule spans at least one bin. Covers
+			// is identically false, so the rule contributes nothing.
 			continue
 		}
 		bm.FillRect(grid.Rect{R0: ylo, C0: xlo, R1: yhi - 1, C1: xhi - 1})

@@ -44,9 +44,9 @@ func indexFixture(t *testing.T, rng *rand.Rand, n int) (*dataset.Table, []float6
 }
 
 // randomRules draws boundary-aligned rule rectangles, sprinkling in
-// inverted ranges (which cover nothing, like permuted-categorical rules)
-// and, when misaligned is set, rules whose edges are not boundary values
-// (forcing the rect-scan fallback).
+// inverted ranges (which cover nothing) and, when misaligned is set,
+// rules whose edges are not boundary values (forcing the rect-scan
+// fallback).
 func randomRules(rng *rand.Rand, xB, yB []float64, count int, misaligned bool) []rules.ClusteredRule {
 	rs := make([]rules.ClusteredRule, 0, count)
 	for len(rs) < count {
@@ -139,55 +139,6 @@ func TestIndexMeasureRepeatedMatches(t *testing.T) {
 		if m1 != m2 || s1 != s2 {
 			t.Fatalf("trial %d: repeated measure mismatch: scan (%v, %v) index (%v, %v)",
 				trial, m1, s1, m2, s2)
-		}
-	}
-}
-
-// TestIndexPermutedCategorical models the permuted-categorical binner: a
-// non-monotone bin order whose Bounds produce single-category ranges and
-// whose multi-bin clusters can yield inverted value ranges.
-func TestIndexPermutedCategorical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	schema := dataset.NewSchema(
-		dataset.Attribute{Name: "cat", Kind: dataset.Categorical},
-		dataset.Attribute{Name: "y", Kind: dataset.Quantitative},
-		dataset.Attribute{Name: "g", Kind: dataset.Categorical},
-	)
-	tb := dataset.NewTable(schema)
-	for i := 0; i < 300; i++ {
-		tb.MustAppend(dataset.Tuple{float64(rng.Intn(5)), rng.Float64() * 10, float64(rng.Intn(2))})
-	}
-	cat, err := binning.NewCategoricalOrdered([]int{3, 0, 4, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	yb, err := binning.NewEquiWidth(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xB, yB := binning.Boundaries(cat), binning.Boundaries(yb)
-	ix, err := NewIndex(tb, 0, 1, 2, xB, yB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 30; trial++ {
-		// Rules spanning bin rects of the permuted binner, value ranges
-		// from Bounds — exactly how cluster.FromRects builds them. Spans
-		// crossing a permutation discontinuity produce inverted or
-		// oversized value ranges; equivalence must still be exact.
-		b0, b1 := rng.Intn(5), rng.Intn(5)
-		if b0 > b1 {
-			b0, b1 = b1, b0
-		}
-		xlo, _ := cat.Bounds(b0)
-		_, xhi := cat.Bounds(b1)
-		r := rules.ClusteredRule{XLo: xlo, XHi: xhi, YLo: 0, YHi: 10}
-		seg := rng.Intn(2)
-		want := Measure([]rules.ClusteredRule{r}, tb, 0, 1, 2, seg)
-		got := ix.Measure([]rules.ClusteredRule{r}, seg)
-		if got != want {
-			t.Fatalf("trial %d: permuted mismatch bins [%d,%d] range [%g,%g): index %v scan %v",
-				trial, b0, b1, xlo, xhi, got, want)
 		}
 	}
 }

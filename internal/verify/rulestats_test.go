@@ -80,8 +80,8 @@ func halfOpen(xlo, xhi, ylo, yhi, x, y float64) bool {
 // fuzzSegmentation draws a table and a rule set over the integer grid
 // 0..10, so many tuples sit exactly on rule edges. Some tuples lie
 // outside every rule, both labels occur, and rule edges are drawn
-// independently, so rules overlap and some ranges are empty or inverted
-// (as permuted categorical bins make them).
+// independently, so rules overlap and some ranges are empty or
+// inverted.
 func fuzzSegmentation(rng *rand.Rand, n, nrules int) ([]rules.ClusteredRule, [][3]float64) {
 	coord := func() float64 {
 		switch rng.Intn(8) {
