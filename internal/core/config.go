@@ -205,11 +205,6 @@ type Config struct {
 	FixedMinSupport    float64
 	FixedMinConfidence float64
 
-	// SampleSize is the number of tuples reservoir-sampled for the
-	// verifier (default 2000). Each probe measures its errors on five
-	// random draws of half the sample.
-	SampleSize int
-
 	// Seed drives all sampling; runs are deterministic per seed.
 	Seed int64
 
@@ -277,8 +272,12 @@ const (
 	// fraction (paper §3.4): a cell is set when at least half of its
 	// 3×3 neighborhood is.
 	smoothThreshold = 0.5
-	// sampleRounds is the number of repeated k-out-of-n draws each
-	// probe verifies on, k being half the sample.
+	// sampleSize is the number of tuples reservoir-sampled for the
+	// verifier.
+	sampleSize = 2000
+	// sampleRounds is the number of repeated k-out-of-n draws every
+	// probe verifies on, k being half the sample; the verification
+	// index makes them once (see System.buildVerifyIndex).
 	sampleRounds = 5
 )
 
@@ -292,9 +291,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Weights == (mdl.Weights{}) {
 		c.Weights = mdl.DefaultWeights()
-	}
-	if c.SampleSize == 0 {
-		c.SampleSize = 2000
 	}
 	return c
 }

@@ -704,12 +704,12 @@ func TestSelectAttributePairJointInternal(t *testing.T) {
 	}
 }
 
-// TestProbeZeroAllocPerCandidate guards a threshold probe's mine and
-// cluster steps on a 200×200 grid: setting the rule grid, smoothing it,
-// running BitOp and converting its rectangles allocate a small constant
-// number of bitmaps' worth of bytes, under the same bound at a sparse
-// and at a dense threshold, however many rules the grid holds and
-// candidates BitOp sweeps past.
+// TestProbeZeroAllocPerCandidate guards a whole threshold probe on a
+// 200×200 grid: setting the rule grid, smoothing it, running BitOp,
+// converting its rectangles, scoring them on the sample's draws and
+// costing them allocate a small constant number of bitmaps' worth of
+// bytes, under the same bound at a sparse and at a dense threshold,
+// however many rules the grid holds and candidates BitOp sweeps past.
 func TestProbeZeroAllocPerCandidate(t *testing.T) {
 	sys := f2System(t, 100_000, 0.05, Config{NumBins: 200})
 	seg, err := sys.segCode(synth.GroupA)
@@ -722,6 +722,7 @@ func TestProbeZeroAllocPerCandidate(t *testing.T) {
 	}
 	sups := th.Supports()
 	const bitmapBytes = 200 * 4 * 8 // 200 rows of four 64-bit words
+	verified := false
 	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothMorphological} {
 		sys.cfg.Smoothing = mode
 		for _, tc := range []struct {
@@ -731,12 +732,14 @@ func TestProbeZeroAllocPerCandidate(t *testing.T) {
 			{"sparse", sups[len(sups)/4], 0.5},
 			{"dense", 0, 0},
 		} {
+			var rules int
 			probe := func() {
-				if _, err := sys.mineAtSeg(obs.Span{}, seg, tc.sup, tc.conf); err != nil {
+				if _, rules, err = sys.evaluateProbe(obs.Span{}, seg, tc.sup, tc.conf); err != nil {
 					t.Fatal(err)
 				}
 			}
 			probe()
+			verified = verified || rules > 0
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			const runs = 20
@@ -745,11 +748,14 @@ func TestProbeZeroAllocPerCandidate(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			perProbe := float64(after.TotalAlloc-before.TotalAlloc) / runs
-			t.Logf("%s, %s (support %g, confidence %g): %.0f bytes per probe", mode, tc.name, tc.sup, tc.conf, perProbe)
+			t.Logf("%s, %s (support %g, confidence %g, %d rules): %.0f bytes per probe", mode, tc.name, tc.sup, tc.conf, rules, perProbe)
 			if perProbe > 8*bitmapBytes {
 				t.Errorf("%s, %s probe allocates %.0f bytes, want at most 8 bitmaps' worth (%d)",
 					mode, tc.name, perProbe, 8*bitmapBytes)
 			}
 		}
+	}
+	if !verified {
+		t.Error("no probe mined rules, so none reached the verify step")
 	}
 }

@@ -44,12 +44,16 @@ func (s *System) Extend(src dataset.Source) error {
 	// counter.
 	rng := rand.New(rand.NewSource(s.cfg.Seed + int64(s.ba.N())))
 	seen := int(s.ba.N())
-	capacity := s.cfg.SampleSize
 	buf := make(dataset.Tuple, s.schema.Len())
+	row := 0
 	err = dataset.ForEach(src, func(t dataset.Tuple) error {
 		if len(t) != s.schema.Len() {
 			return dataset.ErrSchemaMismatch
 		}
+		if !finite(t[s.xIdx]) || !finite(t[s.yIdx]) {
+			return s.nonFiniteLHS(t, row)
+		}
+		row++
 		copy(buf, t)
 		for idx, remap := range remaps {
 			code := int(t[idx])
@@ -72,7 +76,7 @@ func (s *System) Extend(src dataset.Source) error {
 
 		// Algorithm-R continuation over the combined stream.
 		seen++
-		if s.sample.Len() < capacity {
+		if s.sample.Len() < sampleSize {
 			return s.sample.Append(buf)
 		}
 		if j := rng.Intn(seen); j < s.sample.Len() {
@@ -83,6 +87,7 @@ func (s *System) Extend(src dataset.Source) error {
 	if err != nil {
 		return err
 	}
+	s.setSegTotals()
 	s.resetThresholdCache()
 	// The sample rows and BinArray counts changed: memoized probes are
 	// stale and the verification index must be rebuilt over the updated

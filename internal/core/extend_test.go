@@ -134,3 +134,45 @@ func TestExtendDeterministic(t *testing.T) {
 		t.Error("Extend is not deterministic")
 	}
 }
+
+// TestInterestLiftAfterExtend: Extend refreshes the criterion totals
+// behind the lift bar, which is then InterestLift × the value's count
+// over both sources ÷ N.
+func TestInterestLiftAfterExtend(t *testing.T) {
+	first := synthSource(t, synth.Config{Function: 2, N: 2_000, Seed: 1, FracA: 0.4})
+	more := synthSource(t, synth.Config{Function: 2, N: 3_000, Seed: 2, FracA: 0.8})
+	sys, err := New(first, Config{
+		XAttr: synth.AttrAge, YAttr: synth.AttrSalary,
+		CritAttr: synth.AttrGroup, CritValue: synth.GroupA,
+		NumBins: 20, InterestLift: 1.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Extend(more); err != nil {
+		t.Fatal(err)
+	}
+	groupA := 0
+	for _, src := range []dataset.Source{first, more} {
+		g := src.Schema().MustIndex(synth.AttrGroup)
+		if err := dataset.ForEach(src, func(tu dataset.Tuple) error {
+			if src.Schema().At(g).Category(int(tu[g])) == synth.GroupA {
+				groupA++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg, err := sys.segCode(synth.GroupA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := sys.Counts().N()
+	if n != 5_000 {
+		t.Fatalf("N = %d, want 5000", n)
+	}
+	if got, want := sys.effectiveMinConf(seg, 0), 1.5*(float64(groupA)/float64(n)); got != want {
+		t.Errorf("lift bar after Extend = %v, want 1.5 × %d/%d = %v", got, groupA, n, want)
+	}
+}

@@ -111,9 +111,6 @@ func TestObsCoreSpansAndMetrics(t *testing.T) {
 	if got := snap.Counters["verify_fastpath_rules_total"]; got == 0 {
 		t.Error("verify_fastpath_rules_total = 0, want > 0")
 	}
-	if got := snap.Counters["verify_fallback_rules_total"]; got != 0 {
-		t.Errorf("verify_fallback_rules_total = %d, want 0 for mined rules", got)
-	}
 	if got := snap.Histograms["phase_probe_seconds"].Count; got != int64(len(probes)) {
 		t.Errorf("phase_probe_seconds count = %d, want %d", got, len(probes))
 	}

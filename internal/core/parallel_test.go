@@ -120,7 +120,7 @@ func TestProbeCacheAcrossRuns(t *testing.T) {
 // under -race in CI; also asserts every path returns the same results.
 func TestProbeCacheConcurrentStress(t *testing.T) {
 	cfg := Config{NumBins: 15, Search: SearchWalk,
-		Walk: walkBudget(), SampleSize: 600}
+		Walk: walkBudget()}
 	sys := f2System(t, 6_000, 0.05, cfg)
 	labels := []string{synth.GroupA, synth.GroupOther}
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -56,8 +55,8 @@ type probeEntry struct {
 // revisits) request the same probe, exactly one executes the pipeline
 // and the rest block on its sync.Once and share the result. Memoization
 // is sound because evaluateProbe is a pure function of the key for a
-// fixed System: it reseeds its sampling RNG per call and only reads the
-// immutable BinArray, sample, and verification index.
+// fixed System: it only reads the immutable BinArray, sample, and
+// verification index with its draws.
 type probeCache struct {
 	mu      sync.Mutex
 	entries map[probeKey]*probeEntry
@@ -81,8 +80,8 @@ func newProbeCache() *probeCache {
 // the warm-hit path allocation-free: the compute closure is only built
 // for entries that are not settled yet.
 //
-// Failed evaluations are never memoized: a cancellation or recovered
-// panic settles the entry for the waiters that already joined it (they
+// Failed evaluations are never memoized: a failure (a recovered panic,
+// say) settles the entry for the waiters that already joined it (they
 // share the error), but the entry is then dropped so the next request
 // recomputes instead of replaying a stale failure forever.
 //
@@ -90,7 +89,7 @@ func newProbeCache() *probeCache {
 // sync.Once marks itself done even when its function panics, so a
 // recover outside the closure would leave a half-written entry that
 // every waiter reads as a silent zero-cost success.
-func (c *probeCache) do(ctx context.Context, s *System, parent obs.Span, key probeKey) (cost float64, numRules int, hit bool, err error) {
+func (c *probeCache) do(s *System, parent obs.Span, key probeKey) (cost float64, numRules int, hit bool, err error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -100,7 +99,7 @@ func (c *probeCache) do(ctx context.Context, s *System, parent obs.Span, key pro
 	c.mu.Unlock()
 	if !e.ready.Load() {
 		e.once.Do(func() {
-			e.cost, e.numRules, e.err = s.safeEvaluateProbe(ctx, parent, key.seg, key.sup, key.conf)
+			e.cost, e.numRules, e.err = s.safeEvaluateProbe(parent, key.seg, key.sup, key.conf)
 			e.ready.Store(true)
 		})
 		if e.err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -191,11 +190,11 @@ type segObjective struct {
 	// span is the enclosing search span (zero outside an observed
 	// RunValue); probe batches and probes nest under it.
 	span obs.Span
-	// ctx/ck carry the run's cancellation scope into the probes. Both are
-	// nil for uncancellable runs: ck's nil methods keep the hot path
-	// branch-free beyond a single predictable comparison.
-	ctx context.Context
-	ck  *cancelcheck.Checker
+	// ck carries the run's cancellation scope: probes and batches are
+	// refused once it is canceled. It is nil for uncancellable runs: its
+	// nil methods keep the hot path branch-free beyond a single
+	// predictable comparison.
+	ck *cancelcheck.Checker
 
 	hits, misses atomic.Int64
 }
@@ -239,11 +238,11 @@ func (o *segObjective) Evaluate(minSup, minConf float64) (float64, int, error) {
 func (o *segObjective) evaluate(parent obs.Span, minSup, minConf float64) (float64, int, bool, error) {
 	s := o.sys
 	if s.cfg.DisableProbeCache {
-		cost, n, err := s.safeEvaluateProbe(o.ctx, parent, o.seg, minSup, minConf)
+		cost, n, err := s.safeEvaluateProbe(parent, o.seg, minSup, minConf)
 		o.misses.Add(1)
 		return cost, n, false, err
 	}
-	cost, n, hit, err := s.probes.do(o.ctx, s, parent, probeKey{seg: o.seg, sup: minSup, conf: minConf})
+	cost, n, hit, err := s.probes.do(s, parent, probeKey{seg: o.seg, sup: minSup, conf: minConf})
 	if hit {
 		o.hits.Add(1)
 	} else {
@@ -258,7 +257,7 @@ func (o *segObjective) evaluate(parent obs.Span, minSup, minConf float64) (float
 // recovered panic comes back as a *PanicError (stack attached, counted
 // on probe_panics_recovered_total) which unwraps to
 // optimizer.ErrProbeFailed so the search strategies skip the probe.
-func (s *System) safeEvaluateProbe(ctx context.Context, parent obs.Span, seg int, minSup, minConf float64) (cost float64, numRules int, err error) {
+func (s *System) safeEvaluateProbe(parent obs.Span, seg int, minSup, minConf float64) (cost float64, numRules int, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.mPanics.Inc()
@@ -269,7 +268,7 @@ func (s *System) safeEvaluateProbe(ctx context.Context, parent obs.Span, seg int
 	if s.cfg.ProbeHook != nil {
 		s.cfg.ProbeHook(seg, minSup, minConf)
 	}
-	return s.evaluateProbe(ctx, parent, seg, minSup, minConf)
+	return s.evaluateProbe(parent, seg, minSup, minConf)
 }
 
 // poolDispatchMinCells is the grid-cost floor for parallel probe
@@ -365,15 +364,14 @@ func (o *segObjective) cacheStats() CacheStats {
 }
 
 // evaluateProbe mines and clusters at the thresholds, verifies against
-// the pre-binned sample index with repeated k-of-n draws, and returns
-// the MDL cost. Each evaluation reseeds its sampler so probes are
-// compared on identical draws — which also makes the result a pure
-// function of (seg, minSup, minConf), the property both the probe cache
-// and the parallel batch path rely on. The probe emits a "probe" span
-// with "mine"/"cluster"/"verify"/"mdl" children under parent; probes
-// run only on cache misses, so the span cost sits beside a full mining
-// pass.
-func (s *System) evaluateProbe(ctx context.Context, parent obs.Span, seg int, minSup, minConf float64) (float64, int, error) {
+// the repeated k-of-n draws of the pre-binned sample index, and returns
+// the MDL cost. Every probe is scored on the same draws, made once with
+// the index, which also makes the result a pure function of (seg,
+// minSup, minConf), the property both the probe cache and the parallel
+// batch path rely on. The probe emits a "probe" span with
+// "mine"/"cluster"/"verify"/"mdl" children under parent; probes run only
+// on cache misses, so the span cost sits beside a full mining pass.
+func (s *System) evaluateProbe(parent obs.Span, seg int, minSup, minConf float64) (float64, int, error) {
 	sp := parent.Child("probe",
 		obs.Float("support", minSup), obs.Float("confidence", minConf))
 	rs, err := s.mineAtSeg(sp, seg, minSup, minConf)
@@ -387,24 +385,17 @@ func (s *System) evaluateProbe(ctx context.Context, parent obs.Span, seg int, mi
 	}
 	vsp := sp.Child("verify",
 		obs.Int("rules", len(rs)), obs.Int("rounds", sampleRounds))
-	rng := rand.New(rand.NewSource(s.cfg.Seed + 1))
-	sampleK := s.cfg.SampleSize / 2
 	var meanErrors float64
-	s.labeled("verify", func() {
-		meanErrors, _, err = s.vindex.MeasureRepeatedContext(ctx, rs, rng,
-			sampleRounds, sampleK, seg)
-	})
+	s.labeled("verify", func() { meanErrors, err = s.vindex.MeanErrors(rs, seg) })
 	vsp.End()
 	if err != nil {
 		sp.End()
 		return 0, 0, err
 	}
-	// Scale the sampled error count up to the full sample so MDL costs
+	// Scale the error count of a draw up to the full sample so MDL costs
 	// are comparable across sample sizes.
-	scale := 1.0
-	if sampleK > 0 && s.sample.Len() > 0 {
-		scale = float64(s.sample.Len()) / float64(min(sampleK, s.sample.Len()))
-	}
+	n := s.sample.Len()
+	scale := float64(n) / float64(min(sampleSize/2, n))
 	msp := sp.Child("mdl")
 	bd, err := mdl.CostBreakdown(len(rs), meanErrors*scale, s.cfg.Weights)
 	cost := bd.Total
@@ -466,7 +457,7 @@ func (s *System) RunValueContext(ctx context.Context, label string) (*Result, er
 		obs.Str("strategy", s.cfg.Search.String()))...)
 	var phases []PhaseTiming
 
-	obj := &segObjective{sys: s, seg: seg, ctx: ctx, ck: cancelcheck.New(ctx)}
+	obj := &segObjective{sys: s, seg: seg, ck: cancelcheck.New(ctx)}
 	var best optimizer.Best
 	serr := s.timed(root, &phases, "search", func(sp obs.Span) error {
 		obj.span = sp
@@ -539,10 +530,14 @@ func (s *System) RunValueContext(ctx context.Context, label string) (*Result, er
 		return nil, &RunError{Phase: "mine-final", Err: err}
 	}
 	var errs verify.ErrorCounts
-	_ = s.timed(root, &phases, "verify-final", func(obs.Span) error {
-		errs = s.vindex.Measure(finalRules, seg)
-		return nil
-	})
+	if err := s.timed(root, &phases, "verify-final", func(obs.Span) error {
+		var err error
+		errs, err = s.vindex.Measure(finalRules, seg)
+		return err
+	}); err != nil {
+		root.End()
+		return nil, &RunError{Phase: "verify-final", Err: err}
+	}
 	root.End(obs.Int("rules", len(finalRules)), obs.Int("evaluations", best.Evaluations))
 	res := &Result{
 		CritValue:     label,

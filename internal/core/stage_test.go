@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"arcs/internal/counts"
@@ -196,5 +199,60 @@ func TestConstantColumnBins(t *testing.T) {
 	}
 	if inBin0 != 50 {
 		t.Errorf("%d tuples in y bin 0, want all 50", inBin0)
+	}
+}
+
+// TestNonFiniteLHSRejected: a NaN or infinite value of either LHS
+// attribute fails New, and Extend, with an error naming the attribute,
+// the row and the value, instead of reaching the binners.
+func TestNonFiniteLHSRejected(t *testing.T) {
+	schema := dataset.NewSchema(
+		dataset.Attribute{Name: "age", Kind: dataset.Quantitative},
+		dataset.Attribute{Name: "salary", Kind: dataset.Quantitative},
+		dataset.Attribute{Name: "group", Kind: dataset.Categorical},
+	)
+	for _, label := range []string{"A", "B"} {
+		if _, err := schema.At(2).CategoryCode(label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table := func(rows int, bad []float64) *dataset.Table {
+		tb := dataset.NewTable(schema)
+		for i := 0; i < rows; i++ {
+			tb.MustAppend(dataset.Tuple{float64(20 + i%50), float64(20_000 + 500*i), float64(i % 2)})
+		}
+		if bad != nil {
+			tb.MustAppend(bad)
+		}
+		return tb
+	}
+	cfg := Config{XAttr: "age", YAttr: "salary", CritAttr: "group", CritValue: "A", NumBins: 10}
+	sys, err := New(table(200, nil), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for col, attr := range []string{"age", "salary"} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad := dataset.Tuple{40, 50_000, 0}
+			bad[col] = v
+			name := fmt.Sprintf("%s=%v", attr, v)
+			_, newErr := New(table(200, bad), cfg)
+			extErr := sys.Extend(table(3, bad))
+			for _, c := range []struct {
+				what string
+				err  error
+				row  int
+			}{{"New", newErr, 200}, {"Extend", extErr, 3}} {
+				if c.err == nil {
+					t.Errorf("%s, %s: no error", name, c.what)
+					continue
+				}
+				for _, want := range []string{strconv.Quote(attr), fmt.Sprintf("row %d", c.row), fmt.Sprint(v)} {
+					if !strings.Contains(c.err.Error(), want) {
+						t.Errorf("%s, %s: error %q does not name %s", name, c.what, c.err, want)
+					}
+				}
+			}
+		}
 	}
 }

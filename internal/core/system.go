@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math"
 	"runtime/pprof"
 	"sync"
@@ -39,7 +38,11 @@ type System struct {
 	// parallelism, footprint), set once by stageCount and copied into
 	// every Result.
 	countsInfo CountsInfo
-	sample     *dataset.Table
+	// segTotals holds each criterion code's tuple count when
+	// InterestLift is set, for the lift bar; stageCount and Extend set
+	// it from the count backend.
+	segTotals []uint64
+	sample    *dataset.Table
 	// vindex pre-bins the verification sample against the binner
 	// boundaries, so every probe verifies coverage in O(1) per tuple.
 	// Rebuilt by Extend; read-only otherwise.
@@ -207,29 +210,16 @@ func (s *System) labeled(phase string, fn func()) {
 }
 
 // buildVerifyIndex pre-bins the verification sample against the current
-// binner boundaries (also called by Extend after the sample changes).
+// binner boundaries and makes the k-of-n draws every probe is scored on,
+// seeded by Seed+1 (also called by Extend after the sample changes).
 func (s *System) buildVerifyIndex() error {
 	ix, err := verify.NewIndex(s.sample, s.xIdx, s.yIdx, s.critIdx,
-		binning.Boundaries(s.xb), binning.Boundaries(s.yb))
+		binning.Boundaries(s.xb), binning.Boundaries(s.yb),
+		verify.Draws{Rounds: sampleRounds, K: sampleSize / 2, Seed: s.cfg.Seed + 1})
 	if err != nil {
 		return fmt.Errorf("core: building verification index: %w", err)
 	}
-	if s.obs.Enabled() {
-		reg := s.obs.Registry()
-		ix.Observe(
-			reg.Counter("verify_fastpath_rules_total"),
-			reg.Counter("verify_fallback_rules_total"),
-			func(fb verify.Fallback) {
-				// A fallback rule silently costs O(rules) per tuple; make
-				// the degradation and its cause visible in the trace and
-				// the debug log.
-				s.obs.Annotate("verify.fallback",
-					obs.Str("rule", fb.Rule.String()),
-					obs.Str("reason", fb.Reason))
-				slog.Debug("verify index fell back to rect scan",
-					"rule", fb.Rule.String(), "reason", fb.Reason)
-			})
-	}
+	ix.Observe(s.obs.Registry().Counter("verify_fastpath_rules_total"))
 	s.vindex = ix
 	return nil
 }
@@ -275,7 +265,7 @@ func (s *System) Grid(label string, minSup, minConf float64) (*grid.Bitmap, erro
 	if err != nil {
 		return nil, err
 	}
-	return s.buildGrid(seg, minSup, minConf)
+	return s.buildGrid(seg, minSup, s.effectiveMinConf(seg, minConf))
 }
 
 // effectiveMinConf applies the interest-measure extension: when
@@ -284,7 +274,7 @@ func (s *System) Grid(label string, minSup, minConf float64) (*grid.Bitmap, erro
 // raised bar can exceed 1, and then buildGrid admits no cell.
 func (s *System) effectiveMinConf(seg int, minConf float64) float64 {
 	if s.cfg.InterestLift > 0 && s.ba.N() > 0 {
-		prior := float64(counts.SegmentTotal(s.ba, seg)) / float64(s.ba.N())
+		prior := float64(s.segTotals[seg]) / float64(s.ba.N())
 		if bar := s.cfg.InterestLift * prior; bar > minConf {
 			return bar
 		}
@@ -292,8 +282,23 @@ func (s *System) effectiveMinConf(seg int, minConf float64) float64 {
 	return minConf
 }
 
+// setSegTotals counts each criterion code's tuples in one walk of the
+// count backend, when InterestLift needs them.
+func (s *System) setSegTotals() {
+	if s.cfg.InterestLift <= 0 {
+		return
+	}
+	s.segTotals = make([]uint64, s.ba.NSeg())
+	s.ba.Cells(func(_, _ int, cell []uint32) {
+		for seg := range s.segTotals {
+			s.segTotals[seg] += uint64(cell[seg])
+		}
+	})
+}
+
+// buildGrid sets the (smoothed) rule grid at minConf, which the caller
+// has raised to the interest bar with effectiveMinConf.
 func (s *System) buildGrid(seg int, minSup, minConf float64) (*grid.Bitmap, error) {
-	minConf = s.effectiveMinConf(seg, minConf)
 	if minConf > 1 {
 		// No cell reaches the bar, whatever the smoothing.
 		return grid.New(s.ba.NY(), s.ba.NX())

@@ -27,8 +27,8 @@ import (
 
 // Backend is the read API of a built count substrate. All methods must
 // be safe for concurrent readers once the backend is built; mutation
-// (if any) goes through the optional Adder extension. Derived measures
-// (Occupied, SegmentTotal) are free functions over Cells.
+// (if any) goes through the optional Adder extension. The derived
+// measure Occupied is a free function over Cells.
 type Backend interface {
 	// NX and NY report the grid dimensions in bins.
 	NX() int
@@ -83,14 +83,6 @@ func Occupied(b Backend, seg int, fn func(x, y int, segCount, cellTotal uint32))
 			fn(x, y, c, cell[nseg])
 		}
 	})
-}
-
-// SegmentTotal returns the number of tuples with RHS value seg across
-// all cells.
-func SegmentTotal(b Backend, seg int) uint64 {
-	var total uint64
-	b.Cells(func(_, _ int, cell []uint32) { total += uint64(cell[seg]) })
-	return total
 }
 
 // shape is the geometry and tuple total every backend and builder

@@ -56,9 +56,6 @@ func TestAddAndCounts(t *testing.T) {
 	if d.N() != 4 {
 		t.Errorf("N = %d", d.N())
 	}
-	if got := SegmentTotal(d, 1); got != 2 {
-		t.Errorf("SegmentTotal(1) = %d", got)
-	}
 }
 
 // TestSupportConfidence: Occupied hands the engine the two counts
@@ -91,14 +88,11 @@ func TestSupportConfidence(t *testing.T) {
 	}
 }
 
-// TestZeroValueSupportSafe: an empty array has no occupied cells and no
-// segment mass, so nothing downstream divides by its zero N.
+// TestZeroValueSupportSafe: an empty array has no occupied cells, so
+// nothing downstream divides by its zero N.
 func TestZeroValueSupportSafe(t *testing.T) {
 	d := newDenseT(t, 1, 1, 1)
 	Occupied(d, 0, func(x, y int, _, _ uint32) { t.Errorf("empty array visited cell (%d,%d)", x, y) })
-	if got := SegmentTotal(d, 0); got != 0 {
-		t.Errorf("SegmentTotal of empty array = %d", got)
-	}
 }
 
 func TestAddPanicsOutOfRange(t *testing.T) {

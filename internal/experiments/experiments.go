@@ -83,7 +83,10 @@ func RunARCS(n int, outlierFrac float64, bins int, test *dataset.Table) (*core.R
 	yIdx := schema.MustIndex(synth.AttrSalary)
 	critIdx := schema.MustIndex(synth.AttrGroup)
 	segCode, _ := schema.At(critIdx).LookupCategory(synth.GroupA)
-	errCounts := verify.Measure(res.Rules, test, xIdx, yIdx, critIdx, segCode)
+	errCounts, _, _, err := verify.SegmentStats(res.Rules, test, xIdx, yIdx, critIdx, segCode)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	return res, errCounts.Rate(), elapsed, nil
 }
 

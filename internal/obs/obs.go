@@ -19,7 +19,7 @@
 //	                      strategy (method_x, method_y)
 //	  count               count-backend fill pass (mode sequential or
 //	                      sharded, backend dense or sparse)
-//	  verify-index        verification-sample pre-binning
+//	  verify-index        verification-sample pre-binning and k-of-n draws
 //	run                   one RunValue feedback loop
 //	  search              optimizer strategy
 //	    probe-batch       one worker-pool batch of threshold probes
@@ -114,8 +114,8 @@ func (o *Observer) Root(name string, attrs ...Attr) Span {
 	return Span{obs: o, name: name, id: o.ids.Add(1), start: time.Now(), attrs: attrs}
 }
 
-// Annotate emits an instantaneous event (no duration), e.g. a
-// verify-index fallback with its reason.
+// Annotate emits an instantaneous event (no duration), e.g. one
+// search.probe step replayed from a finished search.
 func (o *Observer) Annotate(name string, attrs ...Attr) {
 	if o == nil || o.sink == nil {
 		return

@@ -46,26 +46,6 @@ func SampleKofN(rng *rand.Rand, k, n int) ([]int, error) {
 	return out, nil
 }
 
-// RepeatedKofN invokes measure on `rounds` independent k-of-n samples and
-// returns the mean and population standard deviation of the measured
-// values. This is the "stronger statistical technique" of §3.6: averaging
-// over repeated samples yields a better approximation of the true error
-// than a single draw.
-func RepeatedKofN(rng *rand.Rand, rounds, k, n int, measure func(sample []int) float64) (mean, std float64, err error) {
-	if rounds <= 0 {
-		return 0, 0, fmt.Errorf("stats: rounds must be positive, got %d", rounds)
-	}
-	vals := make([]float64, rounds)
-	for r := 0; r < rounds; r++ {
-		sample, err := SampleKofN(rng, k, n)
-		if err != nil {
-			return 0, 0, err
-		}
-		vals[r] = measure(sample)
-	}
-	return Mean(vals), StdDev(vals), nil
-}
-
 // Reservoir maintains a uniform random sample of fixed capacity over a
 // stream of unknown length (Vitter's algorithm R). The verifier uses it
 // to sample tuples from streaming sources without materializing them.

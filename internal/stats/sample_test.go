@@ -100,25 +100,6 @@ func TestSampleKofNUniformity(t *testing.T) {
 	}
 }
 
-func TestRepeatedKofN(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	mean, std, err := RepeatedKofN(rng, 8, 3, 10, func(sample []int) float64 {
-		return float64(len(sample))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean != 3 || std != 0 {
-		t.Errorf("mean=%v std=%v, want 3, 0", mean, std)
-	}
-	if _, _, err := RepeatedKofN(rng, 0, 3, 10, nil); err == nil {
-		t.Error("rounds=0 should error")
-	}
-	if _, _, err := RepeatedKofN(rng, 2, 20, 10, func([]int) float64 { return 0 }); err == nil {
-		t.Error("k>n should propagate error")
-	}
-}
-
 func TestReservoir(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	r := NewReservoir(rng, 10)

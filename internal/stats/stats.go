@@ -1,8 +1,7 @@
 // Package stats provides the statistical primitives ARCS relies on:
 // entropy and information-gain measures (used by attribute selection and
-// by the C4.5 baseline), the mean and standard deviation of repeated
-// measurements, and reservoir / k-out-of-n sampling (the ingest sample
-// and the segmentation verifier).
+// by the C4.5 baseline), the mean, and reservoir / k-out-of-n sampling
+// (the ingest sample and the segmentation verifier's draws).
 package stats
 
 import "math"
@@ -99,21 +98,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the population variance of xs, or 0 for fewer than
-// two observations.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }

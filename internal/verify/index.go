@@ -1,14 +1,13 @@
 package verify
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"sync"
 
-	"arcs/internal/cancelcheck"
 	"arcs/internal/dataset"
 	"arcs/internal/grid"
 	"arcs/internal/obs"
@@ -22,56 +21,54 @@ import (
 //
 // The slot arrays are built against the binner's boundary values
 // (binning.Boundaries): slot s holds values v with B[s] <= v < B[s+1],
-// found with the same float comparisons rules.Covers performs. Because
-// every clustered rule's value range is bounded by members of B (cluster
-// bounds are taken verbatim from Binner.Bounds), "rule covers tuple" in
-// value space is exactly "tuple slot inside rule slot-rectangle" — so a
-// per-ruleset coverage bitmap over the slot grid answers Covered with a
-// single bit test, bit-for-bit equal to the rect scan. Rules whose edges
-// are not boundary values (possible only for hand-built rules, never for
-// mined clusters) fall back to the rect scan; tuples outside the boundary
-// range are provably uncovered by every boundary-aligned rule.
+// found with the same float comparisons rules.Covers performs. Every
+// clustered rule's value range is bounded by members of B (cluster bounds
+// are taken verbatim from Binner.Bounds), so "rule covers tuple" in value
+// space is exactly "tuple slot inside rule slot-rectangle", and a
+// per-ruleset coverage bitmap over the slot grid answers each tuple with a
+// single bit test, bit-for-bit equal to the rect scan. A rule with an edge
+// that is not a boundary value is an error. Tuples outside the boundary
+// range are uncovered by every boundary-aligned rule.
+//
+// The Index also holds the repeated k-out-of-n draws of §3.6, made once
+// at construction, so every candidate is scored on the same draws.
 //
 // An Index is immutable after construction and safe for concurrent use.
 type Index struct {
-	tb         *dataset.Table
-	xIdx, yIdx int
-	xB, yB     []float64 // sorted boundary values per axis
-	xSlot      []int32   // per-tuple x slot, -1 when out of range
-	ySlot      []int32   // per-tuple y slot, -1 when out of range
-	crit       []int32   // per-tuple criterion category code
+	xB, yB []float64 // sorted boundary values per axis
+	xSlot  []int32   // per-tuple x slot, -1 when out of range
+	ySlot  []int32   // per-tuple y slot, -1 when out of range
+	crit   []int32   // per-tuple criterion category code
+	// drawn[i] is the number of draws holding tuple i; rounds is the
+	// number of draws.
+	drawn  []uint8
+	rounds int
 
 	pool sync.Pool // *grid.Bitmap scratch masks, one slot grid each
 
-	// Observability hooks, set once via Observe before concurrent use.
-	// fastC/fallC count rules rasterized on the O(1) slot-grid fast path
-	// versus degraded to the O(rules) scan fallback; onFallback, when
-	// non-nil, receives each fallback rule with the reason its bounds
-	// were not boundary-aligned.
-	fastC, fallC *obs.Counter
-	onFallback   func(Fallback)
+	// rulesC counts the rules rasterized onto the slot grid; set once
+	// via Observe before concurrent use.
+	rulesC *obs.Counter
 }
 
-// Fallback describes one rule that could not use the slot-grid fast
-// path and forces the per-tuple rect-scan fallback: the rule, and which
-// of its edges are not binner boundary values.
-type Fallback struct {
-	Rule   rules.ClusteredRule
-	Reason string
+// Draws parameterizes the repeated k-out-of-n sampling of §3.6: Rounds
+// independent draws of K distinct tuples each (K is clamped to the
+// sample size), made with stats.SampleKofN from a source seeded by Seed.
+type Draws struct {
+	Rounds, K int
+	Seed      int64
 }
 
-// Observe attaches observability hooks: per-rule fast-path/fallback
-// counters (either may be nil) and an optional callback invoked for
-// every fallback rule with the reason it was non-boundary-aligned.
-// Observe must be called before the Index is used concurrently.
-func (ix *Index) Observe(fast, fallback *obs.Counter, onFallback func(Fallback)) {
-	ix.fastC, ix.fallC, ix.onFallback = fast, fallback, onFallback
-}
+// Observe attaches the counter of rules rasterized onto the slot grid
+// (nil disables it). Observe must be called before the Index is used
+// concurrently.
+func (ix *Index) Observe(rasterized *obs.Counter) { ix.rulesC = rasterized }
 
-// NewIndex pre-bins every row of tb. xBounds/yBounds are the sorted,
-// deduplicated boundary values of the two LHS binners; xIdx/yIdx/critIdx
-// are schema positions of the LHS and criterion attributes.
-func NewIndex(tb *dataset.Table, xIdx, yIdx, critIdx int, xBounds, yBounds []float64) (*Index, error) {
+// NewIndex pre-bins every row of tb and makes the draws d over it.
+// xBounds/yBounds are the sorted, deduplicated boundary values of the two
+// LHS binners; xIdx/yIdx/critIdx are schema positions of the LHS and
+// criterion attributes.
+func NewIndex(tb *dataset.Table, xIdx, yIdx, critIdx int, xBounds, yBounds []float64, d Draws) (*Index, error) {
 	for _, b := range [][]float64{xBounds, yBounds} {
 		if len(b) < 2 {
 			return nil, fmt.Errorf("verify: need at least 2 boundary values, got %d", len(b))
@@ -82,20 +79,33 @@ func NewIndex(tb *dataset.Table, xIdx, yIdx, critIdx int, xBounds, yBounds []flo
 			}
 		}
 	}
+	if d.Rounds < 1 || d.Rounds > math.MaxUint8 {
+		return nil, fmt.Errorf("verify: draw rounds %d outside [1, %d]", d.Rounds, math.MaxUint8)
+	}
 	n := tb.Len()
 	ix := &Index{
-		tb:   tb,
-		xIdx: xIdx, yIdx: yIdx,
 		xB: xBounds, yB: yBounds,
-		xSlot: make([]int32, n),
-		ySlot: make([]int32, n),
-		crit:  make([]int32, n),
+		xSlot:  make([]int32, n),
+		ySlot:  make([]int32, n),
+		crit:   make([]int32, n),
+		drawn:  make([]uint8, n),
+		rounds: d.Rounds,
 	}
 	for i := 0; i < n; i++ {
 		row := tb.Row(i)
 		ix.xSlot[i] = int32(slotOf(xBounds, row[xIdx]))
 		ix.ySlot[i] = int32(slotOf(yBounds, row[yIdx]))
 		ix.crit[i] = int32(row[critIdx])
+	}
+	rng := rand.New(rand.NewSource(d.Seed))
+	for r := 0; r < d.Rounds; r++ {
+		draw, err := stats.SampleKofN(rng, min(d.K, n), n)
+		if err != nil {
+			return nil, err
+		}
+		for _, i := range draw {
+			ix.drawn[i]++ // at most Rounds: a draw holds distinct tuples
+		}
 	}
 	rows, cols := len(yBounds)-1, len(xBounds)-1
 	ix.pool.New = func() any {
@@ -130,8 +140,7 @@ func slotOf(bounds []float64, v float64) int {
 }
 
 // boundaryIndex reports the position of v in bounds, or ok=false when v
-// is not a boundary value (the rule must then use the rect-scan
-// fallback).
+// is not a boundary value.
 func boundaryIndex(bounds []float64, v float64) (int, bool) {
 	i := sort.SearchFloat64s(bounds, v)
 	if i < len(bounds) && bounds[i] == v {
@@ -140,40 +149,22 @@ func boundaryIndex(bounds []float64, v float64) (int, bool) {
 	return 0, false
 }
 
-// Coverage is the per-ruleset acceleration structure: a bitmap over the
-// slot grid with every boundary-aligned rule's rectangle filled, plus the
-// (normally empty) list of rules that need the rect-scan fallback.
-// A Coverage is read-only after NewCoverage and safe for concurrent
-// Covered calls; Release recycles its bitmap.
-type Coverage struct {
-	ix       *Index
-	bm       *grid.Bitmap
-	fallback []rules.ClusteredRule
-}
-
-// NewCoverage rasterizes the rule set onto a pooled slot-grid bitmap.
-// Rules whose edges are not boundary values are kept for the rect scan,
-// counted on the index's fallback counter, and reported with the
-// offending edges through the OnFallback hook — the degradation to
-// O(rules) scanning is never silent.
-func (ix *Index) NewCoverage(rs []rules.ClusteredRule) *Coverage {
+// cover rasterizes the rule set onto a pooled slot-grid bitmap, which
+// the caller returns to ix.pool. A rule edge that is not a boundary
+// value is an error naming the edge.
+func (ix *Index) cover(rs []rules.ClusteredRule) (*grid.Bitmap, error) {
 	bm := ix.pool.Get().(*grid.Bitmap)
 	bm.Reset()
-	cv := &Coverage{ix: ix, bm: bm}
 	for _, r := range rs {
 		xlo, ok1 := boundaryIndex(ix.xB, r.XLo)
 		xhi, ok2 := boundaryIndex(ix.xB, r.XHi)
 		ylo, ok3 := boundaryIndex(ix.yB, r.YLo)
 		yhi, ok4 := boundaryIndex(ix.yB, r.YHi)
 		if !ok1 || !ok2 || !ok3 || !ok4 {
-			cv.fallback = append(cv.fallback, r)
-			ix.fallC.Inc()
-			if ix.onFallback != nil {
-				ix.onFallback(Fallback{Rule: r, Reason: fallbackReason(r, ok1, ok2, ok3, ok4)})
-			}
-			continue
+			ix.pool.Put(bm)
+			return nil, fmt.Errorf("verify: rule %v: %s", r, offBoundary(r, ok1, ok2, ok3, ok4))
 		}
-		ix.fastC.Inc()
+		ix.rulesC.Inc()
 		if xhi <= xlo || yhi <= ylo {
 			// Empty or inverted value range: only a hand-built rule can
 			// have one, since a mined rule spans at least one bin. Covers
@@ -182,13 +173,13 @@ func (ix *Index) NewCoverage(rs []rules.ClusteredRule) *Coverage {
 		}
 		bm.FillRect(grid.Rect{R0: ylo, C0: xlo, R1: yhi - 1, C1: xhi - 1})
 	}
-	return cv
+	return bm, nil
 }
 
-// fallbackReason names the rule edges whose values are absent from the
-// index's boundary arrays. Only hand-built rules can trigger this —
+// offBoundary names the rule edges whose values are absent from the
+// index's boundary arrays. Only hand-built rules have such edges —
 // mined clusters take their bounds verbatim from the binners.
-func fallbackReason(r rules.ClusteredRule, xlo, xhi, ylo, yhi bool) string {
+func offBoundary(r rules.ClusteredRule, xlo, xhi, ylo, yhi bool) string {
 	var bad []string
 	if !xlo {
 		bad = append(bad, fmt.Sprintf("x_lo=%g", r.XLo))
@@ -205,102 +196,42 @@ func fallbackReason(r rules.ClusteredRule, xlo, xhi, ylo, yhi bool) string {
 	return "not a binner boundary: " + strings.Join(bad, ", ")
 }
 
-// Release returns the coverage bitmap to the index's pool. The Coverage
-// must not be used afterwards.
-func (cv *Coverage) Release() {
-	if cv.bm != nil {
-		cv.ix.pool.Put(cv.bm)
-		cv.bm = nil
-	}
-}
-
-// Covered reports whether any rule covers indexed tuple i.
-func (cv *Coverage) Covered(i int) bool {
-	ix := cv.ix
+// covered reports whether indexed tuple i lies in the coverage bitmap.
+func (ix *Index) covered(bm *grid.Bitmap, i int) bool {
 	xs, ys := ix.xSlot[i], ix.ySlot[i]
-	if xs >= 0 && ys >= 0 && cv.bm.Get(int(ys), int(xs)) {
-		return true
-	}
-	if len(cv.fallback) > 0 {
-		row := ix.tb.Row(i)
-		return Covered(cv.fallback, row[ix.xIdx], row[ix.yIdx])
-	}
-	return false
+	return xs >= 0 && ys >= 0 && bm.Get(int(ys), int(xs))
 }
 
-func (e *ErrorCounts) addIndexed(cv *Coverage, i, segCode int) {
-	e.add(cv.Covered(i), int(cv.ix.crit[i]) == segCode)
-}
-
-// Measure counts errors of the segmentation over every indexed tuple;
-// equivalent to the package-level Measure on the same table.
-func (ix *Index) Measure(rs []rules.ClusteredRule, segCode int) ErrorCounts {
-	cv := ix.NewCoverage(rs)
-	defer cv.Release()
+// Measure counts errors of the segmentation over every indexed tuple,
+// as the rect scan over the same table counts them.
+func (ix *Index) Measure(rs []rules.ClusteredRule, segCode int) (ErrorCounts, error) {
+	bm, err := ix.cover(rs)
+	if err != nil {
+		return ErrorCounts{}, err
+	}
+	defer ix.pool.Put(bm)
 	var e ErrorCounts
-	for i := range ix.crit {
-		e.addIndexed(cv, i, segCode)
+	for i, c := range ix.crit {
+		e.add(ix.covered(bm, i), int(c) == segCode)
 	}
-	return e
+	return e, nil
 }
 
-// MeasureIndices counts errors over the indexed tuples selected by idx;
-// equivalent to the package-level MeasureIndices.
-func (ix *Index) MeasureIndices(rs []rules.ClusteredRule, idx []int, segCode int) ErrorCounts {
-	cv := ix.NewCoverage(rs)
-	defer cv.Release()
-	var e ErrorCounts
-	for _, i := range idx {
-		e.addIndexed(cv, i, segCode)
+// MeanErrors returns the segmentation's summed error (FP + FN) averaged
+// over the index's draws. Each tuple's error counts once per draw
+// holding it, so the integer sum is the sum of the per-draw errors and
+// the mean is exact.
+func (ix *Index) MeanErrors(rs []rules.ClusteredRule, segCode int) (float64, error) {
+	bm, err := ix.cover(rs)
+	if err != nil {
+		return 0, err
 	}
-	return e
-}
-
-// MeasureRepeated performs the repeated k-out-of-n sampling of §3.6 over
-// the index. It consumes the RNG exactly like the package-level
-// MeasureRepeated, so with equal seeds the two return identical values.
-func (ix *Index) MeasureRepeated(rs []rules.ClusteredRule, rng *rand.Rand,
-	rounds, k, segCode int) (meanErrors, stdErrors float64, err error) {
-	return ix.MeasureRepeatedContext(context.Background(), rs, rng, rounds, k, segCode)
-}
-
-// measureCheckEvery is the cancellation checkpoint stride inside a
-// measurement round: one context poll per this many tuples scored.
-const measureCheckEvery = 2048
-
-// MeasureRepeatedContext is MeasureRepeated with checkpointed
-// cancellation: the sampling rounds poll the context every
-// measureCheckEvery scored tuples and the call returns the cancellation
-// error (with zero statistics — a half-measured error rate is not a
-// usable partial result). The RNG is still advanced identically to the
-// uncancelled call up to the point of cancellation. A background context
-// adds no measurable cost.
-func (ix *Index) MeasureRepeatedContext(ctx context.Context, rs []rules.ClusteredRule,
-	rng *rand.Rand, rounds, k, segCode int) (meanErrors, stdErrors float64, err error) {
-	n := len(ix.crit)
-	if k > n {
-		k = n
-	}
-	cv := ix.NewCoverage(rs)
-	defer cv.Release()
-	point := cancelcheck.New(ctx).Point(measureCheckEvery)
-	var cancelErr error
-	mean, std, err := stats.RepeatedKofN(rng, rounds, k, n, func(sample []int) float64 {
-		if cancelErr != nil {
-			return 0 // already canceled: drain remaining rounds without scoring
+	defer ix.pool.Put(bm)
+	sum := 0
+	for i, w := range ix.drawn {
+		if ix.covered(bm, i) != (int(ix.crit[i]) == segCode) {
+			sum += int(w)
 		}
-		var e ErrorCounts
-		for _, i := range sample {
-			if cerr := point.Check(); cerr != nil {
-				cancelErr = cerr
-				return 0
-			}
-			e.addIndexed(cv, i, segCode)
-		}
-		return float64(e.Errors())
-	})
-	if cancelErr != nil {
-		return 0, 0, cancelErr
 	}
-	return mean, std, err
+	return float64(sum) / float64(ix.rounds), nil
 }

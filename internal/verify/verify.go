@@ -10,18 +10,17 @@
 // approximated on random samples; "repeated k out of n" sampling averages
 // the measurement over several independent draws for a tighter estimate.
 //
-// Outside the threshold search, which scores its probes on a pre-binned
-// Index, coverage is counted in two passes only: SegmentStats over a
-// table and MeasureLattice over a lattice of the value plane.
+// The threshold search scores its probes on a pre-binned Index, which
+// makes the draws once, when it is built, and scores every probe on
+// them. Outside the search, coverage is counted in two passes only:
+// SegmentStats over a table and MeasureLattice over a lattice of the
+// value plane.
 package verify
 
 import (
 	"fmt"
-	"math/rand"
 
-	"arcs/internal/dataset"
 	"arcs/internal/rules"
-	"arcs/internal/stats"
 )
 
 // ErrorCounts aggregates a verification pass.
@@ -59,52 +58,6 @@ func (e *ErrorCounts) add(covered, isSeg bool) {
 	case !covered && isSeg:
 		e.FalseNegatives++
 	}
-}
-
-// Covered reports whether any rule's LHS covers the (x, y) point.
-func Covered(rs []rules.ClusteredRule, x, y float64) bool {
-	for _, r := range rs {
-		if r.Covers(x, y) {
-			return true
-		}
-	}
-	return false
-}
-
-// Measure counts errors of the segmentation over every row of tb.
-// xIdx/yIdx/critIdx are schema positions of the LHS and criterion
-// attributes; segCode is the category code of the criterion value.
-func Measure(rs []rules.ClusteredRule, tb *dataset.Table, xIdx, yIdx, critIdx, segCode int) ErrorCounts {
-	var e ErrorCounts
-	for i := 0; i < tb.Len(); i++ {
-		row := tb.Row(i)
-		e.add(Covered(rs, row[xIdx], row[yIdx]), int(row[critIdx]) == segCode)
-	}
-	return e
-}
-
-// MeasureIndices counts errors over the rows of tb selected by idx —
-// one k-of-n draw.
-func MeasureIndices(rs []rules.ClusteredRule, tb *dataset.Table, idx []int, xIdx, yIdx, critIdx, segCode int) ErrorCounts {
-	var e ErrorCounts
-	for _, i := range idx {
-		row := tb.Row(i)
-		e.add(Covered(rs, row[xIdx], row[yIdx]), int(row[critIdx]) == segCode)
-	}
-	return e
-}
-
-// MeasureRepeated performs the repeated k-out-of-n sampling of §3.6:
-// rounds independent k-of-n draws from tb, returning the mean and
-// standard deviation of the summed error count across draws.
-func MeasureRepeated(rs []rules.ClusteredRule, tb *dataset.Table, rng *rand.Rand,
-	rounds, k int, xIdx, yIdx, critIdx, segCode int) (meanErrors, stdErrors float64, err error) {
-	if k > tb.Len() {
-		k = tb.Len()
-	}
-	return stats.RepeatedKofN(rng, rounds, k, tb.Len(), func(sample []int) float64 {
-		return float64(MeasureIndices(rs, tb, sample, xIdx, yIdx, critIdx, segCode).Errors())
-	})
 }
 
 // LatticeCounts is one walk of a steps×steps lattice over a value-space

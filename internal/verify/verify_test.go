@@ -13,6 +13,31 @@ import (
 // seg is a single rule covering x in [0,10), y in [0,10).
 var seg = []rules.ClusteredRule{{XLo: 0, XHi: 10, YLo: 0, YHi: 10}}
 
+// Covered reports whether any rule's LHS covers the (x, y) point. With
+// Measure it is the rect-scan reference the Index and SegmentStats are
+// held to.
+func Covered(rs []rules.ClusteredRule, x, y float64) bool {
+	for _, r := range rs {
+		if r.Covers(x, y) {
+			return true
+		}
+	}
+	return false
+}
+
+// Measure counts errors of the segmentation over every row of tb by the
+// rect scan. xIdx/yIdx/critIdx are schema positions of the LHS and
+// criterion attributes; segCode is the category code of the criterion
+// value.
+func Measure(rs []rules.ClusteredRule, tb *dataset.Table, xIdx, yIdx, critIdx, segCode int) ErrorCounts {
+	var e ErrorCounts
+	for i := 0; i < tb.Len(); i++ {
+		row := tb.Row(i)
+		e.add(Covered(rs, row[xIdx], row[yIdx]), int(row[critIdx]) == segCode)
+	}
+	return e
+}
+
 func mkTable(t *testing.T, rows [][3]float64) *dataset.Table {
 	t.Helper()
 	s := dataset.NewSchema(
@@ -62,48 +87,6 @@ func TestRateEmptySafe(t *testing.T) {
 func TestCovered(t *testing.T) {
 	if !Covered(seg, 0, 0) || Covered(seg, 10, 5) || Covered(nil, 1, 1) {
 		t.Error("Covered boundary semantics wrong")
-	}
-}
-
-func TestMeasureIndices(t *testing.T) {
-	tb := mkTable(t, [][3]float64{
-		{5, 5, 1},   // FP
-		{5, 5, 0},   // ok
-		{50, 50, 0}, // FN
-	})
-	e := MeasureIndices(seg, tb, []int{0, 2}, 0, 1, 2, 0)
-	if e.Total != 2 || e.Errors() != 2 {
-		t.Errorf("counts = %+v", e)
-	}
-}
-
-func TestMeasureRepeated(t *testing.T) {
-	// Homogeneous errors: every tuple is a false positive, so a k-draw
-	// always measures exactly k errors and std = 0.
-	rowsData := make([][3]float64, 50)
-	for i := range rowsData {
-		rowsData[i] = [3]float64{5, 5, 1}
-	}
-	tb := mkTable(t, rowsData)
-	rng := rand.New(rand.NewSource(1))
-	mean, std, err := MeasureRepeated(seg, tb, rng, 6, 10, 0, 1, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean != 10 || std != 0 {
-		t.Errorf("mean=%v std=%v, want 10, 0", mean, std)
-	}
-}
-
-func TestMeasureRepeatedClampsK(t *testing.T) {
-	tb := mkTable(t, [][3]float64{{5, 5, 1}, {5, 5, 1}})
-	rng := rand.New(rand.NewSource(2))
-	mean, _, err := MeasureRepeated(seg, tb, rng, 3, 100, 0, 1, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean != 2 {
-		t.Errorf("mean = %v, want 2 (k clamped to table size)", mean)
 	}
 }
 
