@@ -59,8 +59,10 @@ type System = core.System
 // trace.
 type Result = core.Result
 
-// CacheStats reports probe-cache effectiveness: per run on Result.Cache,
-// cumulatively via System.ProbeCacheStats.
+// CacheStats reports how many of a run's probes the probe cache answered
+// (Result.Cache), counted from the run's trace. The cumulative view over
+// a System's runs is the observer's probe_cache_hits_total and
+// probe_cache_misses_total counters.
 type CacheStats = core.CacheStats
 
 // ClusteredRule is one clustered association rule of a segmentation.

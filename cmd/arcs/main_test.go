@@ -331,6 +331,50 @@ func TestLiftAboveOneMinesNoRules(t *testing.T) {
 	}
 }
 
+// TestAnnealVerboseCountsCacheHits: -v prints every probe of the search
+// and a search: line. Anneal revisits states, and the probe cache
+// answers every revisit, so each repeated probe line is marked cached,
+// no first one is, and the search: line counts the repeats as its cache
+// hits.
+func TestAnnealVerboseCountsCacheHits(t *testing.T) {
+	bin, csv := buildArcs(t), writeF2CSV(t)
+	out := runArcs(t, bin, "-in", csv, "-x", "age", "-y", "salary", "-crit", "group",
+		"-value", "A", "-search", "anneal", "-v")
+	seen := map[string]bool{}
+	repeats, hits := 0, -1
+	for _, line := range strings.Split(out, "\n") {
+		line = strings.TrimSpace(line)
+		if probe, ok := strings.CutPrefix(line, "probe "); ok {
+			key, _, _ := strings.Cut(probe, " ->")
+			cached := strings.HasSuffix(line, ", cached)")
+			switch {
+			case seen[key] && !cached:
+				t.Errorf("repeated probe not marked cached: %s", line)
+			case !seen[key] && cached:
+				t.Errorf("first probe marked cached: %s", line)
+			}
+			if seen[key] {
+				repeats++
+			}
+			seen[key] = true
+		}
+		if search, ok := strings.CutPrefix(line, "search: "); ok {
+			fields := strings.Split(search, ", ")
+			n, err := strconv.Atoi(strings.TrimSuffix(fields[len(fields)-1], " cache hits"))
+			if err != nil {
+				t.Fatalf("search line %q: %v", line, err)
+			}
+			hits = n
+		}
+	}
+	if repeats == 0 {
+		t.Fatalf("anneal repeated no probe:\n%s", out)
+	}
+	if hits != repeats {
+		t.Errorf("search line counts %d cache hits over %d repeated probes", hits, repeats)
+	}
+}
+
 // TestNaNThresholdsAreRejected: a NaN threshold fails the range check
 // its out-of-range values fail, with the same exit status and error,
 // rather than passing every comparison and mining as if it were unset.

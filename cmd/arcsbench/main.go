@@ -236,7 +236,7 @@ func main() {
 	})
 
 	run("feedbackloop", func() error {
-		fmt.Println("threshold-search feedback loop: sequential vs batched worker pool, cache cold vs warm")
+		fmt.Println("threshold-search feedback loop: cold search without and with an observer, then warm")
 		report, err := experiments.FeedbackLoop(figSizes[0], runtime.GOMAXPROCS(0), c.SpanSink())
 		if err != nil {
 			return err

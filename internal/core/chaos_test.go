@@ -24,6 +24,11 @@ func f2Source(t *testing.T, n int) dataset.Source {
 	})
 }
 
+// chaosConfig is the chaos tests' System config. Its 20-bin grid is
+// under the probe pool's floor, so every probe batch runs inline, and
+// on a fresh System a cold walk misses the probe cache on every probe,
+// so a ProbeHook fires on every probe, in order: the hook's nth call is
+// the walk's nth probe.
 func chaosConfig() Config {
 	return Config{
 		XAttr: synth.AttrAge, YAttr: synth.AttrSalary,
@@ -40,11 +45,9 @@ func runDegraded(t *testing.T, cancelAt int) (*Result, error, *obs.Registry) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := chaosConfig()
-	// Serial, uncached probes make the cancellation cut point exact: the
-	// hook fires on the cancelAt-th evaluation, every earlier probe has
-	// settled, every later probe is refused.
-	cfg.SerialSearch = true
-	cfg.DisableProbeCache = true
+	// chaosConfig makes the cancellation cut point exact: the hook fires
+	// on the cancelAt-th probe, every earlier probe has settled, every
+	// later probe is refused.
 	cfg.ProbeHook = faultinject.CancelOnProbe(cancelAt, cancel)
 	cfg.Observer = obs.New(&obs.MemSink{})
 	sys, err := New(f2Source(t, 8_000), cfg)
@@ -139,8 +142,6 @@ func TestChaosNewContextCancelReturnsNoSystem(t *testing.T) {
 
 func TestChaosProbePanicFailsOnlyThatProbe(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.SerialSearch = true
-	cfg.DisableProbeCache = true
 	cfg.ProbeHook = faultinject.PanicOnProbe(3)
 	cfg.Observer = obs.New(&obs.MemSink{})
 	sys, err := New(f2Source(t, 8_000), cfg)
@@ -176,8 +177,6 @@ func TestChaosProbePanicFailsOnlyThatProbe(t *testing.T) {
 
 func TestChaosAllProbesPanickingFailsRun(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.SerialSearch = true
-	cfg.DisableProbeCache = true
 	cfg.ProbeHook = func(int, float64, float64) { panic("chaos: scripted") }
 	sys, err := New(f2Source(t, 4_000), cfg)
 	if err != nil {

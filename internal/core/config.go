@@ -231,18 +231,6 @@ type Config struct {
 	// and sparse otherwise.
 	CountsBackend string
 
-	// SerialSearch forces the optimizer's probe batches to evaluate one
-	// at a time instead of fanning out across the worker pool. Results
-	// are identical either way (the batch path merges in probe order and
-	// every probe is a pure function of its thresholds); the knob exists
-	// for debugging and as the benchmark baseline.
-	SerialSearch bool
-
-	// DisableProbeCache turns off the per-System memoization of
-	// threshold probes. Results are identical either way; benchmarks use
-	// it to measure uncached probe cost.
-	DisableProbeCache bool
-
 	// RunID, when non-empty, is prepended as a "run_id" attribute on
 	// every root span the System emits (init, thresholds, run), so a
 	// process hosting many concurrent mining jobs over one shared sink —
@@ -254,8 +242,8 @@ type Config struct {
 	// Observer receives phase spans and metrics for every run of the
 	// System (see internal/obs for the span taxonomy and metric names).
 	// Nil — the default — disables observability entirely: the probe hot
-	// path then performs no allocations and no atomic work beyond the
-	// existing cache stats, and no pprof phase labels are applied.
+	// path then performs no allocations and updates no metric, and no
+	// pprof phase labels are applied.
 	Observer *obs.Observer
 
 	// ProbeHook, when set, runs at the start of every probe evaluation

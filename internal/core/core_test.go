@@ -592,9 +592,21 @@ func TestEnumParse(t *testing.T) {
 	}
 }
 
+// objective adapts the system to one criterion code so a test can probe
+// it as the optimizer strategies do. Objectives for different codes are
+// independent and safe to drive concurrently: every probe only reads the
+// BinArray and the verification sample.
+func (s *System) objective(label string) (optimizer.Objective, error) {
+	seg, err := s.segCode(label)
+	if err != nil {
+		return nil, err
+	}
+	return &segObjective{sys: s, seg: seg}, nil
+}
+
 func TestObjectiveAccessor(t *testing.T) {
 	sys := f2System(t, 5_000, 0, Config{NumBins: 15})
-	obj, err := sys.Objective(synth.GroupA)
+	obj, err := sys.objective(synth.GroupA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,14 +624,14 @@ func TestObjectiveAccessor(t *testing.T) {
 	if len(confs) == 0 {
 		t.Error("no confidence levels")
 	}
-	cost, n, err := obj.Evaluate(sups[0], confs[0])
-	if err != nil {
-		t.Fatal(err)
+	r := obj.Evaluate(optimizer.Probe{Support: sups[0], Confidence: confs[0]})
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	if n == 0 && cost != 0 {
-		t.Errorf("inconsistent evaluation: cost=%v n=%d", cost, n)
+	if r.NumRules == 0 && r.Cost != 0 {
+		t.Errorf("inconsistent evaluation: cost=%v n=%d", r.Cost, r.NumRules)
 	}
-	if _, err := sys.Objective("bogus"); err == nil {
+	if _, err := sys.objective("bogus"); err == nil {
 		t.Error("unknown label should error")
 	}
 }

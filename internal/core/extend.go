@@ -27,6 +27,13 @@ import (
 // are invalidated; the next Run recomputes them over the combined
 // counts.
 //
+// Extend reads the source twice. The first pass checks every tuple (its
+// width, finite LHS values, known category labels and criterion codes)
+// and changes nothing, so a rejected tuple leaves the System as it was.
+// The second pass adds the tuples. A read error during the second pass,
+// or a source that replays different tuples, can still leave the System
+// partly extended.
+//
 // Extend must not be called concurrently with RunValue/SegmentAll.
 func (s *System) Extend(src dataset.Source) error {
 	remaps, err := s.compatibleRemaps(src.Schema())
@@ -38,15 +45,11 @@ func (s *System) Extend(src dataset.Source) error {
 		return fmt.Errorf("core: count backend %T does not support incremental extension", s.ba)
 	}
 	nseg := s.ba.NSeg()
-	// Continue reservoir sampling over the logical concatenation of the
-	// original stream and the extension, so the sample stays uniform
-	// over everything seen. The original stream length seeds the "seen"
-	// counter.
-	rng := rand.New(rand.NewSource(s.cfg.Seed + int64(s.ba.N())))
-	seen := int(s.ba.N())
 	buf := make(dataset.Tuple, s.schema.Len())
 	row := 0
-	err = dataset.ForEach(src, func(t dataset.Tuple) error {
+	// admit checks the pass's next tuple and writes it into buf with the
+	// system's category codes.
+	admit := func(t dataset.Tuple) error {
 		if len(t) != s.schema.Len() {
 			return dataset.ErrSchemaMismatch
 		}
@@ -68,11 +71,27 @@ func (s *System) Extend(src dataset.Source) error {
 			}
 			buf[idx] = float64(mapped)
 		}
-		seg := int(buf[s.critIdx])
-		if seg < 0 || seg >= nseg {
+		if seg := int(buf[s.critIdx]); seg < 0 || seg >= nseg {
 			return fmt.Errorf("core: criterion value %d outside the original dictionary (0..%d)", seg, nseg-1)
 		}
-		adder.Add(s.xb.Bin(buf[s.xIdx]), s.yb.Bin(buf[s.yIdx]), seg)
+		return nil
+	}
+	if err := dataset.ForEach(src, admit); err != nil {
+		return err
+	}
+
+	// Continue reservoir sampling over the logical concatenation of the
+	// original stream and the extension, so the sample stays uniform
+	// over everything seen. The original stream length seeds the "seen"
+	// counter.
+	rng := rand.New(rand.NewSource(s.cfg.Seed + int64(s.ba.N())))
+	seen := int(s.ba.N())
+	row = 0
+	err = dataset.ForEach(src, func(t dataset.Tuple) error {
+		if err := admit(t); err != nil {
+			return err
+		}
+		adder.Add(s.xb.Bin(buf[s.xIdx]), s.yb.Bin(buf[s.yIdx]), int(buf[s.critIdx]))
 
 		// Algorithm-R continuation over the combined stream.
 		seen++

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
+	"arcs/internal/counts"
 	"arcs/internal/dataset"
 	"arcs/internal/synth"
 )
@@ -118,6 +121,88 @@ func TestExtendRejectsUnknownCriterionLabel(t *testing.T) {
 	tb.MustAppend(row)
 	if err := sys.Extend(tb); err == nil {
 		t.Error("unknown criterion label should be rejected")
+	}
+}
+
+// TestExtendRejectionChangesNothing: a tuple Extend rejects leaves the
+// System as it was, even when good tuples come before it. After a
+// rejected extension of 500 good rows and one labelled "mystery", the
+// counts, the sample and the probe cache are unchanged, and extending
+// with the 500 good rows gives the counts and the sample of a twin
+// System extended with those rows alone.
+func TestExtendRejectionChangesNothing(t *testing.T) {
+	schema := synth.NewSchema()
+	group := schema.Attr(synth.AttrGroup)
+	good := dataset.NewTable(schema)
+	if err := dataset.ForEach(synthSource(t, synth.Config{Function: 2, N: 500, Seed: 2, FracA: 0.4}),
+		func(tp dataset.Tuple) error { return good.Append(tp) }); err != nil {
+		t.Fatal(err)
+	}
+	bad := dataset.NewTable(schema)
+	for i := 0; i < good.Len(); i++ {
+		bad.MustAppend(good.Row(i))
+	}
+	code, err := group.CategoryCode("mystery")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mystery := append(dataset.Tuple(nil), good.Row(0)...)
+	mystery[schema.MustIndex(synth.AttrGroup)] = float64(code)
+	bad.MustAppend(mystery)
+
+	state := func(sys *System) ([]byte, [][]float64) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := counts.Snapshot(sys.Counts(), &buf); err != nil {
+			t.Fatal(err)
+		}
+		sample := make([][]float64, sys.Sample().Len())
+		for i := range sample {
+			sample[i] = append([]float64(nil), sys.Sample().Row(i)...)
+		}
+		return buf.Bytes(), sample
+	}
+
+	sys := extSystem(t, 2_000)
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	countsBefore, sampleBefore := state(sys)
+	if err := sys.Extend(bad); err == nil {
+		t.Fatal("an extension with an unknown label was accepted")
+	}
+	if n := sys.Counts().N(); n != 2_000 {
+		t.Errorf("N = %d after a rejected extension, want 2000", n)
+	}
+	countsAfter, sampleAfter := state(sys)
+	if !bytes.Equal(countsBefore, countsAfter) {
+		t.Error("a rejected extension changed the counts")
+	}
+	if !reflect.DeepEqual(sampleBefore, sampleAfter) {
+		t.Error("a rejected extension changed the sample")
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache.Misses != 0 {
+		t.Errorf("the run after a rejected extension missed %d probes; the System should not have changed", res.Cache.Misses)
+	}
+
+	if err := sys.Extend(good); err != nil {
+		t.Fatal(err)
+	}
+	twin := extSystem(t, 2_000)
+	if err := twin.Extend(good); err != nil {
+		t.Fatal(err)
+	}
+	gotCounts, gotSample := state(sys)
+	wantCounts, wantSample := state(twin)
+	if !bytes.Equal(gotCounts, wantCounts) {
+		t.Error("counts differ from a twin System extended with the good rows alone")
+	}
+	if !reflect.DeepEqual(gotSample, wantSample) {
+		t.Error("sample differs from a twin System extended with the good rows alone")
 	}
 }
 

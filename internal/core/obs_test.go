@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"arcs/internal/obs"
+	"arcs/internal/optimizer"
 	"arcs/internal/synth"
 )
 
@@ -246,14 +247,14 @@ func TestObsDisabledProbeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := sys.Objective(synth.GroupA)
+	obj, err := sys.objective(synth.GroupA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, conf := res.MinSupport, res.MinConfidence
+	p := optimizer.Probe{Support: res.MinSupport, Confidence: res.MinConfidence}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := obj.Evaluate(sup, conf); err != nil {
-			t.Fatal(err)
+		if r := obj.Evaluate(p); r.Err != nil || !r.CacheHit {
+			t.Fatalf("warm probe: %+v, want a cache hit", r)
 		}
 	}); allocs != 0 {
 		t.Errorf("warm probe with nil observer allocates %.1f objects/op, want 0", allocs)
@@ -281,16 +282,16 @@ func BenchmarkProbeObserverOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		obj, err := sys.Objective(synth.GroupA)
+		obj, err := sys.objective(synth.GroupA)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sup, conf := res.MinSupport, res.MinConfidence
+		p := optimizer.Probe{Support: res.MinSupport, Confidence: res.MinConfidence}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := obj.Evaluate(sup, conf); err != nil {
-				b.Fatal(err)
+			if r := obj.Evaluate(p); r.Err != nil {
+				b.Fatal(r.Err)
 			}
 		}
 	}

@@ -3,9 +3,11 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
+	"arcs/internal/obs"
 	"arcs/internal/optimizer"
 	"arcs/internal/synth"
 )
@@ -26,11 +28,17 @@ func stripCache(r *Result) *Result {
 	return &c
 }
 
-// TestParallelSearchMatchesSequential is the tentpole determinism
-// contract at the system level: for every search strategy, the batched,
-// cached, worker-pool path must return bit-identical Best thresholds,
-// Cost, Trace, and final Rules to the serial, uncached path.
+// TestParallelSearchMatchesSequential is the probe pool's determinism
+// contract at the system level. At 64 bins the grid is at the pool's
+// floor, so with four Ps the walk's and the factorial's batches fan out
+// across workers and merge back in probe order. Anneal submits one
+// probe at a time and revisits states, so its case holds the cache's
+// answers to the pipeline. Every trace step must carry the cost and
+// rule count that the uncached pipeline, evaluateProbe, computes at its
+// thresholds, and the final rules must be MineAt's at the chosen
+// thresholds.
 func TestParallelSearchMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	searches := map[string]Config{
 		"walk": {Search: SearchWalk,
 			Walk: walkBudget()},
@@ -41,26 +49,50 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 	}
 	for name, cfg := range searches {
 		t.Run(name, func(t *testing.T) {
-			serialCfg := cfg
-			serialCfg.NumBins = 20
-			serialCfg.SerialSearch = true
-			serialCfg.DisableProbeCache = true
-			seq := f2System(t, 8_000, 0.05, serialCfg)
-			seqRes, err := seq.Run()
+			sink := &obs.MemSink{}
+			cfg.NumBins = 64
+			cfg.Observer = obs.New(sink)
+			sys := f2System(t, 8_000, 0.05, cfg)
+			res, err := sys.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			parCfg := cfg
-			parCfg.NumBins = 20
-			par := f2System(t, 8_000, 0.05, parCfg)
-			parRes, err := par.Run()
+			pooled := false
+			for _, b := range sink.Spans("probe-batch") {
+				if w, _ := strconv.Atoi(b.Attr("workers")); w > 1 {
+					pooled = true
+				}
+			}
+			if name == "anneal" {
+				if res.Cache.Hits == 0 {
+					t.Error("anneal revisited no state, so no step came from the cache")
+				}
+			} else if !pooled {
+				t.Error("no probe batch ran on more than one worker")
+			}
+
+			seg, err := sys.segCode(synth.GroupA)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			if !reflect.DeepEqual(stripCache(seqRes), stripCache(parRes)) {
-				t.Errorf("parallel result differs from sequential:\nseq: %+v\npar: %+v", seqRes, parRes)
+			for i, st := range res.Trace {
+				cost, n, err := sys.evaluateProbe(obs.Span{}, seg, st.Support, st.Confidence)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Cost != cost || st.NumRules != n {
+					t.Errorf("step %d at (%g, %g): cost %g with %d rules, the pipeline gives %g with %d",
+						i, st.Support, st.Confidence, st.Cost, st.NumRules, cost, n)
+				}
+			}
+			want, err := sys.MineAt(res.MinSupport, res.MinConfidence)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Rules, want) {
+				t.Errorf("final rules differ from MineAt at (%g, %g):\ngot:  %v\nwant: %v",
+					res.MinSupport, res.MinConfidence, res.Rules, want)
 			}
 		})
 	}
@@ -96,9 +128,6 @@ func TestProbeCacheAcrossRuns(t *testing.T) {
 	if !reflect.DeepEqual(stripCache(first), stripCache(second)) {
 		t.Error("cached re-run differs from the original")
 	}
-	if got := sys.ProbeCacheStats(); got.Probes() != first.Cache.Probes()+second.Cache.Probes() {
-		t.Errorf("system stats %+v do not aggregate run stats %+v + %+v", got, first.Cache, second.Cache)
-	}
 
 	// After a reset the same probes must recompute to the same values.
 	sys.ResetProbeCache()
@@ -114,6 +143,61 @@ func TestProbeCacheAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestCacheCountsMatchTrace holds every count of a run's cache hits to
+// its trace. For each strategy, a cold and then a warm run on one
+// System must report, in Result.Cache, Provenance.CacheHits and the
+// observer's probe_cache_hits_total and probe_cache_misses_total
+// counters, the hits that the steps marked CacheHit make, and every
+// other step as a miss. Anneal's single probes revisit states, so its
+// cold run has hits too.
+func TestCacheCountsMatchTrace(t *testing.T) {
+	searches := map[string]Config{
+		"walk":      {Search: SearchWalk, Walk: walkBudget()},
+		"anneal":    {Search: SearchAnneal, Anneal: optimizer.Anneal{Seed: 5, Iterations: 200}},
+		"factorial": {Search: SearchFactorial, Factorial: factorialBudget()},
+		"fixed":     {Search: SearchFixed, FixedMinSupport: 0.0001, FixedMinConfidence: 0.39},
+	}
+	for name, cfg := range searches {
+		t.Run(name, func(t *testing.T) {
+			cfg.NumBins = 20
+			cfg.Observer = obs.New(nil)
+			sys := f2System(t, 8_000, 0.05, cfg)
+			reg := cfg.Observer.Registry()
+			var hitsBefore, missesBefore int64
+			for _, run := range []string{"cold", "warm"} {
+				res, err := sys.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				hits := 0
+				for _, st := range res.Trace {
+					if st.CacheHit {
+						hits++
+					}
+				}
+				if res.Cache.Hits != hits || res.Provenance.CacheHits != hits ||
+					res.Cache.Hits+res.Cache.Misses != len(res.Trace) {
+					t.Errorf("%s run: Cache %+v, Provenance.CacheHits %d; the trace has %d steps, %d of them hits",
+						run, res.Cache, res.Provenance.CacheHits, len(res.Trace), hits)
+				}
+				hitsNow := reg.Counter("probe_cache_hits_total").Value()
+				missesNow := reg.Counter("probe_cache_misses_total").Value()
+				if hitsNow-hitsBefore != int64(res.Cache.Hits) || missesNow-missesBefore != int64(res.Cache.Misses) {
+					t.Errorf("%s run: the registry counted %d hits and %d misses, Result.Cache is %+v",
+						run, hitsNow-hitsBefore, missesNow-missesBefore, res.Cache)
+				}
+				hitsBefore, missesBefore = hitsNow, missesNow
+				switch {
+				case run == "warm" && res.Cache.Misses != 0:
+					t.Errorf("warm run missed %d probes", res.Cache.Misses)
+				case run == "cold" && name == "anneal" && res.Cache.Hits == 0:
+					t.Error("cold anneal run revisited no state")
+				}
+			}
+		})
+	}
+}
+
 // TestProbeCacheConcurrentStress hammers the single-flight probe cache:
 // SegmentAll (one goroutine per criterion value) racing additional
 // RunValue goroutines for the same values, on one shared System. Run
@@ -121,11 +205,14 @@ func TestProbeCacheAcrossRuns(t *testing.T) {
 func TestProbeCacheConcurrentStress(t *testing.T) {
 	cfg := Config{NumBins: 15, Search: SearchWalk,
 		Walk: walkBudget()}
+	cfg.Observer = obs.New(nil)
 	sys := f2System(t, 6_000, 0.05, cfg)
 	labels := []string{synth.GroupA, synth.GroupOther}
 
 	// Reference results computed alone, on an identical System.
-	refSys := f2System(t, 6_000, 0.05, cfg)
+	refCfg := cfg
+	refCfg.Observer = obs.New(nil)
+	refSys := f2System(t, 6_000, 0.05, refCfg)
 	refs := make(map[string]*Result, len(labels))
 	for _, l := range labels {
 		r, err := refSys.RunValue(l)
@@ -181,13 +268,13 @@ func TestProbeCacheConcurrentStress(t *testing.T) {
 
 	// Every probe beyond the first computation of each key must have hit
 	// the cache: exactly one miss per distinct probe across the storm.
-	st := sys.ProbeCacheStats()
-	if st.Hits == 0 {
-		t.Errorf("concurrent stress produced no cache hits: %+v", st)
+	reg, refReg := cfg.Observer.Registry(), refCfg.Observer.Registry()
+	if hits := reg.Counter("probe_cache_hits_total").Value(); hits == 0 {
+		t.Error("concurrent stress produced no cache hits")
 	}
-	ref := refSys.ProbeCacheStats()
-	if st.Misses != ref.Misses {
-		t.Errorf("distinct probes computed = %d, solo reference computed %d", st.Misses, ref.Misses)
+	misses := reg.Counter("probe_cache_misses_total").Value()
+	if ref := refReg.Counter("probe_cache_misses_total").Value(); misses != ref {
+		t.Errorf("distinct probes computed = %d, solo reference computed %d", misses, ref)
 	}
 }
 
@@ -197,7 +284,7 @@ func TestProbeCacheConcurrentStress(t *testing.T) {
 // poolDispatchMinCells cells fans out to GOMAXPROCS workers.
 func TestBatchDispatchAdaptive(t *testing.T) {
 	small := f2System(t, 2_000, 0, Config{NumBins: 20, Walk: walkBudget()})
-	obj, err := small.Objective(synth.GroupA)
+	obj, err := small.objective(synth.GroupA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +293,7 @@ func TestBatchDispatchAdaptive(t *testing.T) {
 	}
 
 	big := f2System(t, 2_000, 0, Config{NumBins: 64, Walk: walkBudget()})
-	obj, err = big.Objective(synth.GroupA)
+	obj, err = big.objective(synth.GroupA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,14 +303,5 @@ func TestBatchDispatchAdaptive(t *testing.T) {
 	}
 	if got := obj.(*segObjective).batchWorkers(8); got != want {
 		t.Errorf("64×64 grid batch workers = %d, want %d", got, want)
-	}
-
-	serial := f2System(t, 2_000, 0, Config{NumBins: 64, Walk: walkBudget(), SerialSearch: true})
-	obj, err = serial.Objective(synth.GroupA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.(*segObjective).batchWorkers(8); got != 1 {
-		t.Errorf("SerialSearch batch workers = %d, want 1", got)
 	}
 }

@@ -5,10 +5,14 @@ import (
 	"sync/atomic"
 
 	"arcs/internal/obs"
+	"arcs/internal/optimizer"
 )
 
-// CacheStats reports probe-cache effectiveness — either for one run
-// (Result.Cache) or cumulatively for a System (ProbeCacheStats).
+// CacheStats reports how many of one run's probes the System's probe
+// cache answered (Result.Cache). It is counted from the run's trace:
+// the steps with CacheHit set are its hits, the others its misses. The
+// observer's probe_cache_hits_total and probe_cache_misses_total
+// counters hold the System's cumulative view.
 type CacheStats struct {
 	// Hits counts probes answered from the cache, including probes that
 	// joined an in-flight computation (single-flight).
@@ -17,9 +21,6 @@ type CacheStats struct {
 	// pipeline.
 	Misses int
 }
-
-// Probes reports the total probes observed.
-func (c CacheStats) Probes() int { return c.Hits + c.Misses }
 
 // HitRate reports the fraction of probes served from cache, 0 when no
 // probes were observed.
@@ -43,10 +44,8 @@ type probeEntry struct {
 	// ready flips after once completes. The hit path checks it before
 	// touching once so no compute closure is ever constructed for a
 	// settled entry — keeping warm probes at zero allocations.
-	ready    atomic.Bool
-	cost     float64
-	numRules int
-	err      error
+	ready atomic.Bool
+	res   optimizer.ProbeResult
 }
 
 // probeCache memoizes threshold evaluations per (criterion code,
@@ -61,11 +60,10 @@ type probeCache struct {
 	mu      sync.Mutex
 	entries map[probeKey]*probeEntry
 
-	hits, misses atomic.Int64
-
-	// onHit/onMiss mirror the stats into the observer's metrics registry
-	// when one is attached. They stay nil otherwise; obs.Counter methods
-	// are nil-safe, so the hot path never branches on observability.
+	// onHit/onMiss count hits and misses in the observer's metrics
+	// registry when one is attached. They stay nil otherwise;
+	// obs.Counter methods are nil-safe, so the hot path never branches
+	// on observability.
 	onHit, onMiss *obs.Counter
 }
 
@@ -74,11 +72,11 @@ func newProbeCache() *probeCache {
 }
 
 // do returns the memoized evaluation for key, computing it at most once
-// across all concurrent callers via s.safeEvaluateProbe. hit reports
-// whether an entry already existed (possibly still in flight) when this
-// caller arrived. Taking the System and span instead of a closure keeps
-// the warm-hit path allocation-free: the compute closure is only built
-// for entries that are not settled yet.
+// across all concurrent callers via s.safeEvaluateProbe. Its CacheHit
+// reports whether an entry already existed (possibly still in flight)
+// when this caller arrived. Taking the System and span instead of a
+// closure keeps the warm-hit path allocation-free: the compute closure
+// is only built for entries that are not settled yet.
 //
 // Failed evaluations are never memoized: a failure (a recovered panic,
 // say) settles the entry for the waiters that already joined it (they
@@ -89,7 +87,7 @@ func newProbeCache() *probeCache {
 // sync.Once marks itself done even when its function panics, so a
 // recover outside the closure would leave a half-written entry that
 // every waiter reads as a silent zero-cost success.
-func (c *probeCache) do(s *System, parent obs.Span, key probeKey) (cost float64, numRules int, hit bool, err error) {
+func (c *probeCache) do(s *System, parent obs.Span, key probeKey) optimizer.ProbeResult {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -99,10 +97,10 @@ func (c *probeCache) do(s *System, parent obs.Span, key probeKey) (cost float64,
 	c.mu.Unlock()
 	if !e.ready.Load() {
 		e.once.Do(func() {
-			e.cost, e.numRules, e.err = s.safeEvaluateProbe(parent, key.seg, key.sup, key.conf)
+			e.res = s.safeEvaluateProbe(parent, key.seg, key.sup, key.conf)
 			e.ready.Store(true)
 		})
-		if e.err != nil {
+		if e.res.Err != nil {
 			c.mu.Lock()
 			if c.entries[key] == e {
 				delete(c.entries, key)
@@ -111,23 +109,20 @@ func (c *probeCache) do(s *System, parent obs.Span, key probeKey) (cost float64,
 		}
 	}
 	if ok {
-		c.hits.Add(1)
 		c.onHit.Inc()
 	} else {
-		c.misses.Add(1)
 		c.onMiss.Inc()
 	}
-	return e.cost, e.numRules, ok, e.err
+	r := e.res
+	r.CacheHit = ok
+	return r
 }
 
 // reset drops all memoized probes (after Extend, or for cold-cache
-// benchmarking). Stats are cumulative and survive resets.
+// benchmarking). The observer's cache counters are cumulative and
+// survive resets.
 func (c *probeCache) reset() {
 	c.mu.Lock()
 	c.entries = make(map[probeKey]*probeEntry)
 	c.mu.Unlock()
-}
-
-func (c *probeCache) stats() CacheStats {
-	return CacheStats{Hits: int(c.hits.Load()), Misses: int(c.misses.Load())}
 }

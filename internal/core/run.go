@@ -9,7 +9,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"arcs/internal/bitop"
@@ -49,7 +48,8 @@ type Result struct {
 	// Trace records every probe, for reports and debugging.
 	Trace []optimizer.Step
 	// Cache reports how many of this run's probes were answered by the
-	// System's memoized probe cache versus computed fresh.
+	// System's memoized probe cache versus computed fresh, counted from
+	// Trace.
 	Cache CacheStats
 	// Provenance summarizes the search trace: how many probes the
 	// strategy issued, how they were classified, and how many were
@@ -94,8 +94,8 @@ type Provenance struct {
 	// NoImprovement counts probes that produced rules but lost to the
 	// incumbent.
 	NoImprovement int `json:"no_improvement"`
-	// CacheHits counts probes answered from the memoized probe cache,
-	// as seen by the optimizer's batch path.
+	// CacheHits counts probes answered from the memoized probe cache:
+	// the trace steps with CacheHit set.
 	CacheHits int `json:"cache_hits"`
 }
 
@@ -142,12 +142,9 @@ func (s *System) resetThresholdCache() {
 
 // ResetProbeCache drops every memoized probe evaluation. Extend calls it
 // internally when the sample changes; benchmarks use it to measure
-// cold-cache behavior. Cumulative stats are preserved.
+// cold-cache behavior. The observer's cache counters are cumulative and
+// survive it.
 func (s *System) ResetProbeCache() { s.probes.reset() }
-
-// ProbeCacheStats reports cumulative probe-cache hits and misses over
-// the System's lifetime (across runs and resets).
-func (s *System) ProbeCacheStats() CacheStats { return s.probes.stats() }
 
 // thresholdsFor caches the Figure 10 structure per criterion code.
 // The cache is guarded so concurrent RunValue calls (SegmentAll) can
@@ -169,21 +166,9 @@ func (s *System) thresholdsFor(seg int) (*engine.Thresholds, error) {
 	return th, nil
 }
 
-// Objective adapts the system to one criterion code so the optimizer
-// strategies can probe it. Objectives for different codes are
-// independent and safe to drive concurrently: every probe only reads the
-// BinArray and the verification sample.
-func (s *System) Objective(label string) (optimizer.Objective, error) {
-	seg, err := s.segCode(label)
-	if err != nil {
-		return nil, err
-	}
-	return &segObjective{sys: s, seg: seg}, nil
-}
-
 // segObjective drives one criterion code through the System. It also
 // implements optimizer.ObjectiveBatch, fanning independent probes across
-// a worker pool, and tracks per-run cache hits/misses for Result.Cache.
+// a worker pool.
 type segObjective struct {
 	sys *System
 	seg int
@@ -195,8 +180,6 @@ type segObjective struct {
 	// nil methods keep the hot path branch-free beyond a single
 	// predictable comparison.
 	ck *cancelcheck.Checker
-
-	hits, misses atomic.Int64
 }
 
 // SupportLevels implements optimizer.Objective.
@@ -217,38 +200,25 @@ func (o *segObjective) ConfidenceLevels(support float64) ([]float64, error) {
 	return th.ConfidencesAtOrAbove(support), nil
 }
 
-// Evaluate implements optimizer.Objective, memoized through the System's
-// probe cache: concurrent and repeated requests for the same
-// (seg, support, confidence) run the pipeline exactly once. Under a
-// cancellable run the probe is refused once the context is canceled.
-func (o *segObjective) Evaluate(minSup, minConf float64) (float64, int, error) {
-	if err := o.ck.Err(); err != nil {
-		return 0, 0, err
-	}
-	cost, n, _, err := o.evaluate(o.span, minSup, minConf)
-	return cost, n, err
+// Evaluate implements optimizer.Objective: one probe, under the search
+// span.
+func (o *segObjective) Evaluate(p optimizer.Probe) optimizer.ProbeResult {
+	return o.probe(o.span, p)
 }
 
-// evaluate is Evaluate with an explicit parent span for probe-level
-// observability (the batch path nests probes under the batch span) and
-// the cache-hit flag exposed for search provenance.
+// probe answers one probe through the System's probe cache, so
+// concurrent and repeated requests for the same (seg, support,
+// confidence) run the pipeline exactly once. The probe span nests under
+// parent (the batch path passes its batch span). Under a cancellable run
+// the probe is refused once the context is canceled.
 // With observability off this path performs zero allocations beyond the
 // probe pipeline itself — the allocation test in obs_test.go enforces
 // that for the warm-cache case.
-func (o *segObjective) evaluate(parent obs.Span, minSup, minConf float64) (float64, int, bool, error) {
-	s := o.sys
-	if s.cfg.DisableProbeCache {
-		cost, n, err := s.safeEvaluateProbe(parent, o.seg, minSup, minConf)
-		o.misses.Add(1)
-		return cost, n, false, err
+func (o *segObjective) probe(parent obs.Span, p optimizer.Probe) optimizer.ProbeResult {
+	if err := o.ck.Err(); err != nil {
+		return optimizer.ProbeResult{Err: err}
 	}
-	cost, n, hit, err := s.probes.do(s, parent, probeKey{seg: o.seg, sup: minSup, conf: minConf})
-	if hit {
-		o.hits.Add(1)
-	} else {
-		o.misses.Add(1)
-	}
-	return cost, n, hit, err
+	return o.sys.probes.do(o.sys, parent, probeKey{seg: o.seg, sup: p.Support, conf: p.Confidence})
 }
 
 // safeEvaluateProbe is the probe isolation layer: it runs the configured
@@ -257,18 +227,18 @@ func (o *segObjective) evaluate(parent obs.Span, minSup, minConf float64) (float
 // recovered panic comes back as a *PanicError (stack attached, counted
 // on probe_panics_recovered_total) which unwraps to
 // optimizer.ErrProbeFailed so the search strategies skip the probe.
-func (s *System) safeEvaluateProbe(parent obs.Span, seg int, minSup, minConf float64) (cost float64, numRules int, err error) {
+func (s *System) safeEvaluateProbe(parent obs.Span, seg int, minSup, minConf float64) (r optimizer.ProbeResult) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.mPanics.Inc()
-			cost, numRules = 0, 0
-			err = &PanicError{Phase: "probe", Value: v, Stack: debug.Stack()}
+			r = optimizer.ProbeResult{Err: &PanicError{Phase: "probe", Value: v, Stack: debug.Stack()}}
 		}
 	}()
 	if s.cfg.ProbeHook != nil {
 		s.cfg.ProbeHook(seg, minSup, minConf)
 	}
-	return s.evaluateProbe(parent, seg, minSup, minConf)
+	r.Cost, r.NumRules, r.Err = s.evaluateProbe(parent, seg, minSup, minConf)
+	return r
 }
 
 // poolDispatchMinCells is the grid-cost floor for parallel probe
@@ -282,14 +252,11 @@ func (s *System) safeEvaluateProbe(parent obs.Span, seg int, minSup, minConf flo
 // grids that win.
 const poolDispatchMinCells = 4096
 
-// batchWorkers sizes the probe pool for one batch adaptively: serial
-// search and small batches aside, grids under poolDispatchMinCells
-// cells skip pool dispatch entirely — on those, per-probe work is too
-// cheap to amortize goroutine handoff.
+// batchWorkers sizes the probe pool for one batch adaptively: grids
+// under poolDispatchMinCells cells skip pool dispatch entirely — on
+// those, per-probe work is too cheap to amortize goroutine handoff —
+// and no batch gets more workers than it has probes.
 func (o *segObjective) batchWorkers(probes int) int {
-	if o.sys.cfg.SerialSearch {
-		return 1
-	}
 	if ba := o.sys.ba; ba != nil && ba.NX()*ba.NY() < poolDispatchMinCells {
 		return 1
 	}
@@ -301,12 +268,14 @@ func (o *segObjective) batchWorkers(probes int) int {
 }
 
 // EvaluateBatch implements optimizer.ObjectiveBatch: the probes are
-// evaluated concurrently on up to GOMAXPROCS workers (one, when
-// Config.SerialSearch is set or the grid is below the pool-dispatch
-// cost floor) and returned in probe order. Each probe goes through the
-// same memoized Evaluate as the sequential path, and every evaluation
-// is a pure function of its thresholds, so the merged results are
-// bit-identical to sequential evaluation.
+// evaluated concurrently on up to GOMAXPROCS workers (inline, when the
+// grid is below the pool-dispatch cost floor) and returned in probe
+// order. Each probe goes through the same memoized probe as Evaluate,
+// and every evaluation is a pure function of its thresholds, so the
+// merged results are bit-identical to sequential evaluation. Once the
+// run is canceled every later probe is refused without running the
+// pipeline; the strategies stop at the first cancellation error in
+// merge order.
 func (o *segObjective) EvaluateBatch(probes []optimizer.Probe) []optimizer.ProbeResult {
 	out := make([]optimizer.ProbeResult, len(probes))
 	workers := o.batchWorkers(len(probes))
@@ -316,14 +285,7 @@ func (o *segObjective) EvaluateBatch(probes []optimizer.Probe) []optimizer.Probe
 	o.sys.mPoolWork.Set(int64(workers))
 	if workers <= 1 {
 		for i, p := range probes {
-			if err := o.ck.Err(); err != nil {
-				// Canceled: refuse this and every later probe without
-				// running the pipeline. The strategies stop at the first
-				// cancellation error in merge order.
-				out[i].Err = err
-				continue
-			}
-			out[i].Cost, out[i].NumRules, out[i].CacheHit, out[i].Err = o.evaluate(sp, p.Support, p.Confidence)
+			out[i] = o.probe(sp, p)
 		}
 		sp.End()
 		return out
@@ -339,16 +301,8 @@ func (o *segObjective) EvaluateBatch(probes []optimizer.Probe) []optimizer.Probe
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if err := o.ck.Err(); err != nil {
-					// Canceled: stop starting probes; drain the queue
-					// marking the rest refused so the merge sees the
-					// cancellation in order.
-					out[i].Err = err
-					continue
-				}
 				o.sys.mQueueDepth.Set(int64(len(next)))
-				p := probes[i]
-				out[i].Cost, out[i].NumRules, out[i].CacheHit, out[i].Err = o.evaluate(sp, p.Support, p.Confidence)
+				out[i] = o.probe(sp, probes[i])
 			}
 		}()
 	}
@@ -356,11 +310,6 @@ func (o *segObjective) EvaluateBatch(probes []optimizer.Probe) []optimizer.Probe
 	o.sys.mQueueDepth.Set(0)
 	sp.End()
 	return out
-}
-
-// cacheStats snapshots the probes this objective has issued so far.
-func (o *segObjective) cacheStats() CacheStats {
-	return CacheStats{Hits: int(o.hits.Load()), Misses: int(o.misses.Load())}
 }
 
 // evaluateProbe mines and clusters at the thresholds, verifies against
@@ -464,29 +413,30 @@ func (s *System) RunValueContext(ctx context.Context, label string) (*Result, er
 		defer func() { obj.span = obs.Span{} }()
 		switch s.cfg.Search {
 		case SearchFixed:
-			cost, n, err := obj.Evaluate(s.cfg.FixedMinSupport, s.cfg.FixedMinConfidence)
-			if err != nil {
-				return err
+			p := optimizer.Probe{Support: s.cfg.FixedMinSupport, Confidence: s.cfg.FixedMinConfidence}
+			r := obj.Evaluate(p)
+			if r.Err != nil {
+				return r.Err
 			}
 			best = optimizer.Best{
-				Support:     s.cfg.FixedMinSupport,
-				Confidence:  s.cfg.FixedMinConfidence,
-				Cost:        cost,
-				NumRules:    n,
+				Support:     p.Support,
+				Confidence:  p.Confidence,
+				Cost:        r.Cost,
+				NumRules:    r.NumRules,
 				Evaluations: 1,
 				Trace: []optimizer.Step{{
-					Support: s.cfg.FixedMinSupport, Confidence: s.cfg.FixedMinConfidence,
-					Cost: cost, NumRules: n,
-					Accepted: true, Reason: optimizer.ReasonFixed,
+					Support: p.Support, Confidence: p.Confidence,
+					Cost: r.Cost, NumRules: r.NumRules,
+					Accepted: true, Reason: optimizer.ReasonFixed, CacheHit: r.CacheHit,
 				}},
 			}
 			return nil
 		case SearchWalk:
-			best, err = s.cfg.Walk.OptimizeContext(ctx, obj)
+			best, err = s.cfg.Walk.Optimize(ctx, obj)
 		case SearchAnneal:
-			best, err = s.cfg.Anneal.OptimizeContext(ctx, obj)
+			best, err = s.cfg.Anneal.Optimize(ctx, obj)
 		case SearchFactorial:
-			best, err = s.cfg.Factorial.OptimizeContext(ctx, obj)
+			best, err = s.cfg.Factorial.Optimize(ctx, obj)
 		default:
 			return fmt.Errorf("core: unknown search strategy %v", s.cfg.Search)
 		}
@@ -539,6 +489,7 @@ func (s *System) RunValueContext(ctx context.Context, label string) (*Result, er
 		return nil, &RunError{Phase: "verify-final", Err: err}
 	}
 	root.End(obs.Int("rules", len(finalRules)), obs.Int("evaluations", best.Evaluations))
+	prov := summarizeProvenance(best.Trace)
 	res := &Result{
 		CritValue:     label,
 		Rules:         finalRules,
@@ -548,8 +499,8 @@ func (s *System) RunValueContext(ctx context.Context, label string) (*Result, er
 		Errors:        errs,
 		Evaluations:   best.Evaluations,
 		Trace:         best.Trace,
-		Cache:         obj.cacheStats(),
-		Provenance:    summarizeProvenance(best.Trace),
+		Cache:         CacheStats{Hits: prov.CacheHits, Misses: prov.Probes - prov.CacheHits},
+		Provenance:    prov,
 		Phases:        phases,
 		Degraded:      degraded,
 		FailedProbes:  best.Failures,

@@ -181,8 +181,10 @@ func PanicOnProbe(n int) func(seg int, minSup, minConf float64) {
 
 // CancelOnProbe returns a probe hook that calls cancel when the nth
 // probe (1-based) begins evaluating — a deterministic mid-search
-// cancellation trigger. Combine with Config.SerialSearch and
-// DisableProbeCache for an exact, repeatable cut point.
+// cancellation trigger. The hook runs only on probe-cache misses, so the
+// cut point is exact and repeatable on a grid under the probe pool's
+// floor (its batches run inline) and a fresh System (a cold walk misses
+// on every probe).
 func CancelOnProbe(n int, cancel context.CancelFunc) func(seg int, minSup, minConf float64) {
 	var calls atomic.Int64
 	return func(seg int, minSup, minConf float64) {

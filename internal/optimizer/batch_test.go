@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -21,9 +22,7 @@ func (b *batchObjective) SupportLevels() ([]float64, error) { return b.inner.Sup
 func (b *batchObjective) ConfidenceLevels(sup float64) ([]float64, error) {
 	return b.inner.ConfidenceLevels(sup)
 }
-func (b *batchObjective) Evaluate(sup, conf float64) (float64, int, error) {
-	return b.inner.Evaluate(sup, conf)
-}
+func (b *batchObjective) Evaluate(p Probe) ProbeResult { return b.inner.Evaluate(p) }
 
 func (b *batchObjective) EvaluateBatch(probes []Probe) []ProbeResult {
 	b.mu.Lock()
@@ -35,7 +34,7 @@ func (b *batchObjective) EvaluateBatch(probes []Probe) []ProbeResult {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i].Cost, out[i].NumRules, out[i].Err = b.inner.Evaluate(probes[i].Support, probes[i].Confidence)
+			out[i] = b.inner.Evaluate(probes[i])
 		}(i)
 	}
 	wg.Wait()
@@ -52,17 +51,16 @@ type detObjective struct {
 
 func (d *detObjective) SupportLevels() ([]float64, error)           { return d.supports, nil }
 func (d *detObjective) ConfidenceLevels(float64) ([]float64, error) { return d.confs, nil }
-func (d *detObjective) Evaluate(sup, conf float64) (float64, int, error) {
-	if sup == d.failSup && conf == d.failCnf && sup != 0 {
-		return 0, 0, errors.New("objective failure")
+func (d *detObjective) Evaluate(p Probe) ProbeResult {
+	if p.Support == d.failSup && p.Confidence == d.failCnf && p.Support != 0 {
+		return ProbeResult{Err: errors.New("objective failure")}
 	}
-	ds, dc := sup-d.optSup, conf-d.optConf
-	cost := 10 + 100*ds*ds + 100*dc*dc
-	n := 3
-	if conf > 0.85 { // exercise the zero-rule path in batched mode too
-		n = 0
+	ds, dc := p.Support-d.optSup, p.Confidence-d.optConf
+	r := ProbeResult{Cost: 10 + 100*ds*ds + 100*dc*dc, NumRules: 3}
+	if p.Confidence > 0.85 { // exercise the zero-rule path in batched mode too
+		r.NumRules = 0
 	}
-	return cost, n, nil
+	return r
 }
 
 func newDet() *detObjective {
@@ -79,7 +77,7 @@ func newDet() *detObjective {
 // and Trace to plain sequential evaluation, for every strategy that
 // batches.
 func TestBatchedMatchesSequential(t *testing.T) {
-	strategies := map[string]Strategy{
+	strategies := map[string]strategy{
 		"walk":        ThresholdWalk{Epsilon: -1},
 		"walk-budget": ThresholdWalk{MaxEvals: 17, Patience: 100},
 		"factorial":   Factorial{Rounds: 8},
@@ -87,9 +85,9 @@ func TestBatchedMatchesSequential(t *testing.T) {
 	}
 	for name, strat := range strategies {
 		t.Run(name, func(t *testing.T) {
-			seq, seqErr := strat.Optimize(newDet())
+			seq, seqErr := strat.Optimize(context.Background(), newDet())
 			batched := &batchObjective{inner: newDet()}
-			par, parErr := strat.Optimize(batched)
+			par, parErr := strat.Optimize(context.Background(), batched)
 			if (seqErr == nil) != (parErr == nil) {
 				t.Fatalf("error mismatch: sequential=%v batched=%v", seqErr, parErr)
 			}
@@ -102,7 +100,7 @@ func TestBatchedMatchesSequential(t *testing.T) {
 
 func TestWalkUsesBatches(t *testing.T) {
 	b := &batchObjective{inner: newDet()}
-	if _, err := (ThresholdWalk{Epsilon: -1}).Optimize(b); err != nil {
+	if _, err := (ThresholdWalk{Epsilon: -1}).Optimize(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}
 	max := 0
@@ -128,8 +126,8 @@ func TestBatchedErrorStopsAtFirst(t *testing.T) {
 		d.failCnf = d.confs[3]
 		return d
 	}
-	seq, seqErr := ThresholdWalk{Epsilon: -1}.Optimize(mk())
-	par, parErr := ThresholdWalk{Epsilon: -1}.Optimize(&batchObjective{inner: mk()})
+	seq, seqErr := ThresholdWalk{Epsilon: -1}.Optimize(context.Background(), mk())
+	par, parErr := ThresholdWalk{Epsilon: -1}.Optimize(context.Background(), &batchObjective{inner: mk()})
 	if seqErr == nil || parErr == nil {
 		t.Fatalf("expected errors, got sequential=%v batched=%v", seqErr, parErr)
 	}
@@ -153,13 +151,13 @@ func (l *levelErrObjective) SupportLevels() ([]float64, error) { return l.suppor
 func (l *levelErrObjective) ConfidenceLevels(float64) ([]float64, error) {
 	return l.confs, l.confErr
 }
-func (l *levelErrObjective) Evaluate(sup, conf float64) (float64, int, error) {
-	return 1, 1, nil
+func (l *levelErrObjective) Evaluate(Probe) ProbeResult {
+	return ProbeResult{Cost: 1, NumRules: 1}
 }
 
 func TestLevelErrorsPropagate(t *testing.T) {
 	sentinel := errors.New("threshold index corrupt")
-	strategies := map[string]Strategy{
+	strategies := map[string]strategy{
 		"walk":      ThresholdWalk{},
 		"anneal":    Anneal{Seed: 1},
 		"factorial": Factorial{},
@@ -167,7 +165,7 @@ func TestLevelErrorsPropagate(t *testing.T) {
 	for name, strat := range strategies {
 		t.Run(name+"/supports", func(t *testing.T) {
 			obj := &levelErrObjective{supErr: sentinel}
-			if _, err := strat.Optimize(obj); !errors.Is(err, sentinel) {
+			if _, err := strat.Optimize(context.Background(), obj); !errors.Is(err, sentinel) {
 				t.Errorf("err = %v, want wrapped sentinel (not ErrNoThresholds)", err)
 			}
 		})
@@ -176,7 +174,7 @@ func TestLevelErrorsPropagate(t *testing.T) {
 				supports: []float64{0.1, 0.2},
 				confErr:  sentinel,
 			}
-			if _, err := strat.Optimize(obj); !errors.Is(err, sentinel) {
+			if _, err := strat.Optimize(context.Background(), obj); !errors.Is(err, sentinel) {
 				t.Errorf("err = %v, want wrapped sentinel (not ErrNoThresholds)", err)
 			}
 		})

@@ -14,6 +14,12 @@
 // batch concurrently (the core system fans batches across a worker
 // pool). Results are merged back in probe order, so Best and Trace are
 // bit-identical to a strictly sequential evaluation.
+//
+// Each strategy has one method, Optimize(ctx, obj). On cancellation it
+// stops between probes and returns its best-so-far result with the
+// context's error. Every probe, alone or batched, is booked on the
+// result by the same recorder, so each trace step carries what its
+// probe did, including whether a cache answered it.
 package optimizer
 
 import (
@@ -22,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"arcs/internal/cancelcheck"
 )
@@ -38,10 +43,11 @@ type Objective interface {
 	// ConfidenceLevels returns candidate confidence thresholds for a
 	// given support threshold, ascending.
 	ConfidenceLevels(support float64) ([]float64, error)
-	// Evaluate runs the pipeline at the thresholds and returns the MDL
-	// cost and the number of clustered rules produced. Evaluate must be
-	// deterministic: the same thresholds always yield the same result.
-	Evaluate(support, confidence float64) (cost float64, numRules int, err error)
+	// Evaluate runs the pipeline at the probe's thresholds and returns
+	// the MDL cost and the number of clustered rules produced. Evaluate
+	// must be deterministic: the same thresholds always yield the same
+	// cost, rule count and error.
+	Evaluate(p Probe) ProbeResult
 }
 
 // Probe is one (support, confidence) threshold pair submitted for
@@ -64,9 +70,9 @@ type ProbeResult struct {
 // ObjectiveBatch is an Objective that can evaluate several independent
 // probes at once — typically concurrently across a worker pool.
 // EvaluateBatch must return one result per probe, in probe order, and
-// each result must be identical to what a sequential Evaluate call with
-// the same thresholds would return; the strategies rely on that to stay
-// bit-identical to their sequential form.
+// each result must be identical to what an Evaluate call with the same
+// probe would return; the strategies rely on that to stay bit-identical
+// to their sequential form.
 type ObjectiveBatch interface {
 	Objective
 	EvaluateBatch(probes []Probe) []ProbeResult
@@ -86,12 +92,12 @@ func evaluateAll(obj Objective, probes []Probe) []ProbeResult {
 	}
 	out := make([]ProbeResult, 0, len(probes))
 	for _, p := range probes {
-		cost, n, err := obj.Evaluate(p.Support, p.Confidence)
-		out = append(out, ProbeResult{Cost: cost, NumRules: n, Err: err})
+		r := obj.Evaluate(p)
+		out = append(out, r)
 		// Isolated probe failures don't invalidate the rest of the batch —
 		// keep going so the sequential path matches the batch path, which
 		// always returns one result per probe.
-		if err != nil && !IsProbeFailure(err) {
+		if r.Err != nil && !IsProbeFailure(r.Err) {
 			break
 		}
 	}
@@ -137,8 +143,7 @@ type Step struct {
 	// Reason classifies the outcome: one of the Reason* constants.
 	Reason string
 	// CacheHit reports whether the probe was answered from the
-	// objective's memoized cache (populated on the batch path; probes
-	// evaluated through the plain Evaluate call leave it false).
+	// objective's memoized cache: ProbeResult.CacheHit, copied.
 	CacheHit bool
 }
 
@@ -163,21 +168,6 @@ var ErrNoThresholds = errors.New("optimizer: no candidate thresholds")
 // confidence levels at all: an empty grid.
 var errNoLevels = fmt.Errorf("%w (no occupied cells)", ErrNoThresholds)
 
-// Strategy is a search procedure over the objective.
-type Strategy interface {
-	Optimize(obj Objective) (Best, error)
-}
-
-// ContextStrategy is a Strategy supporting cooperative cancellation: on
-// context cancellation OptimizeContext stops between probe batches and
-// returns the best threshold pair found so far together with the
-// cancellation error, so the caller can degrade to a partial result. All
-// strategies in this package implement it.
-type ContextStrategy interface {
-	Strategy
-	OptimizeContext(ctx context.Context, obj Objective) (Best, error)
-}
-
 // noBest classifies a search that finished without a measured incumbent:
 // when every recorded probe failed, the error says so (wrapping
 // ErrProbeFailed) instead of claiming the data admits no rules —
@@ -197,21 +187,40 @@ func noBest(best Best) error {
 	return fmt.Errorf("%w: all %d probed threshold pairs yielded zero rules", ErrNoThresholds, measured)
 }
 
-// probeErr handles one failed probe. Isolated failures (ErrProbeFailed)
-// are recorded on the trace and skipped — it returns nil and the search
-// continues. Cancellation propagates unwrapped so callers can classify
-// it; anything else is wrapped with the probe position and aborts.
-func probeErr(best *Best, sup, conf float64, err error) error {
-	if cancelcheck.IsCancel(err) {
-		return err
+// record books one evaluated probe: it counts the evaluation, classifies
+// the step as zero-rules, improved or no-improvement, moves the
+// incumbent to the probe when its rules cost more than eps less, and
+// appends the step to the trace. accepted reports that the probe became
+// the incumbent. An isolated failure (ErrProbeFailed) is recorded as a
+// probe-failed step and skipped, with a nil error. Cancellation comes
+// back unwrapped so callers can classify it; any other failure is
+// wrapped with the probe's thresholds and aborts the search.
+func (b *Best) record(p Probe, r ProbeResult, eps float64) (accepted bool, err error) {
+	step := Step{Support: p.Support, Confidence: p.Confidence, CacheHit: r.CacheHit}
+	if r.Err == nil {
+		step.Cost, step.NumRules = r.Cost, r.NumRules
 	}
-	if IsProbeFailure(err) {
-		best.Evaluations++
-		best.Failures++
-		best.Trace = append(best.Trace, Step{Support: sup, Confidence: conf, Reason: ReasonProbeFailed})
-		return nil
+	switch {
+	case cancelcheck.IsCancel(r.Err):
+		return false, r.Err
+	case IsProbeFailure(r.Err):
+		b.Failures++
+		step.Reason = ReasonProbeFailed
+	case r.Err != nil:
+		return false, fmt.Errorf("optimizer: evaluating (%g, %g): %w", p.Support, p.Confidence, r.Err)
+	case r.NumRules == 0:
+		// Segmentations with zero rules are useless regardless of cost.
+		step.Reason = ReasonZeroRules
+	case r.Cost < b.Cost-eps:
+		step.Accepted, step.Reason = true, ReasonImproved
+		b.Support, b.Confidence = p.Support, p.Confidence
+		b.Cost, b.NumRules = r.Cost, r.NumRules
+	default:
+		step.Reason = ReasonNoImprovement
 	}
-	return fmt.Errorf("optimizer: evaluating (%g, %g): %w", sup, conf, err)
+	b.Evaluations++
+	b.Trace = append(b.Trace, step)
+	return step.Accepted, nil
 }
 
 // ThresholdWalk is the paper's search: begin with a low minimum support
@@ -219,7 +228,11 @@ func probeErr(best *Best, sup, conf float64, err error) error {
 // increase it to shed background noise and outliers, stopping when the
 // cost stops improving (within Epsilon) for Patience consecutive support
 // levels. At each support level a bounded set of candidate confidences is
-// probed — as one batch, since the probes are independent.
+// probed — as one batch, since the probes are independent. Beyond
+// Patience, two budgets stop it: MaxEvals, a count of probes, and the
+// context Optimize takes, whose deadline is §2.2's "the verifier
+// determines that the budgeted time has expired"; a walk stopped by its
+// context returns its best-so-far result with the context's error.
 type ThresholdWalk struct {
 	// Epsilon is the minimum cost improvement (in MDL bits) that counts
 	// as progress: a later probe replaces the incumbent only when it is
@@ -244,11 +257,6 @@ type ThresholdWalk struct {
 	// MaxEvals bounds total objective evaluations — the deterministic
 	// stand-in for the paper's "budgeted time". Zero means 512.
 	MaxEvals int
-	// TimeBudget, when positive, stops the walk once the wall-clock
-	// budget is spent (checked between probe batches) — the literal form
-	// of §2.2's "the verifier determines that the budgeted time has
-	// expired". Prefer MaxEvals in tests; it is deterministic.
-	TimeBudget time.Duration
 }
 
 func (w ThresholdWalk) defaults() ThresholdWalk {
@@ -272,15 +280,11 @@ func (w ThresholdWalk) defaults() ThresholdWalk {
 	return w
 }
 
-// Optimize implements Strategy.
-func (w ThresholdWalk) Optimize(obj Objective) (Best, error) {
-	return w.OptimizeContext(context.Background(), obj)
-}
-
-// OptimizeContext implements ContextStrategy: the context is checked
-// between support levels and across each level's probe batch, and on
-// cancellation the walk returns the incumbent best with the error.
-func (w ThresholdWalk) OptimizeContext(ctx context.Context, obj Objective) (Best, error) {
+// Optimize runs the walk. The context is checked between support levels
+// and across each level's probe batch; on cancellation the walk returns
+// the incumbent best with the error, so the caller can degrade to a
+// partial result.
+func (w ThresholdWalk) Optimize(ctx context.Context, obj Objective) (Best, error) {
 	w = w.defaults()
 	ck := cancelcheck.New(ctx)
 	allSupports, err := obj.SupportLevels()
@@ -291,20 +295,13 @@ func (w ThresholdWalk) OptimizeContext(ctx context.Context, obj Objective) (Best
 	if len(supports) == 0 {
 		return Best{}, errNoLevels
 	}
-	var deadline time.Time
-	if w.TimeBudget > 0 {
-		deadline = time.Now().Add(w.TimeBudget)
-	}
-	expired := func() bool {
-		return !deadline.IsZero() && !time.Now().Before(deadline)
-	}
 	best := Best{Cost: math.Inf(1)}
 	sinceImprove := 0
 	for _, sup := range supports {
 		if err := ck.Err(); err != nil {
 			return best, err
 		}
-		if best.Evaluations >= w.MaxEvals || expired() {
+		if best.Evaluations >= w.MaxEvals {
 			break
 		}
 		allConfs, err := obj.ConfidenceLevels(sup)
@@ -324,34 +321,17 @@ func (w ThresholdWalk) OptimizeContext(ctx context.Context, obj Objective) (Best
 		}
 		levelBest := math.Inf(1)
 		for i, r := range evaluateAll(obj, probes) {
-			if r.Err != nil {
-				if perr := probeErr(&best, sup, confs[i], r.Err); perr != nil {
-					return best, perr
-				}
-				continue
+			accepted, err := best.record(probes[i], r, w.Epsilon)
+			if err != nil {
+				return best, err
 			}
-			best.Evaluations++
-			step := Step{Support: sup, Confidence: confs[i],
-				Cost: r.Cost, NumRules: r.NumRules, CacheHit: r.CacheHit}
-			// Segmentations with zero rules are useless regardless of
-			// cost; they count neither as the level's best nor as the
-			// overall winner.
-			if r.NumRules > 0 && r.Cost < levelBest {
+			if accepted {
+				sinceImprove = -1 // reset below after the level finishes
+			}
+			// Zero-rule segmentations never count as the level's best.
+			if r.Err == nil && r.NumRules > 0 && r.Cost < levelBest {
 				levelBest = r.Cost
 			}
-			switch {
-			case r.NumRules == 0:
-				step.Reason = ReasonZeroRules
-			case r.Cost < best.Cost-w.Epsilon:
-				step.Accepted, step.Reason = true, ReasonImproved
-				best.Support, best.Confidence = sup, confs[i]
-				best.Cost = r.Cost
-				best.NumRules = r.NumRules
-				sinceImprove = -1 // reset below after the level finishes
-			default:
-				step.Reason = ReasonNoImprovement
-			}
-			best.Trace = append(best.Trace, step)
 		}
 		if levelBest >= best.Cost-w.Epsilon {
 			sinceImprove++
@@ -420,17 +400,12 @@ func (a Anneal) defaults() Anneal {
 	return a
 }
 
-// Optimize implements Strategy.
-func (a Anneal) Optimize(obj Objective) (Best, error) {
-	return a.OptimizeContext(context.Background(), obj)
-}
-
-// OptimizeContext implements ContextStrategy: the context is checked
-// before every proposal, and on cancellation the chain stops and returns
-// the incumbent best with the error. An isolated probe failure rejects
-// only that proposal (the chain stays where it was, consuming the RNG
-// identically up to the failed evaluation).
-func (a Anneal) OptimizeContext(ctx context.Context, obj Objective) (Best, error) {
+// Optimize runs the chain. The context is checked before every
+// proposal; on cancellation the chain stops and returns the incumbent
+// best with the error. An isolated probe failure rejects only that
+// proposal (the chain stays where it was, consuming the RNG identically
+// up to the failed evaluation).
+func (a Anneal) Optimize(ctx context.Context, obj Objective) (Best, error) {
 	a = a.defaults()
 	ck := cancelcheck.New(ctx)
 	supports, err := obj.SupportLevels()
@@ -446,27 +421,12 @@ func (a Anneal) OptimizeContext(ctx context.Context, obj Objective) (Best, error
 	// eval probes one state; ok=false marks an isolated probe failure
 	// (already recorded on the trace) that rejects just this proposal.
 	eval := func(si int, conf float64) (cost float64, ok bool, err error) {
-		cost, n, err := obj.Evaluate(supports[si], conf)
-		if err != nil {
-			if perr := probeErr(&best, supports[si], conf, err); perr != nil {
-				return 0, false, perr
-			}
-			return 0, false, nil
+		p := Probe{Support: supports[si], Confidence: conf}
+		r := obj.Evaluate(p)
+		if _, err := best.record(p, r, 0); err != nil {
+			return 0, false, err
 		}
-		best.Evaluations++
-		step := Step{Support: supports[si], Confidence: conf, Cost: cost, NumRules: n}
-		switch {
-		case n == 0:
-			step.Reason = ReasonZeroRules
-		case cost < best.Cost:
-			step.Accepted, step.Reason = true, ReasonImproved
-			best.Support, best.Confidence = supports[si], conf
-			best.Cost, best.NumRules = cost, n
-		default:
-			step.Reason = ReasonNoImprovement
-		}
-		best.Trace = append(best.Trace, step)
-		return cost, true, nil
+		return r.Cost, r.Err == nil, nil
 	}
 
 	// Start at the lowest support with its median confidence, matching
@@ -479,8 +439,7 @@ func (a Anneal) OptimizeContext(ctx context.Context, obj Objective) (Best, error
 	if len(confs) == 0 {
 		return Best{}, errNoLevels
 	}
-	conf := confs[len(confs)/2]
-	cur, ok, err := eval(si, conf)
+	cur, ok, err := eval(si, confs[len(confs)/2])
 	if err != nil {
 		return best, err
 	}
@@ -495,7 +454,8 @@ func (a Anneal) OptimizeContext(ctx context.Context, obj Objective) (Best, error
 			return best, err
 		}
 		// Propose a neighboring state: jitter the support index and pick
-		// a random candidate confidence for it.
+		// a random candidate confidence for it. The chain moves on its
+		// support index alone; every proposal draws its confidence afresh.
 		nsi := si + rng.Intn(5) - 2
 		if nsi < 0 {
 			nsi = 0
@@ -516,11 +476,10 @@ func (a Anneal) OptimizeContext(ctx context.Context, obj Objective) (Best, error
 			return best, err
 		}
 		if ok && (cost <= cur || rng.Float64() < math.Exp((cur-cost)/temp)) {
-			si, conf, cur = nsi, nconf, cost
+			si, cur = nsi, cost
 		}
 		temp *= a.Cooling
 	}
-	_ = conf
 	if math.IsInf(best.Cost, 1) {
 		return best, noBest(best)
 	}
@@ -545,15 +504,10 @@ func (f Factorial) defaults() Factorial {
 	return f
 }
 
-// Optimize implements Strategy.
-func (f Factorial) Optimize(obj Objective) (Best, error) {
-	return f.OptimizeContext(context.Background(), obj)
-}
-
-// OptimizeContext implements ContextStrategy: the context is checked at
-// every round boundary, and on cancellation the design stops and returns
-// the incumbent best with the error.
-func (f Factorial) OptimizeContext(ctx context.Context, obj Objective) (Best, error) {
+// Optimize runs the design. The context is checked at every round
+// boundary; on cancellation the design stops and returns the incumbent
+// best with the error.
+func (f Factorial) Optimize(ctx context.Context, obj Objective) (Best, error) {
 	f = f.defaults()
 	ck := cancelcheck.New(ctx)
 	supports, err := obj.SupportLevels()
@@ -603,30 +557,12 @@ func (f Factorial) OptimizeContext(ctx context.Context, obj Objective) (Best, er
 		roundBest := math.Inf(1)
 		var rbs, rbc float64
 		for i, r := range evaluateAll(obj, probes) {
-			if r.Err != nil {
-				if perr := probeErr(&best, probes[i].Support, probes[i].Confidence, r.Err); perr != nil {
-					return best, perr
-				}
-				continue
+			if _, err := best.record(probes[i], r, 0); err != nil {
+				return best, err
 			}
-			sup, conf := probes[i].Support, probes[i].Confidence
-			best.Evaluations++
-			step := Step{Support: sup, Confidence: conf,
-				Cost: r.Cost, NumRules: r.NumRules, CacheHit: r.CacheHit}
-			switch {
-			case r.NumRules == 0:
-				step.Reason = ReasonZeroRules
-			case r.Cost < best.Cost:
-				step.Accepted, step.Reason = true, ReasonImproved
-				best.Support, best.Confidence = sup, conf
-				best.Cost, best.NumRules = r.Cost, r.NumRules
-			default:
-				step.Reason = ReasonNoImprovement
-			}
-			best.Trace = append(best.Trace, step)
-			if r.Cost < roundBest {
+			if r.Err == nil && r.Cost < roundBest {
 				roundBest = r.Cost
-				rbs, rbc = sup, conf
+				rbs, rbc = probes[i].Support, probes[i].Confidence
 			}
 		}
 		if !math.IsInf(roundBest, 1) {

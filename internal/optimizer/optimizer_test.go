@@ -1,12 +1,12 @@
 package optimizer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 // quadObjective is a synthetic objective with a unique optimum at
@@ -24,13 +24,18 @@ func (q *quadObjective) SupportLevels() ([]float64, error) { return q.supports, 
 
 func (q *quadObjective) ConfidenceLevels(sup float64) ([]float64, error) { return q.confs, nil }
 
-func (q *quadObjective) Evaluate(sup, conf float64) (float64, int, error) {
+func (q *quadObjective) Evaluate(p Probe) ProbeResult {
 	q.evals++
 	if q.failAt > 0 && q.evals >= q.failAt {
-		return 0, 0, errors.New("objective failure")
+		return ProbeResult{Err: errors.New("objective failure")}
 	}
-	ds, dc := sup-q.optSup, conf-q.optConf
-	return 10 + 100*ds*ds + 100*dc*dc, 3, nil
+	ds, dc := p.Support-q.optSup, p.Confidence-q.optConf
+	return ProbeResult{Cost: 10 + 100*ds*ds + 100*dc*dc, NumRules: 3}
+}
+
+// strategy is the search method every strategy in this package has.
+type strategy interface {
+	Optimize(ctx context.Context, obj Objective) (Best, error)
 }
 
 func levels(lo, hi float64, n int) []float64 {
@@ -55,7 +60,7 @@ func TestThresholdWalkFindsOptimum(t *testing.T) {
 	// Epsilon -1 requests exact comparison so the walk tracks the true
 	// optimum; the default 0.25-bit hysteresis intentionally favors
 	// earlier low-support solutions.
-	best, err := ThresholdWalk{Epsilon: -1}.Optimize(q)
+	best, err := ThresholdWalk{Epsilon: -1}.Optimize(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +80,7 @@ func TestThresholdWalkStopsEarly(t *testing.T) {
 	// probe every support level.
 	q := newQuad()
 	q.optSup = 0.01
-	best, err := ThresholdWalk{Patience: 2}.Optimize(q)
+	best, err := ThresholdWalk{Patience: 2}.Optimize(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +91,7 @@ func TestThresholdWalkStopsEarly(t *testing.T) {
 
 func TestThresholdWalkRespectsMaxEvals(t *testing.T) {
 	q := newQuad()
-	best, err := ThresholdWalk{MaxEvals: 7, Patience: 100}.Optimize(q)
+	best, err := ThresholdWalk{MaxEvals: 7, Patience: 100}.Optimize(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +102,7 @@ func TestThresholdWalkRespectsMaxEvals(t *testing.T) {
 
 func TestThresholdWalkEmpty(t *testing.T) {
 	q := &quadObjective{}
-	if _, err := (ThresholdWalk{}).Optimize(q); !errors.Is(err, ErrNoThresholds) {
+	if _, err := (ThresholdWalk{}).Optimize(context.Background(), q); !errors.Is(err, ErrNoThresholds) {
 		t.Errorf("err = %v, want ErrNoThresholds", err)
 	}
 }
@@ -105,14 +110,14 @@ func TestThresholdWalkEmpty(t *testing.T) {
 func TestThresholdWalkPropagatesError(t *testing.T) {
 	q := newQuad()
 	q.failAt = 3
-	if _, err := (ThresholdWalk{}).Optimize(q); err == nil {
+	if _, err := (ThresholdWalk{}).Optimize(context.Background(), q); err == nil {
 		t.Error("objective error should propagate")
 	}
 }
 
 func TestAnnealFindsGoodSolution(t *testing.T) {
 	q := newQuad()
-	best, err := Anneal{Seed: 1, Iterations: 300}.Optimize(q)
+	best, err := Anneal{Seed: 1, Iterations: 300}.Optimize(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +129,11 @@ func TestAnnealFindsGoodSolution(t *testing.T) {
 }
 
 func TestAnnealDeterministicPerSeed(t *testing.T) {
-	a, err := Anneal{Seed: 7}.Optimize(newQuad())
+	a, err := Anneal{Seed: 7}.Optimize(context.Background(), newQuad())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Anneal{Seed: 7}.Optimize(newQuad())
+	b, err := Anneal{Seed: 7}.Optimize(context.Background(), newQuad())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +143,14 @@ func TestAnnealDeterministicPerSeed(t *testing.T) {
 }
 
 func TestAnnealEmpty(t *testing.T) {
-	if _, err := (Anneal{Seed: 1}).Optimize(&quadObjective{}); !errors.Is(err, ErrNoThresholds) {
+	if _, err := (Anneal{Seed: 1}).Optimize(context.Background(), &quadObjective{}); !errors.Is(err, ErrNoThresholds) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestFactorialConverges(t *testing.T) {
 	q := newQuad()
-	best, err := Factorial{Rounds: 8}.Optimize(q)
+	best, err := Factorial{Rounds: 8}.Optimize(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +165,7 @@ func TestFactorialConverges(t *testing.T) {
 }
 
 func TestFactorialEmpty(t *testing.T) {
-	if _, err := (Factorial{}).Optimize(&quadObjective{}); !errors.Is(err, ErrNoThresholds) {
+	if _, err := (Factorial{}).Optimize(context.Background(), &quadObjective{}); !errors.Is(err, ErrNoThresholds) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -169,17 +174,17 @@ func TestFactorialEmpty(t *testing.T) {
 // threshold pair clusters to zero rules.
 type noRulesObjective struct{ quadObjective }
 
-func (z *noRulesObjective) Evaluate(sup, conf float64) (float64, int, error) {
+func (z *noRulesObjective) Evaluate(Probe) ProbeResult {
 	z.evals++
-	return 10, 0, nil
+	return ProbeResult{Cost: 10}
 }
 
 // TestNoBestZeroRules: a search whose every probe yields zero rules
 // reports ErrNoThresholds with the probe count, not an empty grid.
 func TestNoBestZeroRules(t *testing.T) {
-	for _, s := range []Strategy{ThresholdWalk{}, Anneal{Seed: 1}, Factorial{}} {
+	for _, s := range []strategy{ThresholdWalk{}, Anneal{Seed: 1}, Factorial{}} {
 		z := &noRulesObjective{*newQuad()}
-		_, err := s.Optimize(z)
+		_, err := s.Optimize(context.Background(), z)
 		if !errors.Is(err, ErrNoThresholds) {
 			t.Fatalf("%T: err = %v, want ErrNoThresholds", s, err)
 		}
@@ -195,9 +200,9 @@ func TestNoBestZeroRules(t *testing.T) {
 func TestNoBestNoLevels(t *testing.T) {
 	noConfs := newQuad()
 	noConfs.confs = nil
-	for _, s := range []Strategy{ThresholdWalk{}, Anneal{Seed: 1}, Factorial{}} {
+	for _, s := range []strategy{ThresholdWalk{}, Anneal{Seed: 1}, Factorial{}} {
 		for _, obj := range []*quadObjective{{}, noConfs} {
-			_, err := s.Optimize(obj)
+			_, err := s.Optimize(context.Background(), obj)
 			if !errors.Is(err, ErrNoThresholds) || !strings.Contains(err.Error(), "no occupied cells") {
 				t.Errorf("%T with %d support and %d confidence levels: err = %v, want ErrNoThresholds naming no occupied cells",
 					s, len(obj.supports), len(obj.confs), err)
@@ -226,7 +231,7 @@ func TestZeroRuleEvaluationsNeverWin(t *testing.T) {
 	// An objective that reports zero rules at its cheapest point: the
 	// optimizer must pick a point with rules instead.
 	q := &zeroRuleObjective{}
-	best, err := ThresholdWalk{}.Optimize(q)
+	best, err := ThresholdWalk{}.Optimize(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,31 +246,9 @@ func (z *zeroRuleObjective) SupportLevels() ([]float64, error) { return []float6
 func (z *zeroRuleObjective) ConfidenceLevels(float64) ([]float64, error) {
 	return []float64{0.5}, nil
 }
-func (z *zeroRuleObjective) Evaluate(sup, conf float64) (float64, int, error) {
-	if sup > 0.15 {
-		return 0, 0, nil // cheap but useless: no rules survive
+func (z *zeroRuleObjective) Evaluate(p Probe) ProbeResult {
+	if p.Support > 0.15 {
+		return ProbeResult{} // cheap but useless: no rules survive
 	}
-	return 5, 2, nil
-}
-
-func TestThresholdWalkTimeBudget(t *testing.T) {
-	// A pre-expired budget stops the walk after at most one support
-	// level's worth of evaluations.
-	q := newQuad()
-	best, err := ThresholdWalk{TimeBudget: 1, Patience: 100}.Optimize(q)
-	if err != nil && !errors.Is(err, ErrNoThresholds) {
-		t.Fatal(err)
-	}
-	if best.Evaluations > len(q.confs) {
-		t.Errorf("expired budget still ran %d evaluations", best.Evaluations)
-	}
-	// A generous budget changes nothing.
-	q2 := newQuad()
-	full, err := ThresholdWalk{Epsilon: -1, TimeBudget: time.Hour}.Optimize(q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(full.Support-q2.optSup) > 0.02 {
-		t.Errorf("generous budget changed the outcome: %v", full.Support)
-	}
+	return ProbeResult{Cost: 5, NumRules: 2}
 }

@@ -18,34 +18,26 @@ type faultyObjective struct {
 	cancel      context.CancelFunc
 }
 
-func (f *faultyObjective) Evaluate(sup, conf float64) (float64, int, error) {
+func (f *faultyObjective) Evaluate(p Probe) ProbeResult {
 	next := f.evals + 1
 	if f.probeFailAt[next] {
 		f.evals++
-		return 0, 0, fmt.Errorf("%w: injected crash at eval %d", ErrProbeFailed, next)
+		return ProbeResult{Err: fmt.Errorf("%w: injected crash at eval %d", ErrProbeFailed, next)}
 	}
 	if f.cancelAfter > 0 && next > f.cancelAfter {
 		f.cancel()
-		return 0, 0, context.Canceled
+		return ProbeResult{Err: context.Canceled}
 	}
-	return f.quadObjective.Evaluate(sup, conf)
-}
-
-func TestStrategiesImplementContextStrategy(t *testing.T) {
-	for _, s := range []Strategy{ThresholdWalk{}, Anneal{}, Factorial{}} {
-		if _, ok := s.(ContextStrategy); !ok {
-			t.Errorf("%T does not implement ContextStrategy", s)
-		}
-	}
+	return f.quadObjective.Evaluate(p)
 }
 
 func TestWalkSkipsFailedProbes(t *testing.T) {
-	clean, err := (ThresholdWalk{Epsilon: -1}).Optimize(newQuad())
+	clean, err := (ThresholdWalk{Epsilon: -1}).Optimize(context.Background(), newQuad())
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := &faultyObjective{quadObjective: newQuad(), probeFailAt: map[int]bool{2: true, 5: true}}
-	best, err := (ThresholdWalk{Epsilon: -1}).Optimize(f)
+	best, err := (ThresholdWalk{Epsilon: -1}).Optimize(context.Background(), f)
 	if err != nil {
 		t.Fatalf("isolated probe failures aborted the walk: %v", err)
 	}
@@ -71,7 +63,7 @@ func TestWalkSkipsFailedProbes(t *testing.T) {
 func TestWalkCancelReturnsBestSoFar(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &faultyObjective{quadObjective: newQuad(), cancelAfter: 12, cancel: cancel}
-	best, err := (ThresholdWalk{Epsilon: -1}).OptimizeContext(ctx, f)
+	best, err := (ThresholdWalk{Epsilon: -1}).Optimize(ctx, f)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -86,7 +78,7 @@ func TestWalkCancelReturnsBestSoFar(t *testing.T) {
 func TestWalkPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	best, err := (ThresholdWalk{}).OptimizeContext(ctx, newQuad())
+	best, err := (ThresholdWalk{}).Optimize(ctx, newQuad())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -97,7 +89,7 @@ func TestWalkPreCanceled(t *testing.T) {
 
 func TestAnnealSkipsFailedProbes(t *testing.T) {
 	f := &faultyObjective{quadObjective: newQuad(), probeFailAt: map[int]bool{1: true, 7: true}}
-	best, err := (Anneal{Seed: 1, Iterations: 60}).Optimize(f)
+	best, err := (Anneal{Seed: 1, Iterations: 60}).Optimize(context.Background(), f)
 	if err != nil {
 		t.Fatalf("isolated probe failures aborted annealing: %v", err)
 	}
@@ -112,7 +104,7 @@ func TestAnnealSkipsFailedProbes(t *testing.T) {
 func TestAnnealCancelMidChain(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &faultyObjective{quadObjective: newQuad(), cancelAfter: 10, cancel: cancel}
-	best, err := (Anneal{Seed: 1, Iterations: 200}).OptimizeContext(ctx, f)
+	best, err := (Anneal{Seed: 1, Iterations: 200}).Optimize(ctx, f)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -123,7 +115,7 @@ func TestAnnealCancelMidChain(t *testing.T) {
 
 func TestFactorialSkipsFailedProbesAndCancels(t *testing.T) {
 	f := &faultyObjective{quadObjective: newQuad(), probeFailAt: map[int]bool{3: true}}
-	best, err := (Factorial{}).Optimize(f)
+	best, err := (Factorial{}).Optimize(context.Background(), f)
 	if err != nil {
 		t.Fatalf("isolated probe failure aborted factorial: %v", err)
 	}
@@ -133,7 +125,7 @@ func TestFactorialSkipsFailedProbesAndCancels(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	f2 := &faultyObjective{quadObjective: newQuad(), cancelAfter: 6, cancel: cancel}
-	best, err = (Factorial{}).OptimizeContext(ctx, f2)
+	best, err = (Factorial{}).Optimize(ctx, f2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -145,7 +137,7 @@ func TestFactorialSkipsFailedProbesAndCancels(t *testing.T) {
 func TestFatalErrorsStillAbort(t *testing.T) {
 	q := newQuad()
 	q.failAt = 4
-	if _, err := (ThresholdWalk{}).Optimize(q); err == nil || IsProbeFailure(err) {
+	if _, err := (ThresholdWalk{}).Optimize(context.Background(), q); err == nil || IsProbeFailure(err) {
 		t.Errorf("fatal objective error mishandled: %v", err)
 	}
 }

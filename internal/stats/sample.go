@@ -7,9 +7,9 @@ import (
 
 // SampleKofN draws k distinct indices uniformly from [0, n) using the
 // supplied RNG. It is the primitive behind the verifier's "repeated k out
-// of n sampling" (paper §3.6). For k close to n it uses a partial
-// Fisher-Yates shuffle; for sparse draws it uses Floyd's algorithm, which
-// needs O(k) memory regardless of n.
+// of n sampling" (paper §3.6): a partial Fisher-Yates shuffle over an
+// index array of n, stopped after k swaps. The verifier draws half of a
+// sample of at most 2,000 tuples, so the O(n) index array is small.
 func SampleKofN(rng *rand.Rand, k, n int) ([]int, error) {
 	if k < 0 || n < 0 {
 		return nil, fmt.Errorf("stats: invalid sample k=%d n=%d", k, n)
@@ -20,30 +20,15 @@ func SampleKofN(rng *rand.Rand, k, n int) ([]int, error) {
 	if k == 0 {
 		return nil, nil
 	}
-	if k*3 >= n {
-		// Dense draw: partial Fisher-Yates over an explicit index array.
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		for i := 0; i < k; i++ {
-			j := i + rng.Intn(n-i)
-			idx[i], idx[j] = idx[j], idx[i]
-		}
-		return idx[:k:k], nil
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	// Sparse draw: Floyd's algorithm.
-	chosen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for j := n - k; j < n; j++ {
-		t := rng.Intn(j + 1)
-		if _, dup := chosen[t]; dup {
-			t = j
-		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
 	}
-	return out, nil
+	return idx[:k:k], nil
 }
 
 // Reservoir maintains a uniform random sample of fixed capacity over a

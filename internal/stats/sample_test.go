@@ -78,9 +78,9 @@ func TestSampleKofNPropertyDistinctInRange(t *testing.T) {
 }
 
 func TestSampleKofNUniformity(t *testing.T) {
-	// Sparse path (Floyd): each of n=100 items should appear in a k=10
-	// sample with probability 0.1. Over 5000 trials each item's count
-	// should be near 500.
+	// Each of n=100 items should appear in a k=10 sample with
+	// probability 0.1. Over 5000 trials each item's count should be near
+	// 500.
 	rng := rand.New(rand.NewSource(4))
 	counts := make([]int, 100)
 	const trials = 5000
