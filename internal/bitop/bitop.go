@@ -3,12 +3,23 @@
 // candidate rectangular clusters by sweeping an accumulating bitwise-AND
 // mask down the bitmap from every anchor row: while the mask is stable
 // the runs of set bits extend downward; each time the mask shrinks, the
-// runs of the prior mask are emitted as rectangles of the accumulated
-// height. The largest enumerated cluster is then selected greedily, its
-// cells are cleared, and the process repeats until no sufficiently large
-// cluster remains — the paper cites the classical result that this greedy
-// set-cover style selection is near-optimal and runs in time linear in
-// the size of the final cluster set.
+// runs of the prior mask are candidates of the accumulated height. The
+// largest candidate is then selected greedily, its cells are cleared,
+// and the process repeats until no sufficiently large cluster remains —
+// the paper cites the classical result that this greedy set-cover style
+// selection is near-optimal and runs in time linear in the size of the
+// final cluster set.
+//
+// The selection is the paper's, and the enumeration does less work to
+// reach it. Each anchor row caches the best candidate of its last sweep
+// and the last row that sweep read, so a round re-sweeps only the
+// anchors whose masks could have met a cleared cell and takes the best
+// of the cached candidates. A sweep offers only the runs that a
+// shrinking row cuts, and every run where it ends: a run the row keeps
+// whole is offered later with more rows, and the tie-breaking order
+// prefers the taller rectangle. That order is a strict total order on
+// distinct rectangles, so each round picks the rectangle the full
+// enumeration would.
 //
 // The implementation uses only word-wide AND/compare operations on the
 // packed bitmap rows, mirroring the paper's claim that BitOp needs
@@ -19,6 +30,7 @@
 package bitop
 
 import (
+	"fmt"
 	"sort"
 
 	"arcs/internal/grid"
@@ -40,87 +52,155 @@ type Options struct {
 	Stats *Stats
 }
 
-// enumerator holds the scratch of a candidate enumeration — the two
-// sweep masks — and its result: how many candidates the sweep emitted
-// and the best of them under less. Cluster reuses one across its greedy
-// rounds, and a round keeps no candidate list, so a round allocates
-// nothing however many candidates it sweeps past (guarded by
-// TestBitOpRoundZeroAlloc).
+// enumerator holds the scratch of a candidate enumeration, the three
+// sweep masks, and the anchor table: one cached sweep per anchor row.
+// Cluster makes one per call and reuses it across its greedy rounds. A
+// round re-sweeps only the anchors the last clear could have changed
+// and keeps no candidate list, so it allocates nothing however many
+// candidates it sweeps past (guarded by TestBitOpRoundZeroAlloc).
 type enumerator struct {
-	mask, next []uint64
-	n          int64
-	best       grid.Rect
+	mask, next, cut []uint64
+	anchors         []anchor
+	// n counts the candidates the enumerator has offered, and cand is
+	// the best of those the current sweep offered, when found.
+	n     int64
+	cand  grid.Rect
+	found bool
+}
+
+// anchor caches one anchor row's last sweep in int32 fields, 16 bytes a
+// row: the best candidate it offered, as the candidate's columns and
+// last row (c0 < 0 when it offered none), and last, the last row it
+// read: the row that emptied its mask, or the bitmap's last row. A
+// negative last marks the anchor for a fresh sweep.
+type anchor struct {
+	c0, c1, r1, last int32
 }
 
 func newEnumerator(bm *grid.Bitmap) *enumerator {
-	return &enumerator{
-		mask: make([]uint64, bm.WordsPerRow()),
-		next: make([]uint64, bm.WordsPerRow()),
+	e := &enumerator{
+		mask:    make([]uint64, bm.WordsPerRow()),
+		next:    make([]uint64, bm.WordsPerRow()),
+		cut:     make([]uint64, bm.WordsPerRow()),
+		anchors: make([]anchor, bm.Rows()),
 	}
+	for i := range e.anchors {
+		e.anchors[i].last = -1
+	}
+	return e
 }
 
-// run sweeps every anchor row of bm, leaving the candidate count in e.n
-// and, when it is positive, the best candidate in e.best. Candidates are
-// compared in emission order by pickBest's rule, so e.best is the
-// rectangle pickBest would select from the full candidate list.
-func (e *enumerator) run(bm *grid.Bitmap, st *Stats) {
-	e.n = 0
+// run sweeps every anchor row that has no valid cached sweep, then
+// returns the best of all the anchors' cached candidates under less,
+// and whether any anchor has one. Each sweep offers its anchor only the
+// candidates that can win (see sweepAnchor), and less is a strict total
+// order on distinct rectangles, so the pick is the rectangle pickBest
+// would select from the full candidate list of bm.
+func (e *enumerator) run(bm *grid.Bitmap, st *Stats) (best grid.Rect, ok bool) {
 	rows, cols := bm.Rows(), bm.Cols()
-	for top := 0; top < rows; top++ {
-		e.sweepAnchor(bm, top, rows, cols, st)
+	for top := range e.anchors {
+		a := &e.anchors[top]
+		if a.last < 0 {
+			e.sweepAnchor(bm, top, rows, cols, st)
+		}
+		if a.c0 < 0 {
+			continue
+		}
+		r := grid.Rect{R0: top, C0: int(a.c0), R1: int(a.r1), C1: int(a.c1)}
+		if !ok || less(best, r) {
+			best, ok = r, true
+		}
+	}
+	return best, ok
+}
+
+// clear zeroes the pick's cells in bm and marks for a fresh sweep every
+// anchor whose cached sweep the clear could change: one with top <= R1
+// whose sweep read row R0 or a later one. An anchor above R0 whose own
+// row has no bit in [C0, C1] keeps its cache too, since its masks are
+// subsets of that row. A pick that covers no set cell can only come
+// from a stale cache, and clearing it would change nothing, so the next
+// round would pick it again: clear panics instead of looping.
+func (e *enumerator) clear(bm *grid.Bitmap, pick grid.Rect) {
+	if !bm.AnyInRect(pick) {
+		panic(fmt.Sprintf("bitop: pick %v clears no set cell", pick))
+	}
+	bm.ClearRect(pick)
+	for top := 0; top <= pick.R1; top++ {
+		a := &e.anchors[top]
+		if int(a.last) < pick.R0 {
+			continue
+		}
+		if top < pick.R0 && !bm.AnyInRect(grid.Rect{R0: top, C0: pick.C0, R1: top, C1: pick.C1}) {
+			continue
+		}
+		a.last = -1
 	}
 }
 
 // sweepAnchor runs the downward mask sweep for one anchor row over the
-// enumerator's scratch masks. Each row below the anchor costs exactly
-// one fused pass over the mask words: grid.AndRowInto computes the AND,
-// the changed test and the empty test together, where a copy, an AND,
-// an equality test and an emptiness test would walk the words up to
-// four times. Operation counts accumulate in local integers and flush
-// into st once per sweep, so the inner loop carries no atomic or branch
-// cost beyond two plain additions.
+// enumerator's scratch masks and caches its best candidate and last
+// row. Each row below the anchor costs exactly one fused pass over the
+// mask words: grid.AndRowInto computes the AND, the changed test and
+// the empty test together. When a row shrinks the mask, only the runs
+// it cuts are offered: a run the row keeps whole is still a maximal run
+// of the shrunk mask, so it is offered later with the same anchor row
+// and columns and a larger area, which less prefers. When the mask
+// empties every run is cut, and at the end of a live sweep every run is
+// offered. Operation counts accumulate in local integers and flush into
+// st once per sweep, so the inner loop carries no atomic or branch cost
+// beyond two plain additions.
 func (e *enumerator) sweepAnchor(bm *grid.Bitmap, top, rows, cols int, st *Stats) {
-	mask, next := e.mask, e.next
+	mask, next, cut := e.mask, e.next, e.cut
 	wpr := int64(len(mask))
 	andOps, cmpOps := int64(0), wpr // initial MaskEmpty scan
+	offered := e.n
+	e.found = false
+	r := top // ends as the last row the sweep read
 	bm.CopyRow(mask, top)
-	if grid.MaskEmpty(mask) {
-		st.addSweep(andOps, cmpOps, 0)
-		return
-	}
-	emitted := e.n
-	height := 1
-	alive := true
-	for r := top + 1; r < rows; r++ {
-		changed, empty := bm.AndRowInto(next, mask, r)
-		andOps += wpr
-		cmpOps += wpr
-		if changed {
-			e.emitRuns(mask, cols, top, height)
+	if !grid.MaskEmpty(mask) {
+		height := 1
+		for r = top + 1; r < rows; r++ {
+			changed, empty := bm.AndRowInto(next, mask, r)
+			andOps += wpr
+			cmpOps += wpr
 			if empty {
-				alive = false
+				e.offer(mask, mask, cols, top, height)
 				break
 			}
+			if changed {
+				for i := range cut {
+					cut[i] = mask[i] &^ next[i]
+				}
+				e.offer(mask, cut, cols, top, height)
+			}
+			// The shrunk mask is in next; swap rather than copy. When the
+			// row changed nothing the two masks hold equal words, so the
+			// swap is harmless.
+			mask, next = next, mask
+			height++
 		}
-		// The shrunk mask is in next; swap rather than copy. When the
-		// row changed nothing the two masks hold equal words, so the
-		// swap is harmless.
-		mask, next = next, mask
-		height++
+		if r == rows {
+			r--
+			e.offer(mask, mask, cols, top, height)
+		}
 	}
-	if alive {
-		e.emitRuns(mask, cols, top, height)
+	a := &e.anchors[top]
+	a.c0, a.last = -1, int32(r)
+	if e.found {
+		a.c0, a.c1, a.r1 = int32(e.cand.C0), int32(e.cand.C1), int32(e.cand.R1)
 	}
-	st.addSweep(andOps, cmpOps, e.n-emitted)
+	st.addSweep(andOps, cmpOps, e.n-offered)
 }
 
-// emitRuns offers every run of the mask, as a rectangle of the given
-// height under the anchor row, to the running best.
-func (e *enumerator) emitRuns(mask []uint64, cols, top, height int) {
-	grid.MaskRuns(mask, cols, func(c0, c1 int) {
+// offer offers every run of the mask that holds a bit of cut, as a
+// rectangle of the given height under the anchor row, to the sweep's
+// running best.
+func (e *enumerator) offer(mask, cut []uint64, cols, top, height int) {
+	grid.MaskRuns(mask, cut, cols, func(c0, c1 int) {
 		r := grid.Rect{R0: top, C0: c0, R1: top + height - 1, C1: c1}
-		if e.n++; e.n == 1 || less(e.best, r) {
-			e.best = r
+		if e.n++; !e.found || less(e.cand, r) {
+			e.cand, e.found = r, true
 		}
 	})
 }
@@ -130,7 +210,8 @@ func (e *enumerator) emitRuns(mask []uint64, cols, top, height int) {
 // lowest anchor row, then lowest column, then greatest height, keeping
 // the result deterministic), clears the selected cells and iterates until
 // no candidate of at least MinArea cells remains or MaxClusters is hit.
-// The input bitmap is not modified.
+// After the first round, a round re-sweeps only the anchor rows the last
+// clear could have changed. The input bitmap is not modified.
 func Cluster(bm *grid.Bitmap, opts Options) []grid.Rect {
 	minArea := opts.MinArea
 	if minArea < 1 {
@@ -144,18 +225,17 @@ func Cluster(bm *grid.Bitmap, opts Options) []grid.Rect {
 			break
 		}
 		opts.Stats.addRound()
-		enum.run(work, opts.Stats)
-		if enum.n == 0 {
+		best, ok := enum.run(work, opts.Stats)
+		if !ok {
 			break
 		}
-		best := enum.best
 		if best.Area() < minArea {
 			// §3.5: if the algorithm cannot locate a sufficiently large
 			// cluster it terminates; remaining cells are noise/outliers.
 			break
 		}
 		clusters = append(clusters, best)
-		work.ClearRect(best)
+		enum.clear(work, best)
 	}
 	return clusters
 }

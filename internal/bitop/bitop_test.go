@@ -3,6 +3,7 @@ package bitop
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"arcs/internal/grid"
@@ -39,22 +40,44 @@ func mk(t *testing.T, rows ...string) *grid.Bitmap {
 	return bm
 }
 
-// sweep runs the packed enumeration over bm, checks that its candidate
-// count, its best candidate and its Stats count agree with the naive
-// enumeration's candidate list, and returns that list.
+// sweep runs the packed enumeration over bm and holds it to the naive
+// enumeration's candidate list: it must offer exactly the naive
+// candidates that no candidate with the same anchor row and columns and
+// more rows dominates, count them in its Stats, and pick what pickBest
+// picks from the full list. It returns that list.
 func sweep(t *testing.T, bm *grid.Bitmap) []grid.Rect {
 	t.Helper()
 	e, st := newEnumerator(bm), &Stats{}
-	e.run(bm, st)
+	best, ok := e.run(bm, st)
 	cands := enumerateNaive(toBools(bm), bm.Rows(), bm.Cols())
-	if e.n != int64(len(cands)) || st.Candidates() != e.n {
-		t.Fatalf("packed sweep counted %d candidates (Stats %d), naive enumeration %d: %v",
-			e.n, st.Candidates(), len(cands), cands)
+	if want := undominated(cands); e.n != want || st.Candidates() != e.n {
+		t.Fatalf("packed sweep offered %d candidates (Stats %d), want the %d undominated of the naive %v",
+			e.n, st.Candidates(), want, cands)
 	}
-	if len(cands) > 0 && e.best != pickBest(cands) {
-		t.Fatalf("packed sweep kept %v, pickBest over the candidates %v", e.best, pickBest(cands))
+	if ok != (len(cands) > 0) {
+		t.Fatalf("packed sweep has a candidate: %v, naive enumeration found %d", ok, len(cands))
+	}
+	if len(cands) > 0 && best != pickBest(cands) {
+		t.Fatalf("packed sweep kept %v, pickBest over the candidates %v", best, pickBest(cands))
 	}
 	return cands
+}
+
+// undominated counts the candidates that no candidate with the same
+// anchor row and columns and more rows dominates.
+func undominated(cands []grid.Rect) int64 {
+	tallest := map[[3]int]int{}
+	for _, c := range cands {
+		k := [3]int{c.R0, c.C0, c.C1}
+		tallest[k] = max(tallest[k], c.R1)
+	}
+	n := int64(0)
+	for _, c := range cands {
+		if tallest[[3]int{c.R0, c.C0, c.C1}] == c.R1 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestEnumeratePaperExample(t *testing.T) {
@@ -400,4 +423,131 @@ func TestBitOpRoundZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("enumerator round allocated %.1f times per run, want 0", allocs)
 	}
+}
+
+// TestEnumerateOffersUndominated holds a full enumeration to the naive
+// candidate list on random bitmaps of 1–12 rows by 1–200 columns.
+func TestEnumerateOffersUndominated(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 300; trial++ {
+		sweep(t, randomBitmap(rng, 1+rng.Intn(12), 1+rng.Intn(200), rng.Float64()))
+	}
+}
+
+// TestIncrementalRoundsMatchFresh steps Cluster's loop by hand on random
+// bitmaps of 1–70 rows by 1–200 columns (one to four words a row) at
+// densities from 0 to 1, down to the empty bitmap: before every clear,
+// the incremental enumerator's pick, and whether it has one, must equal
+// a fresh enumerator's on the same working bitmap.
+func TestIncrementalRoundsMatchFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 120; trial++ {
+		rows, cols := 1+rng.Intn(70), 1+rng.Intn(200)
+		density := []float64{0, 1, rng.Float64(), rng.Float64()}[trial%4]
+		work := randomBitmap(rng, rows, cols, density)
+		if trial%3 == 0 {
+			// Blocks over sparse noise: large picks whose clears leave
+			// most anchors' caches valid.
+			for i := 0; i < 4; i++ {
+				r0, c0 := rng.Intn(rows), rng.Intn(cols)
+				work.FillRect(grid.Rect{R0: r0, C0: c0, R1: r0 + rng.Intn(rows-r0), C1: c0 + rng.Intn(cols-c0)})
+			}
+		}
+		inc := newEnumerator(work)
+		for round := 0; ; round++ {
+			got, ok := inc.run(work, nil)
+			want, wantOK := newEnumerator(work).run(work, nil)
+			if got != want || ok != wantOK {
+				t.Fatalf("trial %d (%dx%d, density %.2f), round %d: incremental pick %v (%v), fresh %v (%v)",
+					trial, rows, cols, density, round, got, ok, want, wantOK)
+			}
+			if !ok {
+				break
+			}
+			inc.clear(work, got)
+		}
+		if work.Any() {
+			t.Fatalf("trial %d: no candidate left, but %d cells set", trial, work.PopCount())
+		}
+	}
+}
+
+// TestClearPanicsOnStalePick: a pick that covers no set cell can only
+// come from a stale cache, and would be picked again every round, so
+// clear panics and names it.
+func TestClearPanicsOnStalePick(t *testing.T) {
+	bm := mk(t,
+		"##.",
+		"...",
+	)
+	e := newEnumerator(bm)
+	pick, _ := e.run(bm, nil)
+	e.clear(bm, pick)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, pick.String()) {
+			t.Fatalf("clearing %v twice: recovered %q, want a panic naming it", pick, msg)
+		}
+	}()
+	e.clear(bm, pick)
+}
+
+// TestBitOpIncrementalRoundZeroAlloc extends TestBitOpRoundZeroAlloc to
+// the rounds after a clear: a full round, a clear and the round that
+// re-sweeps what the clear changed allocate nothing.
+func TestBitOpIncrementalRoundZeroAlloc(t *testing.T) {
+	bm := randomBitmap(rand.New(rand.NewSource(43)), 70, 130, 0.6)
+	bm.FillRect(grid.Rect{R0: 10, C0: 20, R1: 50, C1: 100})
+	work := bm.Clone()
+	e := newEnumerator(work)
+	allocs := testing.AllocsPerRun(100, func() {
+		for r := 0; r < bm.Rows(); r++ {
+			work.SetRow(r, bm.Row(r))
+			e.anchors[r].last = -1
+		}
+		pick, _ := e.run(work, nil)
+		e.clear(work, pick)
+		e.run(work, nil)
+	})
+	if allocs != 0 {
+		t.Errorf("round, clear and incremental round allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// FuzzClusterMatchesNaive holds Cluster to ClusterNaive on bitmaps of up
+// to 70×200: rows and cols give the shape (1–70 by 1–200), minArea and
+// maxClusters give MinArea (0–7) and MaxClusters (0–15, 0 unbounded),
+// and the bits of cells, repeated, set the cells in row-major order.
+// ClusterNaive re-enumerates the whole grid every round, so an input's
+// cost grows with its rounds and with the bytes the fuzzer minimizes
+// (its subset pass is quadratic in them): a grid over 1,024 cells gets
+// 1–8 clusters, and only the first 64 bytes of cells are read.
+func FuzzClusterMatchesNaive(f *testing.F) {
+	f.Add(uint8(2), uint8(2), uint8(0), uint8(0), []byte{0x0b})
+	f.Add(uint8(7), uint8(9), uint8(1), uint8(0), []byte{0xff, 0x7f, 0xee, 0x3c, 0x81, 0xff, 0xf0, 0x0f})
+	f.Add(uint8(5), uint8(199), uint8(0), uint8(7), []byte{0xff, 0xfb, 0xff, 0x7f, 0xff})
+	f.Add(uint8(69), uint8(129), uint8(2), uint8(3), []byte{0xf7, 0xbf, 0xff, 0x3e, 0xff, 0xff, 0xdf})
+	f.Add(uint8(30), uint8(33), uint8(0), uint8(0), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0xff, 0xff, 0x18})
+	f.Fuzz(func(t *testing.T, rows, cols, minArea, maxClusters uint8, cells []byte) {
+		r, c := int(rows)%70+1, int(cols)%200+1
+		opts := Options{MinArea: int(minArea) % 8, MaxClusters: int(maxClusters) % 16}
+		if r*c > 1024 {
+			opts.MaxClusters = int(maxClusters)%8 + 1
+		}
+		bm, err := grid.New(r, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits := cells[:min(len(cells), 64)]; len(bits) > 0 {
+			for i := 0; i < r*c; i++ {
+				if j := i % (8 * len(bits)); bits[j/8]&(1<<(j%8)) != 0 {
+					bm.Set(i/c, i%c)
+				}
+			}
+		}
+		got := Cluster(bm, opts)
+		if want := ClusterNaive(toBools(bm), opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%dx%d, %+v:\nCluster      = %v\nClusterNaive = %v\ngrid:\n%s", r, c, opts, got, want, bm)
+		}
+	})
 }

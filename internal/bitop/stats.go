@@ -3,12 +3,16 @@ package bitop
 import "sync/atomic"
 
 // Stats accumulates the operation accounting of clustering calls when
-// attached via Options.Stats. Sweeps count in local integers and flush
-// once per anchor row, so attaching Stats costs a handful of atomic adds
-// per sweep — and a nil *Stats costs nothing at all: every method is a
-// nil-safe no-op, mirroring the obs package's disabled handles, so call
-// sites never branch on whether accounting is on. The counters are
-// atomic, so a Stats is safe for concurrent use.
+// attached via Options.Stats. It counts the work a call does: the
+// greedy rounds, and the anchor-row sweeps those rounds run, with their
+// word operations and the candidates they offer. A round after the
+// first runs only the sweeps the previous round's clear invalidated, so
+// sweeps and word operations are not rounds times rows. Sweeps count in local
+// integers and flush once per sweep, so attaching Stats costs a handful
+// of atomic adds per sweep — and a nil *Stats costs nothing at all:
+// every method is a nil-safe no-op, mirroring the obs package's
+// disabled handles, so call sites never branch on whether accounting is
+// on. The counters are atomic, so a Stats is safe for concurrent use.
 type Stats struct {
 	andWordOps atomic.Int64
 	cmpWordOps atomic.Int64
@@ -18,7 +22,7 @@ type Stats struct {
 }
 
 // addSweep records one anchor-row sweep's word-level operation counts
-// and emitted candidate rectangles.
+// and offered candidate rectangles.
 func (st *Stats) addSweep(andOps, cmpOps, rects int64) {
 	if st == nil {
 		return
@@ -54,7 +58,10 @@ func (st *Stats) CmpWordOps() int64 {
 	return st.cmpWordOps.Load()
 }
 
-// Candidates reports the candidate rectangles enumerated.
+// Candidates reports the candidate rectangles the sweeps offered to
+// their anchors' running bests: at each row that shrinks a mask, the
+// runs the row cuts, and at the end of a sweep every run. A run the row
+// keeps whole is offered later, taller, so it is not counted twice.
 func (st *Stats) Candidates() int64 {
 	if st == nil {
 		return 0
@@ -62,7 +69,9 @@ func (st *Stats) Candidates() int64 {
 	return st.candidates.Load()
 }
 
-// Sweeps reports the anchor-row sweeps performed.
+// Sweeps reports the anchor-row sweeps performed: every row in a
+// call's first round, then in each later round only the anchors whose
+// cached sweep the last clear invalidated.
 func (st *Stats) Sweeps() int64 {
 	if st == nil {
 		return 0

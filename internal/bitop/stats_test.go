@@ -1,6 +1,7 @@
 package bitop
 
 import (
+	"reflect"
 	"testing"
 
 	"arcs/internal/grid"
@@ -25,27 +26,31 @@ func TestBitopStatsAccounting(t *testing.T) {
 	bm := statsBitmap(t)
 	st := &Stats{}
 	clusters := Cluster(bm, Options{MinArea: 1, Stats: st})
-	if len(clusters) == 0 {
-		t.Fatal("no clusters found")
+	want := []grid.Rect{{R0: 1, C0: 2, R1: 4, C1: 5}, {R0: 6, C0: 7, R1: 6, C1: 7}}
+	if !reflect.DeepEqual(clusters, want) {
+		t.Fatalf("clusters = %v, want %v", clusters, want)
 	}
-	if st.Rounds() == 0 || st.Sweeps() == 0 {
-		t.Fatalf("rounds=%d sweeps=%d, want both > 0", st.Rounds(), st.Sweeps())
+	// Round 1 sweeps all 8 rows. Its pick, rows 1-4 by columns 2-5, was
+	// read by the sweeps of anchors 1-4 only: anchor 0's row is empty,
+	// so its sweep read row 0 alone, and anchors 5-7 lie below the pick.
+	// So round 2 re-sweeps anchors 1-4, whose rows are now empty, and
+	// picks the cached cell (6, 7): 12 sweeps over 2 rounds.
+	if st.Rounds() != 2 || st.Sweeps() != 12 {
+		t.Fatalf("rounds=%d sweeps=%d, want 2 and 8+4", st.Rounds(), st.Sweeps())
 	}
-	if st.AndWordOps() == 0 || st.CmpWordOps() == 0 {
-		t.Fatalf("andOps=%d cmpOps=%d, want both > 0", st.AndWordOps(), st.CmpWordOps())
-	}
-	if st.Candidates() == 0 {
-		t.Fatal("no candidates counted")
-	}
-	// Every greedy round sweeps each of the bitmap's rows once.
-	if want := st.Rounds() * int64(bm.Rows()); st.Sweeps() != want {
-		t.Fatalf("sweeps=%d, want rounds*rows=%d", st.Sweeps(), want)
+	// One word a row. Round 1: an emptiness scan per anchor (8), and the
+	// rows below each live anchor until its mask empties: anchors 1-4
+	// read down to row 5 (4+3+2+1) and anchor 6 reads row 7 (1), each
+	// offering the one run that row cuts (5 candidates). Round 2: four
+	// emptiness scans.
+	if st.AndWordOps() != 11 || st.CmpWordOps() != 8+11+4 || st.Candidates() != 5 {
+		t.Fatalf("andOps=%d cmpOps=%d candidates=%d, want 11, 23 and 5",
+			st.AndWordOps(), st.CmpWordOps(), st.Candidates())
 	}
 
 	// Stats must not change the clustering.
-	plain := Cluster(bm, Options{MinArea: 1})
-	if len(plain) != len(clusters) {
-		t.Fatalf("stats changed result: %d vs %d clusters", len(clusters), len(plain))
+	if plain := Cluster(bm, Options{MinArea: 1}); !reflect.DeepEqual(plain, clusters) {
+		t.Fatalf("stats changed result: %v vs %v", clusters, plain)
 	}
 }
 

@@ -156,6 +156,55 @@ func TestSegmentAllCoversBothGroups(t *testing.T) {
 	}
 }
 
+// TestWalkCappedAtOneLevel runs the walk with each of its level caps at
+// 1: under MaxSupportLevels 1 every probe sits at the lowest support
+// level, and under MaxConfLevels 1 each support level the walk visits is
+// probed once, at its lowest confidence.
+func TestWalkCappedAtOneLevel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		walk optimizer.ThresholdWalk
+	}{
+		{"MaxSupportLevels", optimizer.ThresholdWalk{MaxSupportLevels: 1}},
+		{"MaxConfLevels", optimizer.ThresholdWalk{MaxConfLevels: 1}},
+	} {
+		sys := f2System(t, 8_000, 0, Config{NumBins: 20, Walk: tc.walk})
+		res, err := sys.RunValue(synth.GroupA)
+		if err != nil {
+			t.Fatalf("%s 1: %v", tc.name, err)
+		}
+		obj, err := sys.objective(synth.GroupA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sups, err := obj.SupportLevels()
+		if err != nil || len(sups) < 2 {
+			t.Fatalf("%d support levels (%v), want several", len(sups), err)
+		}
+		if len(res.Trace) == 0 {
+			t.Fatalf("%s 1: empty trace", tc.name)
+		}
+		probed := map[float64]bool{}
+		for i, step := range res.Trace {
+			if tc.walk.MaxSupportLevels == 1 {
+				if step.Support != sups[0] {
+					t.Errorf("%s 1: step %d at support %g, want the lowest, %g", tc.name, i, step.Support, sups[0])
+				}
+				continue
+			}
+			confs, err := obj.ConfidenceLevels(step.Support)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probed[step.Support] || step.Confidence != confs[0] {
+				t.Errorf("%s 1: step %d at (%g, %g), want one probe a support level, at its lowest confidence %g",
+					tc.name, i, step.Support, step.Confidence, confs[0])
+			}
+			probed[step.Support] = true
+		}
+	}
+}
+
 func TestGridAccessors(t *testing.T) {
 	sys := f2System(t, 5_000, 0, Config{NumBins: 20})
 	bm, err := sys.Grid(synth.GroupA, 0.0001, 0.3)

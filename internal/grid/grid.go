@@ -152,6 +152,27 @@ func (b *Bitmap) rectMasks(rect Rect) (w0, w1 int, first, last uint64) {
 	return w0, w1, first, last
 }
 
+// AnyInRect reports whether any cell of the inclusive rectangle is set,
+// testing whole words as ClearRect clears them.
+func (b *Bitmap) AnyInRect(rect Rect) bool {
+	w0, w1, first, last := b.rectMasks(rect)
+	if w0 == w1 {
+		first &= last
+	}
+	for r := rect.R0; r <= rect.R1; r++ {
+		row := b.words[r*b.wpr : (r+1)*b.wpr]
+		if row[w0]&first != 0 || w0 != w1 && row[w1]&last != 0 {
+			return true
+		}
+		for _, w := range row[w0+1 : max(w0+1, w1)] {
+			if w != 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // ClearRect zeroes the inclusive rectangle, whole words at a time:
 // interior word columns are assigned, the two edge columns are masked.
 // This is the per-greedy-round clear of BitOp, so its cost scales with
@@ -219,47 +240,65 @@ func MaskEmpty(mask []uint64) bool {
 }
 
 // MaskRuns invokes fn for every maximal run of consecutive set bits in a
-// packed row mask of the given logical width, passing the inclusive
-// column range [c0, c1]. Runs are located with trailing-zero scans on
-// whole words — all-zero and all-one words cost one comparison each —
-// so the cost scales with the number of run edges, not the column count.
-func MaskRuns(mask []uint64, cols int, fn func(c0, c1 int)) {
-	inRun := false
-	start := 0
-	for wi := 0; wi*wordBits < cols; wi++ {
-		base := wi * wordBits
-		w := mask[wi]
-		if n := cols - base; n < wordBits {
-			w &= uint64(1)<<uint(n) - 1
+// packed row mask of the given logical width that holds a set bit of
+// cut, passing the inclusive column range [c0, c1], in column order.
+// Passing the mask as its own cut visits every run. A run is found from
+// its first bit in mask AND cut and extended both ways with leading- and
+// trailing-zero scans on whole words, so the cost scales with the words
+// scanned and the runs visited, not the column count. Bits past the
+// last column are ignored.
+func MaskRuns(mask, cut []uint64, cols int, fn func(c0, c1 int)) {
+	for c := nextCut(mask, cut, 0, cols); c < cols; {
+		c0, c1 := runStart(mask, c), runEnd(mask, c, cols)
+		fn(c0, c1)
+		if c1+1 >= cols {
+			return
 		}
-		pos := 0
-		for pos < wordBits {
-			rem := w >> uint(pos)
-			if inRun {
-				// Count the ones extending the run: the shifted-in high
-				// bits of rem are zero, so ^rem has a set bit at the end
-				// of any run that stops inside this word.
-				ones := bits.TrailingZeros64(^rem)
-				if ones >= wordBits-pos {
-					pos = wordBits // run continues into the next word
-					continue
-				}
-				pos += ones
-				fn(start, base+pos-1)
-				inRun = false
-				continue
-			}
-			if rem == 0 {
-				break // rest of the word is clear
-			}
-			pos += bits.TrailingZeros64(rem)
-			inRun = true
-			start = base + pos
+		c = nextCut(mask, cut, c1+1, cols)
+	}
+}
+
+// nextCut returns the first column at or after from, and below cols,
+// whose bit is set in both mask and cut, or cols when there is none.
+func nextCut(mask, cut []uint64, from, cols int) int {
+	wi := from / wordBits
+	w := mask[wi] & cut[wi] & (^uint64(0) << uint(from%wordBits))
+	for w == 0 {
+		if wi++; wi*wordBits >= cols {
+			return cols
 		}
+		w = mask[wi] & cut[wi]
 	}
-	if inRun {
-		fn(start, cols-1)
+	return min(wi*wordBits+bits.TrailingZeros64(w), cols)
+}
+
+// runStart returns the first column of the run of mask that holds the
+// set column c: one past the highest clear bit below c.
+func runStart(mask []uint64, c int) int {
+	wi := c / wordBits
+	z := ^mask[wi] & (uint64(1)<<uint(c%wordBits) - 1)
+	for z == 0 {
+		if wi == 0 {
+			return 0
+		}
+		wi--
+		z = ^mask[wi]
 	}
+	return (wi+1)*wordBits - bits.LeadingZeros64(z)
+}
+
+// runEnd returns the last column, below cols, of the run of mask that
+// holds the set column c: one before the lowest clear bit above c.
+func runEnd(mask []uint64, c, cols int) int {
+	wi := c / wordBits
+	z := ^mask[wi] & (^uint64(0) << uint(c%wordBits))
+	for z == 0 {
+		if wi++; wi*wordBits >= cols {
+			return cols - 1
+		}
+		z = ^mask[wi]
+	}
+	return min(wi*wordBits+bits.TrailingZeros64(z), cols) - 1
 }
 
 // Rect is an axis-aligned rectangle of grid cells with inclusive bounds.

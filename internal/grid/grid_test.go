@@ -101,7 +101,7 @@ func TestRowOps(t *testing.T) {
 	dst := make([]uint64, wpr)
 	columns := func(mask []uint64) []int {
 		var cols []int
-		MaskRuns(mask, 70, func(c0, c1 int) {
+		MaskRuns(mask, mask, 70, func(c0, c1 int) {
 			for c := c0; c <= c1; c++ {
 				cols = append(cols, c)
 			}
@@ -158,7 +158,7 @@ func TestMaskRuns(t *testing.T) {
 		bm.Set(0, c)
 	}
 	var runs [][2]int
-	MaskRuns(bm.Row(0), 10, func(c0, c1 int) {
+	MaskRuns(bm.Row(0), bm.Row(0), 10, func(c0, c1 int) {
 		runs = append(runs, [2]int{c0, c1})
 	})
 	want := [][2]int{{0, 2}, {4, 4}, {7, 9}}
@@ -179,11 +179,98 @@ func TestMaskRunsAcrossWordBoundary(t *testing.T) {
 		bm.Set(0, c)
 	}
 	var runs [][2]int
-	MaskRuns(bm.Row(0), 130, func(c0, c1 int) {
+	MaskRuns(bm.Row(0), bm.Row(0), 130, func(c0, c1 int) {
 		runs = append(runs, [2]int{c0, c1})
 	})
 	if len(runs) != 1 || runs[0] != [2]int{60, 69} {
 		t.Errorf("runs = %v, want [[60 69]]", runs)
+	}
+}
+
+// TestMaskRunsCut checks MaskRuns's cut selection on a 200-column
+// (four-word) mask whose runs cross word boundaries: a run is visited
+// when cut holds any of its bits, its first and last columns included,
+// and only then, and it is always passed whole.
+func TestMaskRunsCut(t *testing.T) {
+	const cols = 200
+	runs := [][2]int{{0, 0}, {3, 9}, {60, 130}, {140, 191}, {193, 199}}
+	mask := make([]uint64, 4)
+	setCols := func(words []uint64, cs ...int) []uint64 {
+		for _, c := range cs {
+			words[c/64] |= 1 << uint(c%64)
+		}
+		return words
+	}
+	for _, r := range runs {
+		for c := r[0]; c <= r[1]; c++ {
+			setCols(mask, c)
+		}
+	}
+	visit := func(cut []uint64) [][2]int {
+		var got [][2]int
+		MaskRuns(mask, cut, cols, func(c0, c1 int) {
+			got = append(got, [2]int{c0, c1})
+		})
+		return got
+	}
+	for _, tc := range []struct {
+		name string
+		cut  []uint64
+		want [][2]int
+	}{
+		{"cut equal to mask", mask, runs},
+		{"empty cut", make([]uint64, 4), nil},
+		{"cut off the runs", setCols(make([]uint64, 4), 1, 2, 59, 131, 192), nil},
+		{"first columns", setCols(make([]uint64, 4), 0, 60, 193), [][2]int{runs[0], runs[2], runs[4]}},
+		{"last columns", setCols(make([]uint64, 4), 9, 130, 191, 199), runs[1:]},
+		{"across the word boundaries", setCols(make([]uint64, 4), 64, 128, 190), [][2]int{runs[2], runs[3]}},
+		{"several bits of one run", setCols(make([]uint64, 4), 61, 63, 100, 127, 129), [][2]int{runs[2]}},
+		{"all ones", []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}, runs},
+	} {
+		if got := visit(tc.cut); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: runs %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// A run that fills whole words, and one that ends at the last
+	// column of a width that is a multiple of 64.
+	full := []uint64{^uint64(1<<10 - 1), ^uint64(0), 1<<63 | 1}
+	var got [][2]int
+	MaskRuns(full, []uint64{0, 0, 1 << 63}, 192, func(c0, c1 int) {
+		got = append(got, [2]int{c0, c1})
+	})
+	MaskRuns(full, []uint64{0, 1 << 5, 0}, 192, func(c0, c1 int) {
+		got = append(got, [2]int{c0, c1})
+	})
+	if want := [][2]int{{191, 191}, {10, 128}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("whole-word runs: %v, want %v", got, want)
+	}
+}
+
+// TestAnyInRect holds AnyInRect to a cell-by-cell scan on sparse
+// 3×200 bitmaps, over rectangles inside one word and across words.
+func TestAnyInRect(t *testing.T) {
+	bm, _ := New(3, 200)
+	for _, cell := range [][2]int{{0, 0}, {0, 63}, {1, 64}, {1, 130}, {2, 199}} {
+		bm.Set(cell[0], cell[1])
+	}
+	for r0 := 0; r0 < 3; r0++ {
+		for r1 := r0; r1 < 3; r1++ {
+			for c0 := 0; c0 < 200; c0 += 3 {
+				for c1 := c0; c1 < 200; c1 += 7 {
+					rect := Rect{R0: r0, C0: c0, R1: r1, C1: c1}
+					want := false
+					for r := r0; r <= r1; r++ {
+						for c := c0; c <= c1; c++ {
+							want = want || bm.Get(r, c)
+						}
+					}
+					if got := bm.AnyInRect(rect); got != want {
+						t.Fatalf("AnyInRect(%v) = %v, want %v", rect, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -245,14 +245,17 @@ type ThresholdWalk struct {
 	// segmentation. Zero means 0.25 bits; negative means exact
 	// comparison.
 	Epsilon float64
-	// Patience is how many non-improving support levels to tolerate
-	// before stopping. Zero means 3.
+	// Patience is how many consecutive support levels with no accepted
+	// probe to tolerate before stopping. Zero means 3.
 	Patience int
 	// MaxSupportLevels caps how many distinct support thresholds are
-	// visited (even sub-sampling when the data has more). Zero means 48.
+	// visited (even sub-sampling when the data has more, keeping the
+	// lowest and the highest). A cap of 1 visits only the lowest, where
+	// the walk starts. Zero means 48.
 	MaxSupportLevels int
 	// MaxConfLevels caps the confidence candidates probed per support
-	// level (even sub-sampling). Zero means 8.
+	// level (even sub-sampling, keeping the lowest and the highest). A
+	// cap of 1 probes only the lowest. Zero means 8.
 	MaxConfLevels int
 	// MaxEvals bounds total objective evaluations — the deterministic
 	// stand-in for the paper's "budgeted time". Zero means 512.
@@ -319,27 +322,21 @@ func (w ThresholdWalk) Optimize(ctx context.Context, obj Objective) (Best, error
 		for i, conf := range confs {
 			probes[i] = Probe{Support: sup, Confidence: conf}
 		}
-		levelBest := math.Inf(1)
+		improved := false
 		for i, r := range evaluateAll(obj, probes) {
 			accepted, err := best.record(probes[i], r, w.Epsilon)
 			if err != nil {
 				return best, err
 			}
-			if accepted {
-				sinceImprove = -1 // reset below after the level finishes
-			}
-			// Zero-rule segmentations never count as the level's best.
-			if r.Err == nil && r.NumRules > 0 && r.Cost < levelBest {
-				levelBest = r.Cost
-			}
+			improved = improved || accepted
 		}
-		if levelBest >= best.Cost-w.Epsilon {
-			sinceImprove++
-			if sinceImprove >= w.Patience {
-				break
-			}
-		} else {
+		if improved {
 			sinceImprove = 0
+		} else {
+			sinceImprove++
+		}
+		if sinceImprove >= w.Patience {
+			break
 		}
 	}
 	if math.IsInf(best.Cost, 1) {
@@ -349,10 +346,15 @@ func (w ThresholdWalk) Optimize(ctx context.Context, obj Objective) (Best, error
 }
 
 // subsample returns up to max values of xs, evenly spaced, always
-// including the first and last.
+// including the first and, for a max of 2 or more, the last. A max of 1
+// keeps the first value alone: the lowest support, where §3.7's walk
+// starts, or the lowest confidence.
 func subsample(xs []float64, max int) []float64 {
 	if len(xs) <= max || max <= 0 {
 		return xs
+	}
+	if max == 1 {
+		return xs[:1]
 	}
 	out := make([]float64, 0, max)
 	for i := 0; i < max; i++ {

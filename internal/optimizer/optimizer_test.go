@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -224,6 +225,12 @@ func TestSubsample(t *testing.T) {
 	short := []float64{1, 2}
 	if len(subsample(short, 10)) != 2 {
 		t.Error("short input should pass through")
+	}
+	// A cap of 1 keeps the first, lowest value.
+	for _, n := range []int{1, 2, 3, 100} {
+		if got := subsample(xs[:n], 1); !reflect.DeepEqual(got, xs[:1]) {
+			t.Errorf("subsample of %d values to 1 = %v, want [%v]", n, got, xs[0])
+		}
 	}
 }
 
