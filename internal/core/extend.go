@@ -23,9 +23,9 @@ import (
 //
 // The binners are NOT refitted: values outside the originally observed
 // domain clamp into the edge bins. If the data distribution drifts far
-// from the fit, build a fresh System instead. Cached threshold indexes
-// are invalidated; the next Run recomputes them over the combined
-// counts.
+// from the fit, build a fresh System instead. Cached per-criterion
+// indexes are invalidated; the next probe, Grid or Run rebuilds them
+// over the combined counts.
 //
 // Extend reads the source twice. The first pass checks every tuple (its
 // width, finite LHS values, known category labels and criterion codes)
@@ -106,7 +106,6 @@ func (s *System) Extend(src dataset.Source) error {
 	if err != nil {
 		return err
 	}
-	s.setSegTotals()
 	s.resetThresholdCache()
 	// The sample rows and BinArray counts changed: memoized probes are
 	// stale and the verification index must be rebuilt over the updated

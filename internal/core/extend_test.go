@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
+	"arcs/internal/cluster"
 	"arcs/internal/counts"
 	"arcs/internal/dataset"
+	"arcs/internal/engine"
+	"arcs/internal/grid"
 	"arcs/internal/synth"
 )
 
@@ -259,5 +263,94 @@ func TestInterestLiftAfterExtend(t *testing.T) {
 	}
 	if got, want := sys.effectiveMinConf(seg, 0), 1.5*(float64(groupA)/float64(n)); got != want {
 		t.Errorf("lift bar after Extend = %v, want 1.5 × %d/%d = %v", got, groupA, n, want)
+	}
+}
+
+// TestExtendRefreshesIndex: probes read the per-criterion index, and
+// Extend drops it, so on a dense and on a sparse System a grid, a mine
+// and the walk's support levels after Extend read the extended counts.
+// Each equals what GenAssociationRules, BitOp and cluster.FromRects
+// derive from Counts(), or a fresh index's levels, though the index at
+// the old counts was built before Extend.
+func TestExtendRefreshesIndex(t *testing.T) {
+	for _, backend := range []string{"dense", "sparse"} {
+		t.Run(backend, func(t *testing.T) {
+			sys, err := New(synthSource(t, synth.Config{Function: 2, N: 5_000, Seed: 1, FracA: 0.4}), Config{
+				XAttr: synth.AttrAge, YAttr: synth.AttrSalary,
+				CritAttr: synth.AttrGroup, CritValue: synth.GroupA,
+				NumBins: 20, Smoothing: SmoothOff, PruneFraction: -1, CountsBackend: backend,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg, err := sys.segCode(synth.GroupA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const sup, conf = 0.002, 0.5
+			before, err := sys.Grid(synth.GroupA, sup, conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Extend(synthSource(t, synth.Config{Function: 2, N: 5_000, Seed: 2, FracA: 0.4})); err != nil {
+				t.Fatal(err)
+			}
+
+			cellRules, err := engine.GenAssociationRules(sys.Counts(), seg, sup, conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := grid.New(sys.Counts().NY(), sys.Counts().NX())
+			for _, r := range cellRules {
+				want.Set(r.Y, r.X)
+			}
+			if reflect.DeepEqual(before, want) {
+				t.Fatal("the extension leaves the rule grid as it was, so the test shows nothing")
+			}
+			got, err := sys.Grid(synth.GroupA, sup, conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Grid after Extend\n%s\nwant the extended counts' rule cells\n%s", got, want)
+			}
+
+			xb, yb := sys.Binners()
+			clustered, err := cluster.FromRects(bitopCluster(want, 1, nil), sys.Counts(), seg, xb, yb, cluster.Meta{
+				XAttr: synth.AttrAge, YAttr: synth.AttrSalary,
+				CritAttr: synth.AttrGroup, CritValue: synth.GroupA,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRules := clustered[:0]
+			for _, r := range clustered {
+				if r.Confidence >= conf {
+					wantRules = append(wantRules, r)
+				}
+			}
+			if len(wantRules) == 0 {
+				t.Fatal("the extended counts mine no rules, so the test shows nothing")
+			}
+			gotRules, err := sys.MineAt(sup, conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotRules, wantRules) {
+				t.Errorf("MineAt after Extend = %v\nwant %v", gotRules, wantRules)
+			}
+
+			levels, err := (&segObjective{sys: sys, seg: seg}).SupportLevels()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := engine.NewThresholds(sys.Counts(), seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(levels, fresh.Supports()) {
+				t.Errorf("support levels after Extend = %v\nwant %v", levels, fresh.Supports())
+			}
+		})
 	}
 }

@@ -155,10 +155,13 @@ func TestObsCoreSpansAndMetrics(t *testing.T) {
 			t.Errorf("count span missing %q attr", attr)
 		}
 	}
-	// The Figure 10 threshold structure is built exactly once per segment
-	// and announces its support-level count.
-	if th := one("thresholds"); th.Attr("supports") == "" || th.Attr("supports") == "0" {
-		t.Errorf("thresholds span supports attr = %q, want a positive count", th.Attr("supports"))
+	// The per-criterion index is built exactly once per segment and
+	// announces its support-level count and its footprint.
+	th := one("thresholds")
+	for _, attr := range []string{"supports", "cells", "bytes"} {
+		if v := th.Attr(attr); v == "" || v == "0" {
+			t.Errorf("thresholds span %s attr = %q, want a positive count", attr, v)
+		}
 	}
 	// Every cluster span carries the BitOp accounting attrs.
 	for _, sp := range sink.Spans("cluster") {

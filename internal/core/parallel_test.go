@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"arcs/internal/engine"
 	"arcs/internal/obs"
 	"arcs/internal/optimizer"
 	"arcs/internal/synth"
@@ -303,5 +304,44 @@ func TestBatchDispatchAdaptive(t *testing.T) {
 	}
 	if got := obj.(*segObjective).batchWorkers(8); got != want {
 		t.Errorf("64×64 grid batch workers = %d, want %d", got, want)
+	}
+}
+
+// TestThresholdsForBuildsOnce: goroutines asking a fresh System for the
+// same criterion value's index at once get one index, built once (one
+// thresholds span per value), and each value's build runs outside the
+// lock the others take.
+func TestThresholdsForBuildsOnce(t *testing.T) {
+	sink := &obs.MemSink{}
+	sys := f2System(t, 6_000, 0, Config{NumBins: 20, Observer: obs.New(sink)})
+	nseg := sys.Counts().NSeg()
+	const perSeg = 8
+	got := make([][]*engine.Thresholds, nseg)
+	var wg sync.WaitGroup
+	for seg := 0; seg < nseg; seg++ {
+		got[seg] = make([]*engine.Thresholds, perSeg)
+		for i := 0; i < perSeg; i++ {
+			wg.Add(1)
+			go func(seg, i int) {
+				defer wg.Done()
+				th, err := sys.thresholdsFor(seg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[seg][i] = th
+			}(seg, i)
+		}
+	}
+	wg.Wait()
+	for seg := range got {
+		for i := range got[seg] {
+			if got[seg][i] != got[seg][0] {
+				t.Errorf("value %d: caller %d got another index than caller 0", seg, i)
+			}
+		}
+	}
+	if spans := sink.Spans("thresholds"); len(spans) != nseg {
+		t.Errorf("%d thresholds spans, want one per criterion value (%d)", len(spans), nseg)
 	}
 }

@@ -132,12 +132,12 @@ func (s *System) timed(parent obs.Span, phases *[]PhaseTiming, name string, fn f
 	return err
 }
 
-// resetThresholdCache drops the Figure 10 indexes, forcing recomputation
-// over the current BinArray counts (used after Extend).
+// resetThresholdCache drops the per-criterion indexes, forcing a
+// rebuild over the current BinArray counts (used after Extend).
 func (s *System) resetThresholdCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.thresholds = make(map[int]*engine.Thresholds)
+	s.thresholds = make(map[int]*critIndex)
 }
 
 // ResetProbeCache drops every memoized probe evaluation. Extend calls it
@@ -146,24 +146,37 @@ func (s *System) resetThresholdCache() {
 // survive it.
 func (s *System) ResetProbeCache() { s.probes.reset() }
 
-// thresholdsFor caches the Figure 10 structure per criterion code.
-// The cache is guarded so concurrent RunValue calls (SegmentAll) can
-// share it.
+// critIndex holds one criterion code's index, built once on first use.
+type critIndex struct {
+	once sync.Once
+	th   *engine.Thresholds
+	err  error
+}
+
+// thresholdsFor returns the per-criterion index of a criterion code,
+// building it on first use. The cache is guarded so concurrent RunValue
+// calls (SegmentAll) can share it; each index is built outside the
+// guard, once, so no probe of one criterion value waits for another
+// value's build.
 func (s *System) thresholdsFor(seg int) (*engine.Thresholds, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if th, ok := s.thresholds[seg]; ok {
-		return th, nil
+	ix, ok := s.thresholds[seg]
+	if !ok {
+		ix = &critIndex{}
+		s.thresholds[seg] = ix
 	}
-	tsp := s.obs.Root("thresholds", s.rootAttrs(obs.Int("seg", seg))...)
-	th, err := engine.NewThresholds(s.ba, seg)
-	if err != nil {
-		tsp.End(obs.Str("error", err.Error()))
-		return nil, err
-	}
-	s.thresholds[seg] = th
-	tsp.End(obs.Int("supports", len(th.Supports())))
-	return th, nil
+	s.mu.Unlock()
+	ix.once.Do(func() {
+		tsp := s.obs.Root("thresholds", s.rootAttrs(obs.Int("seg", seg))...)
+		if ix.th, ix.err = engine.NewThresholds(s.ba, seg); ix.err != nil {
+			tsp.End(obs.Str("error", ix.err.Error()))
+			return
+		}
+		cells, bytes := ix.th.Footprint()
+		tsp.End(obs.Int("supports", len(ix.th.Supports())),
+			obs.Int("cells", cells), obs.Int("bytes", bytes))
+	})
+	return ix.th, ix.err
 }
 
 // segObjective drives one criterion code through the System. It also

@@ -69,7 +69,6 @@ func (s *System) stageCount(ctx context.Context, src dataset.Source, nseg int) (
 		return nil, fmt.Errorf("core: source yielded no tuples")
 	}
 	s.countsInfo = countsInfoOf(s.ba, workers)
-	s.setSegTotals()
 	attrs := []obs.Attr{
 		obs.Int("tuples", int(s.ba.N())),
 		obs.Int("grid_x", s.ba.NX()), obs.Int("grid_y", s.ba.NY()),

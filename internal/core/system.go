@@ -13,7 +13,6 @@ import (
 	"arcs/internal/cluster"
 	"arcs/internal/counts"
 	"arcs/internal/dataset"
-	"arcs/internal/engine"
 	"arcs/internal/filter"
 	"arcs/internal/grid"
 	"arcs/internal/obs"
@@ -38,11 +37,7 @@ type System struct {
 	// parallelism, footprint), set once by stageCount and copied into
 	// every Result.
 	countsInfo CountsInfo
-	// segTotals holds each criterion code's tuple count when
-	// InterestLift is set, for the lift bar; stageCount and Extend set
-	// it from the count backend.
-	segTotals []uint64
-	sample    *dataset.Table
+	sample     *dataset.Table
 	// vindex pre-bins the verification sample against the binner
 	// boundaries, so every probe verifies coverage in O(1) per tuple.
 	// Rebuilt by Extend; read-only otherwise.
@@ -77,8 +72,10 @@ type System struct {
 	// mu guards the thresholds cache; everything else is read-only
 	// after New, so concurrent RunValue calls are safe.
 	mu sync.Mutex
-	// thresholds caches the Figure 10 structure per criterion code.
-	thresholds map[int]*engine.Thresholds
+	// thresholds caches the per-criterion index (the Figure 10
+	// structure) per criterion code: the walk's levels, the lift bar's
+	// tuple total and every probe's rule grid read it.
+	thresholds map[int]*critIndex
 }
 
 // New builds a System from a tuple source by running the construction
@@ -101,7 +98,7 @@ func NewContext(ctx context.Context, src dataset.Source, cfg Config) (*System, e
 		return nil, err
 	}
 	schema := src.Schema()
-	s := &System{cfg: cfg, schema: schema, thresholds: make(map[int]*engine.Thresholds)}
+	s := &System{cfg: cfg, schema: schema, thresholds: make(map[int]*critIndex)}
 	s.obs = cfg.Observer
 	reg := s.obs.Registry()
 	s.mBatchSize = reg.HistogramBuckets("probe_batch_size", obs.SizeBuckets)
@@ -270,67 +267,58 @@ func (s *System) Grid(label string, minSup, minConf float64) (*grid.Bitmap, erro
 
 // effectiveMinConf applies the interest-measure extension: when
 // InterestLift is configured, the confidence bar is raised to
-// lift × prior of the criterion value if that exceeds minConf. The
-// raised bar can exceed 1, and then buildGrid admits no cell.
+// lift × prior of the criterion value if that exceeds minConf, where the
+// prior is the tuple total of the value's index over N. The raised bar
+// can exceed 1, and then buildGrid admits no cell.
 func (s *System) effectiveMinConf(seg int, minConf float64) float64 {
-	if s.cfg.InterestLift > 0 && s.ba.N() > 0 {
-		prior := float64(s.segTotals[seg]) / float64(s.ba.N())
-		if bar := s.cfg.InterestLift * prior; bar > minConf {
-			return bar
-		}
+	if s.cfg.InterestLift <= 0 || s.ba.N() == 0 {
+		return minConf
+	}
+	// An index that fails to build leaves the bar as it is: buildGrid
+	// reads the same index and reports the error.
+	th, err := s.thresholdsFor(seg)
+	if err != nil {
+		return minConf
+	}
+	prior := float64(th.Total()) / float64(s.ba.N())
+	if bar := s.cfg.InterestLift * prior; bar > minConf {
+		return bar
 	}
 	return minConf
 }
 
-// setSegTotals counts each criterion code's tuples in one walk of the
-// count backend, when InterestLift needs them.
-func (s *System) setSegTotals() {
-	if s.cfg.InterestLift <= 0 {
-		return
-	}
-	s.segTotals = make([]uint64, s.ba.NSeg())
-	s.ba.Cells(func(_, _ int, cell []uint32) {
-		for seg := range s.segTotals {
-			s.segTotals[seg] += uint64(cell[seg])
-		}
-	})
-}
-
 // buildGrid sets the (smoothed) rule grid at minConf, which the caller
-// has raised to the interest bar with effectiveMinConf.
+// has raised to the interest bar with effectiveMinConf, from the
+// criterion value's index.
 func (s *System) buildGrid(seg int, minSup, minConf float64) (*grid.Bitmap, error) {
 	if minConf > 1 {
 		// No cell reaches the bar, whatever the smoothing.
 		return grid.New(s.ba.NY(), s.ba.NX())
 	}
-	switch s.cfg.Smoothing {
-	case SmoothWeighted:
+	th, err := s.thresholdsFor(seg)
+	if err != nil {
+		return nil, err
+	}
+	if s.cfg.Smoothing == SmoothWeighted {
 		// Smooth support values of confidence-passing cells, then
 		// threshold at the support minimum.
-		dense, err := grid.NewDense(s.ba.NY(), s.ba.NX())
+		dense, err := th.SupportGrid(minConf)
 		if err != nil {
 			return nil, err
 		}
-		counts.Occupied(s.ba, seg, func(x, y int, segCount, cellTotal uint32) {
-			conf := float64(segCount) / float64(cellTotal)
-			if conf >= minConf {
-				dense.Set(y, x, float64(segCount)/float64(s.ba.N()))
-			}
-		})
 		return filter.LowPassWeighted(dense, minSup)
+	}
+	bm, err := th.RuleGrid(minSup, minConf)
+	if err != nil {
+		return nil, err
+	}
+	switch s.cfg.Smoothing {
+	case SmoothBinary:
+		return filter.LowPass(bm, smoothThreshold)
+	case SmoothMorphological:
+		return filter.Open(filter.Close(bm)), nil
 	default:
-		bm, err := engine.RuleGrid(s.ba, seg, minSup, minConf)
-		if err != nil {
-			return nil, err
-		}
-		switch s.cfg.Smoothing {
-		case SmoothBinary:
-			return filter.LowPass(bm, smoothThreshold)
-		case SmoothMorphological:
-			return filter.Open(filter.Close(bm)), nil
-		default:
-			return bm, nil
-		}
+		return bm, nil
 	}
 }
 

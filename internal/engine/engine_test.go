@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"arcs/internal/counts"
 	"arcs/internal/grid"
@@ -81,6 +82,10 @@ func TestGenAssociationRulesZeroThresholdsReturnAllOccupied(t *testing.T) {
 
 func TestGenAssociationRulesValidation(t *testing.T) {
 	ba := buildBA(t, [2][3][3]int{})
+	th, err := NewThresholds(ba, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name          string
 		seg           int
@@ -95,7 +100,13 @@ func TestGenAssociationRulesValidation(t *testing.T) {
 		if _, err := GenAssociationRules(ba, tc.seg, tc.minSup, tc.minCf); err == nil {
 			t.Errorf("GenAssociationRules: %s should error", tc.name)
 		}
-		if _, err := RuleGrid(ba, tc.seg, tc.minSup, tc.minCf); err == nil {
+		if tc.seg != 0 {
+			if _, err := NewThresholds(ba, tc.seg); err == nil {
+				t.Errorf("NewThresholds: %s should error", tc.name)
+			}
+			continue
+		}
+		if _, err := th.RuleGrid(tc.minSup, tc.minCf); err == nil {
 			t.Errorf("RuleGrid: %s should error", tc.name)
 		}
 	}
@@ -110,7 +121,11 @@ func TestRuleGridSetsRuleCells(t *testing.T) {
 	}
 	ba.Add(1, 2, 0)
 	ba.Add(0, 0, 0)
-	bm, err := RuleGrid(ba, 0, 0, 0)
+	th, err := NewThresholds(ba, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := th.RuleGrid(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +138,9 @@ func TestRuleGridSetsRuleCells(t *testing.T) {
 }
 
 // TestRuleGridMatchesGenAssociationRules: on dense and sparse backends,
-// the builder sets exactly the cells of the rules GenAssociationRules
-// derives, at every support and confidence occurring in the data, where
-// cells tie with the bar, and at zero.
+// the index sets exactly the cells of the rules GenAssociationRules
+// derives, at every support level and every confidence level the walk
+// offers there, where cells tie with the bar, and at zero.
 func TestRuleGridMatchesGenAssociationRules(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	const nx, ny, nseg = 23, 70, 3
@@ -149,32 +164,62 @@ func TestRuleGridMatchesGenAssociationRules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, sup := range append([]float64{0}, th.Supports()...) {
-				confs := []float64{0}
-				if i > 0 {
-					confs = append(confs, th.ConfidencesAt(i-1)...)
-				}
-				for _, conf := range confs {
-					cellRules, err := GenAssociationRules(ba, seg, sup, conf)
-					if err != nil {
-						t.Fatal(err)
-					}
-					bm, err := RuleGrid(ba, seg, sup, conf)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, _ := grid.New(ny, nx)
-					for _, r := range cellRules {
-						want.Set(r.Y, r.X)
-					}
-					if !reflect.DeepEqual(bm, want) {
-						t.Fatalf("%T seg %d at (%g, %g): RuleGrid\n%s\nwant the %d rule cells\n%s",
-							ba, seg, sup, conf, bm, len(cellRules), want)
-					}
+			for _, sup := range append([]float64{0}, th.Supports()...) {
+				for _, conf := range append([]float64{0}, th.ConfidencesAtOrAbove(sup)...) {
+					checkRuleGrid(t, ba, th, seg, sup, conf)
 				}
 			}
 		}
 	}
+}
+
+// TestRuleGridSupportBarRoundsUp: at 25 tuples a 7-tuple cell's support
+// 7/25, times 25, rounds above 7, so that support as a threshold
+// excludes the cell. The index cuts on counts by the same expression as
+// GenAssociationRules, not on the float supports, which would keep it.
+func TestRuleGridSupportBarRoundsUp(t *testing.T) {
+	ba, err := counts.NewDense(2, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba.AddN(0, 0, 0, 7)
+	ba.AddN(1, 0, 1, 18)
+	th, err := NewThresholds(ba, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := th.Supports()[0]
+	if sup != 7.0/25 || sup*25 <= 7 {
+		t.Fatalf("support %v, %v×25; want 7/25 rounding above 7", sup, sup)
+	}
+	bm := checkRuleGrid(t, ba, th, 0, sup, 0)
+	if bm.Any() {
+		t.Errorf("support bar %v admits the 7-tuple cell:\n%s", sup, bm)
+	}
+}
+
+// checkRuleGrid fails the test unless the index's rule grid at (sup,
+// conf) sets exactly the cells of GenAssociationRules' rules, and
+// returns it.
+func checkRuleGrid(t *testing.T, ba counts.Backend, th *Thresholds, seg int, sup, conf float64) *grid.Bitmap {
+	t.Helper()
+	cellRules, err := GenAssociationRules(ba, seg, sup, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := th.RuleGrid(sup, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := grid.New(ba.NY(), ba.NX())
+	for _, r := range cellRules {
+		want.Set(r.Y, r.X)
+	}
+	if !reflect.DeepEqual(bm, want) {
+		t.Fatalf("%T seg %d at (%g, %g): RuleGrid\n%s\nwant the %d rule cells\n%s",
+			ba, seg, sup, conf, bm, len(cellRules), want)
+	}
+	return bm
 }
 
 func TestGenAssociationRulesOtherSegment(t *testing.T) {
@@ -212,12 +257,19 @@ func TestThresholdsStructure(t *testing.T) {
 		t.Error("supports not ascending")
 	}
 	// The shared support 4/14 has two confidences: 0.5 and 1.0.
-	confs := th.ConfidencesAt(1)
+	confs := th.ConfidencesAtOrAbove(sups[1])
 	if len(confs) != 2 || confs[0] != 0.5 || confs[1] != 1 {
-		t.Errorf("ConfidencesAt(1) = %v", confs)
+		t.Errorf("ConfidencesAtOrAbove(4/14) = %v", confs)
 	}
-	if th.NumCells() != 3 {
-		t.Errorf("NumCells = %d", th.NumCells())
+	if th.Total() != 10 {
+		t.Errorf("Total = %d, want 10", th.Total())
+	}
+	// Each occupied cell costs 16 bytes in the list.
+	if size := unsafe.Sizeof(ruleCell{}); size != 16 {
+		t.Errorf("a cell takes %d bytes, want 16", size)
+	}
+	if cells, bytes := th.Footprint(); cells != 3 || bytes < 3*16 {
+		t.Errorf("Footprint = %d cells, %d bytes; want 3 cells and at least 48 bytes", cells, bytes)
 	}
 }
 
@@ -248,11 +300,22 @@ func TestThresholdsEmptyAndInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(th.Supports()) != 0 || th.NumCells() != 0 {
+	if cells, _ := th.Footprint(); len(th.Supports()) != 0 || cells != 0 || th.Total() != 0 {
 		t.Error("empty BinArray should yield empty thresholds")
+	}
+	if bm, err := th.RuleGrid(0, 0); err != nil || bm.Any() {
+		t.Errorf("empty index grid = %v, %v; want an empty grid", bm, err)
 	}
 	if _, err := NewThresholds(ba, 9); err == nil {
 		t.Error("bad segment should error")
+	}
+	// A grid whose bitmap positions overflow uint32 is refused.
+	huge, err := counts.NewSparse(1<<17, 1<<16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewThresholds(huge, 0); err == nil {
+		t.Error("a 2^17×2^16 grid should be too large for the index")
 	}
 }
 

@@ -29,9 +29,12 @@ func New(rows, cols int) (*Bitmap, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("grid: invalid dimensions %d×%d", rows, cols)
 	}
-	wpr := (cols + wordBits - 1) / wordBits
+	wpr := wordsPerRow(cols)
 	return &Bitmap{rows: rows, cols: cols, wpr: wpr, words: make([]uint64, rows*wpr)}, nil
 }
+
+// wordsPerRow is the packed width of a row of cols columns.
+func wordsPerRow(cols int) int { return (cols + wordBits - 1) / wordBits }
 
 // Rows reports the number of rows.
 func (b *Bitmap) Rows() int { return b.rows }
@@ -49,6 +52,26 @@ func (b *Bitmap) check(r, c int) {
 func (b *Bitmap) Set(r, c int) {
 	b.check(r, c)
 	b.words[r*b.wpr+c/wordBits] |= 1 << uint(c%wordBits)
+}
+
+// CellBit returns the position of cell (r, c) among the packed bits of a
+// bitmap with cols columns, row r's words first: the address SetBit
+// takes. BitCell inverts it.
+func CellBit(cols, r, c int) int { return r*wordsPerRow(cols)*wordBits + c }
+
+// BitCell returns the cell (r, c) at position pos of a bitmap with cols
+// columns.
+func BitCell(cols, pos int) (r, c int) {
+	rowBits := wordsPerRow(cols) * wordBits
+	return pos / rowBits, pos % rowBits
+}
+
+// SetBit turns on the cell at position pos, which CellBit gave for this
+// bitmap's column count, with one word OR: the bulk writer that sets a
+// threshold probe's rule grid from the cells of a rule index, with no
+// per-cell range check beyond the word slice's.
+func (b *Bitmap) SetBit(pos uint32) {
+	b.words[pos/wordBits] |= 1 << (pos % wordBits)
 }
 
 // Clear turns off cell (r, c).

@@ -39,6 +39,29 @@ func TestSetGetClear(t *testing.T) {
 	}
 }
 
+// TestSetBitMatchesSet: the position CellBit gives a cell sets exactly
+// that cell, and BitCell inverts it, at widths around the word
+// boundaries.
+func TestSetBitMatchesSet(t *testing.T) {
+	for _, cols := range []int{1, 63, 64, 65, 130, 200} {
+		for r := 0; r < 3; r++ {
+			for c := 0; c < cols; c++ {
+				got, _ := New(3, cols)
+				want, _ := New(3, cols)
+				pos := CellBit(cols, r, c)
+				got.SetBit(uint32(pos))
+				want.Set(r, c)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d cols: SetBit(CellBit(%d, %d)) sets\n%s\nwant\n%s", cols, r, c, got, want)
+				}
+				if br, bc := BitCell(cols, pos); br != r || bc != c {
+					t.Fatalf("%d cols: BitCell(%d) = (%d, %d), want (%d, %d)", cols, pos, br, bc, r, c)
+				}
+			}
+		}
+	}
+}
+
 func TestGetPanicsOutOfRange(t *testing.T) {
 	bm, _ := New(2, 2)
 	defer func() {
