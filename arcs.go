@@ -88,9 +88,6 @@ type ThresholdWalk = optimizer.ThresholdWalk
 // Anneal configures the simulated-annealing search alternative.
 type Anneal = optimizer.Anneal
 
-// Factorial configures the factorial-design search alternative.
-type Factorial = optimizer.Factorial
-
 // AttributeScore is an attribute ranked by information gain against the
 // criterion, from SelectAttributePair.
 type AttributeScore = core.AttributeScore
@@ -114,18 +111,16 @@ const (
 
 // Grid smoothing modes (paper §3.4 and §5).
 const (
-	SmoothBinary        = core.SmoothBinary
-	SmoothOff           = core.SmoothOff
-	SmoothWeighted      = core.SmoothWeighted
-	SmoothMorphological = core.SmoothMorphological
+	SmoothBinary   = core.SmoothBinary
+	SmoothOff      = core.SmoothOff
+	SmoothWeighted = core.SmoothWeighted
 )
 
 // Threshold search strategies (paper §3.7 and §5).
 const (
-	SearchWalk      = core.SearchWalk
-	SearchAnneal    = core.SearchAnneal
-	SearchFactorial = core.SearchFactorial
-	SearchFixed     = core.SearchFixed
+	SearchWalk   = core.SearchWalk
+	SearchAnneal = core.SearchAnneal
+	SearchFixed  = core.SearchFixed
 )
 
 // RunError is the structured failure of a pipeline run: the phase that

@@ -126,10 +126,9 @@ func BenchmarkBinGranularity(b *testing.B) {
 	}
 }
 
-// BenchmarkSmoothing measures the Figure 7 preprocessing step over a
-// dense rule grid, at the paper's 50×50 preset and at the 1000×1000 size
-// §3.3.1 mentions as comfortably in-memory: the 3×3 low-pass filter, and
-// the opening of the closing that -smoothing morphological runs.
+// BenchmarkSmoothing measures the Figure 7 preprocessing step, the 3×3
+// low-pass filter, over a dense rule grid, at the paper's 50×50 preset
+// and at the 1000×1000 size §3.3.1 mentions as comfortably in-memory.
 func BenchmarkSmoothing(b *testing.B) {
 	for _, size := range []int{50, 1000} {
 		bm, _ := grid.New(size, size)
@@ -146,12 +145,6 @@ func BenchmarkSmoothing(b *testing.B) {
 				if _, err := filter.LowPass(bm, 0.5); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("open-close/grid=%dx%d", size, size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				filter.Open(filter.Close(bm))
 			}
 		})
 	}
@@ -211,7 +204,7 @@ func benchSystem(b *testing.B, n int, cfg core.Config) *core.System {
 // BenchmarkAblationSmoothing compares segmentation error across the
 // smoothing modes (off / binary / support-weighted).
 func BenchmarkAblationSmoothing(b *testing.B) {
-	for _, mode := range []core.SmoothingMode{core.SmoothOff, core.SmoothBinary, core.SmoothWeighted, core.SmoothMorphological} {
+	for _, mode := range []core.SmoothingMode{core.SmoothOff, core.SmoothBinary, core.SmoothWeighted} {
 		b.Run(mode.String(), func(b *testing.B) {
 			sys := benchSystem(b, 20_000, core.Config{NumBins: 50, Smoothing: mode,
 				Walk: optimizer.ThresholdWalk{MaxSupportLevels: 12, MaxConfLevels: 8, MaxEvals: 100}})
@@ -252,7 +245,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSearch compares the three threshold-search strategies
+// BenchmarkAblationSearch compares the two threshold-search strategies
 // on cost and probe count.
 func BenchmarkAblationSearch(b *testing.B) {
 	cfgs := []struct {
@@ -263,8 +256,6 @@ func BenchmarkAblationSearch(b *testing.B) {
 			Walk: optimizer.ThresholdWalk{MaxSupportLevels: 12, MaxConfLevels: 8, MaxEvals: 100}}},
 		{"anneal", core.Config{Search: core.SearchAnneal,
 			Anneal: optimizer.Anneal{Seed: 1, Iterations: 100}}},
-		{"factorial", core.Config{Search: core.SearchFactorial,
-			Factorial: optimizer.Factorial{Rounds: 6}}},
 	}
 	for _, c := range cfgs {
 		b.Run(c.name, func(b *testing.B) {

@@ -48,9 +48,9 @@ func main() {
 		critAttr   = flag.String("crit", "", "categorical criterion attribute (required)")
 		critValue  = flag.String("value", "", "criterion value to segment (default: all values)")
 		bins       = flag.Int("bins", 50, "bins per quantitative attribute")
-		smoothing  = flag.String("smoothing", "binary", "grid smoothing: binary, off, weighted, morphological")
+		smoothing  = flag.String("smoothing", "binary", "grid smoothing: binary, off, weighted")
 		binning    = flag.String("binning", "equi-width", "bin strategy: equi-width, equi-depth, homogeneity, supervised")
-		search     = flag.String("search", "walk", "threshold search: walk, anneal, factorial, fixed")
+		search     = flag.String("search", "walk", "threshold search: walk, anneal, fixed")
 		minSup     = flag.Float64("minsup", 0.0001, "minimum support (with -search fixed)")
 		minConf    = flag.Float64("minconf", 0.39, "minimum confidence (with -search fixed)")
 		prune      = flag.Float64("prune", 0.01, "minimum cluster size as a fraction of the grid")

@@ -195,6 +195,10 @@ func TestBadFlagValuesAreUsageErrors(t *testing.T) {
 		{[]string{"-smoothing", "bogus"}, `unknown smoothing "bogus"`},
 		{[]string{"-binning", "bogus"}, `unknown binning "bogus"`},
 		{[]string{"-search", "bogus"}, `unknown search "bogus"`},
+		// The names of the two deleted mining modes are errors that
+		// list the values that remain.
+		{[]string{"-search", "factorial"}, `unknown search "factorial" (want walk, anneal or fixed)`},
+		{[]string{"-smoothing", "morphological"}, `unknown smoothing "morphological" (want binary, off or weighted)`},
 		{[]string{"-mem-budget", "bogus"}, `bad memory budget "bogus"`},
 		{[]string{"-counts-backend", "bogus"}, `unknown backend "bogus"`},
 		{[]string{"-format", "bogus"}, `unknown format "bogus"`},

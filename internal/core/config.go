@@ -72,27 +72,19 @@ const (
 	// SmoothWeighted smooths rule support values instead of presence
 	// bits (paper §5 extension).
 	SmoothWeighted
-	// SmoothMorphological closes then opens the grid (fill pinholes,
-	// drop isolated noise) using the image-processing morphology
-	// operators — the "more advanced filters" direction of §5. Unlike
-	// the low-pass filter it is idempotent and never moves cluster
-	// boundaries by more than one cell.
-	SmoothMorphological
 )
 
 var smoothingModeNames = enumNames{
-	SmoothBinary:        {"binary", "binary"},
-	SmoothOff:           {"off", "off"},
-	SmoothWeighted:      {"weighted", "support-weighted"},
-	SmoothMorphological: {"morphological", "morphological"},
+	SmoothBinary:   {"binary", "binary"},
+	SmoothOff:      {"off", "off"},
+	SmoothWeighted: {"weighted", "support-weighted"},
 }
 
 // String names the mode.
 func (s SmoothingMode) String() string { return smoothingModeNames.print("SmoothingMode", int(s)) }
 
 // ParseSmoothingMode returns the mode a flag or job spec names: binary,
-// off, weighted or morphological. The empty name is the default,
-// SmoothBinary.
+// off or weighted. The empty name is the default, SmoothBinary.
 func ParseSmoothingMode(name string) (SmoothingMode, error) {
 	v, err := smoothingModeNames.parse("smoothing", name)
 	return SmoothingMode(v), err
@@ -106,26 +98,22 @@ const (
 	SearchWalk SearchStrategy = iota
 	// SearchAnneal uses simulated annealing (§5).
 	SearchAnneal
-	// SearchFactorial uses iterated two-level factorial design (§5).
-	SearchFactorial
 	// SearchFixed skips the search and uses FixedMinSupport /
 	// FixedMinConfidence directly.
 	SearchFixed
 )
 
 var searchStrategyNames = enumNames{
-	SearchWalk:      {"walk", "threshold-walk"},
-	SearchAnneal:    {"anneal", "simulated-annealing"},
-	SearchFactorial: {"factorial", "factorial-design"},
-	SearchFixed:     {"fixed", "fixed"},
+	SearchWalk:   {"walk", "threshold-walk"},
+	SearchAnneal: {"anneal", "simulated-annealing"},
+	SearchFixed:  {"fixed", "fixed"},
 }
 
 // String names the strategy.
 func (s SearchStrategy) String() string { return searchStrategyNames.print("SearchStrategy", int(s)) }
 
 // ParseSearchStrategy returns the strategy a flag or job spec names:
-// walk, anneal, factorial or fixed. The empty name is the default,
-// SearchWalk.
+// walk, anneal or fixed. The empty name is the default, SearchWalk.
 func ParseSearchStrategy(name string) (SearchStrategy, error) {
 	v, err := searchStrategyNames.parse("search", name)
 	return SearchStrategy(v), err
@@ -136,8 +124,11 @@ func ParseSearchStrategy(name string) (SearchStrategy, error) {
 // method prints, which traces carry as the strategy attribute.
 type enumNames []struct{ flag, print string }
 
+// has reports whether the table has an entry for v.
+func (n enumNames) has(v int) bool { return v >= 0 && v < len(n) }
+
 func (n enumNames) print(typ string, v int) string {
-	if v < 0 || v >= len(n) {
+	if !n.has(v) {
 		return fmt.Sprintf("%s(%d)", typ, v)
 	}
 	return n[v].print
@@ -195,13 +186,12 @@ type Config struct {
 	// Weights biases the MDL cost (default wc = we = 1).
 	Weights mdl.Weights
 
-	// Search picks the optimizer; Walk/Anneal/Factorial carry the
+	// Search picks the optimizer; Walk and Anneal carry the
 	// per-strategy knobs. With SearchFixed, FixedMinSupport and
 	// FixedMinConfidence are used verbatim.
 	Search             SearchStrategy
 	Walk               optimizer.ThresholdWalk
 	Anneal             optimizer.Anneal
-	Factorial          optimizer.Factorial
 	FixedMinSupport    float64
 	FixedMinConfidence float64
 
@@ -295,6 +285,15 @@ func (c Config) validate() error {
 	}
 	if c.NumBins < 0 {
 		return fmt.Errorf("core: bin counts must be non-negative")
+	}
+	if !binStrategyNames.has(int(c.BinStrategy)) {
+		return fmt.Errorf("core: unknown %v", c.BinStrategy)
+	}
+	if !smoothingModeNames.has(int(c.Smoothing)) {
+		return fmt.Errorf("core: unknown %v", c.Smoothing)
+	}
+	if !searchStrategyNames.has(int(c.Search)) {
+		return fmt.Errorf("core: unknown %v", c.Search)
 	}
 	// The threshold checks are written so that NaN fails them.
 	if !(c.PruneFraction <= 1) {

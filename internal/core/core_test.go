@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"arcs/internal/dataset"
@@ -62,6 +64,55 @@ func TestConfigValidation(t *testing.T) {
 		gen.Reset()
 		if _, err := New(gen, cfg); err == nil {
 			t.Errorf("case %d: config %+v should be rejected", i, cfg)
+		}
+	}
+}
+
+// noPassSource has a schema and fails every read, so a System built on
+// it fails with errDataPass once a data pass starts.
+type noPassSource struct{ schema *dataset.Schema }
+
+var errDataPass = errors.New("data pass started")
+
+func (s noPassSource) Schema() *dataset.Schema    { return s.schema }
+func (noPassSource) Next() (dataset.Tuple, error) { return nil, errDataPass }
+func (noPassSource) Reset() error                 { return errDataPass }
+
+// TestConfigRejectsUnknownEnumValues: a strategy value outside its name
+// table is rejected before any data pass, with an error that names it,
+// and a value in its table gets as far as the data. SmoothingMode(3)
+// and SearchStrategy(3) were values in earlier releases.
+func TestConfigRejectsUnknownEnumValues(t *testing.T) {
+	src := noPassSource{synthSource(t, synth.Config{Function: 2, N: 100, Seed: 1}).Schema()}
+	cfgFor := func(set func(*Config)) Config {
+		cfg := Config{XAttr: synth.AttrAge, YAttr: synth.AttrSalary, CritAttr: synth.AttrGroup}
+		set(&cfg)
+		return cfg
+	}
+	for _, c := range []struct {
+		want string
+		set  func(*Config)
+	}{
+		{"BinStrategy(99)", func(c *Config) { c.BinStrategy = 99 }},
+		{"BinStrategy(-1)", func(c *Config) { c.BinStrategy = -1 }},
+		{"SmoothingMode(99)", func(c *Config) { c.Smoothing = 99 }},
+		{"SmoothingMode(3)", func(c *Config) { c.Smoothing = 3 }},
+		{"SearchStrategy(99)", func(c *Config) { c.Search = 99 }},
+		{"SearchStrategy(3)", func(c *Config) { c.Search = 3 }},
+	} {
+		_, err := New(src, cfgFor(c.set))
+		if err == nil || errors.Is(err, errDataPass) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: New err = %v, want an error naming it before any data pass", c.want, err)
+		}
+	}
+	for _, set := range []func(*Config){
+		func(c *Config) { c.BinStrategy = BinSupervised },
+		func(c *Config) { c.Smoothing = SmoothWeighted },
+		func(c *Config) { c.Search = SearchFixed },
+	} {
+		cfg := cfgFor(set)
+		if _, err := New(src, cfg); !errors.Is(err, errDataPass) {
+			t.Errorf("%v, %v, %v: New err = %v, want the data pass to start", cfg.BinStrategy, cfg.Smoothing, cfg.Search, err)
 		}
 	}
 }
@@ -230,7 +281,7 @@ func TestGridAccessors(t *testing.T) {
 }
 
 func TestSmoothingModes(t *testing.T) {
-	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothWeighted, SmoothMorphological} {
+	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothWeighted} {
 		sys := f2System(t, 10_000, 0.10, Config{NumBins: 25, Smoothing: mode})
 		rs, err := sys.MineAt(0.0001, 0.39)
 		if err != nil {
@@ -475,7 +526,7 @@ func TestInterestLiftSelectsCells(t *testing.T) {
 		t.Fatalf("lift 0.5 grid:\n%v\nwant cells (0,0) and (1,1)", bm)
 	}
 	// Lift 3 puts the bar at 1.5, which no cell can reach.
-	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothWeighted, SmoothMorphological} {
+	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothWeighted} {
 		sys := liftSystem(t, "a", 3, mode)
 		rs, err := sys.MineAt(0.01, 0)
 		if err != nil || len(rs) != 0 {
@@ -500,7 +551,7 @@ func TestInterestLiftExactlyAtBar(t *testing.T) {
 	if len(rs) != 1 || rs[0].Confidence != 1 {
 		t.Fatalf("bar at cell confidence: rules %v, want the one cell at confidence 1", rs)
 	}
-	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothWeighted, SmoothMorphological} {
+	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothWeighted} {
 		sys := liftSystem(t, "a", 2.0000001, mode)
 		rs, err := sys.MineAt(0.01, 0)
 		if err != nil || len(rs) != 0 {
@@ -570,18 +621,16 @@ func liftSystem(t *testing.T, crit string, lift float64, smoothing SmoothingMode
 
 func TestEnumStrings(t *testing.T) {
 	cases := map[string]string{
-		BinEquiWidth.String():        "equi-width",
-		BinEquiDepth.String():        "equi-depth",
-		BinHomogeneity.String():      "homogeneity",
-		BinSupervised.String():       "supervised",
-		SmoothBinary.String():        "binary",
-		SmoothOff.String():           "off",
-		SmoothWeighted.String():      "support-weighted",
-		SmoothMorphological.String(): "morphological",
-		SearchWalk.String():          "threshold-walk",
-		SearchAnneal.String():        "simulated-annealing",
-		SearchFactorial.String():     "factorial-design",
-		SearchFixed.String():         "fixed",
+		BinEquiWidth.String():   "equi-width",
+		BinEquiDepth.String():   "equi-depth",
+		BinHomogeneity.String(): "homogeneity",
+		BinSupervised.String():  "supervised",
+		SmoothBinary.String():   "binary",
+		SmoothOff.String():      "off",
+		SmoothWeighted.String(): "support-weighted",
+		SearchWalk.String():     "threshold-walk",
+		SearchAnneal.String():   "simulated-annealing",
+		SearchFixed.String():    "fixed",
 	}
 	for got, want := range cases {
 		if got != want {
@@ -618,10 +667,8 @@ func TestEnumParse(t *testing.T) {
 		{bin, "supervised", int(BinSupervised)},
 		{smooth, "", int(SmoothBinary)}, {smooth, "binary", int(SmoothBinary)},
 		{smooth, "off", int(SmoothOff)}, {smooth, "weighted", int(SmoothWeighted)},
-		{smooth, "morphological", int(SmoothMorphological)},
 		{search, "", int(SearchWalk)}, {search, "walk", int(SearchWalk)},
-		{search, "anneal", int(SearchAnneal)}, {search, "factorial", int(SearchFactorial)},
-		{search, "fixed", int(SearchFixed)},
+		{search, "anneal", int(SearchAnneal)}, {search, "fixed", int(SearchFixed)},
 	} {
 		if got := parse(c.p, c.name); got != c.want {
 			t.Errorf("parsing %q gave %d, want %d", c.name, got, c.want)
@@ -632,8 +679,8 @@ func TestEnumParse(t *testing.T) {
 		name, want string
 	}{
 		{bin, "threshold-walk", `unknown binning "threshold-walk" (want equi-width, equi-depth, homogeneity or supervised)`},
-		{smooth, "support-weighted", `unknown smoothing "support-weighted" (want binary, off, weighted or morphological)`},
-		{search, "threshold-walk", `unknown search "threshold-walk" (want walk, anneal, factorial or fixed)`},
+		{smooth, "support-weighted", `unknown smoothing "support-weighted" (want binary, off or weighted)`},
+		{search, "threshold-walk", `unknown search "threshold-walk" (want walk, anneal or fixed)`},
 	} {
 		if _, err := c.p(c.name); err == nil || err.Error() != c.want {
 			t.Errorf("parsing %q: %v, want %s", c.name, err, c.want)
@@ -685,28 +732,22 @@ func TestObjectiveAccessor(t *testing.T) {
 	}
 }
 
-func TestRunValueWithAnnealAndFactorial(t *testing.T) {
-	for _, search := range []SearchStrategy{SearchAnneal, SearchFactorial} {
-		sys := f2System(t, 10_000, 0, Config{
-			NumBins:   20,
-			Search:    search,
-			Anneal:    optimizer.Anneal{Seed: 1, Iterations: 40},
-			Factorial: optimizer.Factorial{Rounds: 6},
-		})
-		res, err := sys.Run()
-		if err != nil {
-			t.Fatalf("%v: %v", search, err)
-		}
-		if len(res.Rules) == 0 {
-			t.Errorf("%v found no rules", search)
-		}
-		// Search quality differs by strategy (factorial probes box
-		// corners and can settle for a coarser optimum on this
-		// small-budget configuration); both must at least beat the
-		// trivial segmentation.
-		if res.Errors.Rate() > 0.38 {
-			t.Errorf("%v error rate %.2f%%", search, 100*res.Errors.Rate())
-		}
+func TestRunValueWithAnneal(t *testing.T) {
+	sys := f2System(t, 10_000, 0, Config{
+		NumBins: 20,
+		Search:  SearchAnneal,
+		Anneal:  optimizer.Anneal{Seed: 1, Iterations: 40},
+	})
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rules) == 0 {
+		t.Error("annealing found no rules")
+	}
+	// A small-budget chain must at least beat the trivial segmentation.
+	if res.Errors.Rate() > 0.38 {
+		t.Errorf("error rate %.2f%%", 100*res.Errors.Rate())
 	}
 }
 
@@ -784,7 +825,7 @@ func TestProbeZeroAllocPerCandidate(t *testing.T) {
 	sups := th.Supports()
 	const bitmapBytes = 200 * 4 * 8 // 200 rows of four 64-bit words
 	verified := false
-	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothMorphological} {
+	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary} {
 		sys.cfg.Smoothing = mode
 		for _, tc := range []struct {
 			name      string

@@ -31,8 +31,8 @@ func stripCache(r *Result) *Result {
 
 // TestParallelSearchMatchesSequential is the probe pool's determinism
 // contract at the system level. At 64 bins the grid is at the pool's
-// floor, so with four Ps the walk's and the factorial's batches fan out
-// across workers and merge back in probe order. Anneal submits one
+// floor, so with four Ps the walk's batches fan out across workers and
+// merge back in probe order. Anneal submits one
 // probe at a time and revisits states, so its case holds the cache's
 // answers to the pipeline. Every trace step must carry the cost and
 // rule count that the uncached pipeline, evaluateProbe, computes at its
@@ -45,8 +45,6 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 			Walk: walkBudget()},
 		"anneal": {Search: SearchAnneal,
 			Anneal: annealBudget()},
-		"factorial": {Search: SearchFactorial,
-			Factorial: factorialBudget()},
 	}
 	for name, cfg := range searches {
 		t.Run(name, func(t *testing.T) {
@@ -103,10 +101,6 @@ func annealBudget() optimizer.Anneal {
 	return optimizer.Anneal{Seed: 5, Iterations: 40}
 }
 
-func factorialBudget() optimizer.Factorial {
-	return optimizer.Factorial{Rounds: 5}
-}
-
 // TestProbeCacheAcrossRuns: repeating a run on the same System must be
 // answered entirely from the cache, with an identical Result.
 func TestProbeCacheAcrossRuns(t *testing.T) {
@@ -153,10 +147,9 @@ func TestProbeCacheAcrossRuns(t *testing.T) {
 // cold run has hits too.
 func TestCacheCountsMatchTrace(t *testing.T) {
 	searches := map[string]Config{
-		"walk":      {Search: SearchWalk, Walk: walkBudget()},
-		"anneal":    {Search: SearchAnneal, Anneal: optimizer.Anneal{Seed: 5, Iterations: 200}},
-		"factorial": {Search: SearchFactorial, Factorial: factorialBudget()},
-		"fixed":     {Search: SearchFixed, FixedMinSupport: 0.0001, FixedMinConfidence: 0.39},
+		"walk":   {Search: SearchWalk, Walk: walkBudget()},
+		"anneal": {Search: SearchAnneal, Anneal: optimizer.Anneal{Seed: 5, Iterations: 200}},
+		"fixed":  {Search: SearchFixed, FixedMinSupport: 0.0001, FixedMinConfidence: 0.39},
 	}
 	for name, cfg := range searches {
 		t.Run(name, func(t *testing.T) {

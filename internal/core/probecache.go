@@ -32,8 +32,8 @@ func (c CacheStats) HitRate() float64 {
 }
 
 // probeKey identifies one threshold probe. Support and confidence are
-// used verbatim: the optimizer probes either exact threshold-list values
-// or factorial midpoints, both bit-stable across repeats.
+// used verbatim: the optimizer probes exact threshold-list values, which
+// are bit-stable across repeats.
 type probeKey struct {
 	seg       int
 	sup, conf float64

@@ -448,8 +448,6 @@ func (s *System) RunValueContext(ctx context.Context, label string) (*Result, er
 			best, err = s.cfg.Walk.Optimize(ctx, obj)
 		case SearchAnneal:
 			best, err = s.cfg.Anneal.Optimize(ctx, obj)
-		case SearchFactorial:
-			best, err = s.cfg.Factorial.Optimize(ctx, obj)
 		default:
 			return fmt.Errorf("core: unknown search strategy %v", s.cfg.Search)
 		}

@@ -315,11 +315,10 @@ func (s *System) buildGrid(seg int, minSup, minConf float64) (*grid.Bitmap, erro
 	switch s.cfg.Smoothing {
 	case SmoothBinary:
 		return filter.LowPass(bm, smoothThreshold)
-	case SmoothMorphological:
-		return filter.Open(filter.Close(bm)), nil
-	default:
+	case SmoothOff:
 		return bm, nil
 	}
+	return nil, fmt.Errorf("core: unknown smoothing mode %v", s.cfg.Smoothing)
 }
 
 // MineAt runs the full clustering pipeline at fixed thresholds for the

@@ -67,7 +67,7 @@ func Ablations(n int) ([]AblationStudy, error) {
 	var studies []AblationStudy
 
 	smooth := AblationStudy{Name: "smoothing mode"}
-	for _, mode := range []core.SmoothingMode{core.SmoothOff, core.SmoothBinary, core.SmoothWeighted, core.SmoothMorphological} {
+	for _, mode := range []core.SmoothingMode{core.SmoothOff, core.SmoothBinary, core.SmoothWeighted} {
 		row, err := ablationRun(n, core.Config{Smoothing: mode})
 		if err != nil {
 			return nil, fmt.Errorf("smoothing %v: %w", mode, err)
@@ -99,7 +99,6 @@ func Ablations(n int) ([]AblationStudy, error) {
 	}{
 		{"walk", core.Config{Search: core.SearchWalk}},
 		{"anneal", core.Config{Search: core.SearchAnneal, Anneal: optimizer.Anneal{Seed: 1, Iterations: 100}}},
-		{"factorial", core.Config{Search: core.SearchFactorial, Factorial: optimizer.Factorial{Rounds: 6}}},
 	}
 	for _, sc := range searchCfgs {
 		row, err := ablationRun(n, sc.cfg)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -133,20 +134,25 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(studies) != 4 {
-		t.Fatalf("studies = %d", len(studies))
+	want := map[string][]string{
+		"smoothing mode":   {"off", "binary", "support-weighted"},
+		"pruning fraction": {"off", "0.5%", "1%", "5%"},
+		"threshold search": {"walk", "anneal"},
+		"bin strategy":     {"equi-width", "equi-depth", "homogeneity", "supervised"},
+	}
+	if len(studies) != len(want) {
+		t.Fatalf("studies = %d, want %d", len(studies), len(want))
 	}
 	for _, st := range studies {
-		if len(st.Rows) < 3 {
-			t.Errorf("study %q has %d rows", st.Name, len(st.Rows))
-		}
+		var got []string
 		for _, r := range st.Rows {
-			if r.Variant == "" {
-				t.Errorf("study %q has unnamed variant", st.Name)
-			}
+			got = append(got, r.Variant)
 			if r.ErrorPct < 0 || r.ErrorPct > 100 {
 				t.Errorf("study %q variant %q error %.2f out of range", st.Name, r.Variant, r.ErrorPct)
 			}
+		}
+		if !reflect.DeepEqual(got, want[st.Name]) {
+			t.Errorf("study %q variants %q, want %q", st.Name, got, want[st.Name])
 		}
 	}
 	out := RenderAblations(studies)

@@ -7,9 +7,8 @@
 //
 // Two variants are provided, matching the paper: the binary filter used
 // in the main experiments, and the support-weighted filter of §5 that
-// averages rule support values instead of 0/1 presence by convolving
-// them with a 3×3 box kernel. Morphological opening and closing
-// (morphology.go) are a third smoothing mode.
+// averages rule support values instead of 0/1 presence over the same
+// 3×3 box.
 package filter
 
 import (
@@ -68,8 +67,8 @@ func LowPass(bm *grid.Bitmap, threshold float64) (*grid.Bitmap, error) {
 		}
 		k := need[3*inRows]
 		for i := range dst {
-			l0, r0 := sides(v0, i, cols, 0)
-			l1, r1 := sides(v1, i, cols, 0)
+			l0, r0 := sides(v0, i)
+			l1, r1 := sides(v1, i)
 			// Add the left, middle and right 2-bit sums into the 4-bit
 			// window count b3b2b1b0.
 			x, y := l0^v0[i], l1^v1[i]
@@ -103,19 +102,16 @@ func LowPass(bm *grid.Bitmap, threshold float64) (*grid.Bitmap, error) {
 	return out, nil
 }
 
-// sides returns the left and right neighbours of word i of a packed row
-// of cols columns: bit j of left holds the row's column 64i+j-1, bit j
-// of right its column 64i+j+1. A neighbour outside the row reads as the
-// matching bit of outside (0 or all ones).
-func sides(row []uint64, i, cols int, outside uint64) (left, right uint64) {
-	left, right = row[i]<<1|outside&1, row[i]>>1
+// sides returns the left and right neighbours of word i of a packed
+// row: bit j of left holds the row's column 64i+j-1, bit j of right its
+// column 64i+j+1. A neighbour outside the row reads as clear.
+func sides(row []uint64, i int) (left, right uint64) {
+	left, right = row[i]<<1, row[i]>>1
 	if i > 0 {
-		left = row[i]<<1 | row[i-1]>>63
+		left |= row[i-1] >> 63
 	}
 	if i+1 < len(row) {
 		right |= row[i+1] << 63
-	} else {
-		right |= outside & (1 << uint((cols-1)%64))
 	}
 	return left, right
 }
@@ -145,74 +141,6 @@ func colSum(v0, v1 []uint64, c, cols int) int {
 	return int(v0[w]>>s&1) + 2*int(v1[w]>>s&1)
 }
 
-// Kernel is a square convolution kernel of odd size.
-type Kernel struct {
-	Size    int // odd edge length
-	Weights []float64
-}
-
-func (k Kernel) validate() error {
-	if k.Size <= 0 || k.Size%2 == 0 {
-		return fmt.Errorf("filter: kernel size must be odd and positive, got %d", k.Size)
-	}
-	if len(k.Weights) != k.Size*k.Size {
-		return fmt.Errorf("filter: kernel has %d weights, want %d", len(k.Weights), k.Size*k.Size)
-	}
-	return nil
-}
-
-// Box3 is the 3×3 box (uniform average) kernel — the paper's low-pass
-// filter in kernel form.
-func Box3() Kernel {
-	w := make([]float64, 9)
-	for i := range w {
-		w[i] = 1.0 / 9
-	}
-	return Kernel{Size: 3, Weights: w}
-}
-
-// Convolve applies a smoothing kernel to a dense grid. Out-of-bounds
-// neighbors are left out and the result is renormalized over the
-// in-bounds kernel weights, so a constant field stays constant up to its
-// edges; the weights must therefore not sum to zero. The input is not
-// modified.
-func Convolve(d *grid.Dense, k Kernel) (*grid.Dense, error) {
-	if err := k.validate(); err != nil {
-		return nil, err
-	}
-	var wsum float64
-	for _, w := range k.Weights {
-		wsum += w
-	}
-	rows, cols := d.Rows(), d.Cols()
-	out, err := grid.NewDense(rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	half := k.Size / 2
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			var acc, used float64
-			for dr := -half; dr <= half; dr++ {
-				for dc := -half; dc <= half; dc++ {
-					rr, cc := r+dr, c+dc
-					w := k.Weights[(dr+half)*k.Size+(dc+half)]
-					if rr < 0 || rr >= rows || cc < 0 || cc >= cols {
-						continue
-					}
-					acc += w * d.At(rr, cc)
-					used += w
-				}
-			}
-			if used != 0 {
-				acc = acc * wsum / used
-			}
-			out.Set(r, c, acc)
-		}
-	}
-	return out, nil
-}
-
 // LowPassWeighted applies the support-weighted smoothing of §5: the 3×3
 // box filter runs over rule support values (a Dense grid) and the result
 // is thresholded back to a bitmap at minSupport. Cells whose smoothed
@@ -220,13 +148,40 @@ func Convolve(d *grid.Dense, k Kernel) (*grid.Dense, error) {
 // lets strong neighbors rescue boundary cells that individually just
 // missed the support cut, while isolated weak cells fade out. A cell
 // with no support nearby never survives, even at minSupport 0.
+//
+// Each in-bounds neighbor weighs 1/9. Out-of-bounds neighbors are left
+// out and the mean is renormalized over the in-bounds weights, scaled
+// by the nine weights' floating-point sum, so a constant field stays
+// constant up to its edges. The input is not modified.
 func LowPassWeighted(supports *grid.Dense, minSupport float64) (*grid.Bitmap, error) {
 	if minSupport < 0 {
 		return nil, fmt.Errorf("filter: negative support threshold %g", minSupport)
 	}
-	sm, err := Convolve(supports, Box3())
+	const w = 1.0 / 9
+	var wsum float64
+	for i := 0; i < 9; i++ {
+		wsum += w
+	}
+	rows, cols := supports.Rows(), supports.Cols()
+	sm, err := grid.NewDense(rows, cols)
 	if err != nil {
 		return nil, err
+	}
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			// The cell itself is always in bounds, so used is positive.
+			var acc, used float64
+			for rr := r - 1; rr <= r+1; rr++ {
+				for cc := c - 1; cc <= c+1; cc++ {
+					if rr < 0 || rr >= rows || cc < 0 || cc >= cols {
+						continue
+					}
+					acc += w * supports.At(rr, cc)
+					used += w
+				}
+			}
+			sm.Set(r, c, acc*wsum/used)
+		}
 	}
 	return sm.Threshold(minSupport), nil
 }

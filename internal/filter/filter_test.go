@@ -119,8 +119,8 @@ func lowPassCells(bm *grid.Bitmap, threshold float64) *grid.Bitmap {
 	return out
 }
 
-// oracleShapes are the grid sizes the word-level filters are checked on
-// against their per-cell oracles: one to three rows and columns, and
+// oracleShapes are the grid sizes the word-level filter is checked on
+// against its per-cell oracle: one to three rows and columns, and
 // column counts on either side of one, two and three words.
 var (
 	oracleRows = []int{1, 2, 3, 7, 64, 65, 200}
@@ -195,53 +195,58 @@ func TestLowPassEdgeNeighborhoods(t *testing.T) {
 	}
 }
 
-func TestKernelValidation(t *testing.T) {
-	d, _ := grid.NewDense(3, 3)
-	if _, err := Convolve(d, Kernel{Size: 2, Weights: make([]float64, 4)}); err == nil {
-		t.Error("even kernel size should error")
+// weightedAt reports which cells LowPassWeighted sets at bars just
+// below and just above mean: a cell whose smoothed support is mean is
+// set at the first and clear at the second.
+func weightedAt(t *testing.T, d *grid.Dense, mean float64) (below, above *grid.Bitmap) {
+	t.Helper()
+	const eps = 1e-9
+	below, err := LowPassWeighted(d, mean-eps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Convolve(d, Kernel{Size: 3, Weights: make([]float64, 4)}); err == nil {
-		t.Error("wrong weight count should error")
+	if above, err = LowPassWeighted(d, mean+eps); err != nil {
+		t.Fatal(err)
 	}
+	return below, above
 }
 
-func TestConvolveBoxUniformField(t *testing.T) {
-	// A constant field must be unchanged by a normalized smoothing kernel
-	// (including at the edges, thanks to renormalization).
+func TestLowPassWeightedUniformField(t *testing.T) {
+	// A constant field is unchanged by the box mean, edges included,
+	// thanks to the renormalization over in-bounds neighbors.
 	d, _ := grid.NewDense(4, 5)
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 5; c++ {
 			d.Set(r, c, 2.5)
 		}
 	}
-	out, err := Convolve(d, Box3())
-	if err != nil {
-		t.Fatal(err)
+	below, above := weightedAt(t, d, 2.5)
+	if n := below.PopCount(); n != 20 {
+		t.Errorf("bar just below 2.5 set %d of 20 cells:\n%s", n, below)
 	}
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 5; c++ {
-			if math.Abs(out.At(r, c)-2.5) > 1e-9 {
-				t.Fatalf("constant field changed at (%d,%d): %v", r, c, out.At(r, c))
-			}
-		}
+	if n := above.PopCount(); n != 0 {
+		t.Errorf("bar just above 2.5 set %d cells:\n%s", n, above)
 	}
 }
 
-func TestConvolveBoxAveragesSpike(t *testing.T) {
+func TestLowPassWeightedAveragesSpike(t *testing.T) {
+	// A spike of 9 in the centre of a 3×3 field: the centre's mean is
+	// 9/9 = 1. A corner's neighborhood holds 4 in-bounds cells, so its
+	// mean renormalizes to 9/4 = 2.25; an edge's 6 give 9/6 = 1.5.
 	d, _ := grid.NewDense(3, 3)
 	d.Set(1, 1, 9)
-	out, err := Convolve(d, Box3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(out.At(1, 1)-1) > 1e-9 {
-		t.Errorf("center = %v, want 1 (9/9)", out.At(1, 1))
-	}
-	// Corner neighborhood holds 4 in-bounds cells incl. the spike;
-	// renormalized box average = 9/4... no: weights are 1/9 each, used
-	// sum = 4/9, acc = 9/9 = 1, renormalized = 1 * 1 / (4/9) = 9/4.
-	if math.Abs(out.At(0, 0)-2.25) > 1e-9 {
-		t.Errorf("corner = %v, want 2.25", out.At(0, 0))
+	for _, tc := range []struct {
+		mean         float64
+		below, above *grid.Bitmap
+	}{
+		{1, mk(t, "###", "###", "###"), mk(t, "###", "#.#", "###")},
+		{2.25, mk(t, "#.#", "...", "#.#"), mk(t, "...", "...", "...")},
+	} {
+		below, above := weightedAt(t, d, tc.mean)
+		if !reflect.DeepEqual(below, tc.below) || !reflect.DeepEqual(above, tc.above) {
+			t.Errorf("mean %g: bars just below and just above set\n%s\nand\n%s\nwant\n%s\nand\n%s",
+				tc.mean, below, above, tc.below, tc.above)
+		}
 	}
 }
 

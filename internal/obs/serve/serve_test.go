@@ -358,7 +358,7 @@ func TestObsServeHealthAndReadiness(t *testing.T) {
 }
 
 func TestObsServeBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Options{CSVRoot: t.TempDir()})
+	s, ts := newTestServer(t, Options{CSVRoot: t.TempDir()})
 	cases := []struct {
 		name, body string
 		cause      string // when set, the response must name it
@@ -380,6 +380,12 @@ func TestObsServeBadRequests(t *testing.T) {
 		// No input a job reads raises a transient error, so the retry
 		// budget that could never fire is gone, and refused by name.
 		{"retries csv", `{"csv":{"path":"a.csv","retries":2},"x":"a","y":"b","crit":"c"}`, `"retries"`},
+		// The names of the two deleted mining modes are refused with
+		// the values that remain.
+		{"deleted search", `{"synth":{"function":1,"n":10},"x":"a","y":"b","crit":"c","search":"factorial"}`,
+			`unknown search "factorial" (want walk, anneal or fixed)`},
+		{"deleted smoothing", `{"synth":{"function":1,"n":10},"x":"a","y":"b","crit":"c","smoothing":"morphological"}`,
+			`unknown smoothing "morphological" (want binary, off or weighted)`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
@@ -395,6 +401,9 @@ func TestObsServeBadRequests(t *testing.T) {
 		if !strings.Contains(body.String(), tc.cause) {
 			t.Errorf("%s: response %q does not name %s", tc.name, body.String(), tc.cause)
 		}
+	}
+	if runs := s.Runs(); len(runs) != 0 {
+		t.Errorf("refused specs started %d runs, want none", len(runs))
 	}
 }
 

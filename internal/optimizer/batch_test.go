@@ -80,7 +80,6 @@ func TestBatchedMatchesSequential(t *testing.T) {
 	strategies := map[string]strategy{
 		"walk":        ThresholdWalk{Epsilon: -1},
 		"walk-budget": ThresholdWalk{MaxEvals: 17, Patience: 100},
-		"factorial":   Factorial{Rounds: 8},
 		"anneal":      Anneal{Seed: 3, Iterations: 100},
 	}
 	for name, strat := range strategies {
@@ -158,9 +157,8 @@ func (l *levelErrObjective) Evaluate(Probe) ProbeResult {
 func TestLevelErrorsPropagate(t *testing.T) {
 	sentinel := errors.New("threshold index corrupt")
 	strategies := map[string]strategy{
-		"walk":      ThresholdWalk{},
-		"anneal":    Anneal{Seed: 1},
-		"factorial": Factorial{},
+		"walk":   ThresholdWalk{},
+		"anneal": Anneal{Seed: 1},
 	}
 	for name, strat := range strategies {
 		t.Run(name+"/supports", func(t *testing.T) {

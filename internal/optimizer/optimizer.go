@@ -4,16 +4,15 @@
 // of threshold values that actually occur in the binned data (Figure 10);
 // because ARCS re-mines from the in-memory BinArray, each probe is cheap.
 //
-// Three strategies are provided: the paper's low-to-high threshold walk,
-// and the two future-work alternatives it names — simulated annealing and
-// two-level factorial design.
+// Two strategies are provided: the paper's low-to-high threshold walk,
+// and simulated annealing, one of the future-work alternatives it names.
 //
-// The walk and the factorial design probe several threshold pairs whose
-// outcomes are mutually independent, so both submit their probes as
-// batches: an objective that implements ObjectiveBatch may evaluate a
-// batch concurrently (the core system fans batches across a worker
-// pool). Results are merged back in probe order, so Best and Trace are
-// bit-identical to a strictly sequential evaluation.
+// The walk probes several threshold pairs whose outcomes are mutually
+// independent, so it submits its probes as batches: an objective that
+// implements ObjectiveBatch may evaluate a batch concurrently (the core
+// system fans batches across a worker pool). Results are merged back in
+// probe order, so Best and Trace are bit-identical to a strictly
+// sequential evaluation.
 //
 // Each strategy has one method, Optimize(ctx, obj). On cancellation it
 // stops between probes and returns its best-so-far result with the
@@ -486,105 +485,4 @@ func (a Anneal) Optimize(ctx context.Context, obj Objective) (Best, error) {
 		return best, noBest(best)
 	}
 	return best, nil
-}
-
-// Factorial searches with iterated two-level factorial design (Fisher;
-// paper §5): it evaluates the corners and center of the current
-// (support, confidence) box, recenters on the best probe, halves the box
-// and repeats. This greatly reduces the number of runs compared to an
-// exhaustive sweep. The probes of each round are independent and are
-// submitted as one batch.
-type Factorial struct {
-	// Rounds of box halving. Zero means 6.
-	Rounds int
-}
-
-func (f Factorial) defaults() Factorial {
-	if f.Rounds == 0 {
-		f.Rounds = 6
-	}
-	return f
-}
-
-// Optimize runs the design. The context is checked at every round
-// boundary; on cancellation the design stops and returns the incumbent
-// best with the error.
-func (f Factorial) Optimize(ctx context.Context, obj Objective) (Best, error) {
-	f = f.defaults()
-	ck := cancelcheck.New(ctx)
-	supports, err := obj.SupportLevels()
-	if err != nil {
-		return Best{}, fmt.Errorf("optimizer: support levels: %w", err)
-	}
-	if len(supports) == 0 {
-		return Best{}, errNoLevels
-	}
-	confsAll, err := obj.ConfidenceLevels(supports[0])
-	if err != nil {
-		return Best{}, fmt.Errorf("optimizer: confidence levels at %g: %w", supports[0], err)
-	}
-	if len(confsAll) == 0 {
-		return Best{}, errNoLevels
-	}
-	supLo, supHi := supports[0], supports[len(supports)-1]
-	confLo, confHi := confsAll[0], confsAll[len(confsAll)-1]
-
-	best := Best{Cost: math.Inf(1)}
-	seen := map[[2]float64]bool{}
-
-	cs, cc := (supLo+supHi)/2, (confLo+confHi)/2 // box center
-	hs, hc := (supHi-supLo)/2, (confHi-confLo)/2 // half-widths
-	for round := 0; round < f.Rounds; round++ {
-		if err := ck.Err(); err != nil {
-			return best, err
-		}
-		corners := [][2]float64{
-			{cs - hs, cc - hc}, {cs - hs, cc + hc},
-			{cs + hs, cc - hc}, {cs + hs, cc + hc},
-			{cs, cc},
-		}
-		// Clamp and drop already-probed corners, keeping first-occurrence
-		// order: the round's survivors form one independent batch.
-		probes := make([]Probe, 0, len(corners))
-		for _, p := range corners {
-			sup := clamp(p[0], supLo, supHi)
-			conf := clamp(p[1], confLo, confHi)
-			key := [2]float64{sup, conf}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			probes = append(probes, Probe{Support: sup, Confidence: conf})
-		}
-		roundBest := math.Inf(1)
-		var rbs, rbc float64
-		for i, r := range evaluateAll(obj, probes) {
-			if _, err := best.record(probes[i], r, 0); err != nil {
-				return best, err
-			}
-			if r.Err == nil && r.Cost < roundBest {
-				roundBest = r.Cost
-				rbs, rbc = probes[i].Support, probes[i].Confidence
-			}
-		}
-		if !math.IsInf(roundBest, 1) {
-			cs, cc = rbs, rbc
-		}
-		hs /= 2
-		hc /= 2
-	}
-	if math.IsInf(best.Cost, 1) {
-		return best, noBest(best)
-	}
-	return best, nil
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

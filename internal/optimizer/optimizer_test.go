@@ -149,28 +149,6 @@ func TestAnnealEmpty(t *testing.T) {
 	}
 }
 
-func TestFactorialConverges(t *testing.T) {
-	q := newQuad()
-	best, err := Factorial{Rounds: 8}.Optimize(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(best.Support-q.optSup) > 0.03 || math.Abs(best.Confidence-q.optConf) > 0.1 {
-		t.Errorf("factorial best = (%v, %v), want near (%v, %v)",
-			best.Support, best.Confidence, q.optSup, q.optConf)
-	}
-	// Factorial should be frugal: 5 probes per round minus dedup.
-	if best.Evaluations > 8*5 {
-		t.Errorf("too many evaluations: %d", best.Evaluations)
-	}
-}
-
-func TestFactorialEmpty(t *testing.T) {
-	if _, err := (Factorial{}).Optimize(context.Background(), &quadObjective{}); !errors.Is(err, ErrNoThresholds) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 // noRulesObjective has support and confidence levels, but every
 // threshold pair clusters to zero rules.
 type noRulesObjective struct{ quadObjective }
@@ -183,7 +161,7 @@ func (z *noRulesObjective) Evaluate(Probe) ProbeResult {
 // TestNoBestZeroRules: a search whose every probe yields zero rules
 // reports ErrNoThresholds with the probe count, not an empty grid.
 func TestNoBestZeroRules(t *testing.T) {
-	for _, s := range []strategy{ThresholdWalk{}, Anneal{Seed: 1}, Factorial{}} {
+	for _, s := range []strategy{ThresholdWalk{}, Anneal{Seed: 1}} {
 		z := &noRulesObjective{*newQuad()}
 		_, err := s.Optimize(context.Background(), z)
 		if !errors.Is(err, ErrNoThresholds) {
@@ -201,7 +179,7 @@ func TestNoBestZeroRules(t *testing.T) {
 func TestNoBestNoLevels(t *testing.T) {
 	noConfs := newQuad()
 	noConfs.confs = nil
-	for _, s := range []strategy{ThresholdWalk{}, Anneal{Seed: 1}, Factorial{}} {
+	for _, s := range []strategy{ThresholdWalk{}, Anneal{Seed: 1}} {
 		for _, obj := range []*quadObjective{{}, noConfs} {
 			_, err := s.Optimize(context.Background(), obj)
 			if !errors.Is(err, ErrNoThresholds) || !strings.Contains(err.Error(), "no occupied cells") {

@@ -113,27 +113,6 @@ func TestAnnealCancelMidChain(t *testing.T) {
 	}
 }
 
-func TestFactorialSkipsFailedProbesAndCancels(t *testing.T) {
-	f := &faultyObjective{quadObjective: newQuad(), probeFailAt: map[int]bool{3: true}}
-	best, err := (Factorial{}).Optimize(context.Background(), f)
-	if err != nil {
-		t.Fatalf("isolated probe failure aborted factorial: %v", err)
-	}
-	if best.Failures != 1 {
-		t.Errorf("Failures = %d, want 1", best.Failures)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	f2 := &faultyObjective{quadObjective: newQuad(), cancelAfter: 6, cancel: cancel}
-	best, err = (Factorial{}).Optimize(ctx, f2)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if best.Evaluations == 0 {
-		t.Error("cancellation discarded the incumbent best")
-	}
-}
-
 func TestFatalErrorsStillAbort(t *testing.T) {
 	q := newQuad()
 	q.failAt = 4
