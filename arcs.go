@@ -8,7 +8,7 @@
 // plots them on a grid, smooths the grid with an image-processing
 // low-pass filter, clusters adjacent rules into rectangles with the
 // BitOp algorithm, prunes insignificant clusters, and tunes the support
-// and confidence thresholds with a feedback loop that minimizes an MDL
+// and confidence thresholds with a search that minimizes an MDL
 // cost measured against samples of the data. The result is a small set
 // of readable clustered association rules such as
 //
@@ -153,7 +153,7 @@ func NewContext(ctx context.Context, src Source, cfg Config) (*System, error) {
 }
 
 // Mine is the one-shot convenience API: build a System and run the full
-// feedback loop for cfg.CritValue.
+// threshold search for cfg.CritValue.
 func Mine(src Source, cfg Config) (*Result, error) {
 	sys, err := core.New(src, cfg)
 	if err != nil {

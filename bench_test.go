@@ -10,7 +10,6 @@ package arcs
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"arcs/internal/bitop"
@@ -297,68 +296,15 @@ func BenchmarkAblationBinStrategy(b *testing.B) {
 	}
 }
 
-// BenchmarkFeedbackLoop measures the full threshold-search feedback loop
-// (a Walk over the Figure 11 workload) in three configurations, each on
-// the default config: sequential and batched-cold, each a cold search
-// (the probe cache emptied before every run) on its own System, and
-// batched-warm (steady-state re-runs, e.g. repeated SegmentAll traffic).
-// At 50 bins the grid is under the probe pool's floor, so every batch
-// runs inline; the two cold variants keep their names so the history
-// stays comparable. Before timing, it asserts the two Systems' searches
-// return identical results.
-func BenchmarkFeedbackLoop(b *testing.B) {
-	walk := optimizer.ThresholdWalk{MaxSupportLevels: 12, MaxConfLevels: 8, MaxEvals: 100}
-	base := core.Config{NumBins: 50, Search: core.SearchWalk, Walk: walk}
-
-	seqSys := benchSystem(b, 20_000, base)
-	seqRes, err := seqSys.Run()
-	if err != nil {
-		b.Fatal(err)
-	}
-	parSys := benchSystem(b, 20_000, base)
-	parRes, err := parSys.Run()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqRes.Trace, parRes.Trace) ||
-		seqRes.MinSupport != parRes.MinSupport ||
-		seqRes.MinConfidence != parRes.MinConfidence ||
-		seqRes.Cost != parRes.Cost ||
-		!reflect.DeepEqual(seqRes.Rules, parRes.Rules) {
-		b.Fatalf("batched search diverged from sequential baseline:\nseq: %+v\npar: %+v", seqRes, parRes)
-	}
-
-	loop := func(sys *core.System, cold bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			probes := 0
-			hitPct := 0.0
-			for i := 0; i < b.N; i++ {
-				if cold {
-					sys.ResetProbeCache()
-				}
-				res, err := sys.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				probes += res.Evaluations
-				hitPct = 100 * res.Cache.HitRate()
-			}
-			b.ReportMetric(float64(probes)/b.Elapsed().Seconds(), "probes/sec")
-			b.ReportMetric(hitPct, "cache_hit_pct")
-		}
-	}
-	b.Run("sequential", loop(seqSys, true))
-	b.Run("batched-cold", loop(parSys, true))
-	b.Run("batched-warm", loop(parSys, false))
-}
-
 // BenchmarkRemine demonstrates §3.2's claim that changing thresholds is
 // nearly instantaneous: once the BinArray is built, a full re-mine at
 // new thresholds touches no source data. MineAt is one probe, at 50 bins
 // over 20k tuples and at 200 bins over 200k, where the rule grid's cost
 // shows; SegmentAll-cold is a whole threshold search per group on a
 // 200×200 grid over 200k tuples with the probe cache emptied first, the
-// op of perfbench's remine-hires workload.
+// op of perfbench's remine-hires workload. SegmentAll-warm repeats that
+// search on a warm cache, where every probe is a cache hit and only the
+// final mine and verify run.
 func BenchmarkRemine(b *testing.B) {
 	mineAt := func(n, bins int) func(*testing.B) {
 		return func(b *testing.B) {
@@ -381,17 +327,28 @@ func BenchmarkRemine(b *testing.B) {
 	}
 	b.Run("MineAt/bins=50", mineAt(20_000, 50))
 	b.Run("MineAt/bins=200", mineAt(200_000, 200))
-	b.Run("SegmentAll-cold/bins=200", func(b *testing.B) {
-		sys := benchSystem(b, 200_000, core.Config{NumBins: 200})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sys.ResetProbeCache()
-			if _, err := sys.SegmentAll(); err != nil {
-				b.Fatal(err)
+	segmentAll := func(cold bool) func(*testing.B) {
+		return func(b *testing.B) {
+			sys := benchSystem(b, 200_000, core.Config{NumBins: 200})
+			if !cold {
+				if _, err := sys.SegmentAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					sys.ResetProbeCache()
+				}
+				if _, err := sys.SegmentAll(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("SegmentAll-cold/bins=200", segmentAll(true))
+	b.Run("SegmentAll-warm/bins=200", segmentAll(false))
 }
 
 // BenchmarkBinningPass measures the streaming binning throughput — the

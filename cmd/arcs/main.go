@@ -106,13 +106,9 @@ func main() {
 	ctx := c.Start(os.Stderr)
 	defer c.Exit()
 
-	// -spans or -metrics-out (or both) turn the observability layer on;
-	// the live registry is also published on expvar for /debug/vars.
+	// -spans or -metrics-out (or both) turn the observability layer on.
 	if sink := c.SpanSink(); sink != nil || *metricsOut != "" {
 		observer := obs.New(sink)
-		if err := obs.PublishExpvar("arcs", observer.Registry()); err != nil {
-			slog.Warn("publishing expvar snapshot", "err", err)
-		}
 		// Flush the final registry state into the trace before the sink
 		// closes (hooks run last-registered-first), so arcstrace sees the
 		// run's counters and histograms alongside its spans.

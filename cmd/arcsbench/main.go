@@ -17,7 +17,6 @@
 //	arcsbench -exp smoothing           # Figure 7 before/after grids
 //	arcsbench -exp ablation            # design-choice ablations
 //	arcsbench -exp why                 # §1 motivation: rule-count comparison
-//	arcsbench -exp feedbackloop        # search-loop probes/sec + cache hit-rate
 //	arcsbench -exp ingest              # counting pass: dense vs sharded workers
 //	arcsbench -exp quality             # mining quality across all 10 functions
 //	arcsbench -exp all                 # everything
@@ -35,7 +34,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -47,13 +45,12 @@ import (
 
 // experimentNames lists the -exp names in the order -exp all runs them.
 var experimentNames = []string{"rules", "fig11", "fig12", "fig13", "fig14", "fig15", "table2",
-	"bins", "why", "ablation", "feedbackloop", "ingest", "quality", "smoothing"}
+	"bins", "why", "ablation", "ingest", "quality", "smoothing"}
 
 func main() {
 	c := cli.New(cli.Spec{
 		Name:    "arcsbench",
 		Timeout: "overall budget; experiments not yet started when it expires are skipped and the process exits 3",
-		Spans:   "write a JSONL span trace of the feedbackloop experiment to this file",
 		Profile: true,
 	})
 	var (
@@ -232,24 +229,6 @@ func main() {
 			return err
 		}
 		fmt.Print(experiments.RenderAblations(studies))
-		return nil
-	})
-
-	run("feedbackloop", func() error {
-		fmt.Println("threshold-search feedback loop: cold search without and with an observer, then warm")
-		report, err := experiments.FeedbackLoop(figSizes[0], runtime.GOMAXPROCS(0), c.SpanSink())
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFeedbackLoop(report))
-		// Append to the trajectory rather than overwriting: the latest
-		// report stays readable at the top level, and every run lands in
-		// the history keyed by git SHA + timestamp.
-		const out = "BENCH_feedbackloop.json"
-		if err := experiments.AppendBenchReport(out, report, experiments.GitSHA(), time.Now()); err != nil {
-			return err
-		}
-		fmt.Printf("appended run to %s\n", out)
 		return nil
 	})
 

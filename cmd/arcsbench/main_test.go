@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -56,6 +57,25 @@ func TestExperimentNames(t *testing.T) {
 			if !strings.Contains(stderr, name) {
 				t.Errorf("usage error %q does not list %q", stderr, name)
 			}
+		}
+	})
+
+	// A retired experiment's name, and the -spans flag that only it
+	// used, are usage errors that run nothing and write no trace.
+	t.Run("retired-are-usage-errors", func(t *testing.T) {
+		spans := filepath.Join(t.TempDir(), "x.jsonl")
+		for _, args := range [][]string{
+			{"-exp", "feedbackloop"},
+			{"-exp", "rules", "-spans", spans},
+		} {
+			code, stdout, stderr := run(args...)
+			if code != cli.ExitUsage || stdout != "" {
+				t.Errorf("arcsbench %q: exit code %d with output %q, want %d and none\n%s",
+					args, code, stdout, cli.ExitUsage, stderr)
+			}
+		}
+		if _, err := os.Stat(spans); !os.IsNotExist(err) {
+			t.Errorf("-spans wrote %s (stat: %v)", spans, err)
 		}
 	})
 

@@ -1,5 +1,5 @@
 // Command arcstrace analyzes the JSONL span traces written by
-// `arcs -spans` and `arcsbench -spans`.
+// `arcs -spans` and `arcsd -spans`, and compares BENCH_*.json records.
 //
 // Usage:
 //
@@ -15,12 +15,7 @@
 //	    crossover summary, and — for BENCH_quality.json records — the
 //	    per-function quality rows: error-rate and recovery-IoU drift
 //	    beyond noise floors); with a single trajectory its last two
-//	    records are compared — the double-run protocol's same-machine
-//	    noise check.
-//
-//	arcstrace append [-bench BENCH_feedbackloop.json] run.jsonl
-//	    Fold the trace's phase timings into a BENCH_*.json trajectory as
-//	    one history record keyed by git SHA + timestamp.
+//	    records are compared.
 package main
 
 import (
@@ -31,9 +26,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
-	"arcs/internal/core"
 	"arcs/internal/experiments"
 	"arcs/internal/obs"
 )
@@ -49,8 +42,6 @@ func main() {
 		err = summarize(os.Args[2:])
 	case "diff":
 		err = diff(os.Args[2:])
-	case "append":
-		err = appendCmd(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 		return
@@ -71,7 +62,6 @@ func usage() {
   arcstrace diff [-tolerance 20%] [-min-phase 5ms] [-min-count 16] old.jsonl new.jsonl
   arcstrace diff [flags] OLD_BENCH.json NEW_BENCH.json   (newest record of each)
   arcstrace diff [flags] BENCH.json                      (its last two records)
-  arcstrace append [-bench BENCH_feedbackloop.json] run.jsonl
 `)
 }
 
@@ -128,7 +118,7 @@ func diff(args []string) error {
 	// Bench-trajectory mode: .json args are BENCH_*.json files whose
 	// newest history records are compared (phase timings plus the
 	// ingest crossover summary). One trajectory file alone compares its
-	// last two records — the double-run protocol's same-machine diff.
+	// last two records.
 	var regs []obs.Regression
 	var oldName, newName string
 	switch {
@@ -209,58 +199,4 @@ func parseTolerance(s string) (float64, error) {
 		return 0, fmt.Errorf("tolerance must be finite and non-negative, got %q", s)
 	}
 	return v, nil
-}
-
-func appendCmd(args []string) error {
-	fs := flag.NewFlagSet("append", flag.ExitOnError)
-	bench := fs.String("bench", "BENCH_feedbackloop.json", "trajectory file to append the record to")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("append wants exactly one trace file")
-	}
-	t, err := readTrace(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	rec := experiments.BenchRecord{
-		GitSHA:    experiments.GitSHA(),
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Tuples:    traceTuples(t),
-		Phases:    tracePhases(t),
-	}
-	if err := experiments.AppendBenchRecord(*bench, rec); err != nil {
-		return err
-	}
-	fmt.Printf("appended record for %s to %s (%d phases)\n", fs.Arg(0), *bench, len(rec.Phases))
-	return nil
-}
-
-// traceTuples pulls the tuple count from the init phase's count span,
-// the one place the pipeline records the workload size. "bin" is the
-// span's pre-stage-pipeline name, accepted so old traces still parse.
-func traceTuples(t *obs.Trace) int {
-	for _, ev := range t.Events {
-		if ev.Type == obs.EventSpan && (ev.Name == "count" || ev.Name == "bin") {
-			if n, err := strconv.Atoi(ev.Attr("tuples")); err == nil {
-				return n
-			}
-		}
-	}
-	return 0
-}
-
-// tracePhases flattens the trace's phase tree (two levels deep — the
-// top-level stages and their direct children) into name-path timings.
-func tracePhases(t *obs.Trace) []core.PhaseTiming {
-	var out []core.PhaseTiming
-	for _, root := range t.PhaseTree() {
-		out = append(out, core.PhaseTiming{Name: root.Name, Seconds: root.Total.Seconds()})
-		for _, c := range root.Children {
-			out = append(out, core.PhaseTiming{
-				Name:    root.Name + "/" + c.Name,
-				Seconds: c.Total.Seconds(),
-			})
-		}
-	}
-	return out
 }

@@ -24,6 +24,19 @@ func buildArcstrace(t *testing.T) string {
 	return bin
 }
 
+// exitCode is the status of a command that ran to its end.
+func exitCode(t *testing.T, err error) int {
+	t.Helper()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0
+}
+
 // writeBench writes a one-record BENCH trajectory whose only phase took
 // the given seconds.
 func writeBench(t *testing.T, name, seconds string) string {
@@ -58,13 +71,7 @@ func TestDiffToleranceIsUsedAsGiven(t *testing.T) {
 		cmd := exec.Command(bin, "diff", "-tolerance", tc.tolerance, oldB, newB)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		code := 0
-		if ee := (*exec.ExitError)(nil); errors.As(err, &ee) {
-			code = ee.ExitCode()
-		} else if err != nil {
-			t.Fatal(err)
-		}
+		code := exitCode(t, cmd.Run())
 		if code != tc.exit {
 			t.Errorf("diff -tolerance %s exited %d, want %d\nstdout: %s\nstderr: %s",
 				tc.tolerance, code, tc.exit, stdout.String(), stderr.String())
@@ -72,5 +79,26 @@ func TestDiffToleranceIsUsedAsGiven(t *testing.T) {
 		if tc.stderr != "" && !strings.Contains(stderr.String(), tc.stderr) {
 			t.Errorf("diff -tolerance %s stderr %q does not name %s", tc.tolerance, stderr.String(), tc.stderr)
 		}
+	}
+}
+
+// TestAppendIsUnknownCommand: the retired append subcommand is refused
+// as an unknown command, exit 2, and writes no trajectory.
+func TestAppendIsUnknownCommand(t *testing.T) {
+	bin := buildArcstrace(t)
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "run.jsonl")
+	if err := os.WriteFile(trace, []byte(`{"type":"span","name":"run","dur_us":1000}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bench := filepath.Join(dir, "BENCH_trace.json")
+	cmd := exec.Command(bin, "append", "-bench", bench, trace)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if code := exitCode(t, cmd.Run()); code != 2 || !strings.Contains(stderr.String(), `unknown command "append"`) {
+		t.Errorf("append exited %d, want 2 naming the unknown command\nstderr: %s", code, stderr.String())
+	}
+	if _, err := os.Stat(bench); !os.IsNotExist(err) {
+		t.Errorf("append wrote %s (stat: %v)", bench, err)
 	}
 }

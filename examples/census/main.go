@@ -5,7 +5,7 @@
 //
 //   - automatic LHS attribute selection by information gain (paper §5),
 //
-//   - the full ARCS feedback loop on the selected pair,
+//   - the full ARCS threshold search on the selected pair,
 //
 //   - a comparison of the three binning strategies.
 //

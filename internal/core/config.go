@@ -1,7 +1,7 @@
 // Package core wires the ARCS components into the full system of paper
 // Figure 2: binner → association rule engine → grid → smoothing → BitOp
-// clustering → pruning → verifier → heuristic optimizer, with the
-// feedback loop that adjusts the support and confidence thresholds until
+// clustering → pruning → verifier → heuristic optimizer, whose
+// threshold search adjusts the support and confidence thresholds until
 // the MDL cost of the segmentation stops improving.
 package core
 

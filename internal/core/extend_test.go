@@ -48,7 +48,7 @@ func TestExtendAddsData(t *testing.T) {
 	if len(rs) == 0 {
 		t.Error("no rules after Extend")
 	}
-	// Full feedback loop still works (threshold cache was invalidated).
+	// A full threshold search still works (threshold cache was invalidated).
 	res, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -22,15 +22,6 @@ type CacheStats struct {
 	Misses int
 }
 
-// HitRate reports the fraction of probes served from cache, 0 when no
-// probes were observed.
-func (c CacheStats) HitRate() float64 {
-	if c.Hits+c.Misses == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Hits+c.Misses)
-}
-
 // probeKey identifies one threshold probe. Support and confidence are
 // used verbatim: the optimizer probes exact threshold-list values, which
 // are bit-stable across repeats.

@@ -255,14 +255,14 @@ func (s *System) safeEvaluateProbe(parent obs.Span, seg int, minSup, minConf flo
 }
 
 // poolDispatchMinCells is the grid-cost floor for parallel probe
-// dispatch: a probe over an nx×ny grid smaller than this runs in
-// microseconds, so spawning pool workers (goroutine startup, channel
-// traffic, WaitGroup) costs more than it saves. Batches on grids below
-// the floor evaluate inline on the calling goroutine. The value was
-// picked from the feedbackloop bench, where batched-cold search on the
-// default 50×50 demo grid ran at or below sequential: 64×64 = 4096
-// cells sits just above the demo sizes that lose and below the scaled
-// grids that win.
+// dispatch: a probe's cost grows with its nx×ny grid, and on a small
+// grid spawning pool workers (goroutine startup, channel traffic,
+// WaitGroup) costs about what the probes save. Batches on grids below
+// the floor evaluate inline on the calling goroutine. perfbench's two
+// search workloads sit on either side of it: csv-mine's 50×50 grid
+// (2,500 cells) runs inline, and remine-hires' 200×200 grid (40,000
+// cells) runs on the pool, where a cold 200-bin search over 200k tuples
+// ran about 1.7× faster on two CPUs than with every batch inline.
 const poolDispatchMinCells = 4096
 
 // batchWorkers sizes the probe pool for one batch adaptively: grids
@@ -375,7 +375,7 @@ func (s *System) evaluateProbe(parent obs.Span, seg int, minSup, minConf float64
 	return cost, len(rs), nil
 }
 
-// Run executes the full feedback loop for the configured criterion value.
+// Run executes the full threshold search for the configured criterion value.
 func (s *System) Run() (*Result, error) {
 	return s.RunContext(context.Background())
 }
@@ -389,7 +389,7 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	return s.RunValueContext(ctx, s.cfg.CritValue)
 }
 
-// RunValue executes the full feedback loop for an arbitrary criterion
+// RunValue executes the full threshold search for an arbitrary criterion
 // value, reusing the BinArray (no re-binning, §3.1). It is safe to call
 // concurrently for different values.
 func (s *System) RunValue(label string) (*Result, error) {
@@ -554,7 +554,7 @@ func (s *System) annotateSearchTrace(trace []optimizer.Step) {
 	}
 }
 
-// SegmentAll runs the feedback loop for every value of the criterion
+// SegmentAll runs the threshold search for every value of the criterion
 // attribute, exploiting the BinArray's nseg+1 layout: no re-binning is
 // needed to segment a different group (§3.1). The per-value runs only
 // read shared state, so they execute concurrently (bounded by

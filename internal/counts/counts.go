@@ -1,6 +1,6 @@
 // Package counts is the count substrate behind the ARCS pipeline: the
 // BinArray of paper §3.1. It is filled in one pass over the data, after
-// which the feedback loop only reads it; everything downstream of the
+// which the threshold search only reads it; everything downstream of the
 // build — the rule engine, grid construction, threshold enumeration —
 // needs only the small read API captured here as Backend.
 //

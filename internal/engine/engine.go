@@ -5,8 +5,8 @@
 // searches and every threshold probe sets its rule grid from.
 //
 // Because the BinArray is retained in memory, applying different support
-// or confidence thresholds — the "re-mining" of the feedback loop — never
-// touches the source data again.
+// or confidence thresholds — the "re-mining" of the threshold search —
+// never touches the source data again.
 package engine
 
 import (

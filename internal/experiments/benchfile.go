@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"arcs/internal/core"
 )
@@ -29,34 +28,23 @@ type BenchRecord struct {
 	// build (0 = never). The diff gate fails a run whose crossover
 	// regresses to 0 while the predecessor had one.
 	Crossover int `json:"crossover,omitempty"`
-	// Phases holds per-phase wall-clock timings. Records appended from a
-	// feedbackloop report use the batched-cold variant's phases; records
-	// appended from a span trace (arcstrace append) use the trace's
-	// aggregated phase paths.
+	// Phases holds per-phase wall-clock timings.
 	Phases []core.PhaseTiming `json:"phases,omitempty"`
-	// Variants carries the full per-variant measurements for records
-	// appended from a feedbackloop report.
-	Variants []FeedbackLoopVariant `json:"variants,omitempty"`
 	// Quality carries per-function mining-quality rows for records
 	// appended from a quality sweep (BENCH_quality.json). The diff gate
 	// compares rows matched by function number.
 	Quality []QualityRow `json:"quality,omitempty"`
 }
 
-// BenchFile is the on-disk schema of BENCH_*.json: the latest report's
-// fields stay readable at the top level (inlined, so consumers of the
-// old single-report schema keep working), and History accumulates one
-// record per run. The embedded report is nil — and its fields absent —
-// in trajectories built purely from appended records.
+// BenchFile is the on-disk schema of BENCH_*.json: History accumulates
+// one record per run.
 type BenchFile struct {
-	*FeedbackLoopReport
 	History []BenchRecord `json:"history,omitempty"`
 }
 
 // ReadBenchFile loads a BENCH_*.json file. A missing or empty file
 // yields an empty BenchFile (an interrupted writer's truncated target,
-// or a fresh `touch`, should not wedge the trajectory forever); files
-// written by the old single-report schema parse with an empty History.
+// or a fresh `touch`, should not wedge the trajectory forever).
 // Corrupted JSON is an error — history is append-only and silently
 // dropping it would erase the trajectory on the next write.
 func ReadBenchFile(path string) (*BenchFile, error) {
@@ -105,33 +93,7 @@ func WriteBenchFile(path string, bf *BenchFile) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// AppendBenchReport installs r as the file's top-level latest report and
-// appends a history record derived from it, preserving prior history.
-func AppendBenchReport(path string, r *FeedbackLoopReport, gitSHA string, now time.Time) error {
-	bf, err := ReadBenchFile(path)
-	if err != nil {
-		return err
-	}
-	rec := BenchRecord{
-		GitSHA:    gitSHA,
-		Timestamp: now.UTC().Format(time.RFC3339),
-		Tuples:    r.Tuples,
-		Workers:   r.Workers,
-		Variants:  r.Variants,
-	}
-	for _, v := range r.Variants {
-		if v.Name == "batched-cold" {
-			rec.Phases = v.Phases
-		}
-	}
-	bf.FeedbackLoopReport = r
-	bf.History = append(bf.History, rec)
-	return WriteBenchFile(path, bf)
-}
-
-// AppendBenchRecord appends a pre-built record to the file's history,
-// leaving the top-level latest report untouched (used by arcstrace to
-// fold a span trace into a trajectory).
+// AppendBenchRecord appends a record to the file's history.
 func AppendBenchRecord(path string, rec BenchRecord) error {
 	bf, err := ReadBenchFile(path)
 	if err != nil {

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,93 +14,54 @@ import (
 	"arcs/internal/core"
 )
 
-func benchReport(tuples int, secs float64) *FeedbackLoopReport {
-	return &FeedbackLoopReport{
-		Experiment: "feedbackloop",
-		Tuples:     tuples,
-		Workers:    4,
-		Identical:  true,
-		Variants: []FeedbackLoopVariant{
-			{Name: "sequential", Seconds: secs * 2, Probes: 32},
-			{Name: "batched-cold", Seconds: secs, Probes: 32,
-				Phases: []core.PhaseTiming{{Name: "search", Seconds: secs * 0.9}}},
-		},
+// phaseRecord is an ingest-style history record with one phase.
+func phaseRecord(sha string, at time.Time, secs float64) BenchRecord {
+	return BenchRecord{
+		GitSHA:    sha,
+		Timestamp: at.UTC().Format(time.RFC3339),
+		Tuples:    1_000_000,
+		Workers:   4,
+		Crossover: 500_000,
+		Phases:    []core.PhaseTiming{{Name: "ingest-dense-1000000", Seconds: secs}},
 	}
 }
 
-// TestBenchFileAppendAccumulates: successive reports append history
-// records instead of overwriting, and the latest report stays readable
-// at the top level.
+// TestBenchFileAppendAccumulates: successive appends add history
+// records instead of overwriting, in order and with every field.
 func TestBenchFileAppendAccumulates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_feedbackloop.json")
+	path := filepath.Join(t.TempDir(), "BENCH_ingest.json")
 	t0 := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	if err := AppendBenchReport(path, benchReport(20_000, 0.5), "aaaa111", t0); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendBenchReport(path, benchReport(20_000, 0.4), "bbbb222", t0.Add(time.Hour)); err != nil {
-		t.Fatal(err)
+	first, second := phaseRecord("aaaa111", t0, 0.5), phaseRecord("bbbb222", t0.Add(time.Hour), 0.4)
+	for _, rec := range []BenchRecord{first, second} {
+		if err := AppendBenchRecord(path, rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	bf, err := ReadBenchFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if bf.FeedbackLoopReport == nil || bf.Experiment != "feedbackloop" {
-		t.Fatalf("latest report not readable at top level: %+v", bf.FeedbackLoopReport)
-	}
-	if got := bf.Variants[1].Seconds; got != 0.4 {
-		t.Errorf("top-level latest batched-cold seconds = %g, want the second run's 0.4", got)
 	}
 	if len(bf.History) != 2 {
 		t.Fatalf("history has %d records, want 2", len(bf.History))
 	}
-	if bf.History[0].GitSHA != "aaaa111" || bf.History[1].GitSHA != "bbbb222" {
-		t.Errorf("history SHAs = %q, %q", bf.History[0].GitSHA, bf.History[1].GitSHA)
+	if !reflect.DeepEqual(bf.History[0], first) || !reflect.DeepEqual(bf.History[1], second) {
+		t.Errorf("history = %+v, want %+v then %+v", bf.History, first, second)
 	}
 	if bf.History[0].Timestamp != "2026-08-05T12:00:00Z" {
 		t.Errorf("history timestamp = %q, want RFC3339 UTC", bf.History[0].Timestamp)
 	}
-	if len(bf.History[0].Phases) == 0 || bf.History[0].Phases[0].Name != "search" {
-		t.Errorf("history record missing batched-cold phases: %+v", bf.History[0].Phases)
-	}
-}
-
-// TestBenchFileOldSchemaUpgrade: a file written by the pre-trajectory
-// schema (a bare report) reads back with the report intact and gains a
-// history on the next append.
-func TestBenchFileOldSchemaUpgrade(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_feedbackloop.json")
-	data, err := MarshalFeedbackLoop(benchReport(50_000, 1.0))
+	newest, err := LastRecord(bf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bf, err := ReadBenchFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bf.FeedbackLoopReport == nil || bf.Tuples != 50_000 {
-		t.Fatalf("old-schema report not parsed: %+v", bf.FeedbackLoopReport)
-	}
-	if len(bf.History) != 0 {
-		t.Fatalf("old-schema file has %d history records, want 0", len(bf.History))
-	}
-	if err := AppendBenchReport(path, benchReport(50_000, 0.8), "cccc333", time.Unix(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	bf, err = ReadBenchFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bf.History) != 1 {
-		t.Errorf("upgraded file has %d history records, want 1", len(bf.History))
+	if got := newest.Phases[0].Seconds; got != 0.4 {
+		t.Errorf("newest record's phase = %g s, want the second run's 0.4", got)
 	}
 }
 
 // TestBenchFileDuplicateGitSHA: the trajectory is append-only even when
-// the same commit runs twice (CI re-runs, the double-run protocol) —
+// the same commit runs twice (a CI re-run, or a build run against itself) —
 // both records land in the history, distinguished by timestamp.
 func TestBenchFileDuplicateGitSHA(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_quality.json")
@@ -150,7 +113,7 @@ func TestBenchFileEmptyFile(t *testing.T) {
 			if err != nil {
 				t.Fatalf("empty file should read as empty trajectory: %v", err)
 			}
-			if bf.FeedbackLoopReport != nil || len(bf.History) != 0 {
+			if len(bf.History) != 0 {
 				t.Fatalf("empty file parsed as %+v", bf)
 			}
 			if err := AppendBenchRecord(path, BenchRecord{GitSHA: "rec0"}); err != nil {
@@ -247,9 +210,8 @@ func TestBenchFileConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestBenchFileRecordOnlyAppend: appending a bare record (the arcstrace
-// path) to a missing file creates a history-only trajectory with no
-// zero-value report at the top level.
+// TestBenchFileRecordOnlyAppend: appending a record to a missing file
+// creates a trajectory whose only top-level key is its history.
 func TestBenchFileRecordOnlyAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_trace.json")
 	rec := BenchRecord{Timestamp: "2026-08-05T00:00:00Z", Tuples: 9,
@@ -261,10 +223,18 @@ func TestBenchFileRecordOnlyAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bf.FeedbackLoopReport != nil {
-		t.Errorf("record-only file grew a latest report: %+v", bf.FeedbackLoopReport)
-	}
 	if len(bf.History) != 1 || bf.History[0].Tuples != 9 {
 		t.Fatalf("history = %+v, want the one appended record", bf.History)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(data, &top); err != nil {
+		t.Fatal(err)
+	}
+	if len(top) != 1 || top["history"] == nil {
+		t.Errorf("top-level keys of %s, want only history", data)
 	}
 }

@@ -20,7 +20,7 @@
 //	  count               count-backend fill pass (mode sequential or
 //	                      sharded, backend dense or sparse)
 //	  verify-index        verification-sample pre-binning and k-of-n draws
-//	run                   one RunValue feedback loop
+//	run                   one RunValue threshold search
 //	  search              optimizer strategy
 //	    probe-batch       one worker-pool batch of threshold probes
 //	      probe           one (support, confidence) evaluation

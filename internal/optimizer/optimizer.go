@@ -31,7 +31,7 @@ import (
 	"arcs/internal/cancelcheck"
 )
 
-// Objective is the feedback loop the optimizer drives: evaluating a
+// Objective is what the optimizer drives: evaluating a
 // threshold pair re-mines the rules, clusters them, verifies the
 // segmentation against samples and returns its MDL cost. Implemented by
 // the core ARCS system.
