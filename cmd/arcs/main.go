@@ -122,7 +122,7 @@ func main() {
 					return
 				}
 				snap := observer.Registry().Snapshot()
-				if err := obs.WritePrometheus(f, snap, "arcs"); err != nil {
+				if err := obs.WritePrometheus(f, snap); err != nil {
 					slog.Error("writing metrics", "path", path, "err", err)
 				}
 				if err := f.Close(); err != nil {

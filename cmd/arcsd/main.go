@@ -27,7 +27,8 @@
 //	POST /models/{id}/activate re-validate from disk and hot-swap; on failure
 //	                           the previous model keeps serving
 //	POST /apply                score a tuple or [x,y] batch against the active
-//	                           model, behind deadline/limiter/breaker admission
+//	                           model, behind in-flight limiter (429) and
+//	                           deadline (504) admission
 //	GET  /debug/flightrecord   dump the flight-recorder ring [?run=id]
 //	GET  /debug/vars           expvar (registry snapshot)
 //	GET  /debug/pprof/...      pprof; samples carry arcs_run/arcs_phase labels
@@ -70,13 +71,11 @@ func main() {
 		qualityN  = flag.Int("quality-testn", 5000, "held-out test table size for synth-run quality evaluation (negative: disable)")
 		streamBuf = flag.Int("stream-buffer", 1024, "per-subscriber span stream buffer before events drop")
 
-		registryDir    = flag.String("registry", "", "segmentation-model registry directory; enables /models and /apply")
-		applyInFlight  = flag.Int("apply-max-inflight", 64, "concurrent /apply requests before load is shed with 429")
-		applyTimeout   = flag.Duration("apply-timeout", 5*time.Second, "per-request /apply deadline ceiling")
-		applyBreakerN  = flag.Int("apply-breaker-errors", 5, "consecutive apply errors that trip the breaker to 503")
-		applyBreakerCD = flag.Duration("apply-breaker-cooldown", 5*time.Second, "tripped-breaker hold before traffic is retried")
-		drain          = flag.Duration("drain", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
-		lameDuck       = flag.Duration("lame-duck", 0, "hold /readyz at 503 this long before canceling runs, so load balancers stop routing first")
+		registryDir   = flag.String("registry", "", "segmentation-model registry directory; enables /models and /apply")
+		applyInFlight = flag.Int("apply-max-inflight", 64, "concurrent /apply requests before load is shed with 429")
+		applyTimeout  = flag.Duration("apply-timeout", 5*time.Second, "per-request /apply deadline ceiling")
+		drain         = flag.Duration("drain", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
+		lameDuck      = flag.Duration("lame-duck", 0, "hold /readyz at 503 this long before canceling runs, so load balancers stop routing first")
 	)
 	c.Parse()
 
@@ -120,11 +119,9 @@ func main() {
 		MemBudget:        c.MemBudget(),
 		CountsBackend:    c.CountsBackend(),
 
-		Models:                models,
-		ApplyMaxInFlight:      *applyInFlight,
-		ApplyTimeout:          *applyTimeout,
-		ApplyBreakerThreshold: *applyBreakerN,
-		ApplyBreakerCooldown:  *applyBreakerCD,
+		Models:           models,
+		ApplyMaxInFlight: *applyInFlight,
+		ApplyTimeout:     *applyTimeout,
 	})
 
 	httpSrv := &http.Server{

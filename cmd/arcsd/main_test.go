@@ -132,6 +132,7 @@ func TestStartupErrors(t *testing.T) {
 		{"bad memory budget", []string{"-mem-budget", "bogus"}, 2, `bad memory budget "bogus"`},
 		{"retired backend", []string{"-counts-backend", "spill"}, 2, `unknown backend "spill"`},
 		{"bad log format", []string{"-log-format", "xml"}, 2, `unknown log format "xml"`},
+		{"retired apply breaker", []string{"-apply-breaker-errors", "5"}, 2, "flag provided but not defined: -apply-breaker-errors"},
 		{"registry under a file", []string{"-addr", "127.0.0.1:0", "-registry", filepath.Join(notDir, "models")}, 1, "not a directory"},
 	}
 	for _, tc := range cases {

@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"arcs/internal/dataset"
-	"arcs/internal/obs"
 	"arcs/internal/rules"
 )
 
@@ -30,27 +29,6 @@ type Config struct {
 	// MaxItemsetSize bounds the size of frequent itemsets explored
 	// (and therefore rule length). Zero means 3.
 	MaxItemsetSize int
-	// Observer, when non-nil, records one span per mining level with the
-	// level's candidate/pruned/frequent accounting, plus registry
-	// counters. The per-tuple counting loops are never touched, so a nil
-	// observer costs nothing.
-	Observer *obs.Observer
-}
-
-// emitLevel records one level's accounting: a span event carrying the
-// per-level numbers and pipeline-wide counters. The level span is
-// started by the caller (so it brackets the level's data pass); this
-// attaches the counts at End. Zero-cost when the observer is disabled.
-func emitLevel(o *obs.Observer, span obs.Span, k, generated, pruned, frequent int) {
-	if !o.Enabled() {
-		return
-	}
-	reg := o.Registry()
-	reg.Counter("apriori_candidates_total").Add(int64(generated))
-	reg.Counter("apriori_pruned_total").Add(int64(pruned))
-	reg.Counter("apriori_frequent_total").Add(int64(frequent))
-	span.End(obs.Int("level", k), obs.Int("candidates", generated),
-		obs.Int("pruned", pruned), obs.Int("frequent", frequent))
 }
 
 func (c Config) validate() error {
@@ -132,10 +110,8 @@ func FrequentItemsets(src dataset.Source, cfg Config) (map[string]float64, []rul
 		return map[string]float64{}, nil, nil
 	}
 	minCount := cfg.MinSupport * float64(n)
-	root := cfg.Observer.Root("apriori", obs.Int("tuples", int(n)))
 
 	// Level 1: count single items.
-	lvlSpan := root.Child("apriori-level")
 	counts := make(map[rules.Item]int)
 	err = dataset.ForEach(src, func(t dataset.Tuple) error {
 		for attr, v := range t {
@@ -144,8 +120,6 @@ func FrequentItemsets(src dataset.Source, cfg Config) (map[string]float64, []rul
 		return nil
 	})
 	if err != nil {
-		lvlSpan.End(obs.Str("error", err.Error()))
-		root.End()
 		return nil, nil, err
 	}
 	support := make(map[string]float64)
@@ -160,13 +134,10 @@ func FrequentItemsets(src dataset.Source, cfg Config) (map[string]float64, []rul
 	}
 	sortItemsets(level)
 	frequent = append(frequent, level...)
-	emitLevel(cfg.Observer, lvlSpan, 1, len(counts), 0, len(level))
 
 	for k := 2; k <= maxK && len(level) > 1; k++ {
-		lvlSpan = root.Child("apriori-level")
-		candidates, pruned := generateCandidates(level, support)
+		candidates := generateCandidates(level, support)
 		if len(candidates) == 0 {
-			emitLevel(cfg.Observer, lvlSpan, k, 0, pruned, 0)
 			break
 		}
 		// One pass to count all candidates of this level.
@@ -180,8 +151,6 @@ func FrequentItemsets(src dataset.Source, cfg Config) (map[string]float64, []rul
 			return nil
 		})
 		if err != nil {
-			lvlSpan.End(obs.Str("error", err.Error()))
-			root.End()
 			return nil, nil, err
 		}
 		level = level[:0]
@@ -193,20 +162,14 @@ func FrequentItemsets(src dataset.Source, cfg Config) (map[string]float64, []rul
 		}
 		sortItemsets(level)
 		frequent = append(frequent, level...)
-		emitLevel(cfg.Observer, lvlSpan, k, len(candidates), pruned, len(level))
 	}
-	root.End(obs.Int("frequent_itemsets", len(frequent)))
 	return support, frequent, nil
 }
 
 // generateCandidates joins k-1 itemsets differing only in their last item
-// and prunes candidates with an infrequent (k-1)-subset. The second
-// result counts the candidates that survived the structural join but
-// fell to the Apriori subset prune — the per-level pruning power the
-// observability layer reports.
-func generateCandidates(level []rules.Itemset, support map[string]float64) ([]rules.Itemset, int) {
+// and prunes candidates with an infrequent (k-1)-subset.
+func generateCandidates(level []rules.Itemset, support map[string]float64) []rules.Itemset {
 	var out []rules.Itemset
-	pruned := 0
 	for i := 0; i < len(level); i++ {
 		for j := i + 1; j < len(level); j++ {
 			a, b := level[i], level[j]
@@ -224,7 +187,6 @@ func generateCandidates(level []rules.Itemset, support map[string]float64) ([]ru
 				continue
 			}
 			if !allSubsetsFrequent(cand, support) {
-				pruned++
 				continue
 			}
 			out = append(out, cand)
@@ -240,7 +202,7 @@ func generateCandidates(level []rules.Itemset, support map[string]float64) ([]ru
 			dedup = append(dedup, c)
 		}
 	}
-	return dedup, pruned
+	return dedup
 }
 
 func samePrefix(a, b rules.Itemset) bool {
@@ -305,7 +267,6 @@ func Mine(src dataset.Source, cfg Config) ([]rules.Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	rsp := cfg.Observer.Root("apriori-rules", obs.Int("itemsets", len(frequent)))
 	var out []rules.Rule
 	for _, z := range frequent {
 		if len(z) < 2 {
@@ -347,10 +308,6 @@ func Mine(src dataset.Source, cfg Config) ([]rules.Rule, error) {
 		}
 		return itemsetKey(out[i].X) < itemsetKey(out[j].X)
 	})
-	if cfg.Observer.Enabled() {
-		cfg.Observer.Registry().Counter("apriori_rules_total").Add(int64(len(out)))
-	}
-	rsp.End(obs.Int("rules", len(out)))
 	return out, nil
 }
 

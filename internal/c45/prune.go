@@ -93,15 +93,13 @@ func zForCF(cf float64) float64 {
 
 // prune applies pessimistic subtree replacement bottom-up: an internal
 // node becomes a leaf when the pessimistic error of the collapsed leaf
-// does not exceed the summed pessimistic errors of its children. It
-// returns the number of internal nodes collapsed.
-func (t *Tree) prune(nd *Node) int {
+// does not exceed the summed pessimistic errors of its children.
+func (t *Tree) prune(nd *Node) {
 	if nd.IsLeaf() {
-		return 0
+		return
 	}
-	collapsed := 0
 	for _, ch := range nd.Children {
-		collapsed += t.prune(ch)
+		t.prune(ch)
 	}
 	subtree := t.subtreeUpperError(nd)
 	asLeaf := upperErrorBound(nd.trainErrors(), nd.n(), t.cfg.CF)
@@ -109,9 +107,7 @@ func (t *Tree) prune(nd *Node) int {
 		nd.Attr = -1
 		nd.Categorical = false
 		nd.Children = nil
-		collapsed++
 	}
-	return collapsed
 }
 
 // subtreeUpperError sums the pessimistic errors of the subtree's leaves.

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"arcs/internal/dataset"
-	"arcs/internal/obs"
 )
 
 // Cond is one condition of an extracted rule.
@@ -122,7 +121,6 @@ func (rs *RuleSet) Strings() []string {
 // rules are ordered by ascending pessimistic error, and the default class
 // is the majority class of the training tuples no rule covers.
 func (t *Tree) ExtractRules(tb *dataset.Table) *RuleSet {
-	rsp := t.cfg.Observer.Root("c45-rules", obs.Int("leaves", t.NumLeaves()))
 	// Error estimation during generalization and selection runs against
 	// a strided subsample when the training set exceeds RuleEvalCap.
 	eval := tb
@@ -253,10 +251,6 @@ func (t *Tree) ExtractRules(tb *dataset.Table) *RuleSet {
 	} else {
 		rs.Default = majority(counts)
 	}
-	if t.cfg.Observer.Enabled() {
-		t.cfg.Observer.Registry().Counter("c45_rules_extracted_total").Add(int64(len(rs.Rules)))
-	}
-	rsp.End(obs.Int("rules", len(rs.Rules)), obs.Int("paths", len(raw)))
 	return rs
 }
 

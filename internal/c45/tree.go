@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"arcs/internal/dataset"
-	"arcs/internal/obs"
 	"arcs/internal/stats"
 )
 
@@ -38,9 +37,6 @@ type Config struct {
 	// large part of why the paper measured exponentially growing
 	// C4.5RULES times). Zero means 10000; negative means unlimited.
 	RuleEvalCap int
-	// Observer, when non-nil, records spans for tree growth, pruning and
-	// rule extraction with node/rule accounting, plus registry counters.
-	Observer *obs.Observer
 }
 
 func (c Config) withDefaults() Config {
@@ -101,8 +97,6 @@ type Tree struct {
 	classIdx int
 	nClasses int
 	cfg      Config
-	grown    int // nodes created during growth
-	pruned   int // internal nodes collapsed by pruning
 }
 
 // Train induces a C4.5 tree predicting classAttr from every other
@@ -128,29 +122,12 @@ func Train(tb *dataset.Table, classAttr string, cfg Config) (*Tree, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	root := cfg.Observer.Root("c45-train", obs.Int("tuples", tb.Len()), obs.Int("classes", nClasses))
-	gsp := root.Child("c45-grow")
 	t.Root = t.grow(tb, idx, 0, nil)
-	gsp.End(obs.Int("nodes", t.grown), obs.Int("leaves", t.NumLeaves()))
 	if cfg.CF >= 0 {
-		psp := root.Child("c45-prune")
-		t.pruned = t.prune(t.Root)
-		psp.End(obs.Int("collapsed", t.pruned), obs.Int("leaves", t.NumLeaves()))
+		t.prune(t.Root)
 	}
-	if cfg.Observer.Enabled() {
-		reg := cfg.Observer.Registry()
-		reg.Counter("c45_nodes_grown_total").Add(int64(t.grown))
-		reg.Counter("c45_nodes_pruned_total").Add(int64(t.pruned))
-	}
-	root.End(obs.Int("depth", t.Depth()))
 	return t, nil
 }
-
-// NodesGrown reports how many nodes growth created (before pruning).
-func (t *Tree) NodesGrown() int { return t.grown }
-
-// NodesPruned reports how many internal nodes pruning collapsed.
-func (t *Tree) NodesPruned() int { return t.pruned }
 
 // classCounts tallies the class distribution of the rows in idx.
 func (t *Tree) classCounts(tb *dataset.Table, idx []int) []float64 {
@@ -174,7 +151,6 @@ func majority(counts []float64) int {
 // grow recursively induces the subtree over the rows in idx. ancestors
 // is the set of attributes split on along the path from the root.
 func (t *Tree) grow(tb *dataset.Table, idx []int, depth int, ancestors map[int]bool) *Node {
-	t.grown++
 	counts := t.classCounts(tb, idx)
 	node := &Node{Attr: -1, Counts: counts, Class: majority(counts)}
 	if len(idx) < 2*t.cfg.MinLeaf || stats.Entropy(counts) == 0 {

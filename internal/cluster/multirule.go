@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"arcs/internal/dataset"
-	"arcs/internal/obs"
 	"arcs/internal/rules"
 )
 
@@ -103,15 +102,6 @@ func ToMulti(r rules.ClusteredRule) MultiRule {
 // attributes' ranges; pairs of rules without a shared attribute or with
 // disjoint shared ranges drop out.
 func CombineChain(ruleSets ...[]rules.ClusteredRule) ([]MultiRule, error) {
-	return CombineChainObserved(nil, ruleSets...)
-}
-
-// CombineChainObserved is CombineChain with merge accounting recorded
-// through an observer: one "combine" span per chain step carrying the
-// step's merge attempts (pairs whose criterion matched) versus accepted
-// merges, plus cluster_merge_attempts_total / cluster_merge_accepted_total
-// counters. A nil observer costs nothing.
-func CombineChainObserved(o *obs.Observer, ruleSets ...[]rules.ClusteredRule) ([]MultiRule, error) {
 	if len(ruleSets) < 2 {
 		return nil, fmt.Errorf("cluster: need at least two rule sets to combine")
 	}
@@ -119,35 +109,24 @@ func CombineChainObserved(o *obs.Observer, ruleSets ...[]rules.ClusteredRule) ([
 	for i, r := range ruleSets[0] {
 		current[i] = ToMulti(r)
 	}
-	for step, nextSet := range ruleSets[1:] {
-		sp := o.Root("combine", obs.Int("step", step+1))
+	for _, nextSet := range ruleSets[1:] {
 		next := make([]MultiRule, len(nextSet))
 		for i, r := range nextSet {
 			next[i] = ToMulti(r)
 		}
-		var attempts, accepted int
-		current = combineMulti(current, next, &attempts, &accepted)
-		if o.Enabled() {
-			reg := o.Registry()
-			reg.Counter("cluster_merge_attempts_total").Add(int64(attempts))
-			reg.Counter("cluster_merge_accepted_total").Add(int64(accepted))
-		}
-		sp.End(obs.Int("attempts", attempts), obs.Int("accepted", accepted),
-			obs.Int("rules", len(current)))
+		current = combineMulti(current, next)
 	}
 	return current, nil
 }
 
-func combineMulti(a, b []MultiRule, attempts, accepted *int) []MultiRule {
+func combineMulti(a, b []MultiRule) []MultiRule {
 	var out []MultiRule
 	for _, ra := range a {
 		for _, rb := range b {
 			if ra.CritAttr != rb.CritAttr || ra.CritValue != rb.CritValue {
 				continue
 			}
-			*attempts++
 			if m, ok := mergeMulti(ra, rb); ok {
-				*accepted++
 				out = append(out, m)
 			}
 		}

@@ -24,11 +24,9 @@ func f2Source(t *testing.T, n int) dataset.Source {
 	})
 }
 
-// chaosConfig is the chaos tests' System config. Its 20-bin grid is
-// under the probe pool's floor, so every probe batch runs inline, and
-// on a fresh System a cold walk misses the probe cache on every probe,
-// so a ProbeHook fires on every probe, in order: the hook's nth call is
-// the walk's nth probe.
+// chaosConfig is the chaos tests' System config: a 20-bin grid, on
+// which a cold walk on a fresh System misses the probe cache on every
+// probe, so a ProbeHook fires on every probe.
 func chaosConfig() Config {
 	return Config{
 		XAttr: synth.AttrAge, YAttr: synth.AttrSalary,
@@ -39,15 +37,19 @@ func chaosConfig() Config {
 
 // runDegraded builds a System whose search cancels itself at the start
 // of probe cancelAt, runs it, and returns the degraded outcome plus the
-// metrics registry.
+// metrics registry. It runs on one CPU, so every probe batch runs
+// inline and the hook's nth call is the walk's nth probe; on the pool,
+// a probe that passed the cancellation check before the hook fired
+// would still settle.
 func runDegraded(t *testing.T, cancelAt int) (*Result, error, *obs.Registry) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := chaosConfig()
-	// chaosConfig makes the cancellation cut point exact: the hook fires
-	// on the cancelAt-th probe, every earlier probe has settled, every
-	// later probe is refused.
+	// One CPU and chaosConfig make the cancellation cut point exact: the
+	// hook fires on the cancelAt-th probe, every earlier probe has
+	// settled, every later probe is refused.
 	cfg.ProbeHook = faultinject.CancelOnProbe(cancelAt, cancel)
 	cfg.Observer = obs.New(&obs.MemSink{})
 	sys, err := New(f2Source(t, 8_000), cfg)

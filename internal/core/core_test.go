@@ -825,6 +825,8 @@ func TestSelectAttributePairJointInternal(t *testing.T) {
 // costing them allocate a small constant number of bitmaps' worth of
 // bytes, under the same bound at a sparse and at a dense threshold,
 // however many rules the grid holds and candidates BitOp sweeps past.
+// Weighted smoothing may add one float grid, the support values it
+// smooths.
 func TestProbeZeroAllocPerCandidate(t *testing.T) {
 	sys := f2System(t, 100_000, 0.05, Config{NumBins: 200})
 	seg, err := sys.segCode(synth.GroupA)
@@ -836,10 +838,17 @@ func TestProbeZeroAllocPerCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	sups := th.Supports()
-	const bitmapBytes = 200 * 4 * 8 // 200 rows of four 64-bit words
+	const (
+		bitmapBytes = 200 * 4 * 8   // 200 rows of four 64-bit words
+		floatBytes  = 200 * 200 * 8 // one float64 per cell
+	)
 	verified := false
-	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary} {
+	for _, mode := range []SmoothingMode{SmoothOff, SmoothBinary, SmoothWeighted} {
 		sys.cfg.Smoothing = mode
+		bound := 8 * bitmapBytes
+		if mode == SmoothWeighted {
+			bound += floatBytes
+		}
 		for _, tc := range []struct {
 			name      string
 			sup, conf float64
@@ -864,9 +873,8 @@ func TestProbeZeroAllocPerCandidate(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			perProbe := float64(after.TotalAlloc-before.TotalAlloc) / runs
 			t.Logf("%s, %s (support %g, confidence %g, %d rules): %.0f bytes per probe", mode, tc.name, tc.sup, tc.conf, rules, perProbe)
-			if perProbe > 8*bitmapBytes {
-				t.Errorf("%s, %s probe allocates %.0f bytes, want at most 8 bitmaps' worth (%d)",
-					mode, tc.name, perProbe, 8*bitmapBytes)
+			if perProbe > float64(bound) {
+				t.Errorf("%s, %s probe allocates %.0f bytes, want at most %d", mode, tc.name, perProbe, bound)
 			}
 		}
 	}

@@ -189,8 +189,8 @@ func TestExtendRejectionChangesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cache.Misses != 0 {
-		t.Errorf("the run after a rejected extension missed %d probes; the System should not have changed", res.Cache.Misses)
+	if p := res.Provenance; p.CacheHits != p.Probes {
+		t.Errorf("the run after a rejected extension missed %d probes; the System should not have changed", p.Probes-p.CacheHits)
 	}
 
 	if err := sys.Extend(good); err != nil {

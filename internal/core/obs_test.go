@@ -11,7 +11,7 @@ import (
 // TestObsCoreSpansAndMetrics runs the full pipeline with an in-memory
 // sink attached and checks the emitted span tree against the taxonomy
 // documented in internal/obs, plus the registry counters against the
-// run's own cache stats.
+// run's own cache counts in Provenance.
 func TestObsCoreSpansAndMetrics(t *testing.T) {
 	sink := &obs.MemSink{}
 	observer := obs.New(sink)
@@ -70,8 +70,9 @@ func TestObsCoreSpansAndMetrics(t *testing.T) {
 		batchIDs[b.ID] = true
 	}
 	probes := sink.Spans("probe")
-	if len(probes) != res.Cache.Misses {
-		t.Errorf("%d probe spans, want one per cache miss (%d)", len(probes), res.Cache.Misses)
+	misses := res.Provenance.Probes - res.Provenance.CacheHits
+	if len(probes) != misses {
+		t.Errorf("%d probe spans, want one per cache miss (%d)", len(probes), misses)
 	}
 	probeIDs := map[uint64]bool{}
 	for _, p := range probes {
@@ -99,15 +100,15 @@ func TestObsCoreSpansAndMetrics(t *testing.T) {
 		}
 	}
 
-	// Metrics: cache counters mirror the run's cache stats, the verify
+	// Metrics: cache counters mirror the run's cache counts, the verify
 	// fast path carried every mined rule, and the probe phase histogram
 	// saw one observation per evaluation.
 	snap := observer.Registry().Snapshot()
-	if got := snap.Counters["probe_cache_misses_total"]; got != int64(res.Cache.Misses) {
-		t.Errorf("probe_cache_misses_total = %d, want %d", got, res.Cache.Misses)
+	if got := snap.Counters["probe_cache_misses_total"]; got != int64(misses) {
+		t.Errorf("probe_cache_misses_total = %d, want %d", got, misses)
 	}
-	if got := snap.Counters["probe_cache_hits_total"]; got != int64(res.Cache.Hits) {
-		t.Errorf("probe_cache_hits_total = %d, want %d", got, res.Cache.Hits)
+	if got := snap.Counters["probe_cache_hits_total"]; got != int64(res.Provenance.CacheHits) {
+		t.Errorf("probe_cache_hits_total = %d, want %d", got, res.Provenance.CacheHits)
 	}
 	if got := snap.Counters["verify_fastpath_rules_total"]; got == 0 {
 		t.Error("verify_fastpath_rules_total = 0, want > 0")
@@ -206,14 +207,14 @@ func TestObsCoreSpansAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Cache.Misses != 0 {
-		t.Fatalf("warm re-run missed %d probes", res2.Cache.Misses)
+	if p := res2.Provenance; p.CacheHits != p.Probes {
+		t.Fatalf("warm re-run missed %d probes", p.Probes-p.CacheHits)
 	}
 	if got := len(sink.Spans("probe")); got != len(probes) {
 		t.Errorf("warm re-run grew probe spans %d -> %d, want unchanged", len(probes), got)
 	}
 	snap2 := observer.Registry().Snapshot()
-	want := int64(res.Cache.Hits + res2.Cache.Hits)
+	want := int64(res.Provenance.CacheHits + res2.Provenance.CacheHits)
 	if got := snap2.Counters["probe_cache_hits_total"]; got != want {
 		t.Errorf("probe_cache_hits_total after re-run = %d, want %d", got, want)
 	}

@@ -14,12 +14,11 @@ import (
 )
 
 // stripCache zeroes the fields that legitimately differ between a cached
-// and an uncached run — cache stats (aggregate, per-step and in the
-// provenance summary) and wall-clock phase timings — leaving everything
-// the search and pipeline produced.
+// and an uncached run — cache hits (per step and in the provenance
+// summary) and wall-clock phase timings — leaving everything the search
+// and pipeline produced.
 func stripCache(r *Result) *Result {
 	c := *r
-	c.Cache = CacheStats{}
 	c.Phases = nil
 	c.Provenance.CacheHits = 0
 	c.Trace = append([]optimizer.Step(nil), r.Trace...)
@@ -30,9 +29,8 @@ func stripCache(r *Result) *Result {
 }
 
 // TestParallelSearchMatchesSequential is the probe pool's determinism
-// contract at the system level. At 64 bins the grid is at the pool's
-// floor, so with four Ps the walk's batches fan out across workers and
-// merge back in probe order. Anneal submits one
+// contract at the system level. With four Ps the walk's batches fan out
+// across workers and merge back in probe order. Anneal submits one
 // probe at a time and revisits states, so its case holds the cache's
 // answers to the pipeline. Every trace step must carry the cost and
 // rule count that the uncached pipeline, evaluateProbe, computes at its
@@ -64,7 +62,7 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 				}
 			}
 			if name == "anneal" {
-				if res.Cache.Hits == 0 {
+				if res.Provenance.CacheHits == 0 {
 					t.Error("anneal revisited no state, so no step came from the cache")
 				}
 			} else if !pooled {
@@ -109,16 +107,16 @@ func TestProbeCacheAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Cache.Misses == 0 || first.Cache.Hits != 0 {
-		t.Errorf("first run cache stats = %+v, want all misses", first.Cache)
+	if p := first.Provenance; p.Probes == 0 || p.CacheHits != 0 {
+		t.Errorf("first run: %d of %d probes hit the cache, want all misses", p.CacheHits, p.Probes)
 	}
 	second, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Cache.Misses != 0 || second.Cache.Hits != second.Evaluations {
-		t.Errorf("second run cache stats = %+v over %d evaluations, want all hits",
-			second.Cache, second.Evaluations)
+	if p := second.Provenance; p.CacheHits != p.Probes || p.CacheHits != second.Evaluations {
+		t.Errorf("second run: %d of %d probes hit the cache over %d evaluations, want all hits",
+			p.CacheHits, p.Probes, second.Evaluations)
 	}
 	if !reflect.DeepEqual(stripCache(first), stripCache(second)) {
 		t.Error("cached re-run differs from the original")
@@ -130,8 +128,8 @@ func TestProbeCacheAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if third.Cache.Misses == 0 {
-		t.Errorf("post-reset run cache stats = %+v, want misses", third.Cache)
+	if p := third.Provenance; p.CacheHits == p.Probes {
+		t.Errorf("post-reset run: all %d probes hit the cache, want misses", p.Probes)
 	}
 	if !reflect.DeepEqual(stripCache(first), stripCache(third)) {
 		t.Error("post-reset re-run differs from the original")
@@ -140,11 +138,11 @@ func TestProbeCacheAcrossRuns(t *testing.T) {
 
 // TestCacheCountsMatchTrace holds every count of a run's cache hits to
 // its trace. For each strategy, a cold and then a warm run on one
-// System must report, in Result.Cache, Provenance.CacheHits and the
-// observer's probe_cache_hits_total and probe_cache_misses_total
-// counters, the hits that the steps marked CacheHit make, and every
-// other step as a miss. Anneal's single probes revisit states, so its
-// cold run has hits too.
+// System must report, in Provenance.CacheHits and Probes − CacheHits
+// and in the observer's probe_cache_hits_total and
+// probe_cache_misses_total counters, the hits that the steps marked
+// CacheHit make, and every other step as a miss. Anneal's single
+// probes revisit states, so its cold run has hits too.
 func TestCacheCountsMatchTrace(t *testing.T) {
 	searches := map[string]Config{
 		"walk":   {Search: SearchWalk, Walk: walkBudget()},
@@ -169,22 +167,23 @@ func TestCacheCountsMatchTrace(t *testing.T) {
 						hits++
 					}
 				}
-				if res.Cache.Hits != hits || res.Provenance.CacheHits != hits ||
-					res.Cache.Hits+res.Cache.Misses != len(res.Trace) {
-					t.Errorf("%s run: Cache %+v, Provenance.CacheHits %d; the trace has %d steps, %d of them hits",
-						run, res.Cache, res.Provenance.CacheHits, len(res.Trace), hits)
+				p := res.Provenance
+				misses := p.Probes - p.CacheHits
+				if p.CacheHits != hits || p.Probes != len(res.Trace) {
+					t.Errorf("%s run: Provenance %d probes, %d hits; the trace has %d steps, %d of them hits",
+						run, p.Probes, p.CacheHits, len(res.Trace), hits)
 				}
 				hitsNow := reg.Counter("probe_cache_hits_total").Value()
 				missesNow := reg.Counter("probe_cache_misses_total").Value()
-				if hitsNow-hitsBefore != int64(res.Cache.Hits) || missesNow-missesBefore != int64(res.Cache.Misses) {
-					t.Errorf("%s run: the registry counted %d hits and %d misses, Result.Cache is %+v",
-						run, hitsNow-hitsBefore, missesNow-missesBefore, res.Cache)
+				if hitsNow-hitsBefore != int64(p.CacheHits) || missesNow-missesBefore != int64(misses) {
+					t.Errorf("%s run: the registry counted %d hits and %d misses, Provenance %d hits and %d misses",
+						run, hitsNow-hitsBefore, missesNow-missesBefore, p.CacheHits, misses)
 				}
 				hitsBefore, missesBefore = hitsNow, missesNow
 				switch {
-				case run == "warm" && res.Cache.Misses != 0:
-					t.Errorf("warm run missed %d probes", res.Cache.Misses)
-				case run == "cold" && name == "anneal" && res.Cache.Hits == 0:
+				case run == "warm" && misses != 0:
+					t.Errorf("warm run missed %d probes", misses)
+				case run == "cold" && name == "anneal" && p.CacheHits == 0:
 					t.Error("cold anneal run revisited no state")
 				}
 			}
@@ -272,31 +271,14 @@ func TestProbeCacheConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestBatchDispatchAdaptive pins the grid-cost floor for probe-pool
-// dispatch: a small grid evaluates batches inline (one worker — pool
-// handoff costs more than a cheap probe), while a grid at or above
-// poolDispatchMinCells cells fans out to GOMAXPROCS workers.
+// TestBatchDispatchAdaptive: a batch runs on GOMAXPROCS workers,
+// whatever the grid, and never on more workers than it has probes.
 func TestBatchDispatchAdaptive(t *testing.T) {
-	small := f2System(t, 2_000, 0, Config{NumBins: 20, Walk: walkBudget()})
-	obj, err := small.objective(synth.GroupA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.(*segObjective).batchWorkers(8); got != 1 {
-		t.Errorf("20×20 grid batch workers = %d, want 1 (inline, below pool floor)", got)
-	}
-
-	big := f2System(t, 2_000, 0, Config{NumBins: 64, Walk: walkBudget()})
-	obj, err = big.objective(synth.GroupA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runtime.GOMAXPROCS(0)
-	if want > 8 {
-		want = 8
-	}
-	if got := obj.(*segObjective).batchWorkers(8); got != want {
-		t.Errorf("64×64 grid batch workers = %d, want %d", got, want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct{ probes, want int }{{1, 1}, {3, 3}, {8, 4}} {
+		if got := batchWorkers(tc.probes); got != tc.want {
+			t.Errorf("batchWorkers(%d) at GOMAXPROCS 4 = %d, want %d", tc.probes, got, tc.want)
+		}
 	}
 }
 

@@ -8,20 +8,6 @@ import (
 	"arcs/internal/optimizer"
 )
 
-// CacheStats reports how many of one run's probes the System's probe
-// cache answered (Result.Cache). It is counted from the run's trace:
-// the steps with CacheHit set are its hits, the others its misses. The
-// observer's probe_cache_hits_total and probe_cache_misses_total
-// counters hold the System's cumulative view.
-type CacheStats struct {
-	// Hits counts probes answered from the cache, including probes that
-	// joined an in-flight computation (single-flight).
-	Hits int
-	// Misses counts probes that had to run the mine/cluster/verify
-	// pipeline.
-	Misses int
-}
-
 // probeKey identifies one threshold probe. Support and confidence are
 // used verbatim: the optimizer probes exact threshold-list values, which
 // are bit-stable across repeats.

@@ -47,10 +47,6 @@ type Result struct {
 	Evaluations int
 	// Trace records every probe, for reports and debugging.
 	Trace []optimizer.Step
-	// Cache reports how many of this run's probes were answered by the
-	// System's memoized probe cache versus computed fresh, counted from
-	// Trace.
-	Cache CacheStats
 	// Provenance summarizes the search trace: how many probes the
 	// strategy issued, how they were classified, and how many were
 	// answered from the probe cache.
@@ -94,8 +90,10 @@ type Provenance struct {
 	// NoImprovement counts probes that produced rules but lost to the
 	// incumbent.
 	NoImprovement int `json:"no_improvement"`
-	// CacheHits counts probes answered from the memoized probe cache:
-	// the trace steps with CacheHit set.
+	// CacheHits counts probes answered from the memoized probe cache,
+	// including probes that joined an in-flight computation: the trace
+	// steps with CacheHit set. The other Probes − CacheHits ran the
+	// mine/cluster/verify pipeline.
 	CacheHits int `json:"cache_hits"`
 }
 
@@ -254,44 +252,23 @@ func (s *System) safeEvaluateProbe(parent obs.Span, seg int, minSup, minConf flo
 	return r
 }
 
-// poolDispatchMinCells is the grid-cost floor for parallel probe
-// dispatch: a probe's cost grows with its nx×ny grid, and on a small
-// grid spawning pool workers (goroutine startup, channel traffic,
-// WaitGroup) costs about what the probes save. Batches on grids below
-// the floor evaluate inline on the calling goroutine. perfbench's two
-// search workloads sit on either side of it: csv-mine's 50×50 grid
-// (2,500 cells) runs inline, and remine-hires' 200×200 grid (40,000
-// cells) runs on the pool, where a cold 200-bin search over 200k tuples
-// ran about 1.7× faster on two CPUs than with every batch inline.
-const poolDispatchMinCells = 4096
-
-// batchWorkers sizes the probe pool for one batch adaptively: grids
-// under poolDispatchMinCells cells skip pool dispatch entirely — on
-// those, per-probe work is too cheap to amortize goroutine handoff —
-// and no batch gets more workers than it has probes.
-func (o *segObjective) batchWorkers(probes int) int {
-	if ba := o.sys.ba; ba != nil && ba.NX()*ba.NY() < poolDispatchMinCells {
-		return 1
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > probes {
-		workers = probes
-	}
-	return workers
+// batchWorkers sizes the probe pool for one batch: GOMAXPROCS workers,
+// and no more than the batch has probes.
+func batchWorkers(probes int) int {
+	return min(runtime.GOMAXPROCS(0), probes)
 }
 
 // EvaluateBatch implements optimizer.ObjectiveBatch: the probes are
-// evaluated concurrently on up to GOMAXPROCS workers (inline, when the
-// grid is below the pool-dispatch cost floor) and returned in probe
-// order. Each probe goes through the same memoized probe as Evaluate,
-// and every evaluation is a pure function of its thresholds, so the
-// merged results are bit-identical to sequential evaluation. Once the
-// run is canceled every later probe is refused without running the
-// pipeline; the strategies stop at the first cancellation error in
-// merge order.
+// evaluated concurrently on up to GOMAXPROCS workers (inline, when that
+// is one) and returned in probe order. Each probe goes through the same
+// memoized probe as Evaluate, and every evaluation is a pure function of
+// its thresholds, so the merged results are bit-identical to sequential
+// evaluation. Once the run is canceled every later probe is refused
+// without running the pipeline; the strategies stop at the first
+// cancellation error in merge order.
 func (o *segObjective) EvaluateBatch(probes []optimizer.Probe) []optimizer.ProbeResult {
 	out := make([]optimizer.ProbeResult, len(probes))
-	workers := o.batchWorkers(len(probes))
+	workers := batchWorkers(len(probes))
 	sp := o.span.Child("probe-batch",
 		obs.Int("probes", len(probes)), obs.Int("workers", workers))
 	o.sys.mBatchSize.Observe(float64(len(probes)))
@@ -510,7 +487,6 @@ func (s *System) RunValueContext(ctx context.Context, label string) (*Result, er
 		Errors:        errs,
 		Evaluations:   best.Evaluations,
 		Trace:         best.Trace,
-		Cache:         CacheStats{Hits: prov.CacheHits, Misses: prov.Probes - prov.CacheHits},
 		Provenance:    prov,
 		Phases:        phases,
 		Degraded:      degraded,

@@ -15,51 +15,49 @@ import (
 
 // IngestVariant is one measured configuration of the counting pass.
 type IngestVariant struct {
-	Name    string `json:"name"`
-	Workers int    `json:"workers"`
+	Name    string
+	Workers int
 	// Seconds is the wall-clock time of the pass alone. Streamed sizes
 	// include tuple synthesis (the generator runs inside each shard's
 	// worker, exactly like streaming ingest from disk or network would).
-	Seconds    float64 `json:"seconds"`
-	TuplesPerS float64 `json:"tuples_per_sec"`
+	Seconds    float64
+	TuplesPerS float64
 	// SpeedupVsDense is wall-clock relative to the sequential dense
 	// build at the same size (>1 means faster).
-	SpeedupVsDense float64 `json:"speedup_vs_dense"`
+	SpeedupVsDense float64
 }
 
 // IngestSizeRow is the full measurement of one workload size: the dense
 // baseline plus every sharded worker count, byte-identity re-checked.
 type IngestSizeRow struct {
-	Tuples int `json:"tuples"`
+	Tuples int
 	// Identical reports that every sharded build at this size produced
 	// bytes equal to the dense build.
-	Identical bool            `json:"results_identical"`
-	Variants  []IngestVariant `json:"variants"`
+	Identical bool
+	Variants  []IngestVariant
 	// BestSpeedup is the largest sharded SpeedupVsDense at this size —
-	// the number the crossover summary and the perf gate read.
-	BestSpeedup float64 `json:"best_speedup"`
+	// the number the crossover summary reads.
+	BestSpeedup float64
 }
 
-// IngestReport is the JSON document emitted by the ingest experiment
-// (BENCH_ingest.json history records). Earlier revisions measured one
-// size; Tuples/Identical/Variants keep that single-size shape at the
-// top level (mirroring the largest completed size) so existing readers
-// of the trajectory continue to parse, while Sizes carries the per-size
-// rows and Crossover the scaling summary.
+// IngestReport is the ingest experiment's result: one row per measured
+// size, which RenderIngest prints and IngestBenchRecord turns into a
+// BENCH_ingest.json history record.
 type IngestReport struct {
-	Experiment string `json:"experiment"`
-	Tuples     int    `json:"tuples"`
-	Identical  bool   `json:"results_identical"`
+	// Tuples is the largest completed size.
+	Tuples int
+	// Identical reports that every size's variants matched the dense
+	// build byte for byte.
+	Identical bool
 	// Crossover is the smallest measured size at which some sharded
 	// worker count beat the dense sequential build (BestSpeedup > 1);
 	// zero when sharding never won. This is the scaling headline the
 	// arcstrace diff gate compares across runs.
-	Crossover int `json:"crossover"`
+	Crossover int
 	// Partial marks a run cut short by cancellation: the rows present
 	// are valid, later sizes are missing.
-	Partial  bool            `json:"partial,omitempty"`
-	Sizes    []IngestSizeRow `json:"sizes"`
-	Variants []IngestVariant `json:"variants"`
+	Partial bool
+	Sizes   []IngestSizeRow
 }
 
 // IngestSpec prepares the counting-pass inputs over a materialized
@@ -135,7 +133,7 @@ func IngestStreamSpec(n, bins int) (*dataset.FuncSource, counts.Spec, error) {
 // alongside the cancellation error, so long runs degrade to a usable
 // partial trajectory append.
 func IngestBench(ctx context.Context, sizes []int, bins int, workerCounts []int) (*IngestReport, error) {
-	report := &IngestReport{Experiment: "ingest", Identical: true}
+	report := &IngestReport{Identical: true}
 	snapshot := func(b counts.Backend) ([]byte, error) {
 		var buf bytes.Buffer
 		if err := counts.Snapshot(b, &buf); err != nil {
@@ -237,7 +235,6 @@ func IngestBench(ctx context.Context, sizes []int, bins int, workerCounts []int)
 		}
 		report.Sizes = append(report.Sizes, row)
 		report.Tuples = n
-		report.Variants = row.Variants
 		if report.Crossover == 0 && row.BestSpeedup > 1 {
 			report.Crossover = n
 		}

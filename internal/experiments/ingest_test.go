@@ -39,9 +39,9 @@ func TestIngestBenchSmall(t *testing.T) {
 			}
 		}
 	}
-	// Legacy top-level fields mirror the largest size.
-	if r.Tuples != 20_000 || len(r.Variants) != len(want) {
-		t.Errorf("top-level mirror = %d tuples, %d variants; want 20000, %d", r.Tuples, len(r.Variants), len(want))
+	if r.Sizes[0].Tuples != 10_000 || r.Sizes[1].Tuples != 20_000 || r.Tuples != 20_000 {
+		t.Errorf("sizes %d and %d, largest %d; want 10000 and 20000, largest 20000",
+			r.Sizes[0].Tuples, r.Sizes[1].Tuples, r.Tuples)
 	}
 	out := RenderIngest(r)
 	if !strings.Contains(out, "sharded-4") || !strings.Contains(out, "sparse") || !strings.Contains(out, "crossover") {
@@ -71,7 +71,7 @@ func TestIngestBenchCanceled(t *testing.T) {
 // summary.
 func TestIngestBenchRecord(t *testing.T) {
 	r := &IngestReport{
-		Experiment: "ingest", Tuples: 2_000_000, Identical: true, Crossover: 2_000_000,
+		Tuples: 2_000_000, Identical: true, Crossover: 2_000_000,
 		Sizes: []IngestSizeRow{
 			{Tuples: 1_000_000, Identical: true, BestSpeedup: 0.9, Variants: []IngestVariant{
 				{Name: "dense", Workers: 1, Seconds: 2.0},

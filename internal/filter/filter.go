@@ -142,8 +142,9 @@ func colSum(v0, v1 []uint64, c, cols int) int {
 }
 
 // LowPassWeighted applies the support-weighted smoothing of §5: the 3×3
-// box filter runs over rule support values (a Dense grid) and the result
-// is thresholded back to a bitmap at minSupport. Cells whose smoothed
+// box filter runs over rule support values (a Dense grid), and each
+// smoothed value is thresholded at minSupport as it is computed, so the
+// output bitmap is the only grid allocated. Cells whose smoothed
 // support is positive and reaches the mining threshold survive; this
 // lets strong neighbors rescue boundary cells that individually just
 // missed the support cut, while isolated weak cells fade out. A cell
@@ -163,7 +164,7 @@ func LowPassWeighted(supports *grid.Dense, minSupport float64) (*grid.Bitmap, er
 		wsum += w
 	}
 	rows, cols := supports.Rows(), supports.Cols()
-	sm, err := grid.NewDense(rows, cols)
+	out, err := grid.New(rows, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -180,8 +181,10 @@ func LowPassWeighted(supports *grid.Dense, minSupport float64) (*grid.Bitmap, er
 					used += w
 				}
 			}
-			sm.Set(r, c, acc*wsum/used)
+			if v := acc * wsum / used; v > 0 && v >= minSupport {
+				out.Set(r, c)
+			}
 		}
 	}
-	return sm.Threshold(minSupport), nil
+	return out, nil
 }

@@ -399,25 +399,3 @@ func (d *Dense) At(r, c int) float64 { return d.vals[r*d.cols+c] }
 
 // Set assigns cell (r, c).
 func (d *Dense) Set(r, c int, v float64) { d.vals[r*d.cols+c] = v }
-
-// Clone returns an independent copy.
-func (d *Dense) Clone() *Dense {
-	c := *d
-	c.vals = append([]float64(nil), d.vals...)
-	return &c
-}
-
-// Threshold converts the dense grid to a bitmap: cells with a positive
-// value >= t are set. An empty cell never passes, so a bar of 0 sets
-// the occupied cells rather than the whole grid.
-func (d *Dense) Threshold(t float64) *Bitmap {
-	bm, _ := New(d.rows, d.cols)
-	for r := 0; r < d.rows; r++ {
-		for c := 0; c < d.cols; c++ {
-			if v := d.At(r, c); v > 0 && v >= t {
-				bm.Set(r, c)
-			}
-		}
-	}
-	return bm
-}

@@ -93,17 +93,17 @@ func TestObsPrometheusEmptyHistogram(t *testing.T) {
 	r := NewRegistry()
 	r.HistogramBuckets("empty_hist", []float64{1, 2})
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, r.Snapshot(), ""); err != nil {
+	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE empty_hist histogram",
-		`empty_hist_bucket{le="1"} 0`,
-		`empty_hist_bucket{le="2"} 0`,
-		`empty_hist_bucket{le="+Inf"} 0`,
-		"empty_hist_sum 0",
-		"empty_hist_count 0",
+		"# TYPE arcs_empty_hist histogram",
+		`arcs_empty_hist_bucket{le="1"} 0`,
+		`arcs_empty_hist_bucket{le="2"} 0`,
+		`arcs_empty_hist_bucket{le="+Inf"} 0`,
+		"arcs_empty_hist_sum 0",
+		"arcs_empty_hist_count 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("empty histogram missing %q in:\n%s", want, out)
@@ -122,18 +122,18 @@ func TestObsPrometheusNonFiniteValues(t *testing.T) {
 	snap := r.Snapshot()
 
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, snap, ""); err != nil {
+	if err := WritePrometheus(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "weird_sum +Inf") {
+	if !strings.Contains(out, "arcs_weird_sum +Inf") {
 		t.Fatalf("text exposition should render +Inf raw:\n%s", out)
 	}
-	if !strings.Contains(out, "nan_hist_sum NaN") {
+	if !strings.Contains(out, "arcs_nan_hist_sum NaN") {
 		t.Fatalf("text exposition should render NaN raw:\n%s", out)
 	}
 	// The +Inf observation lands in the overflow bucket only.
-	if !strings.Contains(out, `weird_bucket{le="1"} 0`) || !strings.Contains(out, `weird_bucket{le="+Inf"} 1`) {
+	if !strings.Contains(out, `arcs_weird_bucket{le="1"} 0`) || !strings.Contains(out, `arcs_weird_bucket{le="+Inf"} 1`) {
 		t.Fatalf("infinite observation misbucketed:\n%s", out)
 	}
 

@@ -154,7 +154,7 @@ func TestObsFloatGauge(t *testing.T) {
 		t.Fatalf("snapshot does not marshal: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, snap, "arcs"); err != nil {
+	if err := WritePrometheus(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -235,7 +235,7 @@ func TestObsPrometheusExposition(t *testing.T) {
 	r.Gauge("pool_queue_depth").Set(3)
 	r.HistogramBuckets("probe_batch_size", []float64{1, 8}).Observe(5)
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, r.Snapshot(), "arcs"); err != nil {
+	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -8,22 +8,16 @@ import (
 )
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4): counters as `<ns>_<name>`, gauges likewise,
+// format (version 0.0.4): counters as `arcs_<name>`, gauges likewise,
 // histograms as the conventional `_bucket{le="..."}` cumulative series
 // plus `_sum` and `_count`. Metric names are sanitized to the
 // [a-zA-Z_][a-zA-Z0-9_]* charset and emitted in sorted order so
 // successive scrapes diff cleanly.
-func WritePrometheus(w io.Writer, s *Snapshot, namespace string) error {
+func WritePrometheus(w io.Writer, s *Snapshot) error {
 	if s == nil {
 		return nil
 	}
-	ns := sanitizeMetricName(namespace)
-	full := func(name string) string {
-		if ns == "" {
-			return sanitizeMetricName(name)
-		}
-		return ns + "_" + sanitizeMetricName(name)
-	}
+	full := func(name string) string { return "arcs_" + sanitizeMetricName(name) }
 	for _, name := range sortedKeys(s.Counters) {
 		fn := full(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", fn, fn, s.Counters[name]); err != nil {

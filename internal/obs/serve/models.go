@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"strconv"
-	"sync"
 	"time"
 
 	"arcs/internal/cancelcheck"
@@ -232,28 +230,19 @@ func (s *Server) activate(id string) (*registry.Snapshot, error) {
 		Type: obs.EventInstant, Name: "model.swap", Start: time.Now(),
 		Attrs: []obs.Attr{obs.Str("model", snap.ID), obs.Str("previous", prev)},
 	})
-	// A fresh model resets the breaker: bind errors against the old
-	// version say nothing about the new one.
-	s.applyBreaker.success()
 	return snap, nil
 }
 
 // handleApply is the hot data-plane endpoint: score one tuple or a
 // positional batch against the active model. Admission control runs
-// before any work: a tripped breaker answers 503, a full in-flight
-// limiter sheds with 429 + Retry-After instead of queuing, and the
-// per-request deadline propagates into the scoring loop so a stuck
-// client cannot pin a slot past its budget.
+// before any work: a full in-flight limiter sheds with 429 +
+// Retry-After instead of queuing, and the per-request deadline
+// propagates into the scoring loop so a stuck client cannot pin a slot
+// past its budget.
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	s.mApplyReqs.Inc()
 	if s.models == nil {
 		http.Error(w, "no model registry configured (start arcsd with -registry)", http.StatusServiceUnavailable)
-		return
-	}
-	if wait, open := s.applyBreaker.state(); open {
-		s.mApplyBreakerOpen.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int(wait.Seconds())+1))
-		http.Error(w, "apply breaker open: recent model bind/apply errors; backing off", http.StatusServiceUnavailable)
 		return
 	}
 	select {
@@ -309,7 +298,6 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		covered := snap.Covers(x, y)
-		s.applyBreaker.success()
 		s.mApplyTuples.Inc()
 		s.hApplySeconds.Observe(time.Since(start).Seconds())
 		writeJSON(w, map[string]any{"model": snap.ID, "covered": covered})
@@ -328,7 +316,6 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		s.applyFailure(w, snap.ID, err.Error())
 		return
 	}
-	s.applyBreaker.success()
 	s.mApplyTuples.Add(int64(len(req.Points)))
 	s.hApplySeconds.Observe(time.Since(start).Seconds())
 	buf.resp = appendPointsResponse(buf.resp[:0], snap.ID, matched, out)
@@ -348,13 +335,10 @@ func requestTimeout(ceiling time.Duration, timeoutMS int) time.Duration {
 	return ceiling
 }
 
-// applyFailure answers a bind/apply error and feeds the breaker: a
-// spike of these (a model whose attributes the traffic doesn't carry,
-// say) trips the endpoint to fast 503s instead of grinding every
-// request through the same failure.
+// applyFailure answers a bind/apply error: a request the active model
+// cannot score, such as a tuple without its attributes.
 func (s *Server) applyFailure(w http.ResponseWriter, modelID, msg string) {
 	s.mApplyErrors.Inc()
-	s.applyBreaker.failure()
 	http.Error(w, "apply against "+modelID+": "+msg, http.StatusUnprocessableEntity)
 }
 
@@ -363,57 +347,4 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	writeJSON(w, v)
-}
-
-// breaker is a consecutive-error circuit breaker for the apply path.
-// threshold consecutive failures open it for cooldown; after the
-// cooldown it half-opens (traffic flows again, one more failure
-// re-trips immediately, a success closes it). now is a test seam.
-type breaker struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
-	mTripped  *obs.Counter
-
-	mu          sync.Mutex
-	consecutive int
-	openUntil   time.Time
-}
-
-// state reports whether the breaker is open and, if so, how long until
-// it half-opens. A breaker past its cooldown transitions to half-open
-// here: traffic is admitted, primed to re-trip on a single failure.
-func (b *breaker) state() (wait time.Duration, open bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.openUntil.IsZero() {
-		return 0, false
-	}
-	if wait := b.openUntil.Sub(b.now()); wait > 0 {
-		return wait, true
-	}
-	b.openUntil = time.Time{}
-	b.consecutive = b.threshold - 1
-	return 0, false
-}
-
-// failure records one error, opening the breaker at the threshold.
-func (b *breaker) failure() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consecutive++
-	if b.consecutive >= b.threshold && b.openUntil.IsZero() {
-		b.openUntil = b.now().Add(b.cooldown)
-		b.mTripped.Inc()
-	}
-}
-
-// success closes the breaker and clears the error streak, even if it
-// is still inside its cooldown (a model activation mid-cooldown is a
-// deliberate operator reset).
-func (b *breaker) success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consecutive = 0
-	b.openUntil = time.Time{}
 }

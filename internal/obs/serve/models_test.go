@@ -285,56 +285,27 @@ func TestChaosApplyDeadlineExceeded(t *testing.T) {
 	}
 }
 
-func TestChaosApplyBreakerTripsTo503(t *testing.T) {
-	s, ts, _ := newModelServer(t, Options{
-		ApplyBreakerThreshold: 2,
-		ApplyBreakerCooldown:  150 * time.Millisecond,
-	})
+// TestChaosApplyBadTuplesStay422: a tuple that lacks the model's attributes
+// is the client's error. Each such body answers 422 and counts on
+// apply_errors_total, and however many arrive, the next well-formed
+// tuple and points batch are scored.
+func TestChaosApplyBadTuplesStay422(t *testing.T) {
+	s, ts, _ := newModelServer(t, Options{})
 	post(t, ts, "/models", `{"model": `+modelDoc()+`, "activate": true}`)
 
-	// Two consecutive bind failures (tuples lacking the model's
-	// attributes) trip the breaker.
-	for i := 0; i < 2; i++ {
-		if code, _ := post(t, ts, "/apply", `{"tuple": {"wrong": 1}}`); code != http.StatusUnprocessableEntity {
-			t.Fatalf("bind failure %d = %d, want 422", i, code)
+	for i := 0; i < 6; i++ {
+		if code, body := post(t, ts, "/apply", `{"tuple": {"wrong": 1}}`); code != http.StatusUnprocessableEntity {
+			t.Fatalf("bad tuple %d = %d %v, want 422", i+1, code, body)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/apply", "application/json",
-		strings.NewReader(`{"tuple": {"age": 30, "salary": 75}}`))
-	if err != nil {
-		t.Fatal(err)
+	if got := s.reg.Counter("apply_errors_total").Value(); got != 6 {
+		t.Fatalf("apply_errors_total = %d, want 6", got)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("tripped breaker = %d, want 503", resp.StatusCode)
+	if code, body := post(t, ts, "/apply", `{"tuple": {"age": 30, "salary": 75}}`); code != http.StatusOK || body["covered"] != true {
+		t.Fatalf("well-formed tuple after bad ones = %d %v, want 200 covered", code, body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("breaker 503 without Retry-After")
-	}
-	if got := s.reg.Counter("apply_breaker_tripped_total").Value(); got != 1 {
-		t.Fatalf("apply_breaker_tripped_total = %d, want 1", got)
-	}
-
-	// After the cooldown the breaker half-opens: traffic flows, and a
-	// single new failure re-trips immediately.
-	time.Sleep(200 * time.Millisecond)
-	if code, _ := post(t, ts, "/apply", `{"tuple": {"age": 30, "salary": 75}}`); code != http.StatusOK {
-		t.Fatalf("half-open success = %d, want 200", code)
-	}
-	for i := 0; i < 2; i++ {
-		post(t, ts, "/apply", `{"tuple": {"wrong": 1}}`)
-	}
-	if code, _ := post(t, ts, "/apply", `{"tuple": {"age": 30, "salary": 75}}`); code != http.StatusServiceUnavailable {
-		t.Fatalf("re-tripped breaker = %d, want 503", code)
-	}
-	// Activating a model resets the breaker: stale errors say nothing
-	// about the fresh version.
-	if code, body := post(t, ts, "/models/m000001/activate", ""); code != http.StatusOK {
-		t.Fatalf("re-activate = %d %v", code, body)
-	}
-	if code, _ := post(t, ts, "/apply", `{"tuple": {"age": 30, "salary": 75}}`); code != http.StatusOK {
-		t.Fatalf("apply after activation reset = %d, want 200", code)
+	if code, body := post(t, ts, "/apply", `{"points": [[30, 75], [55, 75]]}`); code != http.StatusOK || body["matched"] != float64(1) {
+		t.Fatalf("batch after bad tuples = %d %v, want 200 with 1 matched", code, body)
 	}
 }
 

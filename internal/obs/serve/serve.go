@@ -32,8 +32,6 @@ type Options struct {
 	// Tee, when non-nil, additionally receives every run's events — the
 	// daemon-level JSONL trace file.
 	Tee obs.Sink
-	// Namespace prefixes Prometheus metric names (default "arcs").
-	Namespace string
 	// CSVRoot restricts csv job specs to paths under this directory;
 	// empty allows any path the process can read.
 	CSVRoot string
@@ -60,12 +58,6 @@ type Options struct {
 	// ApplyTimeout is the per-request apply deadline; a request's
 	// timeout_ms can lower it but never raise it (default 5s).
 	ApplyTimeout time.Duration
-	// ApplyBreakerThreshold is the consecutive bind/apply error count
-	// that trips the apply breaker to fast 503s (default 5).
-	ApplyBreakerThreshold int
-	// ApplyBreakerCooldown is how long a tripped breaker holds before
-	// half-opening (default 5s).
-	ApplyBreakerCooldown time.Duration
 
 	// MemBudget is the daemon-wide default count-substrate memory budget
 	// in bytes for runs whose spec does not set mem_budget (0 keeps the
@@ -84,7 +76,6 @@ type Server struct {
 	flight    *obs.FlightRecorder
 	harvester *obs.RuntimeHarvester
 	tee       obs.Sink
-	namespace string
 	csvRoot   string
 	subBuf    int
 	maxRuns   int
@@ -102,12 +93,11 @@ type Server struct {
 	order []string // submission order, for listing and eviction
 	seq   atomic.Uint64
 
-	// Serving data plane: the model registry, the bounded in-flight
-	// apply limiter, and the bind/apply-error breaker.
+	// Serving data plane: the model registry and the bounded in-flight
+	// apply limiter.
 	models       *registry.Registry
 	applySem     chan struct{}
 	applyTimeout time.Duration
-	applyBreaker *breaker
 
 	mRunsStarted  *obs.Counter
 	mRunsDegraded *obs.Counter
@@ -117,15 +107,14 @@ type Server struct {
 	mHTTPReqs     *obs.Counter
 	mHTTPLatency  *obs.Histogram
 
-	mApplyReqs        *obs.Counter
-	mApplyShed        *obs.Counter
-	mApplyDeadline    *obs.Counter
-	mApplyErrors      *obs.Counter
-	mApplyBreakerOpen *obs.Counter
-	mApplyTuples      *obs.Counter
-	mApplyFallback    *obs.Counter
-	gApplyInFlight    *obs.Gauge
-	hApplySeconds     *obs.Histogram
+	mApplyReqs     *obs.Counter
+	mApplyShed     *obs.Counter
+	mApplyDeadline *obs.Counter
+	mApplyErrors   *obs.Counter
+	mApplyTuples   *obs.Counter
+	mApplyFallback *obs.Counter
+	gApplyInFlight *obs.Gauge
+	hApplySeconds  *obs.Histogram
 
 	// streamWriteDelay is a test seam: a per-event artificial write
 	// stall in the span stream loop, forcing the slow-consumer drop
@@ -145,9 +134,6 @@ func New(opts Options) *Server {
 	if opts.Flight == nil {
 		opts.Flight = obs.NewFlightRecorder(8192)
 	}
-	if opts.Namespace == "" {
-		opts.Namespace = "arcs"
-	}
 	if opts.SubscriberBuffer <= 0 {
 		opts.SubscriberBuffer = 1024
 	}
@@ -163,18 +149,11 @@ func New(opts Options) *Server {
 	if opts.ApplyTimeout <= 0 {
 		opts.ApplyTimeout = 5 * time.Second
 	}
-	if opts.ApplyBreakerThreshold <= 0 {
-		opts.ApplyBreakerThreshold = 5
-	}
-	if opts.ApplyBreakerCooldown <= 0 {
-		opts.ApplyBreakerCooldown = 5 * time.Second
-	}
 	s := &Server{
 		reg:       opts.Registry,
 		flight:    opts.Flight,
 		harvester: opts.Harvester,
 		tee:       opts.Tee,
-		namespace: opts.Namespace,
 		csvRoot:   opts.CSVRoot,
 		subBuf:    opts.SubscriberBuffer,
 		maxRuns:   opts.MaxRuns,
@@ -195,22 +174,15 @@ func New(opts Options) *Server {
 		models:       opts.Models,
 		applySem:     make(chan struct{}, opts.ApplyMaxInFlight),
 		applyTimeout: opts.ApplyTimeout,
-		applyBreaker: &breaker{
-			threshold: opts.ApplyBreakerThreshold,
-			cooldown:  opts.ApplyBreakerCooldown,
-			now:       time.Now,
-			mTripped:  opts.Registry.Counter("apply_breaker_tripped_total"),
-		},
 
-		mApplyReqs:        opts.Registry.Counter("apply_requests_total"),
-		mApplyShed:        opts.Registry.Counter("apply_shed_total"),
-		mApplyDeadline:    opts.Registry.Counter("apply_deadline_exceeded_total"),
-		mApplyErrors:      opts.Registry.Counter("apply_errors_total"),
-		mApplyBreakerOpen: opts.Registry.Counter("apply_breaker_open_total"),
-		mApplyTuples:      opts.Registry.Counter("apply_tuples_total"),
-		mApplyFallback:    opts.Registry.Counter("apply_json_fallback_total"),
-		gApplyInFlight:    opts.Registry.Gauge("apply_in_flight"),
-		hApplySeconds:     opts.Registry.Histogram("apply_seconds"),
+		mApplyReqs:     opts.Registry.Counter("apply_requests_total"),
+		mApplyShed:     opts.Registry.Counter("apply_shed_total"),
+		mApplyDeadline: opts.Registry.Counter("apply_deadline_exceeded_total"),
+		mApplyErrors:   opts.Registry.Counter("apply_errors_total"),
+		mApplyTuples:   opts.Registry.Counter("apply_tuples_total"),
+		mApplyFallback: opts.Registry.Counter("apply_json_fallback_total"),
+		gApplyInFlight: opts.Registry.Gauge("apply_in_flight"),
+		hApplySeconds:  opts.Registry.Histogram("apply_seconds"),
 	}
 	s.ready.Store(true)
 	return s
@@ -295,7 +267,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.harvester.Sample()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// A write error here means the scraper hung up; nothing to recover.
-	_ = obs.WritePrometheus(w, s.reg.Snapshot(), s.namespace)
+	_ = obs.WritePrometheus(w, s.reg.Snapshot())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
